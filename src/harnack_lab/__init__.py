@@ -25,13 +25,12 @@ from .coefficients import (
     audit_assumptions,
     with_scaled_sigma,
 )
-from .integrator import Trajectory, NoiseStream, step_euler, simulate_path
+from .integrator import Trajectory, NoiseStream, simulate_path
 from .coupling import (
     GammaSchedule,
     CoupledTrajectory,
     gamma,
     inv_gamma_integral,
-    coupling_drift_phi,
     simulate_coupled_Q,
     simulate_coupled_P,
     coupling_time,
@@ -77,9 +76,9 @@ __all__ = [
     "sup_distance", "shift_append",
     "AssumptionConstants", "CoefficientSet", "AuditBox", "AuditReport",
     "builtin_system", "audit_assumptions", "with_scaled_sigma",
-    "Trajectory", "NoiseStream", "step_euler", "simulate_path",
+    "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
-    "coupling_drift_phi", "simulate_coupled_Q", "simulate_coupled_P", "coupling_time",
+    "simulate_coupled_Q", "simulate_coupled_P", "coupling_time",
     "GapPair", "HarnackParameters", "BoundReport", "LemmaBound",
     "k4_ratio", "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
     "lambda_p", "theta_set_contains", "w_eps", "s_eps", "bound_Phi_p", "lemma_rhs",

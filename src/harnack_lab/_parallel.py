@@ -13,8 +13,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 CHUNK = 8192
 
 ENV_THREADS = "HARNACK_LAB_THREADS"
@@ -58,8 +56,3 @@ def map_chunks(fn: Callable[[int, int], object], n_total: int,
 def ordered_sum(parts: Sequence[float]) -> float:
     """Exact-order float sum of per-chunk partials."""
     return math.fsum(parts)
-
-
-def concat_parts(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-chunk arrays along the path axis, chunk order."""
-    return np.concatenate(list(parts), axis=0)

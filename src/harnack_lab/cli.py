@@ -28,7 +28,7 @@ from ._version import __version__
 from .bounds import (GapPair, bound_H_T, bound_Phi_p, bound_entropy_prop21,
                      bound_entropy_with_tail)
 from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet,
-                           audit_assumptions, builtin_system)
+                           audit_assumptions, builtin_system, param_problems)
 from .coupling import (GammaSchedule, gamma, simulate_coupled_P,
                        simulate_coupled_Q)
 from .estimators import (MCEstimate, VerdictReport, estimate_entropy_Q,
@@ -42,13 +42,6 @@ VERSION_TAG = f"harnack-lab-v{__version__}"
 
 COMMANDS = ("audit", "simulate", "couple", "bounds", "entropy",
             "log-harnack", "power-harnack", "stationary")
-
-_CATALOG_PARAMS = {
-    "linear_additive": {"a", "c", "s0"},
-    "sine_multiplicative": {"a", "c", "s0"},
-    "ou_nodelay": {"a", "s0"},
-    "constants": {"k1", "k2", "k3", "k4"},
-}
 
 _F_NAMES = ("quad_cap", "exp_cap")
 
@@ -189,8 +182,9 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append("[problem] t must be positive")
     if r0 > 0 and m >= 1 and t_horizon > 0:
         h = r0 / m
-        n_t = round(t_horizon / h)
-        if n_t < 1 or abs(n_t * h - t_horizon) > 1e-12 * max(t_horizon, 1.0):
+        try:
+            GridSpec(r0, t_horizon, m)
+        except ValueError:
             violations.append(
                 f"[problem] t={t_horizon!r} is not a positive multiple of h=r0/m={h!r}")
         if t0 is not None:
@@ -212,17 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append(
             f"[problem] {label}={spec!r}: expected 'zero', 'const:<value>' or 'file:<path>'")
 
-    if name not in _CATALOG_PARAMS:
-        violations.append(f"[system] unknown system {name!r}; "
-                          f"catalog: {sorted(_CATALOG_PARAMS)}")
-    else:
-        want = _CATALOG_PARAMS[name]
-        missing = sorted(want - params.keys())
-        extra = sorted(params.keys() - want)
-        if missing:
-            violations.append(f"[system] {name} is missing parameters {missing}")
-        if extra:
-            violations.append(f"[system] {name} got unknown parameters {extra}")
+    violations += [f"[system] {problem}" for problem in param_problems(name, params)]
 
     if not (0.0 < theta < 2.0):
         violations.append("[coupling] theta must lie in (0, 2)")
@@ -290,9 +274,6 @@ def config_grid(cfg: ExperimentConfig) -> GridSpec:
 
 
 def config_coeffs(cfg: ExperimentConfig) -> CoefficientSet:
-    if cfg.system_name == "constants":
-        raise ValueError("the 'constants' pseudo-system carries no dynamics; "
-                         "it only feeds the bound calculators")
     return builtin_system(cfg.system_name, dict(cfg.system_params), dim=cfg.d)
 
 
@@ -591,7 +572,7 @@ def _cmd_stationary(cfg: ExperimentConfig, threads) -> int:
     coeffs = config_coeffs(cfg)
     grid = config_grid(cfg)
     sample = sample_stationary_segments(coeffs, grid, cfg.n, cfg.burn_in,
-                                        cfg.seed, threads)
+                                        cfg.seed)
     rows = []
     for i in range(cfg.d):
         rows.append([i, sample.endpoint_mean[i], sample.endpoint_var[i],

@@ -72,20 +72,6 @@ class CoefficientSet:
             raise ValueError(f"sigma(t={t}, .) is singular at an evaluated point: {e}") from None
 
 
-def coefficient_set_from_pointwise(dim, sigma, z_drift, b_delay, constants, **kw):
-    """Wrap single-point callables (x of shape (d,), segment of shape (m+1, d))."""
-    def sig_b(t, x):
-        return np.stack([np.asarray(sigma(t, xi), dtype=float) for xi in x])
-
-    def z_b(t, x):
-        return np.stack([np.atleast_1d(np.asarray(z_drift(t, xi), dtype=float)) for xi in x])
-
-    def b_b(t, seg):
-        return np.stack([np.atleast_1d(np.asarray(b_delay(t, s), dtype=float)) for s in seg])
-
-    return CoefficientSet(dim, sig_b, z_b, b_b, constants, **kw)
-
-
 def _const_diag_sigma(s0, dim):
     def sig(t, x):
         out = np.zeros((x.shape[0], dim, dim))
@@ -95,13 +81,29 @@ def _const_diag_sigma(s0, dim):
     return sig
 
 
-def _require_params(name, params, required):
-    missing = sorted(set(required) - set(params))
-    extra = sorted(set(params) - set(required))
+# The system catalog: each name with the parameters it takes. "constants"
+# is a pseudo-system that carries bare k1..k4 into the bound calculators.
+SYSTEM_PARAMS = {
+    "linear_additive": ("a", "c", "s0"),
+    "sine_multiplicative": ("a", "c", "s0"),
+    "ou_nodelay": ("a", "s0"),
+    "constants": ("k1", "k2", "k3", "k4"),
+}
+
+
+def param_problems(name, params):
+    """Every way params fails the catalog entry of system name, as messages."""
+    if name not in SYSTEM_PARAMS:
+        return [f"unknown system {name!r} (catalog: {', '.join(SYSTEM_PARAMS)})"]
+    want = set(SYSTEM_PARAMS[name])
+    missing = sorted(want - set(params))
+    extra = sorted(set(params) - want)
+    problems = []
     if missing:
-        raise ValueError(f"system '{name}' is missing parameters: {', '.join(missing)}")
+        problems.append(f"system {name!r} is missing parameters {missing}")
     if extra:
-        raise ValueError(f"system '{name}' got unknown parameters: {', '.join(extra)}")
+        problems.append(f"system {name!r} got unknown parameters {extra}")
+    return problems
 
 
 def builtin_system(name, params=None, dim=1, **kw):
@@ -113,9 +115,11 @@ def builtin_system(name, params=None, dim=1, **kw):
     """
     params = dict(params or {}, **kw)
     d = int(dim)
+    problems = param_problems(name, params)
+    if problems:
+        raise ValueError("; ".join(problems))
 
     if name == "linear_additive":
-        _require_params(name, params, ("a", "c", "s0"))
         a, c, s0 = (float(params[k]) for k in ("a", "c", "s0"))
         if s0 <= 0:
             raise ValueError("s0 must be positive")
@@ -133,7 +137,6 @@ def builtin_system(name, params=None, dim=1, **kw):
         )
 
     if name == "sine_multiplicative":
-        _require_params(name, params, ("a", "c", "s0"))
         a, c, s0 = (float(params[k]) for k in ("a", "c", "s0"))
         if s0 <= 0:
             raise ValueError("s0 must be positive")
@@ -161,7 +164,6 @@ def builtin_system(name, params=None, dim=1, **kw):
         )
 
     if name == "ou_nodelay":
-        _require_params(name, params, ("a", "s0"))
         a, s0 = float(params["a"]), float(params["s0"])
         if s0 <= 0:
             raise ValueError("s0 must be positive")
@@ -178,7 +180,8 @@ def builtin_system(name, params=None, dim=1, **kw):
             params={"a": a, "s0": s0},
         )
 
-    raise ValueError(f"unknown system '{name}' (catalog: linear_additive, sine_multiplicative, ou_nodelay)")
+    raise ValueError("the 'constants' pseudo-system carries no dynamics; "
+                     "it only feeds the bound calculators")
 
 
 def with_scaled_sigma(coeffs, scale):

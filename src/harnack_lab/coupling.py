@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .integrator import NoiseStream
+from .integrator import NoiseStream, _euler_step, _mat_vec
 from .segment_paths import GridSpec, SegmentPath
 
 # below this, 1 - exp(-k4 t0) is evaluated by its series to avoid cancellation
@@ -166,33 +166,10 @@ class CoupledTrajectory:
         return SegmentPath(self.grid.r0, self.y_values[k: k + self.grid.m + 1].copy())
 
 
-def coupling_drift_phi(t: float, x: np.ndarray, y: np.ndarray,
-                       seg_x: SegmentPath, seg_y: SegmentPath,
-                       sched: GammaSchedule, coeffs: CoefficientSet) -> np.ndarray:
-    """Girsanov integrand phi at time t given both states and segments.
-
-    phi = sigma(t,y)^{-1} (b(t, seg_y) - b(t, seg_x))
-          - 1_{t < t0} / gamma(t) * sigma(t,x)^{-1} (x - y)
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    bdiff = coeffs.b_delay(t, seg_y.values[None]) - coeffs.b_delay(t, seg_x.values[None])
-    out = coeffs.apply_sigma_inv(t, y[None], bdiff)[0]
-    if t < sched.t0:
-        g = gamma(t, sched)
-        out = out - coeffs.apply_sigma_inv(t, x[None], (x - y)[None])[0] / g
-    return out
-
-
-def _mat_vec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.einsum("bij,bj->bi", mats, vecs)
-
-
 def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
                    eta_values: np.ndarray, grid: GridSpec, sched: GammaSchedule,
                    noise: np.ndarray, measure: str, delta_merge: float,
-                   k_upper: Optional[int] = None, want_paths: bool = False,
-                   want_seg_gap: bool = False) -> dict:
+                   k_upper: Optional[int] = None, want_paths: bool = False) -> dict:
     """Advance a batch of coupled pairs; the workhorse behind the public ops.
 
     xi_values / eta_values: shared histories (m+1, d). noise: (n_T, B, d).
@@ -203,15 +180,11 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
 
     Returns a dict of per-path arrays:
       log_weight    accumulated log R over [0, T]
-      phi_sq        int_0^T |phi|^2
-      phi_sq_upper  same, stopped at k_upper steps
+      phi_sq_upper  int |phi|^2, stopped at k_upper steps
       gap_gamma_sq  int |X-Y|^2 / gamma^2, stopped at min(k_upper, n0) steps
-      seg_gap_int   int ||X_t - Y_t||_inf^2 dt, stopped at k_upper steps
-                    (only when want_seg_gap)
       merged        bool per path
-      point_gaps    (m + n_T + 1, B) gap at every grid row (only when
-                    want_seg_gap or want_paths)
-      full_x/full_y, phi_sq_cum/logw_cum  (only when want_paths)
+      full_x/full_y histories (m + n_T + 1, B, d), row m is time 0
+      phi_sq_cum/logw_cum  running integrals (n_T + 1, B), only when want_paths
     """
     if measure not in ("Q", "P"):
         raise ValueError("measure must be 'Q' or 'P'")
@@ -235,14 +208,8 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
     full_y[: m + 1] = eta_values[:, None, :]
 
     logw = np.zeros(b)
-    phi_sq = np.zeros(b)
     phi_sq_upper = np.zeros(b)
     gap_gamma_sq = np.zeros(b)
-    track_gaps = want_seg_gap or want_paths
-    if track_gaps:
-        point_gaps = np.empty((m + n_t + 1, b))
-        point_gaps[: m + 1] = np.linalg.norm(
-            full_x[: m + 1] - full_y[: m + 1], axis=2)
     if want_paths:
         phi_cum = np.zeros((n_t + 1, b))
         logw_cum = np.zeros((n_t + 1, b))
@@ -276,16 +243,15 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
                 gap_gamma_sq += gg
 
         phi_sq_step = (phi * phi).sum(axis=1) * h
-        phi_sq += phi_sq_step
         if k < k_upper:
             phi_sq_upper += phi_sq_step
         logw += (phi * dw).sum(axis=1) + sign * 0.5 * phi_sq_step
 
         if measure == "Q":
             # unforced copy Y solves the original equation
-            yn = y + (zy + by) * h + _mat_vec(sy, dw)
+            yn = _euler_step(y, zy + by, h, sy, dw)
             drift_x = zx + by + _mat_vec(sx - sy, siginv_y_bdiff)
-            xe = x + drift_x * h + _mat_vec(sx, dw)
+            xe = _euler_step(x, drift_x, h, sx, dw)
             if pre:
                 xn = yn + alphas[k] * (xe - yn)
             else:
@@ -293,19 +259,17 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
                 xn[merged] = yn[merged]
         else:
             # unforced copy X drives; Y carries the gap forcing
-            xn = x + (zx + bx) * h + _mat_vec(sx, dw)
+            xn = _euler_step(x, zx + bx, h, sx, dw)
             if pre:
                 corr = _mat_vec(sy - sx, siginv_x_e) / g
-                ye = y + (zy + bx + corr) * h + _mat_vec(sy, dw)
+                ye = _euler_step(y, zy + bx + corr, h, sy, dw)
                 yn = xn - alphas[k] * (xn - ye)
             else:
-                yn = y + (zy + bx) * h + _mat_vec(sy, dw)
+                yn = _euler_step(y, zy + bx, h, sy, dw)
                 yn[merged] = xn[merged]
 
         full_x[m + k + 1] = xn
         full_y[m + k + 1] = yn
-        if track_gaps:
-            point_gaps[m + k + 1] = np.linalg.norm(xn - yn, axis=1)
         if want_paths:
             phi_cum[k + 1] = phi_cum[k] + phi_sq_step
             logw_cum[k + 1] = logw
@@ -322,41 +286,21 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
 
     out = {
         "log_weight": logw,
-        "phi_sq": phi_sq,
         "phi_sq_upper": phi_sq_upper,
         "gap_gamma_sq": gap_gamma_sq,
         "merged": merged,
+        "full_x": full_x,
+        "full_y": full_y,
     }
-    if want_seg_gap:
-        sg = np.zeros(b)
-        for k in range(k_upper):
-            win = point_gaps[k: k + m + 1].max(axis=0)
-            sg += win * win * h
-        out["seg_gap_int"] = sg
-    if track_gaps:
-        out["point_gaps"] = point_gaps
     if want_paths:
-        out["full_x"] = full_x
-        out["full_y"] = full_y
         out["phi_sq_cum"] = phi_cum
         out["logw_cum"] = logw_cum
     return out
 
 
-def _check_coupled_inputs(coeffs, xi, eta, grid, t0):
-    if xi.dim != coeffs.dim or eta.dim != coeffs.dim:
-        raise ValueError("segment dimension does not match the system")
-    if not xi.same_grid(eta):
-        raise ValueError("xi and eta must share one segment grid")
-    if xi.m != grid.m or not np.isclose(xi.r0, grid.r0, rtol=1e-12, atol=0.0):
-        raise ValueError("initial segments do not match the time grid")
-    if not (0.0 < t0 <= grid.T):
-        raise ValueError("t0 must lie in (0, T]")
-
-
 def _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed, path_index,
                       delta_merge, measure) -> CoupledTrajectory:
-    _check_coupled_inputs(coeffs, xi, eta, grid, t0)
+    grid.check_segments(coeffs.dim, xi, eta)
     sched = GammaSchedule(theta=theta, k4=coeffs.constants.k4, t0=t0)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
     noise = stream.increments(path_index, grid.n_T)[:, None, :]

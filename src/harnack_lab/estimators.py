@@ -170,13 +170,19 @@ def _reduce_moments(parts, n: int, seed: int, extra=None) -> MCEstimate:
                       seed=seed, diagnostics=diag)
 
 
-def _check_pair_inputs(coeffs, xi, eta, grid):
-    if xi.dim != coeffs.dim or eta.dim != coeffs.dim:
-        raise ValueError("segment dimension does not match the system")
-    if not xi.same_grid(eta):
-        raise ValueError("xi and eta must share one segment grid")
-    if xi.m != grid.m or not np.isclose(xi.r0, grid.r0, rtol=1e-12, atol=0.0):
-        raise ValueError("segments do not match the time grid")
+def _seg_gap_integral(full_x: np.ndarray, full_y: np.ndarray, m: int,
+                      h: float, k_upper: int) -> np.ndarray:
+    """int_0^{k_upper h} ||X_t - Y_t||_inf^2 dt per path, from coupled
+    histories (m + n_T + 1, B, d); the sup runs over the delay window
+    [t - r0, t], i.e. the m + 1 grid rows ending at t."""
+    gaps = np.empty((k_upper + m, full_x.shape[1]))
+    for row in range(k_upper + m):
+        gaps[row] = np.linalg.norm(full_x[row] - full_y[row], axis=1)
+    out = np.zeros(full_x.shape[1])
+    for k in range(k_upper):
+        win = gaps[k: k + m + 1].max(axis=0)
+        out += win * win * h
+    return out
 
 
 def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
@@ -185,8 +191,7 @@ def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
     """Mean of f over the terminal segments of n independent paths from xi."""
     if n < 2:
         raise ValueError("need n >= 2 paths")
-    if xi.dim != coeffs.dim or xi.m != grid.m:
-        raise ValueError("initial segment does not match the system/grid")
+    grid.check_segments(coeffs.dim, xi)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
 
     def chunk(a, b):
@@ -201,9 +206,8 @@ def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
 
 
 def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                      delta_merge, measure, k_upper, want_seg_gap,
-                      value_of) -> MCEstimate:
-    _check_pair_inputs(coeffs, xi, eta, grid)
+                      delta_merge, measure, k_upper, value_of) -> MCEstimate:
+    grid.check_segments(coeffs.dim, xi, eta)
     if not sched.t0 <= grid.T - grid.r0:
         raise ValueError("the coupling deadline must satisfy t0 <= T - r0")
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
@@ -211,8 +215,7 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
     def chunk(a, b):
         noise = stream.batch(a, b - a, grid.n_T)
         res = _coupled_batch(coeffs, xi.values, eta.values, grid, sched, noise,
-                             measure, delta_merge, k_upper=k_upper,
-                             want_seg_gap=want_seg_gap)
+                             measure, delta_merge, k_upper=k_upper)
         v, extra = value_of(res, a)
         out = {"sum": float(v.sum()), "sum_sq": float((v * v).sum()),
                "min": float(v.min()), "max": float(v.max()),
@@ -239,7 +242,7 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
         return 0.5 * res["phi_sq_upper"], {}
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "Q", k_upper, False, value_of)
+                             delta_merge, "Q", k_upper, value_of)
 
 
 _INTEGRANDS = ("phi_sq", "gap_over_gamma_sq", "seg_gap_sq")
@@ -263,16 +266,19 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
         raise ValueError("lam must be nonnegative")
     if integrand not in _INTEGRANDS:
         raise ValueError(f"integrand must be one of {_INTEGRANDS}")
-    k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else None
+    k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else grid.n_T
     if integrand == "gap_over_gamma_sq":
         upper_t = t_upper if t_upper is not None else grid.T
         if upper_t > sched.t0:
             raise ValueError("gap_over_gamma_sq lives on [0, t0]; set t_upper <= t0")
-    key = {"phi_sq": "phi_sq_upper", "gap_over_gamma_sq": "gap_gamma_sq",
-           "seg_gap_sq": "seg_gap_int"}[integrand]
 
     def value_of(res, a):
-        expo = lam * res[key]
+        if integrand == "seg_gap_sq":
+            integral = _seg_gap_integral(res["full_x"], res["full_y"], grid.m,
+                                         grid.h, k_upper)
+        else:
+            integral = res["phi_sq_upper" if integrand == "phi_sq" else "gap_gamma_sq"]
+        expo = lam * integral
         worst = int(np.argmax(expo))
         if expo[worst] > MAX_EXPONENT:
             raise OverflowError(
@@ -281,8 +287,7 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
         return np.exp(expo), {"max_exponent": float(expo[worst])}
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "Q", k_upper,
-                             integrand == "seg_gap_sq", value_of)
+                             delta_merge, "Q", k_upper, value_of)
 
 
 def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
@@ -303,7 +308,7 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
         return np.exp(logw), {"max_log_weight": float(logw[worst])}
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "P", None, False, value_of)
+                             delta_merge, "P", None, value_of)
 
 
 def merged_fraction(est: MCEstimate) -> float:
@@ -367,7 +372,7 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
         raise ValueError("T must equal the grid horizon")
     if f.lower < 1.0:
         raise ValueError("log-Harnack checks need f >= 1")
-    _check_pair_inputs(coeffs, xi, eta, grid)
+    grid.check_segments(coeffs.dim, xi, eta)
 
     gaps = GapPair.from_segments(xi, eta)
     if s_choice is not None:
@@ -381,18 +386,13 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
 
     lhs = estimate_PT_f(coeffs, eta, _log_of(f), grid, n, seed, threads)
     raw = estimate_PT_f(coeffs, xi, f, grid, n, seed + 1, threads)
-    rhs_mean = math.log(raw.mean) + h_val
-    rhs_se = raw.std_error / raw.mean
-    rhs = MCEstimate(mean=rhs_mean, std_error=rhs_se, n=raw.n, seed=raw.seed,
+    rhs = MCEstimate(mean=math.log(raw.mean) + h_val,
+                     std_error=raw.std_error / raw.mean, n=raw.n, seed=raw.seed,
                      diagnostics={"raw_mean": raw.mean, "bound": h_val,
                                   **raw.diagnostics})
-    margin = _margin(lhs.mean, lhs.std_error, rhs_mean, rhs_se)
-    verdict = _verdict(margin, k_tol, k_viol, 0.0)
-    return VerdictReport(claim="log_harnack", lhs=lhs, rhs=rhs, bound=h_val,
-                         margin_se=margin, verdict=verdict, k_tol=k_tol,
-                         k_viol=k_viol, meta={"s_star": s_star,
-                                              "point_gap": gaps.point_gap,
-                                              "seg_gap": gaps.seg_gap})
+    return make_verdict("log_harnack", lhs, rhs, h_val, k_tol, k_viol,
+                        meta={"s_star": s_star, "point_gap": gaps.point_gap,
+                              "seg_gap": gaps.seg_gap})
 
 
 def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
@@ -413,7 +413,7 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
         raise ValueError("T must equal the grid horizon")
     if f.lower < 0.0:
         raise ValueError("power-Harnack checks need f >= 0")
-    _check_pair_inputs(coeffs, xi, eta, grid)
+    grid.check_segments(coeffs.dim, xi, eta)
 
     gaps = GapPair.from_segments(xi, eta)
     rep = bound_Phi_p(p, T, coeffs.constants, gaps, grid.r0, eps_grid, s_grid)
@@ -430,19 +430,14 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
                      n=raw_r.n, seed=raw_r.seed,
                      diagnostics={"raw_mean": raw_r.mean, "bound": rep.value,
                                   **raw_r.diagnostics})
-    margin = _margin(lhs.mean, lhs.std_error, rhs.mean, rhs.std_error)
-    verdict = _verdict(margin, k_tol, k_viol, 0.0)
-    return VerdictReport(claim="power_harnack", lhs=lhs, rhs=rhs,
-                         bound=rep.value, margin_se=margin, verdict=verdict,
-                         k_tol=k_tol, k_viol=k_viol,
-                         meta={"p": p, "s_star": rep.s_star,
-                               "eps_star": rep.eps_star,
-                               "log_scale": 1.0})
+    return make_verdict("power_harnack", lhs, rhs, rep.value, k_tol, k_viol,
+                        meta={"p": p, "s_star": rep.s_star,
+                              "eps_star": rep.eps_star, "log_scale": 1.0})
 
 
 def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
-                               burn_in: float = 10.0, seed: int = 0,
-                               threads: Optional[int] = None) -> StationarySample:
+                               burn_in: float = 10.0,
+                               seed: int = 0) -> StationarySample:
     """Draw n history segments from the long-run law of a delay-free system.
 
     Runs min(n, 256) independent paths from the origin, discards a burn-in,

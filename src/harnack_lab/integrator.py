@@ -105,25 +105,14 @@ class Trajectory:
         return self.values[-1]
 
 
-def step_euler(t: float, x: np.ndarray, seg: SegmentPath, dw: np.ndarray,
-               h: float, coeffs: CoefficientSet) -> np.ndarray:
-    """One explicit Euler step: x + (Z(t,x) + b(t,seg)) h + sigma(t,x) dW.
+def _mat_vec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return np.einsum("bij,bj->bi", mats, vecs)
 
-    x and dw are flat (d,) vectors; seg is the path segment ending at time t
-    (its endpoint is conventionally x, but that is not enforced).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    dw = np.asarray(dw, dtype=float).reshape(-1)
-    if x.shape[0] != coeffs.dim or dw.shape[0] != coeffs.dim:
-        raise ValueError(f"x and dw must have length {coeffs.dim}")
-    xb = x[None, :]
-    segb = seg.values[None, :, :]
-    drift = coeffs.z_drift(t, xb) + coeffs.b_delay(t, segb)
-    sig = coeffs.sigma(t, xb)
-    out = x + drift[0] * h + sig[0] @ dw
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"non-finite state after Euler step at t={t:.6g}")
-    return out
+
+def _euler_step(x: np.ndarray, drift: np.ndarray, h: float, sig: np.ndarray,
+                dw: np.ndarray) -> np.ndarray:
+    """Batched Euler update x + drift h + sigma dW; every kernel steps with it."""
+    return x + drift * h + _mat_vec(sig, dw)
 
 
 def _segment_views(full: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -159,7 +148,7 @@ def _simulate_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
         if not coeffs.delay_free:
             drift = drift + coeffs.b_delay(t, seg)
         sig = coeffs.sigma(t, x)
-        xn = x + drift * h + np.einsum("bij,bj->bi", sig, noise[k])
+        xn = _euler_step(x, drift, h, sig, noise[k])
         if not np.all(np.isfinite(xn)):
             raise FloatingPointError(
                 f"non-finite state at step {k + 1} of {n_t} (t={t + h:.6g}); "
@@ -171,10 +160,7 @@ def _simulate_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
 def simulate_path(coeffs: CoefficientSet, xi: SegmentPath, grid: GridSpec,
                   seed: int, path_index: int = 0) -> Trajectory:
     """Simulate one path of the delay equation started from history xi."""
-    if xi.dim != coeffs.dim:
-        raise ValueError("initial segment dimension does not match the system")
-    if xi.m != grid.m or not np.isclose(xi.r0, grid.r0, rtol=1e-12, atol=0.0):
-        raise ValueError("initial segment grid does not match the time grid")
+    grid.check_segments(coeffs.dim, xi)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
     noise = stream.increments(path_index, grid.n_T)[:, None, :]
     full = _simulate_batch(coeffs, xi.values, grid, noise)

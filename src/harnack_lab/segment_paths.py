@@ -152,6 +152,19 @@ class GridSpec:
             raise ValueError(f"{label}={t} does not lie on the grid (h={self.h})")
         return k
 
+    def check_segments(self, dim, *segments):
+        """Raise ValueError unless the initial segments have dimension dim,
+        share one segment grid, and cover this grid's delay window (m, r0)."""
+        for seg in segments:
+            if seg.dim != dim:
+                raise ValueError(f"segment dimension {seg.dim} does not match the system (d={dim})")
+        if not all(segments[0].same_grid(seg) for seg in segments[1:]):
+            raise ValueError("initial segments must share one segment grid")
+        for seg in segments:
+            if seg.m != self.m or not np.isclose(seg.r0, self.r0, rtol=1e-12, atol=0.0):
+                raise ValueError(f"segment grid (r0={seg.r0}, m={seg.m}) does not match "
+                                 f"the time grid {self!r}")
+
     def __repr__(self):
         return f"GridSpec(r0={self.r0}, T={self.T}, m={self.m})"
 

@@ -5,9 +5,8 @@ import pytest
 
 from harnack_lab.coefficients import (AssumptionConstants, AuditBox,
                                       CoefficientSet, audit_assumptions,
-                                      builtin_system,
-                                      coefficient_set_from_pointwise,
-                                      with_scaled_sigma)
+                                      builtin_system, with_scaled_sigma)
+from oracles import coefficient_set_from_pointwise
 
 
 def test_constants_validation():

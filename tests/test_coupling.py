@@ -8,11 +8,11 @@ from scipy.integrate import quad
 
 from harnack_lab.coefficients import builtin_system
 from harnack_lab.coupling import (GammaSchedule, contraction_factors,
-                                  coupling_drift_phi, coupling_time, gamma,
-                                  inv_gamma_integral, simulate_coupled_P,
-                                  simulate_coupled_Q)
+                                  coupling_time, gamma, inv_gamma_integral,
+                                  simulate_coupled_P, simulate_coupled_Q)
 from harnack_lab.integrator import simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
+from oracles import coupling_drift_phi
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -243,6 +243,24 @@ def test_coupling_drift_phi_pointwise():
     # past the deadline only the delay part remains
     got2 = coupling_drift_phi(1.5, x, y, seg_x, seg_y, sched, co)
     assert got2[0] == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("runner", [simulate_coupled_Q, simulate_coupled_P])
+def test_phi_sq_steps_match_scalar_oracle_along_the_path(runner):
+    co = sine()
+    grid, xi, eta = std_setup(m=40)
+    traj = runner(co, xi, eta, grid, 1.0, seed=4)
+    want = []
+    for k in range(grid.n_T):
+        t = k * grid.h
+        phi = coupling_drift_phi(t, traj.x_values[grid.m + k], traj.y_values[grid.m + k],
+                                 traj.x_segment_at(t), traj.y_segment_at(t),
+                                 traj.sched, co)
+        want.append((phi * phi).sum() * grid.h)
+    # differencing the running integral costs a few ulps of its final value
+    tol = 4 * np.finfo(float).eps * traj.phi_sq_cum[-1]
+    np.testing.assert_allclose(np.diff(traj.phi_sq_cum), want, rtol=0, atol=tol)
+    assert max(want) > 0
 
 
 def test_gap_over_gamma_integral_finite_and_h_stable():

@@ -6,7 +6,8 @@ import pytest
 from harnack_lab.bounds import GapPair, bound_entropy_with_tail, lemma_rhs
 from harnack_lab.coefficients import builtin_system, with_scaled_sigma
 from harnack_lab.coupling import GammaSchedule
-from harnack_lab.estimators import (MCEstimate, check_log_harnack,
+from harnack_lab.estimators import (MCEstimate, _seg_gap_integral,
+                                    check_log_harnack,
                                     check_power_harnack, estimate_PT_f,
                                     estimate_entropy_Q,
                                     estimate_exp_functional,
@@ -130,6 +131,14 @@ def test_pt_f_validation():
         estimate_PT_f(co, constant_segment(1.0, 1.0, 19), ONE, grid, n=4, seed=0)
 
 
+def test_pt_f_rejects_segment_on_another_delay_window():
+    # same m, different r0: the history would be read at the wrong times
+    co = linear()
+    grid = GridSpec(1.0, 1.0, 20)
+    with pytest.raises(ValueError, match="time grid"):
+        estimate_PT_f(co, constant_segment(1.0, 0.5, 20), ONE, grid, n=4, seed=0)
+
+
 # -------------------------------------------------------------- entropy
 
 def test_entropy_zero_for_equal_starts():
@@ -195,6 +204,21 @@ def test_exp_functional_seg_gap_vs_lemma_on_linear():
     rhs = lemma_rhs("seg_gap_integral", co.constants,
                     GapPair.from_segments(xi, eta), lam=lam, s=1.0)
     assert est.mean + 3 * est.std_error <= rhs.value
+
+
+@pytest.mark.parametrize("k_upper", [0, 5, 12])
+def test_seg_gap_integral_matches_brute_force_window_max(k_upper):
+    m, n_t, b, d, h = 4, 12, 6, 2, 0.25
+    rng = np.random.default_rng(11)
+    full_x = rng.normal(size=(m + n_t + 1, b, d))
+    full_y = rng.normal(size=(m + n_t + 1, b, d))
+    got = _seg_gap_integral(full_x, full_y, m, h, k_upper)
+    for j in range(b):
+        want = 0.0
+        for k in range(k_upper):
+            sup = max(math.dist(full_x[r, j], full_y[r, j]) for r in range(k, k + m + 1))
+            want += sup * sup * h
+        assert got[j] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_exp_functional_gap_over_gamma_needs_pre_deadline_cap():

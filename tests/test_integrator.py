@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from harnack_lab.coefficients import (AssumptionConstants, builtin_system,
-                                      coefficient_set_from_pointwise,
                                       with_scaled_sigma)
-from harnack_lab.integrator import (NoiseStream, Trajectory, simulate_path,
-                                    step_euler)
+from harnack_lab.integrator import NoiseStream, Trajectory, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
+from oracles import coefficient_set_from_pointwise, step_euler
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
