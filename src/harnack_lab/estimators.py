@@ -154,14 +154,33 @@ class StationarySample:
         self.lag_r0_autocov.setflags(write=False)
 
 
+_MOMENT_KEYS = ("n", "sum", "m2", "min", "max", "failures")
+
+
+def _chunk_moments(v: np.ndarray) -> dict:
+    """Count, sum, sum of squared deviations from the chunk mean (M2) and
+    range of one chunk's values."""
+    total = float(v.sum())
+    dev = v - total / v.size
+    return {"n": v.size, "sum": total, "m2": float((dev * dev).sum()),
+            "min": float(v.min()), "max": float(v.max())}
+
+
 def _reduce_moments(parts, n: int, seed: int, extra=None) -> MCEstimate:
-    s1 = ordered_sum([p["sum"] for p in parts])
-    s2 = ordered_sum([p["sum_sq"] for p in parts])
+    # Chan, Golub & LeVeque: merge chunk means and M2s in chunk order, so the
+    # variance never takes the cancelling difference sum(v^2) - n mean^2
+    count, run_mean, m2 = 0, 0.0, 0.0
+    for p in parts:
+        delta = p["sum"] / p["n"] - run_mean
+        n_ab = count + p["n"]
+        run_mean += delta * p["n"] / n_ab
+        m2 += p["m2"] + delta * delta * count * p["n"] / n_ab
+        count = n_ab
     vmin = min(p["min"] for p in parts)
     vmax = max(p["max"] for p in parts)
     failures = int(sum(p.get("failures", 0) for p in parts))
-    mean = s1 / n
-    var = max((s2 - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0
+    mean = ordered_sum([p["sum"] for p in parts]) / n
+    var = m2 / (n - 1) if n > 1 else 0.0
     diag = {"min": vmin, "max": vmax, "failures": failures}
     if extra:
         for key in extra:
@@ -198,9 +217,7 @@ def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
         noise = stream.batch(a, b - a, grid.n_T)
         full = _simulate_batch(coeffs, xi.values, grid, noise)
         seg = np.moveaxis(full[grid.n_T:], 0, 1)
-        v = f(seg)
-        return {"sum": float(v.sum()), "sum_sq": float((v * v).sum()),
-                "min": float(v.min()), "max": float(v.max())}
+        return _chunk_moments(f(seg))
 
     return _reduce_moments(map_chunks(chunk, n, threads), n, seed)
 
@@ -217,14 +234,13 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
         res = _coupled_batch(coeffs, xi.values, eta.values, grid, sched, noise,
                              measure, delta_merge, k_upper=k_upper)
         v, extra = value_of(res, a)
-        out = {"sum": float(v.sum()), "sum_sq": float((v * v).sum()),
-               "min": float(v.min()), "max": float(v.max()),
-               "failures": int((~res["merged"]).sum())}
+        out = _chunk_moments(v)
+        out["failures"] = int((~res["merged"]).sum())
         out.update(extra)
         return out
 
     parts = map_chunks(chunk, n, threads)
-    keys = [k for k in parts[0] if k not in ("sum", "sum_sq", "min", "max", "failures")]
+    keys = [k for k in parts[0] if k not in _MOMENT_KEYS]
     return _reduce_moments(parts, n, seed, extra=keys)
 
 

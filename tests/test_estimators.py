@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harnack_lab.bounds import GapPair, bound_entropy_with_tail, lemma_rhs
 from harnack_lab.coefficients import builtin_system, with_scaled_sigma
@@ -120,6 +122,21 @@ def test_pt_f_se_scales_with_sqrt_n():
     a = estimate_PT_f(co, xi, f, grid, n=2000, seed=3)
     b = estimate_PT_f(co, xi, f, grid, n=8000, seed=3)
     assert a.std_error / b.std_error == pytest.approx(2.0, rel=0.2)
+
+
+@settings(max_examples=6, deadline=None)
+@given(shift=st.floats(1e6, 1e9), seed=st.integers(0, 1000))
+def test_pt_f_se_unchanged_by_a_large_shift_of_f(shift, seed):
+    # three chunks, so the cross-chunk merge runs too
+    co = linear()
+    grid, xi, _ = setup(m=5, T=1.0)
+    f = catalog_fn("quad_cap", 100.0)
+    shifted = ObsFn(name="shifted", fn=lambda segs: f(segs) + shift,
+                    lower=f.lower + shift, upper=f.upper + shift)
+    a = estimate_PT_f(co, xi, f, grid, n=16500, seed=seed)
+    b = estimate_PT_f(co, xi, shifted, grid, n=16500, seed=seed)
+    # shifting rounds each value by up to shift * eps, against a spread of f near 1
+    assert b.std_error == pytest.approx(a.std_error, rel=1e-5)
 
 
 def test_pt_f_validation():
