@@ -1,12 +1,12 @@
 """Monte Carlo estimators and inequality verdicts.
 
-Estimates are assembled from fixed 8192-path chunks whose partial sums are
-reduced in chunk order through math.fsum, so a given (seed, n, grid) always
-produces the same bits regardless of thread count. Inequality checks are
-one-sided statistical tests: a claim "holds" when the estimated margin is
-not significantly negative, and is only called "violated" at a stronger
-significance (6 standard errors by default) to keep discretization bias
-from raising false alarms.
+Estimates are assembled from fixed 8192-path chunks whose partial sums
+(through math.fsum) and squared deviations are reduced in chunk order, so a
+given (seed, n, grid) always produces the same bits regardless of thread
+count. Inequality checks are one-sided statistical tests: a claim "holds"
+when the estimated margin is not significantly negative, and is only called
+"violated" at a stronger significance (6 standard errors by default) to keep
+discretization bias from raising false alarms.
 """
 
 from __future__ import annotations
@@ -154,9 +154,6 @@ class StationarySample:
         self.lag_r0_autocov.setflags(write=False)
 
 
-_MOMENT_KEYS = ("n", "sum", "m2", "min", "max", "failures")
-
-
 def _chunk_moments(v: np.ndarray) -> dict:
     """Count, sum, sum of squared deviations from the chunk mean (M2) and
     range of one chunk's values."""
@@ -240,7 +237,7 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
         return out
 
     parts = map_chunks(chunk, n, threads)
-    keys = [k for k in parts[0] if k not in _MOMENT_KEYS]
+    keys = [k for k in parts[0] if k not in ("n", "sum", "m2", "min", "max", "failures")]
     return _reduce_moments(parts, n, seed, extra=keys)
 
 
