@@ -6,7 +6,10 @@ every grid point since -r0 and hands rolling views of it to the delay drift.
 
 Noise is counter-based. Path `j` of a run with seed `s` always sees the
 increments of `Philox(key=[s, j])`, no matter how paths are grouped into
-chunks or threads, which is what makes reruns bit-identical.
+chunks or threads, which is what makes reruns bit-identical. A batch builds
+one Philox per call and re-keys it for each path (key, counter and buffer
+reset together), so its increments are bit-identical to those of
+`NoiseStream.increments`, path by path.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .segment_paths import GridSpec, SegmentPath
+
+# paths drawn into one contiguous path-major block before the transposed
+# copy into the time-major batch
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -46,10 +53,29 @@ class NoiseStream:
 
     def batch(self, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
         """Increments for paths first_path..first_path+n_paths-1, time-major
-        (n_steps, n_paths, dim)."""
+        (n_steps, n_paths, dim).
+
+        One Philox per call, re-keyed to [seed, path] before each path with
+        a fresh counter and buffer, so every path is bit-identical to
+        increments(path, n_steps). The generator stays local to the call:
+        chunk threads share the stream.
+        """
+        if first_path < 0:
+            raise ValueError("path_index must be >= 0")
         out = np.empty((n_steps, n_paths, self.dim))
-        for j in range(n_paths):
-            out[:, j, :] = self.increments(first_path + j, n_steps)
+        bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
+        gen = np.random.Generator(bitgen)
+        fresh = bitgen.state
+        key = fresh["state"]["key"]
+        block = np.empty((min(_BLOCK, n_paths), n_steps, self.dim))
+        for b0 in range(0, n_paths, _BLOCK):
+            nb = min(_BLOCK, n_paths - b0)
+            for i in range(nb):
+                key[1] = first_path + b0 + i
+                bitgen.state = fresh
+                gen.standard_normal(out=block[i])
+            out[:, b0: b0 + nb, :] = block[:nb].transpose(1, 0, 2)
+        out *= np.sqrt(self.h)
         return out
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,11 +35,56 @@ def test_noise_stream_paths_differ():
     assert not np.array_equal(ns.increments(0, 50), other.increments(0, 50))
 
 
-def test_noise_stream_batch_matches_single():
-    ns = NoiseStream(seed=9, h=0.04, dim=3)
-    batch = ns.batch(first_path=7, n_paths=4, n_steps=20)
-    for j in range(4):
-        np.testing.assert_array_equal(batch[:, j, :], ns.increments(7 + j, 20))
+@pytest.mark.parametrize("seed, first, n_paths, n_steps, dim", [
+    (9, 7, 4, 20, 3),
+    (9, 0, 1, 20, 1),
+    (9, 0, 64, 20, 1),
+    (9, 0, 65, 20, 1),
+    (9, 5, 130, 20, 3),
+    (9, 5, 130, 1, 3),
+    (2 ** 63 - 1, 2 ** 40, 130, 5, 2),
+], ids=["n4-d3", "n1", "n64", "n65", "n130-d3", "n130-d3-one-step", "max-seed"])
+def test_noise_stream_batch_matches_single(seed, first, n_paths, n_steps, dim):
+    # 64-path blocks: 1, 64, 65 and 130 paths cover a partial, a full, a
+    # full-plus-one and a two-full-plus-partial block layout
+    ns = NoiseStream(seed=seed, h=0.04, dim=dim)
+    batch = ns.batch(first_path=first, n_paths=n_paths, n_steps=n_steps)
+    assert batch.shape == (n_steps, n_paths, dim)
+    for j in range(n_paths):
+        np.testing.assert_array_equal(batch[:, j, :], ns.increments(first + j, n_steps))
+
+
+def test_noise_stream_batch_chunk_split_invariant():
+    ns = NoiseStream(seed=4, h=0.01, dim=2)
+    whole = ns.batch(0, 200, 30)
+    split = np.concatenate([ns.batch(0, 70, 30), ns.batch(70, 130, 30)], axis=1)
+    np.testing.assert_array_equal(whole, split)
+
+
+def test_noise_stream_batch_shared_across_threads():
+    # chunk threads share one frozen stream; a generator cached on it would
+    # interleave draws between threads
+    ns = NoiseStream(seed=3, h=0.01, dim=2)
+    want = [ns.batch(first, 150, 40) for first in (0, 150, 300)]
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [ns.batch(first, 150, 40) for first in (0, 150, 300)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 def test_noise_stream_validation():
@@ -47,6 +94,8 @@ def test_noise_stream_validation():
         NoiseStream(seed=0, h=0.0, dim=1)
     with pytest.raises(ValueError):
         NoiseStream(seed=0, h=0.1, dim=1).increments(-2, 10)
+    with pytest.raises(ValueError):
+        NoiseStream(seed=0, h=0.1, dim=1).batch(-2, 3, 10)
 
 
 def test_step_euler_matches_formula():
