@@ -12,6 +12,7 @@ discretization bias from raising false alarms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -28,6 +29,11 @@ MAX_EXPONENT = 700.0  # exp() overflows just above this
 
 # an unmerged-path fraction above this forces an inconclusive verdict
 FAILURE_TOLERANCE = 1e-3
+
+# sides that differ by at most this many machine epsilons of the larger
+# magnitude tie at margin 0 whatever their SEs, so that rounding (a zero-SE
+# estimate one ulp above its bound) cannot flip a verdict
+TIE_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -341,10 +347,11 @@ def _verdict(margin_se: float, k_tol: float, k_viol: float,
 
 def _margin(lhs_mean, lhs_se, rhs_mean, rhs_se) -> float:
     diff = rhs_mean - lhs_mean
+    tie = TIE_ULPS * sys.float_info.epsilon * max(abs(lhs_mean), abs(rhs_mean))
+    if math.isfinite(diff) and abs(diff) <= tie:
+        return 0.0
     se = math.hypot(lhs_se, rhs_se)
     if se == 0.0:
-        if diff == 0.0:
-            return 0.0
         return math.inf if diff > 0 else -math.inf
     return diff / se
 

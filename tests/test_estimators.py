@@ -339,6 +339,13 @@ def test_verdict_zero_se_degenerate():
     assert make_verdict("c", mk(2.0, 0.0), mk(1.0, 0.0), 1.0).margin_se == -math.inf
     assert make_verdict("c", mk(1.0, 0.0), mk(1.0, 0.0), 1.0).margin_se == 0.0
     assert make_verdict("c", mk(1.0, 0.0), mk(1.0, 0.0), 1.0).verdict == "holds"
+    # one ulp above the bound is rounding, not a violation
+    for x in (1.0, 0.5862266, -3.75e5):
+        up = math.nextafter(x, math.inf)
+        for se in (0.0, 1e-18):
+            r = make_verdict("c", mk(up, se), mk(x, 0.0), x)
+            assert r.margin_se == 0.0
+            assert r.verdict == "holds"
 
 
 def test_verdict_nan_margin_inconclusive():
