@@ -1,25 +1,40 @@
 """Deterministic work splitting for Monte Carlo loops.
 
-Chunk boundaries are fixed (8192 paths) and never depend on the thread
+Chunk boundaries are fixed (8192 paths) and never depend on the worker
 count, per-chunk work is a pure function of the chunk's global path range,
-and partial results are reduced in chunk order. Running with 1 thread or 8
+and partial results are reduced in chunk order. Running with 1 worker or 8
 therefore produces bit-identical numbers.
+
+With more than one worker, chunks run in processes forked from the caller,
+min(threads, chunks, CPU count) of them: the kernels' per-step numpy calls
+hold the interpreter lock, so threads would not overlap. Fork hands the
+chunk function to the workers without pickling it, so it may close over
+arrays, lambdas and locks; only its results travel back by pickle, which
+returns Python ints and floats bit for bit. With one worker, or on a
+platform without fork, the chunks run in the calling process.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 CHUNK = 8192
 
 ENV_THREADS = "HARNACK_LAB_THREADS"
 
+# the chunk function of the map a worker process serves; _install sets it
+# in each worker as the pool forks it, the calling process never does
+_worker_fn: Optional[Callable[[int, int], object]] = None
+
+
+class WorkerDied(RuntimeError):
+    """A worker process ended before returning its chunk's result."""
+
 
 def resolve_threads(explicit: Optional[int] = None) -> int:
-    """Thread count: explicit argument, else HARNACK_LAB_THREADS, else 1."""
+    """Worker count: explicit argument, else HARNACK_LAB_THREADS, else 1."""
     if explicit is not None:
         n = int(explicit)
     else:
@@ -44,13 +59,43 @@ def chunk_ranges(n_total: int, chunk: int = CHUNK) -> List[Tuple[int, int]]:
 def map_chunks(fn: Callable[[int, int], object], n_total: int,
                threads: Optional[int] = None, chunk: int = CHUNK) -> list:
     """Apply fn(start, stop) to each chunk; results come back in chunk order
-    regardless of which thread ran what."""
+    regardless of which worker ran what. When chunks raise, the first
+    exception in chunk order is raised."""
     ranges = chunk_ranges(n_total, chunk)
-    t = resolve_threads(threads)
-    if t == 1 or len(ranges) == 1:
-        return [fn(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        return list(ex.map(lambda ab: fn(ab[0], ab[1]), ranges))
+    workers = min(resolve_threads(threads), len(ranges), os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _map_forked(fn, ranges, workers, multiprocessing.get_context("fork"))
+    return [fn(a, b) for a, b in ranges]
+
+
+def _install(fn: Callable[[int, int], object]) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_chunk(a: int, b: int) -> object:
+    return _worker_fn(a, b)
+
+
+def _map_forked(fn, ranges, workers, context) -> list:
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # a forked Process keeps its arguments in memory, so fn reaches the
+    # workers through initargs without being pickled
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                               initializer=_install, initargs=(fn,))
+    try:
+        futures = [pool.submit(_run_chunk, a, b) for a, b in ranges]
+        return [f.result() for f in futures]
+    except BrokenProcessPool as exc:
+        raise WorkerDied(
+            "a worker process died before returning its chunk (killed, "
+            "for example when memory ran out); fewer workers need less memory"
+        ) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def ordered_sum(parts: Sequence[float]) -> float:

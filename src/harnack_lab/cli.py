@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ._parallel import WorkerDied
 from ._version import __version__
 from .bounds import (GapPair, bound_H_T, bound_Phi_p, bound_entropy_prop21,
                      bound_entropy_with_tail)
@@ -610,8 +611,9 @@ def run_command(argv) -> int:
     parser.add_argument("--paths", type=int, help="override [mc] n")
     parser.add_argument("--out", help="override [output] dir")
     parser.add_argument("--threads", type=int,
-                        help="worker threads (must not change results); "
-                             "falls back to HARNACK_LAB_THREADS, then 1")
+                        help="worker processes, capped at the CPU count (must "
+                             "not change results); falls back to "
+                             "HARNACK_LAB_THREADS, then 1")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -635,7 +637,8 @@ def run_command(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError, FloatingPointError, OSError) as exc:
+    except (ValueError, OverflowError, FloatingPointError, OSError,
+            WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

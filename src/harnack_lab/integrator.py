@@ -6,10 +6,10 @@ every grid point since -r0 and hands rolling views of it to the delay drift.
 
 Noise is counter-based. Path `j` of a run with seed `s` always sees the
 increments of `Philox(key=[s, j])`, no matter how paths are grouped into
-chunks or threads, which is what makes reruns bit-identical. A batch builds
-one Philox per call and re-keys it for each path (key, counter and buffer
-reset together), so its increments are bit-identical to those of
-`NoiseStream.increments`, path by path.
+chunks or worker processes, which is what makes reruns bit-identical. A
+batch builds one Philox per call and re-keys it for each path (key,
+counter and buffer reset together), so its increments are bit-identical
+to those of `NoiseStream.increments`, path by path.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ class NoiseStream:
 
         One Philox per call, re-keyed to [seed, path] before each path with
         a fresh counter and buffer, so every path is bit-identical to
-        increments(path, n_steps). The generator stays local to the call:
-        chunk threads share the stream.
+        increments(path, n_steps). The generator stays local to the call,
+        so threads may share one stream; each worker process of a
+        multi-worker estimate holds its own forked copy.
         """
         if first_path < 0:
             raise ValueError("path_index must be >= 0")

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -390,3 +391,22 @@ def test_reruns_are_byte_identical_across_threads(tmp_path):
                         "--threads", "8"]) == 0
     eight = (tmp_path / "b" / "log_harnack.csv").read_bytes()
     assert one == eight
+
+
+def test_dead_worker_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    import harnack_lab.estimators as est_mod
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("chunk ran in the calling process")
+        os._exit(1)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(est_mod, "_coupled_batch", die)
+    rc = launch(tmp_path, "entropy", cfg_text(n=9000, m=4, t0=1.0, out=tmp_path / "o"),
+                "--threads", "2")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: a worker process died")
+    assert err.count("\n") == 1
