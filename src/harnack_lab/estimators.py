@@ -38,7 +38,12 @@ TIE_ULPS = 8
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Sample mean with its standard error and run provenance."""
+    """Sample mean with its standard error and run provenance.
+
+    diagnostics holds the range (min, max) and, for coupled estimates, the
+    failed paths: unmerged (finite but apart at t0), nonfinite (NaN or inf
+    state or weight) and failures, their sum.
+    """
 
     mean: float
     std_error: float
@@ -160,6 +165,12 @@ class StationarySample:
         self.lag_r0_autocov.setflags(write=False)
 
 
+_MOMENT_KEYS = ("n", "sum", "m2", "min", "max")
+
+# coupled paths that failed: finite but apart at t0, or non-finite anywhere
+_FAILURE_KEYS = ("unmerged", "nonfinite")
+
+
 def _chunk_moments(v: np.ndarray) -> dict:
     """Count, sum, sum of squared deviations from the chunk mean (M2) and
     range of one chunk's values."""
@@ -169,7 +180,7 @@ def _chunk_moments(v: np.ndarray) -> dict:
             "min": float(v.min()), "max": float(v.max())}
 
 
-def _reduce_moments(parts, n: int, seed: int, extra=None) -> MCEstimate:
+def _reduce_moments(parts, n: int, seed: int) -> MCEstimate:
     # Chan, Golub & LeVeque: merge chunk means and M2s in chunk order, so the
     # variance never takes the cancelling difference sum(v^2) - n mean^2
     count, run_mean, m2 = 0, 0.0, 0.0
@@ -179,15 +190,16 @@ def _reduce_moments(parts, n: int, seed: int, extra=None) -> MCEstimate:
         run_mean += delta * p["n"] / n_ab
         m2 += p["m2"] + delta * delta * count * p["n"] / n_ab
         count = n_ab
-    vmin = min(p["min"] for p in parts)
-    vmax = max(p["max"] for p in parts)
-    failures = int(sum(p.get("failures", 0) for p in parts))
     mean = ordered_sum([p["sum"] for p in parts]) / n
     var = m2 / (n - 1) if n > 1 else 0.0
-    diag = {"min": vmin, "max": vmax, "failures": failures}
-    if extra:
-        for key in extra:
+    diag = {"min": min(p["min"] for p in parts), "max": max(p["max"] for p in parts)}
+    # failure counts add up across chunks; any other extra key is a worst case
+    for key in parts[0]:
+        if key in _FAILURE_KEYS:
+            diag[key] = sum(p[key] for p in parts)
+        elif key not in _MOMENT_KEYS:
             diag[key] = max(p[key] for p in parts)
+    diag["failures"] = sum(diag.get(key, 0) for key in _FAILURE_KEYS)
     return MCEstimate(mean=float(mean), std_error=math.sqrt(var / n), n=n,
                       seed=seed, diagnostics=diag)
 
@@ -237,14 +249,17 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
         res = _coupled_batch(coeffs, xi.values, eta.values, grid, sched, noise,
                              measure, delta_merge, k_upper=k_upper)
         v, extra = value_of(res, a)
+        # a path that went NaN or inf never merges; count it apart
+        finite = (np.isfinite(res["log_weight"])
+                  & np.isfinite(res["full_x"][-1]).all(axis=1)
+                  & np.isfinite(res["full_y"][-1]).all(axis=1))
         out = _chunk_moments(v)
-        out["failures"] = int((~res["merged"]).sum())
+        out["unmerged"] = int((finite & ~res["merged"]).sum())
+        out["nonfinite"] = int((~finite).sum())
         out.update(extra)
         return out
 
-    parts = map_chunks(chunk, n, threads)
-    keys = [k for k in parts[0] if k not in ("n", "sum", "m2", "min", "max", "failures")]
-    return _reduce_moments(parts, n, seed, extra=keys)
+    return _reduce_moments(map_chunks(chunk, n, threads), n, seed)
 
 
 def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
@@ -254,7 +269,7 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
                        threads: Optional[int] = None) -> MCEstimate:
     """Relative entropy estimate: half the mean of int |phi|^2 along coupled
     paths run under the measure where the forced copy solves the original
-    equation. Unmerged paths are included and counted in diagnostics."""
+    equation. Failed paths are included and counted in diagnostics."""
     k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else None
 
     def value_of(res, a):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harnack_lab.bounds import GapPair, bound_entropy_with_tail, lemma_rhs
-from harnack_lab.coefficients import builtin_system, with_scaled_sigma
+from harnack_lab._parallel import CHUNK
+from harnack_lab.coefficients import (AssumptionConstants, CoefficientSet,
+                                      builtin_system, with_scaled_sigma)
 from harnack_lab.coupling import GammaSchedule
 from harnack_lab.estimators import (MCEstimate, _seg_gap_integral,
                                     check_log_harnack,
@@ -18,6 +21,7 @@ from harnack_lab.estimators import (MCEstimate, _seg_gap_integral,
                                     sample_stationary_segments)
 from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
+from harnack_lab.integrator import NoiseStream
 from harnack_lab.segment_paths import GridSpec, constant_segment
 
 
@@ -286,6 +290,43 @@ def test_weight_mean_is_one(name, params):
     assert est.failures == 0
     assert merged_fraction(est) == 1.0
     assert "max_log_weight" in est.diagnostics
+
+
+def blow_up_system():
+    # zero drift while x <= 0, infinite drift once x > 0: a path blows up at
+    # the step after its noise sum first turns positive
+    return CoefficientSet(
+        dim=1,
+        sigma=lambda t, x: np.ones((x.shape[0], 1, 1)),
+        z_drift=lambda t, x: np.where(x > 0, np.inf, 0.0),
+        b_delay=lambda t, seg: np.zeros((seg.shape[0], 1)),
+        constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=0.0),
+        sigma_inv=lambda t, x: np.ones((x.shape[0], 1, 1)))
+
+
+@pytest.mark.parametrize("delta_merge", [1e-8, -1.0])
+def test_failures_split_unmerged_and_nonfinite(monkeypatch, delta_merge):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    co = blow_up_system()
+    grid = GridSpec(1.0, 2.0, 4)
+    zero = constant_segment(0.0, 1.0, 4)
+    n = CHUNK + 100
+    # X and Y start equal, so they move together; both blow up when a noise
+    # sum before the last step is positive
+    walk = np.cumsum(NoiseStream(seed=5, h=grid.h, dim=1).batch(0, n, grid.n_T)[:, :, 0],
+                     axis=0)
+    blown = int((walk[:-1] > 0).any(axis=0).sum())
+    assert 0 < blown < n
+    # a negative tolerance leaves every finite pair unmerged
+    unmerged = n - blown if delta_merge < 0 else 0
+    with np.errstate(all="ignore"):
+        ests = [estimate_entropy_Q(co, zero, zero, sched_for(co), grid, n=n, seed=5,
+                                   delta_merge=delta_merge, threads=threads)
+                for threads in (1, 2)]
+    for est in ests:
+        assert est.diagnostics["nonfinite"] == blown
+        assert est.diagnostics["unmerged"] == unmerged
+        assert est.failures == blown + unmerged
 
 
 def test_weight_mean_deterministic_across_threads():
