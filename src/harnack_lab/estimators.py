@@ -2,7 +2,7 @@
 
 Estimates are assembled from fixed 8192-path chunks whose partial sums
 (through math.fsum) and squared deviations are reduced in chunk order, so a
-given (seed, n, grid) always produces the same bits regardless of thread
+given (seed, n, grid) always produces the same bits regardless of worker
 count. Inequality checks are one-sided statistical tests: a claim "holds"
 when the estimated margin is not significantly negative, and is only called
 "violated" at a stronger significance (6 standard errors by default) to keep
@@ -167,7 +167,8 @@ class StationarySample:
 
 _MOMENT_KEYS = ("n", "sum", "m2", "min", "max")
 
-# coupled paths that failed: finite but apart at t0, or non-finite anywhere
+# coupled paths that failed: finite but apart at t0, or with a NaN or inf
+# final state or log-weight
 _FAILURE_KEYS = ("unmerged", "nonfinite")
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -393,6 +394,8 @@ def test_reruns_are_byte_identical_across_threads(tmp_path):
     assert one == eight
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform has no fork start method")
 def test_dead_worker_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
     import harnack_lab.estimators as est_mod
     parent = os.getpid()

@@ -62,7 +62,7 @@ def test_noise_stream_batch_chunk_split_invariant():
 
 
 def test_noise_stream_batch_shared_across_threads():
-    # chunk threads share one frozen stream; a generator cached on it would
+    # threads may share one frozen stream; a generator cached on it would
     # interleave draws between threads
     ns = NoiseStream(seed=3, h=0.01, dim=2)
     want = [ns.batch(first, 150, 40) for first in (0, 150, 300)]
