@@ -448,7 +448,8 @@ def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
             "girsanov_weight_mean", est,
             MCEstimate(mean=1.0, std_error=0.0, n=0, seed=cfg.seed),
             bound=1.0, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
-            failure_fraction=frac_fail, two_sided=True))
+            failure_fraction=frac_fail, two_sided=True,
+            meta={"ess": est.diagnostics["ess"]}))
     else:
         est = estimate_entropy_Q(coeffs, xi, eta, sched, grid, cfg.n, cfg.seed,
                                  delta_merge=cfg.delta_merge, threads=threads)

@@ -9,9 +9,15 @@ The four declared constants encode what the bound calculators need:
       |sigma(t,x)-sigma(t,y)|_HS^2 + 2<x-y, Z(t,x)-Z(t,y)> <= k4 |x-y|^2
 
 Callables are batch-valued: sigma(t, x) maps x of shape (B, d) to (B, d, d),
-z_drift(t, x) to (B, d), and b_delay(t, seg) maps segment values of shape
-(B, m+1, d) (oldest point first) to (B, d). Constants are declarations; the
-auditor can only falsify them on samples, never prove them.
+sigma_inv(t, x), when given, to (B, d, d) as well, z_drift(t, x) to (B, d),
+and b_delay(t, seg) maps segment values of shape (B, m+1, d) (oldest point
+first) to (B, d). A system whose diffusion is diagonal also declares
+sigma_diag(t, x) -> (B, d), the diagonal entries; the stepping kernels then
+apply sigma, its inverse (taken as 1.0 / diag) and the difference of two
+diffusions as elementwise products, while the audit keeps reading the dense
+sigma and sigma_inv, which must describe the same matrices. Constants are
+declarations; the auditor can only falsify them on samples, never prove
+them.
 """
 
 from dataclasses import dataclass, field
@@ -35,12 +41,75 @@ class AssumptionConstants:
             raise ValueError("k3 must be positive")
 
 
+def _singular(t, e=None):
+    detail = f": {e}" if e is not None else ""
+    return ValueError(f"sigma(t={t}, .) is singular at an evaluated point{detail}")
+
+
+class _DiagDiffusion:
+    """A diagonal sigma(t, x) for one batch of states, held as its (B, d)
+    diagonal; sigma, its inverse and differences act elementwise."""
+
+    __slots__ = ("t", "diag")
+
+    def __init__(self, t, diag):
+        self.t = t
+        self.diag = diag
+
+    def apply(self, vec):
+        """sigma vec."""
+        return self.diag * vec
+
+    def solve(self, vec):
+        """sigma^-1 vec; the inverse is 1.0 / diag, formed only when asked."""
+        if not self.diag.all():
+            raise _singular(self.t)
+        return (1.0 / self.diag) * vec
+
+    def apply_diff(self, other, vec):
+        """(sigma - other's sigma) vec."""
+        return (self.diag - other.diag) * vec
+
+
+class _DenseDiffusion:
+    """A dense sigma(t, x) for one batch of states, held as (B, d, d)
+    matrices; sigma_inv (or, without it, a linear solve) is evaluated only
+    when the inverse is asked for."""
+
+    __slots__ = ("coeffs", "t", "x", "mat")
+
+    def __init__(self, coeffs, t, x):
+        self.coeffs = coeffs
+        self.t = t
+        self.x = x
+        self.mat = coeffs.sigma(t, x)
+
+    def apply(self, vec):
+        return np.einsum("bij,bj->bi", self.mat, vec)
+
+    def solve(self, vec):
+        if self.coeffs.sigma_inv is not None:
+            return np.einsum("bij,bj->bi", self.coeffs.sigma_inv(self.t, self.x), vec)
+        try:
+            return np.linalg.solve(self.mat, vec[..., None])[..., 0]
+        except np.linalg.LinAlgError as e:
+            raise _singular(self.t, e) from None
+
+    def apply_diff(self, other, vec):
+        return np.einsum("bij,bj->bi", self.mat - other.mat, vec)
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Batch-valued coefficient callables plus their declared constants.
 
-    sigma_inv, when provided, skips the dense linear solve; delay_free marks
-    systems whose b vanishes identically (required by the stationary sampler).
+    sigma (t, x) -> (B, d, d) is the dense diffusion; sigma_inv, when
+    provided, gives its inverse and skips the dense linear solve.
+    sigma_diag (t, x) -> (B, d), when provided, declares the diffusion
+    diagonal with these entries; the kernels then step with it alone, so
+    it must agree with sigma on the diagonal (the dense forms stay for the
+    audit). delay_free marks systems whose b vanishes identically (required
+    by the stationary sampler).
     """
     dim: int
     sigma: object
@@ -48,18 +117,22 @@ class CoefficientSet:
     b_delay: object
     constants: AssumptionConstants
     sigma_inv: object = None
+    sigma_diag: object = None
     delay_free: bool = False
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
+    def diffusion(self, t, x):
+        """sigma(t, x) for a batch of states x (B, d), evaluated once; its
+        apply, solve and apply_diff give sigma vec, sigma^-1 vec and
+        (sigma - other) vec for vectors vec (B, d)."""
+        if self.sigma_diag is not None:
+            return _DiagDiffusion(t, self.sigma_diag(t, x))
+        return _DenseDiffusion(self, t, x)
+
     def apply_sigma_inv(self, t, x, vec):
         """sigma(t,x)^-1 vec for batched points x (B,d) and vectors vec (B,d)."""
-        if self.sigma_inv is not None:
-            return np.einsum("bij,bj->bi", self.sigma_inv(t, x), vec)
-        try:
-            return np.linalg.solve(self.sigma(t, x), vec[..., None])[..., 0]
-        except np.linalg.LinAlgError as e:
-            raise ValueError(f"sigma(t={t}, .) is singular at an evaluated point: {e}") from None
+        return self.diffusion(t, x).solve(vec)
 
     def sigma_inv_matrix(self, t, x):
         if self.sigma_inv is not None:
@@ -69,16 +142,26 @@ class CoefficientSet:
         try:
             return np.linalg.solve(self.sigma(t, x), eye)
         except np.linalg.LinAlgError as e:
-            raise ValueError(f"sigma(t={t}, .) is singular at an evaluated point: {e}") from None
+            raise _singular(t, e) from None
 
 
-def _const_diag_sigma(s0, dim):
-    def sig(t, x):
-        out = np.zeros((x.shape[0], dim, dim))
-        idx = np.arange(dim)
-        out[:, idx, idx] = s0
+def _dense_from_diag(diag_fn, invert=False):
+    """Dense (B, d, d) callable with diag_fn's entries, or their
+    reciprocals, on the diagonal."""
+    def mat(t, x):
+        diag = diag_fn(t, x)
+        out = np.zeros(diag.shape + diag.shape[-1:])
+        idx = np.arange(diag.shape[-1])
+        out[:, idx, idx] = 1.0 / diag if invert else diag
         return out
-    return sig
+    return mat
+
+
+def _diagonal(diag_fn):
+    """CoefficientSet keywords for a diffusion declared by its diagonal."""
+    return {"sigma": _dense_from_diag(diag_fn),
+            "sigma_inv": _dense_from_diag(diag_fn, invert=True),
+            "sigma_diag": diag_fn}
 
 
 # The system catalog: each name with the parameters it takes. "constants"
@@ -112,6 +195,9 @@ def builtin_system(name, params=None, dim=1, **kw):
     linear_additive:      dX = (a X(t) + c X(t-r0)) dt + s0 dB
     sine_multiplicative:  dX = (a X(t) + c X(t-r0)) dt + s0 (2 + sin X(t)) dB, d=1
     ou_nodelay:           dX = -a X(t) dt + s0 dB
+
+    All three diffusions are diagonal and declare sigma_diag; their dense
+    sigma and sigma_inv are built from it.
     """
     params = dict(params or {}, **kw)
     d = int(dim)
@@ -126,11 +212,10 @@ def builtin_system(name, params=None, dim=1, **kw):
         consts = AssumptionConstants(k1=abs(c) / s0, k2=0.0, k3=1.0 / s0, k4=2.0 * a)
         return CoefficientSet(
             dim=d,
-            sigma=_const_diag_sigma(s0, d),
             z_drift=lambda t, x: a * x,
             b_delay=lambda t, seg: c * seg[:, 0, :],
             constants=consts,
-            sigma_inv=_const_diag_sigma(1.0 / s0, d),
+            **_diagonal(lambda t, x: np.full(x.shape, s0)),
             delay_free=(c == 0.0),
             name=name,
             params={"a": a, "c": c, "s0": s0},
@@ -144,20 +229,12 @@ def builtin_system(name, params=None, dim=1, **kw):
             raise ValueError("sine_multiplicative is one-dimensional")
         # worst case of 1/(2+sin) is 1, so the delay constant uses the k3 bound
         consts = AssumptionConstants(k1=abs(c) / s0, k2=2.0 * s0, k3=1.0 / s0, k4=s0 * s0 + 2.0 * a)
-
-        def sig(t, x):
-            return (s0 * (2.0 + np.sin(x)))[:, :, None]
-
-        def sig_inv(t, x):
-            return (1.0 / (s0 * (2.0 + np.sin(x))))[:, :, None]
-
         return CoefficientSet(
             dim=1,
-            sigma=sig,
             z_drift=lambda t, x: a * x,
             b_delay=lambda t, seg: c * seg[:, 0, :],
             constants=consts,
-            sigma_inv=sig_inv,
+            **_diagonal(lambda t, x: s0 * (2.0 + np.sin(x))),
             delay_free=(c == 0.0),
             name=name,
             params={"a": a, "c": c, "s0": s0},
@@ -170,11 +247,10 @@ def builtin_system(name, params=None, dim=1, **kw):
         consts = AssumptionConstants(k1=0.0, k2=0.0, k3=1.0 / s0, k4=-2.0 * a)
         return CoefficientSet(
             dim=d,
-            sigma=_const_diag_sigma(s0, d),
             z_drift=lambda t, x: -a * x,
             b_delay=lambda t, seg: np.zeros((seg.shape[0], seg.shape[2])),
             constants=consts,
-            sigma_inv=_const_diag_sigma(1.0 / s0, d),
+            **_diagonal(lambda t, x: np.full(x.shape, s0)),
             delay_free=True,
             name=name,
             params={"a": a, "s0": s0},
@@ -187,6 +263,7 @@ def builtin_system(name, params=None, dim=1, **kw):
 def with_scaled_sigma(coeffs, scale):
     """Test-mode copy with the diffusion multiplied by a constant factor.
 
+    The dense sigma and sigma_inv and the declared diagonal are all scaled.
     scale=0 turns the dynamics into the drift ODE. The declared constants are
     kept as-is (they describe the original system); the scaled copy is meant
     for integrator checks only.
@@ -197,6 +274,10 @@ def with_scaled_sigma(coeffs, scale):
     if scale != 0.0 and coeffs.sigma_inv is not None:
         orig_inv = coeffs.sigma_inv
         inv = lambda t, x: orig_inv(t, x) / scale
+    diag = None
+    if coeffs.sigma_diag is not None:
+        orig_diag = coeffs.sigma_diag
+        diag = lambda t, x: orig_diag(t, x) * scale
     return CoefficientSet(
         dim=coeffs.dim,
         sigma=lambda t, x: sig(t, x) * scale,
@@ -204,6 +285,7 @@ def with_scaled_sigma(coeffs, scale):
         b_delay=coeffs.b_delay,
         constants=coeffs.constants,
         sigma_inv=inv,
+        sigma_diag=diag,
         delay_free=coeffs.delay_free,
         name=f"{coeffs.name}*sigma_scale={scale}",
         params=dict(coeffs.params),

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .integrator import NoiseStream, _euler_step, _mat_vec
+from .integrator import NoiseStream, _euler_step
 from .segment_paths import GridSpec, SegmentPath
 
 # below this, 1 - exp(-k4 t0) is evaluated by its series to avoid cancellation
@@ -176,7 +176,9 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
     measure: "Q" (forced copy X solves the original equation under the
     simulated law) or "P" (unforced copy X drives, weight is a martingale).
     k_upper caps the step index for the *_upper accumulators (defaults to
-    n_T, i.e. the full horizon).
+    n_T, i.e. the full horizon). Each state's diffusion is evaluated once
+    per step through coeffs.diffusion, as a diagonal where the system
+    declares one, and serves sigma, sigma^-1 and sigma_x - sigma_y.
 
     Returns a dict of per-path arrays:
       log_weight    accumulated log R over [0, T]
@@ -228,15 +230,15 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
         by = coeffs.b_delay(t, seg_y)
         zx = coeffs.z_drift(t, x)
         zy = coeffs.z_drift(t, y)
-        sx = coeffs.sigma(t, x)
-        sy = coeffs.sigma(t, y)
-        siginv_y_bdiff = coeffs.apply_sigma_inv(t, y, by - bx)
+        sx = coeffs.diffusion(t, x)
+        sy = coeffs.diffusion(t, y)
+        siginv_y_bdiff = sy.solve(by - bx)
 
         phi = siginv_y_bdiff
         if pre:
             g = float(gamma(t, sched))
             e = x - y
-            siginv_x_e = coeffs.apply_sigma_inv(t, x, e)
+            siginv_x_e = sx.solve(e)
             phi = phi - siginv_x_e / g
             gg = (e * e).sum(axis=1) / (g * g) * h
             if k < k_upper:
@@ -250,7 +252,7 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
         if measure == "Q":
             # unforced copy Y solves the original equation
             yn = _euler_step(y, zy + by, h, sy, dw)
-            drift_x = zx + by + _mat_vec(sx - sy, siginv_y_bdiff)
+            drift_x = zx + by + sx.apply_diff(sy, siginv_y_bdiff)
             xe = _euler_step(x, drift_x, h, sx, dw)
             if pre:
                 xn = yn + alphas[k] * (xe - yn)
@@ -261,7 +263,7 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
             # unforced copy X drives; Y carries the gap forcing
             xn = _euler_step(x, zx + bx, h, sx, dw)
             if pre:
-                corr = _mat_vec(sy - sx, siginv_x_e) / g
+                corr = sy.apply_diff(sx, siginv_x_e) / g
                 ye = _euler_step(y, zy + bx + corr, h, sy, dw)
                 yn = xn - alphas[k] * (xn - ye)
             else:

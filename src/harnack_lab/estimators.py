@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -209,14 +209,50 @@ def _seg_gap_integral(full_x: np.ndarray, full_y: np.ndarray, m: int,
                       h: float, k_upper: int) -> np.ndarray:
     """int_0^{k_upper h} ||X_t - Y_t||_inf^2 dt per path, from coupled
     histories (m + n_T + 1, B, d); the sup runs over the delay window
-    [t - r0, t], i.e. the m + 1 grid rows ending at t."""
-    gaps = np.empty((k_upper + m, full_x.shape[1]))
+    [t - r0, t], i.e. the m + 1 grid rows ending at t.
+
+    The window maxima come from the van Herk / Gil-Werman block scheme in
+    O((k_upper + m) B): over blocks of w = m + 1 rows, a window starting at
+    row k is the suffix of k's block from k plus the prefix of the next
+    block up to k + m, so its max is max(suffix max at k, prefix max at
+    k + m). A backward pass stores the suffix maxima of the window starts
+    in one (k_upper, B) array; a forward pass keeps one running prefix-max
+    row and adds the squared window maxima in step order. Every gap row is
+    computed afresh in each pass, so scratch memory is that array plus a
+    few (B,) rows. The result is bit-identical to rescanning each window.
+    """
+    b = full_x.shape[1]
+    w = m + 1
+
+    def gap(row):
+        return np.linalg.norm(full_x[row] - full_y[row], axis=1)
+
+    # backward from the end of the block holding the last window start;
+    # run is the max from the current row to its block's end
+    suf = np.empty((k_upper, b))
+    for row in range((k_upper - 1) // w * w + w - 1, -1, -1):
+        if row % w == w - 1:
+            run = gap(row)
+        else:
+            np.maximum(run, gap(row), out=run)
+        if row < k_upper:
+            suf[row] = run
+
+    # forward over the window ends; run is the max from the current row's
+    # block start to the current row
+    out = np.zeros(b)
     for row in range(k_upper + m):
-        gaps[row] = np.linalg.norm(full_x[row] - full_y[row], axis=1)
-    out = np.zeros(full_x.shape[1])
-    for k in range(k_upper):
-        win = gaps[k: k + m + 1].max(axis=0)
-        out += win * win * h
+        if row % w == 0:
+            run = gap(row)
+        else:
+            np.maximum(run, gap(row), out=run)
+        if row >= m:
+            # window start row - m: its max, squared and scaled by h in the
+            # suffix row, which is not read again
+            win = np.maximum(suf[row - m], run, out=suf[row - m])
+            win *= win
+            win *= h
+            out += win
     return out
 
 
@@ -325,6 +361,14 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
                              delta_merge, "Q", k_upper, value_of)
 
 
+def _effective_sample_size(est: MCEstimate) -> float:
+    """(sum w)^2 / sum w^2 of the n values behind est, from its moments:
+    sum w^2 = M2 + n mean^2, with M2 = SE^2 n (n - 1)."""
+    n, mean = est.n, est.mean
+    sum_sq = est.std_error * est.std_error * n * (n - 1) + n * mean * mean
+    return (n * mean) * (n * mean) / sum_sq if sum_sq > 0 else math.nan
+
+
 def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
                              eta: SegmentPath, sched: GammaSchedule,
                              grid: GridSpec, n: int, seed: int,
@@ -332,7 +376,11 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
                              threads: Optional[int] = None) -> MCEstimate:
     """Mean of the exponential weight R_T along coupled paths run under the
     unforced law. Exactly 1 in expectation, step by step, so the estimate
-    lands in 1 +- a few standard errors when the scheme is healthy."""
+    lands in 1 +- a few standard errors when the scheme is healthy.
+
+    diagnostics["ess"] is the effective sample size of the weights; far
+    below n, the weights are heavy-tailed and mean and SE are unreliable.
+    """
 
     def value_of(res, a):
         logw = res["log_weight"]
@@ -342,8 +390,9 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
                 f"weight overflow: path {a + worst}, log-weight {logw[worst]:.4g}")
         return np.exp(logw), {"max_log_weight": float(logw[worst])}
 
-    return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "P", None, value_of)
+    est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
+                            delta_merge, "P", None, value_of)
+    return replace(est, diagnostics=dict(est.diagnostics, ess=_effective_sample_size(est)))
 
 
 def merged_fraction(est: MCEstimate) -> float:

@@ -132,14 +132,11 @@ class Trajectory:
         return self.values[-1]
 
 
-def _mat_vec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.einsum("bij,bj->bi", mats, vecs)
-
-
-def _euler_step(x: np.ndarray, drift: np.ndarray, h: float, sig: np.ndarray,
+def _euler_step(x: np.ndarray, drift: np.ndarray, h: float, sig,
                 dw: np.ndarray) -> np.ndarray:
-    """Batched Euler update x + drift h + sigma dW; every kernel steps with it."""
-    return x + drift * h + _mat_vec(sig, dw)
+    """Batched Euler update x + drift h + sigma dW; every kernel steps with it.
+    sig is the state's CoefficientSet.diffusion."""
+    return x + drift * h + sig.apply(dw)
 
 
 def _segment_views(full: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -152,7 +149,9 @@ def _simulate_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
     """Advance a batch of paths; returns the full array (m + n_T + 1, B, d).
 
     xi_values is either one shared history (m+1, d) or per-path histories
-    (B, m+1, d). noise is time-major (n_T, B, d).
+    (B, m+1, d). noise is time-major (n_T, B, d). The diffusion is
+    evaluated once per step through coeffs.diffusion, as a diagonal where
+    the system declares one; its inverse is never asked for.
     """
     m, n_t, h = grid.m, grid.n_T, grid.h
     d = coeffs.dim
@@ -174,7 +173,7 @@ def _simulate_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
         drift = coeffs.z_drift(t, x)
         if not coeffs.delay_free:
             drift = drift + coeffs.b_delay(t, seg)
-        sig = coeffs.sigma(t, x)
+        sig = coeffs.diffusion(t, x)
         xn = _euler_step(x, drift, h, sig, noise[k])
         if not np.all(np.isfinite(xn)):
             raise FloatingPointError(

@@ -272,6 +272,17 @@ def test_couple_verdict_p_measure(tmp_path):
     assert abs(float(w[1]) - 1.0) < 4 * float(w[2])
 
 
+def test_couple_p_prints_ess_at_verbosity_2(tmp_path, capsys):
+    out = tmp_path / "res"
+    text = cfg_text(t0=1.0, n=300, measure="P", out=out, verbosity=2)
+    assert launch(tmp_path, "couple", text) == 0
+    lines = capsys.readouterr().out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("girsanov_weight_mean"))
+    assert lines[i + 1].startswith("  meta: {'ess': ")
+    ess = float(lines[i + 1].split("'ess': ")[1].rstrip("}"))
+    assert 0.0 < ess <= 300.0
+
+
 def test_couple_exit_2_when_merge_fails(tmp_path):
     out = tmp_path / "res"
     text = cfg_text(t0=1.0, n=100, delta_merge=-1.0, out=out)

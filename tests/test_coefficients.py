@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -184,6 +185,27 @@ def test_with_scaled_sigma():
     x = np.array([[0.7]])
     assert doubled.sigma(0.0, x)[0, 0, 0] == pytest.approx(2.0)
     assert doubled.sigma_inv(0.0, x)[0, 0, 0] == pytest.approx(0.5)
+    assert doubled.sigma_diag(0.0, x)[0, 0] == 2.0
     off = with_scaled_sigma(co, 0.0)
     assert off.sigma(0.0, x)[0, 0, 0] == 0.0
     assert off.sigma_inv is None
+    assert off.sigma_diag(0.0, x)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("name,params,dim", [
+    ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 1),
+    ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 3),
+    ("ou_nodelay", {"a": 1.0, "s0": 0.3}, 3),
+    ("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1}, 1),
+])
+def test_declared_diagonal_matches_dense_forms(name, params, dim):
+    co = builtin_system(name, params, dim=dim)
+    x = np.random.default_rng(5).uniform(-4.0, 4.0, size=(50, dim))
+    diag = co.sigma_diag(0.3, x)
+    assert diag.shape == (50, dim)
+    idx = np.arange(dim)
+    assert np.array_equal(co.sigma(0.3, x)[:, idx, idx], diag)
+    assert np.array_equal(co.sigma_inv(0.3, x)[:, idx, idx], 1.0 / diag)
+    # the audit reads the same numbers with or without the diagonal
+    dense = dataclasses.replace(co, sigma_diag=None)
+    assert audit_assumptions(co, n=2000, seed=3) == audit_assumptions(dense, n=2000, seed=3)

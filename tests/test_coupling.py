@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from harnack_lab.coefficients import builtin_system
-from harnack_lab.coupling import (GammaSchedule, contraction_factors,
-                                  coupling_time, gamma, inv_gamma_integral,
-                                  simulate_coupled_P, simulate_coupled_Q)
-from harnack_lab.integrator import simulate_path
+from harnack_lab.coefficients import (_DiagDiffusion, builtin_system,
+                                      with_scaled_sigma)
+from harnack_lab.coupling import (GammaSchedule, _coupled_batch,
+                                  contraction_factors, coupling_time, gamma,
+                                  inv_gamma_integral, simulate_coupled_P,
+                                  simulate_coupled_Q)
+from harnack_lab.integrator import NoiseStream, _simulate_batch, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
 from oracles import coupling_drift_phi
 
@@ -319,3 +322,72 @@ def test_coupled_input_validation():
         simulate_coupled_Q(co, xi, eta, grid, 1.0, theta=2.0)
     with pytest.raises(ValueError):
         simulate_coupled_Q(co, xi, eta, grid, 1.0 + grid.h / 3)  # off grid
+
+
+# ------------------------------------------------------- diagonal diffusion
+
+def dense_twin(co):
+    """The same system with its dense sigma / sigma_inv and no diagonal."""
+    return dataclasses.replace(co, sigma_diag=None)
+
+
+def kernel_outputs(co, m=20, b=37):
+    grid = GridSpec(1.0, 2.0, m)
+    d = co.dim
+    xi = np.linspace(1.0, -0.5, (m + 1) * d).reshape(m + 1, d)
+    eta = np.zeros((m + 1, d))
+    noise = NoiseStream(seed=9, h=grid.h, dim=d).batch(0, b, grid.n_T)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+    out = {"sim": _simulate_batch(co, xi, grid, noise)}
+    for measure in ("Q", "P"):
+        res = _coupled_batch(co, xi, eta, grid, sched, noise, measure, 1e-8,
+                             k_upper=grid.n_T // 3, want_paths=True)
+        out.update({f"{measure}.{k}": v for k, v in res.items()})
+    return out
+
+
+DIAGONAL_SYSTEMS = [
+    ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 1),
+    ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 3),
+    ("ou_nodelay", {"a": 1.0, "s0": 0.3}, 1),
+    ("ou_nodelay", {"a": 1.0, "s0": 0.3}, 3),
+    ("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1}, 1),
+]
+
+
+@pytest.mark.parametrize("name,params,dim", DIAGONAL_SYSTEMS)
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_diagonal_diffusion_matches_dense_twin(name, params, dim, scale):
+    co = builtin_system(name, params, dim=dim)
+    assert co.sigma_diag is not None
+    dense = dense_twin(co)
+    if scale != 1.0:
+        co, dense = with_scaled_sigma(co, scale), with_scaled_sigma(dense, scale)
+        assert co.sigma_diag is not None and dense.sigma_diag is None
+    got, want = kernel_outputs(co), kernel_outputs(dense)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_zero_diffusion_steps_without_inverse(monkeypatch):
+    # scale 0 zeroes the diagonal; uncoupled stepping never inverts it, and
+    # coupled stepping reports it singular like the dense twin does
+    co = with_scaled_sigma(linear(), 0.0)
+    dense = dense_twin(co)
+
+    def no_inverse(self, vec):
+        raise AssertionError("uncoupled stepping asked for sigma^-1")
+
+    grid = GridSpec(1.0, 2.0, 20)
+    xi = constant_segment(1.0, 1.0, 20)
+    noise = NoiseStream(seed=1, h=grid.h, dim=1).batch(0, 5, grid.n_T)
+    with monkeypatch.context() as mp:
+        mp.setattr(_DiagDiffusion, "solve", no_inverse)
+        got = _simulate_batch(co, xi.values, grid, noise)
+    assert np.array_equal(got, _simulate_batch(dense, xi.values, grid, noise))
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+    for c in (co, dense):
+        with pytest.raises(ValueError, match="singular"):
+            _coupled_batch(c, xi.values, np.zeros_like(xi.values), grid, sched,
+                           noise, "Q", 1e-8)

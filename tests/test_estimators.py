@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import (AssumptionConstants, CoefficientSet,
                                       builtin_system, with_scaled_sigma)
 from harnack_lab.coupling import GammaSchedule
-from harnack_lab.estimators import (MCEstimate, _seg_gap_integral,
+from harnack_lab.estimators import (MCEstimate, _chunk_moments,
+                                    _effective_sample_size, _reduce_moments,
+                                    _seg_gap_integral,
                                     check_log_harnack,
                                     check_power_harnack, estimate_PT_f,
                                     estimate_entropy_Q,
@@ -23,6 +26,7 @@ from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import NoiseStream
 from harnack_lab.segment_paths import GridSpec, constant_segment
+from oracles import seg_gap_integral_window_max
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -227,19 +231,37 @@ def test_exp_functional_seg_gap_vs_lemma_on_linear():
     assert est.mean + 3 * est.std_error <= rhs.value
 
 
-@pytest.mark.parametrize("k_upper", [0, 5, 12])
+@pytest.mark.parametrize("k_upper", range(13))
 def test_seg_gap_integral_matches_brute_force_window_max(k_upper):
-    m, n_t, b, d, h = 4, 12, 6, 2, 0.25
+    # every k_upper of a 12-step horizon, so the last window start falls on
+    # and off the block boundaries of the window length m + 1
+    n_t, b, h = 12, 6, 0.25
     rng = np.random.default_rng(11)
-    full_x = rng.normal(size=(m + n_t + 1, b, d))
-    full_y = rng.normal(size=(m + n_t + 1, b, d))
-    got = _seg_gap_integral(full_x, full_y, m, h, k_upper)
-    for j in range(b):
-        want = 0.0
-        for k in range(k_upper):
-            sup = max(math.dist(full_x[r, j], full_y[r, j]) for r in range(k, k + m + 1))
-            want += sup * sup * h
-        assert got[j] == pytest.approx(want, rel=1e-13, abs=0.0)
+    for m in (1, 2, 3, 4, 7, 8):
+        for d in (1, 3):
+            full_x = rng.normal(size=(m + n_t + 1, b, d))
+            full_y = rng.normal(size=(m + n_t + 1, b, d))
+            # non-finite gaps must propagate as the rescan propagates them
+            full_x[m, 0, 0] = np.nan
+            full_x[m + 1, 1, d - 1] = np.inf
+            got = _seg_gap_integral(full_x, full_y, m, h, k_upper)
+            want = seg_gap_integral_window_max(full_x, full_y, m, h, k_upper)
+            assert np.array_equal(got, want, equal_nan=True), (m, d)
+
+
+def test_seg_gap_integral_scratch_memory():
+    # one (k_upper, B) array plus a few rows; a full-size copy exceeds this
+    b, m, k_upper = 1024, 100, 150
+    rng = np.random.default_rng(4)
+    full_x = rng.normal(size=(m + k_upper + 1, b, 1))
+    full_y = rng.normal(size=(m + k_upper + 1, b, 1))
+    tracemalloc.start()
+    try:
+        _seg_gap_integral(full_x, full_y, m, 0.01, k_upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (k_upper + 8) * b * 8
 
 
 def test_exp_functional_gap_over_gamma_needs_pre_deadline_cap():
@@ -290,6 +312,27 @@ def test_weight_mean_is_one(name, params):
     assert est.failures == 0
     assert merged_fraction(est) == 1.0
     assert "max_log_weight" in est.diagnostics
+
+
+def test_weight_mean_ess_constant_weights():
+    # xi == eta: the copies never part, phi is 0 and every weight is 1
+    co = sine()
+    grid, xi, _ = setup(m=20)
+    est = estimate_martingale_mean(co, xi, xi, sched_for(co), grid, n=300, seed=2)
+    assert est.std_error == 0.0
+    assert est.diagnostics["ess"] == 300
+
+
+def test_weight_mean_ess_dominant_weight():
+    n = 1000
+    w = np.ones(n)
+    w[17] = 1e8
+    est = _reduce_moments([_chunk_moments(w[:600]), _chunk_moments(w[600:])], n, 0)
+    want = w.sum() ** 2 / (w * w).sum()
+    assert _effective_sample_size(est) == pytest.approx(want, rel=1e-9)
+    assert 1.0 < _effective_sample_size(est) < 1.001
+    flat = _reduce_moments([_chunk_moments(np.full(n, 0.3))], n, 0)
+    assert _effective_sample_size(flat) == pytest.approx(n, rel=1e-12)
 
 
 def blow_up_system():
