@@ -11,10 +11,8 @@ from ._version import __version__
 from .segment_paths import (
     SegmentPath,
     GridSpec,
-    segment_from_function,
     constant_segment,
     sup_distance,
-    shift_append,
 )
 from .coefficients import (
     AssumptionConstants,
@@ -33,11 +31,9 @@ from .coupling import (
     inv_gamma_integral,
     simulate_coupled_Q,
     simulate_coupled_P,
-    coupling_time,
 )
 from .bounds import (
     GapPair,
-    HarnackParameters,
     BoundReport,
     LemmaBound,
     k4_ratio,
@@ -62,7 +58,6 @@ from .estimators import (
     estimate_entropy_Q,
     estimate_exp_functional,
     estimate_martingale_mean,
-    merged_fraction,
     make_verdict,
     check_log_harnack,
     check_power_harnack,
@@ -72,19 +67,18 @@ from .cli import ExperimentConfig, parse_config, render_config, run_command
 
 __all__ = [
     "__version__",
-    "SegmentPath", "GridSpec", "segment_from_function", "constant_segment",
-    "sup_distance", "shift_append",
+    "SegmentPath", "GridSpec", "constant_segment", "sup_distance",
     "AssumptionConstants", "CoefficientSet", "AuditBox", "AuditReport",
     "builtin_system", "audit_assumptions", "with_scaled_sigma",
     "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
-    "simulate_coupled_Q", "simulate_coupled_P", "coupling_time",
-    "GapPair", "HarnackParameters", "BoundReport", "LemmaBound",
+    "simulate_coupled_Q", "simulate_coupled_P",
+    "GapPair", "BoundReport", "LemmaBound",
     "k4_ratio", "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
     "lambda_p", "theta_set_contains", "w_eps", "s_eps", "bound_Phi_p", "lemma_rhs",
     "MCEstimate", "VerdictReport", "TestFunction", "StationarySample",
     "test_function", "estimate_PT_f", "estimate_entropy_Q", "estimate_exp_functional",
-    "estimate_martingale_mean", "merged_fraction", "make_verdict",
+    "estimate_martingale_mean", "make_verdict",
     "check_log_harnack", "check_power_harnack", "sample_stationary_segments",
     "ExperimentConfig", "parse_config", "render_config", "run_command",
 ]

@@ -97,28 +97,6 @@ class LemmaBound:
         return math.exp(self.log_prefactor) * inner_mean ** self.inner_power
 
 
-@dataclass(frozen=True)
-class HarnackParameters:
-    """One admissible (p, eps) candidate for the power-Harnack bound, with
-    the derived quantities attached."""
-
-    p: float
-    eps: float
-    lambda_p: float
-    w_eps: float
-    s_eps: float
-
-    @classmethod
-    def build(cls, p: float, eps: float, consts: AssumptionConstants,
-              r0: float) -> "HarnackParameters":
-        lam = lambda_p(p)
-        if not theta_set_contains(eps, p, consts):
-            raise ValueError(f"eps={eps} is not admissible for p={p}")
-        w = w_eps(eps, lam, consts, r0)
-        return cls(p=p, eps=eps, lambda_p=lam, w_eps=w,
-                   s_eps=s_eps(eps, lam, consts, r0))
-
-
 def k4_ratio(k4: float, s: float, branch: str = "auto") -> float:
     """K4 / (1 - e^{-K4 s}), positive for every K4, with a series branch
     near K4 s = 0 (three terms; relative error < 1e-13 at the cut)."""

@@ -131,16 +131,11 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"[{sec}] {key}: cannot parse {raw!r}")
             return default
 
-    def opt_float(sec, key):
-        if sec in cp and key in cp[sec]:
-            return get(sec, key, float, None)
-        return None
-
     d = get("problem", "d", int, 1)
     r0 = get("problem", "r0", float, 1.0)
     t_horizon = get("problem", "t", float, 2.0)
     m = get("problem", "m", int, 400)
-    t0 = opt_float("problem", "t0")
+    t0 = get("problem", "t0", float, None)
     xi = get("problem", "xi", str, "const:1.0")
     eta = get("problem", "eta", str, "const:0.0")
 
@@ -155,8 +150,8 @@ def parse_config(text: str) -> ExperimentConfig:
         params = {"a": -1.0, "c": 0.5, "s0": 1.0}
 
     theta = get("coupling", "theta", float, 1.0)
-    p = opt_float("coupling", "p")
-    s_choice = opt_float("coupling", "s_choice")
+    p = get("coupling", "p", float, None)
+    s_choice = get("coupling", "s_choice", float, None)
     delta_merge = get("coupling", "delta_merge", float, 1e-8)
     measure = get("coupling", "measure", str, "Q")
 
@@ -300,6 +295,12 @@ def config_segment(cfg: ExperimentConfig, spec: str) -> SegmentPath:
     raise ValueError(f"bad segment spec {spec!r}")
 
 
+def _problem(cfg: ExperimentConfig):
+    """The coefficient set, grid and initial segments xi, eta of a config."""
+    return (config_coeffs(cfg), config_grid(cfg), config_segment(cfg, cfg.xi),
+            config_segment(cfg, cfg.eta))
+
+
 def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
     problems = []
     if command in ("couple", "entropy") and cfg.t0 is None:
@@ -342,27 +343,27 @@ def _verdict_row(rep: VerdictReport, n: int, seed: int, h: float) -> list:
             n, seed, h, failures, VERSION_TAG]
 
 
-def _exit_from_verdicts(reports: List[VerdictReport]) -> int:
-    verdicts = [r.verdict for r in reports]
-    if any(v == "violated" for v in verdicts):
-        return 2
-    if any(v == "inconclusive" for v in verdicts):
-        return 3
-    return 0
-
-
 def _say(cfg: ExperimentConfig, msg: str) -> None:
     if cfg.verbosity >= 1:
         print(msg)
 
 
-def _report_verdicts(cfg, reports):
+def _finish(cfg, command: str, reports: List[VerdictReport], rows=None) -> int:
+    """Print the verdicts, write the command's CSV (one verdict row per
+    report unless rows are given) and return the exit code."""
     for r in reports:
         _say(cfg, f"{r.claim}: lhs={r.lhs.mean:.6g} (se {r.lhs.std_error:.2g})  "
                   f"rhs={r.rhs.mean:.6g} (se {r.rhs.std_error:.2g})  "
                   f"margin={r.margin_se:.3g} se  verdict={r.verdict}")
         if cfg.verbosity >= 2 and r.meta:
             _say(cfg, f"  meta: {r.meta}")
+    if rows is None:
+        rows = [_verdict_row(r, cfg.n, cfg.seed, cfg.h) for r in reports]
+    _write_csv(_out_path(cfg, command), VERDICT_HEADER, rows)
+    verdicts = [r.verdict for r in reports]
+    if "violated" in verdicts:
+        return 2
+    return 3 if "inconclusive" in verdicts else 0
 
 
 def _out_path(cfg: ExperimentConfig, command: str) -> str:
@@ -424,10 +425,7 @@ def _couple_dump(cfg, grid, sched, traj) -> None:
 
 
 def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
-    coeffs = config_coeffs(cfg)
-    grid = config_grid(cfg)
-    xi = config_segment(cfg, cfg.xi)
-    eta = config_segment(cfg, cfg.eta)
+    coeffs, grid, xi, eta = _problem(cfg)
     sched = GammaSchedule(theta=cfg.theta, k4=coeffs.constants.k4, t0=cfg.t0)
 
     if cfg.n == 1:
@@ -469,16 +467,11 @@ def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
                      "", "", "info", cfg.n, cfg.seed, cfg.h, est.failures,
                      VERSION_TAG])
         _say(cfg, f"half mean int |phi|^2 = {est.mean:.6g} (se {est.std_error:.2g})")
-    _report_verdicts(cfg, reports)
-    _write_csv(_out_path(cfg, "couple"), VERDICT_HEADER, rows)
-    return _exit_from_verdicts(reports)
+    return _finish(cfg, "couple", reports, rows)
 
 
 def _cmd_entropy(cfg: ExperimentConfig, threads) -> int:
-    coeffs = config_coeffs(cfg)
-    grid = config_grid(cfg)
-    xi = config_segment(cfg, cfg.xi)
-    eta = config_segment(cfg, cfg.eta)
+    coeffs, grid, xi, eta = _problem(cfg)
     sched = GammaSchedule(theta=cfg.theta, k4=coeffs.constants.k4, t0=cfg.t0)
     est = estimate_entropy_Q(coeffs, xi, eta, sched, grid, cfg.n, cfg.seed,
                              delta_merge=cfg.delta_merge, threads=threads)
@@ -490,10 +483,7 @@ def _cmd_entropy(cfg: ExperimentConfig, threads) -> int:
         MCEstimate(mean=bound, std_error=0.0, n=0, seed=cfg.seed),
         bound=bound, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
         failure_fraction=est.failures / cfg.n)
-    _report_verdicts(cfg, [rep])
-    _write_csv(_out_path(cfg, "entropy"), VERDICT_HEADER,
-               [_verdict_row(rep, cfg.n, cfg.seed, cfg.h)])
-    return _exit_from_verdicts([rep])
+    return _finish(cfg, "entropy", [rep])
 
 
 def _cmd_bounds(cfg: ExperimentConfig, threads) -> int:
@@ -541,33 +531,21 @@ def _cmd_bounds(cfg: ExperimentConfig, threads) -> int:
 
 
 def _cmd_log_harnack(cfg: ExperimentConfig, threads) -> int:
-    coeffs = config_coeffs(cfg)
-    grid = config_grid(cfg)
-    xi = config_segment(cfg, cfg.xi)
-    eta = config_segment(cfg, cfg.eta)
+    coeffs, grid, xi, eta = _problem(cfg)
     f = test_function(cfg.f_name, cfg.cap)
     rep = check_log_harnack(coeffs, xi, eta, f, cfg.T, grid, cfg.n, cfg.seed,
                             s_choice=cfg.s_choice, k_tol=cfg.k_tol,
                             k_viol=cfg.k_viol, threads=threads)
-    _report_verdicts(cfg, [rep])
-    _write_csv(_out_path(cfg, "log-harnack"), VERDICT_HEADER,
-               [_verdict_row(rep, cfg.n, cfg.seed, cfg.h)])
-    return _exit_from_verdicts([rep])
+    return _finish(cfg, "log-harnack", [rep])
 
 
 def _cmd_power_harnack(cfg: ExperimentConfig, threads) -> int:
-    coeffs = config_coeffs(cfg)
-    grid = config_grid(cfg)
-    xi = config_segment(cfg, cfg.xi)
-    eta = config_segment(cfg, cfg.eta)
+    coeffs, grid, xi, eta = _problem(cfg)
     f = test_function(cfg.f_name, cfg.cap)
     rep = check_power_harnack(coeffs, xi, eta, f, cfg.p, cfg.T, grid, cfg.n,
                               cfg.seed, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
                               threads=threads)
-    _report_verdicts(cfg, [rep])
-    _write_csv(_out_path(cfg, "power-harnack"), VERDICT_HEADER,
-               [_verdict_row(rep, cfg.n, cfg.seed, cfg.h)])
-    return _exit_from_verdicts([rep])
+    return _finish(cfg, "power-harnack", [rep])
 
 
 def _cmd_stationary(cfg: ExperimentConfig, threads) -> int:

@@ -205,36 +205,26 @@ def builtin_system(name, params=None, dim=1, **kw):
     if problems:
         raise ValueError("; ".join(problems))
 
-    if name == "linear_additive":
+    if name in ("linear_additive", "sine_multiplicative"):
         a, c, s0 = (float(params[k]) for k in ("a", "c", "s0"))
         if s0 <= 0:
             raise ValueError("s0 must be positive")
-        consts = AssumptionConstants(k1=abs(c) / s0, k2=0.0, k3=1.0 / s0, k4=2.0 * a)
+        if name == "linear_additive":
+            consts = AssumptionConstants(k1=abs(c) / s0, k2=0.0, k3=1.0 / s0, k4=2.0 * a)
+            diag = lambda t, x: np.full(x.shape, s0)
+        else:
+            if d != 1:
+                raise ValueError("sine_multiplicative is one-dimensional")
+            # worst case of 1/(2+sin) is 1, so the delay constant uses the k3 bound
+            consts = AssumptionConstants(k1=abs(c) / s0, k2=2.0 * s0, k3=1.0 / s0,
+                                         k4=s0 * s0 + 2.0 * a)
+            diag = lambda t, x: s0 * (2.0 + np.sin(x))
         return CoefficientSet(
             dim=d,
             z_drift=lambda t, x: a * x,
             b_delay=lambda t, seg: c * seg[:, 0, :],
             constants=consts,
-            **_diagonal(lambda t, x: np.full(x.shape, s0)),
-            delay_free=(c == 0.0),
-            name=name,
-            params={"a": a, "c": c, "s0": s0},
-        )
-
-    if name == "sine_multiplicative":
-        a, c, s0 = (float(params[k]) for k in ("a", "c", "s0"))
-        if s0 <= 0:
-            raise ValueError("s0 must be positive")
-        if d != 1:
-            raise ValueError("sine_multiplicative is one-dimensional")
-        # worst case of 1/(2+sin) is 1, so the delay constant uses the k3 bound
-        consts = AssumptionConstants(k1=abs(c) / s0, k2=2.0 * s0, k3=1.0 / s0, k4=s0 * s0 + 2.0 * a)
-        return CoefficientSet(
-            dim=1,
-            z_drift=lambda t, x: a * x,
-            b_delay=lambda t, seg: c * seg[:, 0, :],
-            constants=consts,
-            **_diagonal(lambda t, x: s0 * (2.0 + np.sin(x))),
+            **_diagonal(diag),
             delay_free=(c == 0.0),
             name=name,
             params={"a": a, "c": c, "s0": s0},

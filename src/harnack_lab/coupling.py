@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .integrator import NoiseStream, _euler_step
+from .integrator import NoiseStream, _euler_step, _Recorder, _Ring, _run
 from .segment_paths import GridSpec, SegmentPath
 
 # below this, 1 - exp(-k4 t0) is evaluated by its series to avoid cancellation
@@ -149,85 +148,37 @@ class CoupledTrajectory:
         for arr in (self.x_values, self.y_values, self.phi_sq_cum, self.log_weight_cum):
             arr.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.x_values.shape[1]
 
-    def point_gaps(self) -> np.ndarray:
-        """Euclidean gap |X - Y| at every grid time from -r0 to T."""
-        return np.linalg.norm(self.x_values - self.y_values, axis=1)
-
-    def x_segment_at(self, t: float) -> SegmentPath:
-        k = self.grid.index_of(t, "t")
-        return SegmentPath(self.grid.r0, self.x_values[k: k + self.grid.m + 1].copy())
-
-    def y_segment_at(self, t: float) -> SegmentPath:
-        k = self.grid.index_of(t, "t")
-        return SegmentPath(self.grid.r0, self.y_values[k: k + self.grid.m + 1].copy())
-
-
-def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
-                   eta_values: np.ndarray, grid: GridSpec, sched: GammaSchedule,
-                   noise: np.ndarray, measure: str, delta_merge: float,
-                   k_upper: Optional[int] = None, want_paths: bool = False) -> dict:
-    """Advance a batch of coupled pairs; the workhorse behind the public ops.
-
-    xi_values / eta_values: shared histories (m+1, d). noise: (n_T, B, d).
-    measure: "Q" (forced copy X solves the original equation under the
-    simulated law) or "P" (unforced copy X drives, weight is a martingale).
-    k_upper caps the step index for the *_upper accumulators (defaults to
-    n_T, i.e. the full horizon). Each state's diffusion is evaluated once
-    per step through coeffs.diffusion, as a diagonal where the system
-    declares one, and serves sigma, sigma^-1 and sigma_x - sigma_y.
-
-    Returns a dict of per-path arrays:
-      log_weight    accumulated log R over [0, T]
-      phi_sq_upper  int |phi|^2, stopped at k_upper steps
-      gap_gamma_sq  int |X-Y|^2 / gamma^2, stopped at min(k_upper, n0) steps
-      merged        bool per path
-      full_x/full_y histories (m + n_T + 1, B, d), row m is time 0
-      phi_sq_cum/logw_cum  running integrals (n_T + 1, B), only when want_paths
+class _Coupled:
+    """A batch of coupled pairs in flight: the X and Y rings, the running
+    log-weight logw and the merge flags, set at step n0 - 1 (t0 = n0 h).
+    After each step, phi_sq holds its |phi|^2 h and gap_gamma its
+    |X-Y|^2 / gamma^2 h (None from t0 on) for observers to add up. Each
+    state's diffusion is evaluated once per step, as a diagonal where the
+    system declares one, and serves sigma, sigma^-1 and sigma_x - sigma_y.
     """
-    if measure not in ("Q", "P"):
-        raise ValueError("measure must be 'Q' or 'P'")
-    m, n_t, h = grid.m, grid.n_T, grid.h
-    d = coeffs.dim
-    b = noise.shape[1]
-    n0 = grid.index_of(sched.t0, "t0")
-    if n0 < 1 or n0 > n_t:
-        raise ValueError("t0 must lie in (0, T] on the grid")
-    if k_upper is None:
-        k_upper = n_t
-    if not (0 <= k_upper <= n_t):
-        raise ValueError("k_upper out of range")
 
-    alphas = contraction_factors(sched, h, n0)
-    sign = 1.0 if measure == "Q" else -1.0  # sign of the 1/2 |phi|^2 h term in log R
+    def __init__(self, coeffs, grid, sched, measure, delta_merge, rings, n0):
+        self.coeffs, self.grid, self.rings = coeffs, grid, rings
+        self.measure, self.delta_merge, self.n0 = measure, delta_merge, n0
+        self.alphas = contraction_factors(sched, grid.h, n0)
+        self.gammas = gamma(np.arange(n0) * grid.h, sched)
+        # sign of the 1/2 |phi|^2 h term in log R
+        self.sign = 1.0 if measure == "Q" else -1.0
+        b = rings[0].buf.shape[1]
+        self.logw, self.merged = np.zeros(b), np.zeros(b, dtype=bool)
+        self.phi_sq = self.gap_gamma = None
 
-    full_x = np.empty((m + n_t + 1, b, d))
-    full_y = np.empty((m + n_t + 1, b, d))
-    full_x[: m + 1] = xi_values[:, None, :]
-    full_y[: m + 1] = eta_values[:, None, :]
-
-    logw = np.zeros(b)
-    phi_sq_upper = np.zeros(b)
-    gap_gamma_sq = np.zeros(b)
-    if want_paths:
-        phi_cum = np.zeros((n_t + 1, b))
-        logw_cum = np.zeros((n_t + 1, b))
-    merged = np.zeros(b, dtype=bool)
-
-    for k in range(n_t):
+    def step(self, k, dw):
+        coeffs, h, (rx, ry) = self.coeffs, self.grid.h, self.rings
         t = k * h
-        x = full_x[m + k]
-        y = full_y[m + k]
-        seg_x = np.moveaxis(full_x[k: k + m + 1], 0, 1)
-        seg_y = np.moveaxis(full_y[k: k + m + 1], 0, 1)
-        dw = noise[k]
-        pre = k < n0
+        i = self.grid.m + k
+        x, y = rx.row(i), ry.row(i)
+        pre = k < self.n0
+        merged = self.merged
 
-        bx = coeffs.b_delay(t, seg_x)
-        by = coeffs.b_delay(t, seg_y)
+        bx = coeffs.b_delay(t, rx.segment(i))
+        by = coeffs.b_delay(t, ry.segment(i))
         zx = coeffs.z_drift(t, x)
         zy = coeffs.z_drift(t, y)
         sx = coeffs.diffusion(t, x)
@@ -235,27 +186,24 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
         siginv_y_bdiff = sy.solve(by - bx)
 
         phi = siginv_y_bdiff
+        self.gap_gamma = None
         if pre:
-            g = float(gamma(t, sched))
+            g = float(self.gammas[k])
             e = x - y
             siginv_x_e = sx.solve(e)
             phi = phi - siginv_x_e / g
-            gg = (e * e).sum(axis=1) / (g * g) * h
-            if k < k_upper:
-                gap_gamma_sq += gg
+            self.gap_gamma = (e * e).sum(axis=1) / (g * g) * h
 
-        phi_sq_step = (phi * phi).sum(axis=1) * h
-        if k < k_upper:
-            phi_sq_upper += phi_sq_step
-        logw += (phi * dw).sum(axis=1) + sign * 0.5 * phi_sq_step
+        self.phi_sq = (phi * phi).sum(axis=1) * h
+        self.logw += (phi * dw).sum(axis=1) + self.sign * 0.5 * self.phi_sq
 
-        if measure == "Q":
+        if self.measure == "Q":
             # unforced copy Y solves the original equation
             yn = _euler_step(y, zy + by, h, sy, dw)
             drift_x = zx + by + sx.apply_diff(sy, siginv_y_bdiff)
             xe = _euler_step(x, drift_x, h, sx, dw)
             if pre:
-                xn = yn + alphas[k] * (xe - yn)
+                xn = yn + self.alphas[k] * (xe - yn)
             else:
                 xn = xe
                 xn[merged] = yn[merged]
@@ -265,39 +213,61 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
             if pre:
                 corr = sy.apply_diff(sx, siginv_x_e) / g
                 ye = _euler_step(y, zy + bx + corr, h, sy, dw)
-                yn = xn - alphas[k] * (xn - ye)
+                yn = xn - self.alphas[k] * (xn - ye)
             else:
                 yn = _euler_step(y, zy + bx, h, sy, dw)
                 yn[merged] = xn[merged]
 
-        full_x[m + k + 1] = xn
-        full_y[m + k + 1] = yn
-        if want_paths:
-            phi_cum[k + 1] = phi_cum[k] + phi_sq_step
-            logw_cum[k + 1] = logw
-
-        if k == n0 - 1:
+        if k == self.n0 - 1:
             gap = np.linalg.norm(xn - yn, axis=1)
             ref = 1.0 + np.linalg.norm(xn, axis=1)
-            merged = gap <= delta_merge * ref
-            snap = merged
-            if measure == "Q":
-                full_x[m + k + 1][snap] = yn[snap]
+            self.merged = merged = gap <= self.delta_merge * ref
+            # the snap lands in both copies of the ring row
+            if self.measure == "Q":
+                xn[merged] = yn[merged]
             else:
-                full_y[m + k + 1][snap] = xn[snap]
+                yn[merged] = xn[merged]
+        return xn, yn
 
-    out = {
-        "log_weight": logw,
-        "phi_sq_upper": phi_sq_upper,
-        "gap_gamma_sq": gap_gamma_sq,
-        "merged": merged,
-        "full_x": full_x,
-        "full_y": full_y,
-    }
-    if want_paths:
-        out["phi_sq_cum"] = phi_cum
-        out["logw_cum"] = logw_cum
-    return out
+
+class _Integrals:
+    """Observer of a coupled run: per path, int |phi|^2 (phi_sq) and
+    int |X-Y|^2 / gamma^2 (gap_over_gamma_sq, which stops at t0) over the
+    first k_upper steps."""
+
+    def __init__(self, m: int, k_upper: int, b: int):
+        self.rows = range(m + 1, m + k_upper + 1)
+        self.phi_sq = np.zeros(b)
+        self.gap_over_gamma_sq = np.zeros(b)
+
+    def __call__(self, i, pair):
+        if i in self.rows:
+            self.phi_sq += pair.phi_sq
+            if pair.gap_gamma is not None:
+                self.gap_over_gamma_sq += pair.gap_gamma
+
+
+def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
+                   eta_values: np.ndarray, grid: GridSpec, sched: GammaSchedule,
+                   noise, measure: str, delta_merge: float,
+                   observers=()) -> _Coupled:
+    """Advance a batch of coupled pairs from the shared histories (m+1, d)
+    to T; returns the finished _Coupled. noise is time-major (n_T, B, d),
+    an array or a NoiseBlocks. measure: "Q" (forced copy X solves the
+    original equation under the simulated law) or "P" (unforced copy X
+    drives, weight is a martingale). observers see every grid row, merge
+    snap included (integrator._run).
+    """
+    if measure not in ("Q", "P"):
+        raise ValueError("measure must be 'Q' or 'P'")
+    n0 = grid.index_of(sched.t0, "t0")
+    if n0 < 1 or n0 > grid.n_T:
+        raise ValueError("t0 must lie in (0, T] on the grid")
+    b = noise.shape[1]
+    pair = _Coupled(coeffs, grid, sched, measure, delta_merge,
+                    (_Ring(xi_values, b), _Ring(eta_values, b)), n0)
+    _run(pair, noise, observers)
+    return pair
 
 
 def _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed, path_index,
@@ -306,13 +276,23 @@ def _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed, path_index,
     sched = GammaSchedule(theta=theta, k4=coeffs.constants.k4, t0=t0)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
     noise = stream.increments(path_index, grid.n_T)[:, None, :]
-    res = _coupled_batch(coeffs, xi.values, eta.values, grid, sched, noise,
-                         measure, delta_merge, want_paths=True)
+    m = grid.m
+    rec = _Recorder(m + grid.n_T + 1)
+    phi_cum = np.zeros(grid.n_T + 1)
+    logw_cum = np.zeros(grid.n_T + 1)
+
+    def weights(i, pair):
+        if i > m:
+            phi_cum[i - m] = phi_cum[i - m - 1] + pair.phi_sq[0]
+            logw_cum[i - m] = pair.logw[0]
+
+    pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched, noise,
+                          measure, delta_merge, (rec, weights))
     return CoupledTrajectory(
         grid=grid, sched=sched, measure=measure,
-        x_values=res["full_x"][:, 0, :], y_values=res["full_y"][:, 0, :],
-        phi_sq_cum=res["phi_sq_cum"][:, 0], log_weight_cum=res["logw_cum"][:, 0],
-        merged=bool(res["merged"][0]), delta_merge=delta_merge,
+        x_values=rec.full[0][:, 0, :], y_values=rec.full[1][:, 0, :],
+        phi_sq_cum=phi_cum, log_weight_cum=logw_cum,
+        merged=bool(pair.merged[0]), delta_merge=delta_merge,
         seed=seed, path_index=path_index)
 
 
@@ -337,17 +317,3 @@ def simulate_coupled_P(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
     return _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed,
                              path_index, delta_merge, "P")
 
-
-def coupling_time(traj: CoupledTrajectory, delta: float) -> float:
-    """First grid time t >= 0 with |X(t) - Y(t)| <= delta (1 + |X(t)|),
-    nan if the gap never got that small. delta = 0 asks for exact meeting,
-    which a merged pair attains precisely at the deadline t0."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    m = traj.grid.m
-    gaps = traj.point_gaps()[m:]
-    ref = 1.0 + np.linalg.norm(traj.x_values[m:], axis=1)
-    hit = np.nonzero(gaps <= delta * ref)[0]
-    if hit.size == 0:
-        return math.nan
-    return float(hit[0] * traj.grid.h)

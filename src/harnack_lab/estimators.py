@@ -21,8 +21,8 @@ import numpy as np
 from ._parallel import map_chunks, ordered_sum
 from .bounds import GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _power_threshold
 from .coefficients import CoefficientSet
-from .coupling import GammaSchedule, _coupled_batch
-from .integrator import NoiseStream, _simulate_batch
+from .coupling import GammaSchedule, _coupled_batch, _Integrals
+from .integrator import NoiseBlocks, NoiseStream, _Recorder, _simulate_batch
 from .segment_paths import GridSpec, SegmentPath
 
 MAX_EXPONENT = 700.0  # exp() overflows just above this
@@ -205,55 +205,60 @@ def _reduce_moments(parts, n: int, seed: int) -> MCEstimate:
                       seed=seed, diagnostics=diag)
 
 
-def _seg_gap_integral(full_x: np.ndarray, full_y: np.ndarray, m: int,
-                      h: float, k_upper: int) -> np.ndarray:
-    """int_0^{k_upper h} ||X_t - Y_t||_inf^2 dt per path, from coupled
-    histories (m + n_T + 1, B, d); the sup runs over the delay window
+class _SegGapIntegral:
+    """Observer of a coupled run: seg_gap_sq, per path, is
+    int_0^{k_upper h} ||X_t - Y_t||_inf^2 dt, the sup over the delay window
     [t - r0, t], i.e. the m + 1 grid rows ending at t.
 
-    The window maxima come from the van Herk / Gil-Werman block scheme in
-    O((k_upper + m) B): over blocks of w = m + 1 rows, a window starting at
-    row k is the suffix of k's block from k plus the prefix of the next
-    block up to k + m, so its max is max(suffix max at k, prefix max at
-    k + m). A backward pass stores the suffix maxima of the window starts
-    in one (k_upper, B) array; a forward pass keeps one running prefix-max
-    row and adds the squared window maxima in step order. Every gap row is
-    computed afresh in each pass, so scratch memory is that array plus a
-    few (B,) rows. The result is bit-identical to rescanning each window.
+    The window maxima come online from the van Herk / Gil-Werman scheme:
+    over blocks of w = m + 1 rows, the window starting at row k has max
+    max(suffix max of k's block from k, prefix max of the next block up to
+    k + m). When a block completes, a backward pass reads it from the ring
+    into suf, one (w, B) array of suffix maxima; a running prefix-max row
+    then adds the squared window maxima in step order, each suf entry used
+    once before the next block overwrites it. Bit-identical to rescanning
+    each window of a full history.
     """
-    b = full_x.shape[1]
-    w = m + 1
 
-    def gap(row):
-        return np.linalg.norm(full_x[row] - full_y[row], axis=1)
+    def __init__(self, m: int, h: float, k_upper: int, b: int):
+        self.m, self.h, self.k_upper = m, h, k_upper
+        self.seg_gap_sq = np.zeros(b)
+        self.suf = np.empty((m + 1, b))
+        self.run = None
 
-    # backward from the end of the block holding the last window start;
-    # run is the max from the current row to its block's end
-    suf = np.empty((k_upper, b))
-    for row in range((k_upper - 1) // w * w + w - 1, -1, -1):
-        if row % w == w - 1:
-            run = gap(row)
+    def __call__(self, i, pair):
+        m, w = self.m, self.m + 1
+        if i >= self.k_upper + m:
+            return
+        rx, ry = pair.rings
+
+        def gap(row):  # np.linalg.norm(diff, axis=1), temporaries reused
+            diff = rx.row(row) - ry.row(row)
+            diff *= diff
+            sq = np.add.reduce(diff, axis=1)
+            return np.sqrt(sq, out=sq)
+
+        if i % w == m:
+            # backward over the block just completed; run is the max from
+            # the current row to the block's end
+            run = gap(i)
+            self.suf[m] = run
+            for j in range(m - 1, -1, -1):
+                np.maximum(run, gap(i - m + j), out=run)
+                self.suf[j] = run
+        # forward; run is the max from the block start to the current row
+        if i % w == 0:
+            self.run = gap(i)
         else:
-            np.maximum(run, gap(row), out=run)
-        if row < k_upper:
-            suf[row] = run
-
-    # forward over the window ends; run is the max from the current row's
-    # block start to the current row
-    out = np.zeros(b)
-    for row in range(k_upper + m):
-        if row % w == 0:
-            run = gap(row)
-        else:
-            np.maximum(run, gap(row), out=run)
-        if row >= m:
-            # window start row - m: its max, squared and scaled by h in the
-            # suffix row, which is not read again
-            win = np.maximum(suf[row - m], run, out=suf[row - m])
+            np.maximum(self.run, gap(i), out=self.run)
+        if i >= m:
+            # window start i - m: its max, squared and scaled by h in its
+            # suffix slot, which is not read again
+            slot = self.suf[(i - m) % w]
+            win = np.maximum(slot, self.run, out=slot)
             win *= win
-            win *= h
-            out += win
-    return out
+            win *= self.h
+            self.seg_gap_sq += win
 
 
 def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
@@ -266,32 +271,37 @@ def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
 
     def chunk(a, b):
-        noise = stream.batch(a, b - a, grid.n_T)
-        full = _simulate_batch(coeffs, xi.values, grid, noise)
-        seg = np.moveaxis(full[grid.n_T:], 0, 1)
-        return _chunk_moments(f(seg))
+        noise = NoiseBlocks(stream, a, b - a, grid.n_T)
+        ring = _simulate_batch(coeffs, xi.values, grid, noise)
+        return _chunk_moments(f(ring.segment(grid.m + grid.n_T)))
 
     return _reduce_moments(map_chunks(chunk, n, threads), n, seed)
 
 
 def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                      delta_merge, measure, k_upper, value_of) -> MCEstimate:
+                      delta_merge, measure, value_of, observer=None) -> MCEstimate:
+    """Coupled chunks reduced to one estimate. observer(B), if given, builds
+    each chunk's observer; value_of(pair, observer, first path) gives the
+    per-path values and extra diagnostics of a finished chunk."""
     grid.check_segments(coeffs.dim, xi, eta)
     if not sched.t0 <= grid.T - grid.r0:
         raise ValueError("the coupling deadline must satisfy t0 <= T - r0")
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
+    last = grid.m + grid.n_T
 
     def chunk(a, b):
-        noise = stream.batch(a, b - a, grid.n_T)
-        res = _coupled_batch(coeffs, xi.values, eta.values, grid, sched, noise,
-                             measure, delta_merge, k_upper=k_upper)
-        v, extra = value_of(res, a)
+        ob = observer(b - a) if observer is not None else None
+        pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched,
+                              NoiseBlocks(stream, a, b - a, grid.n_T), measure, delta_merge,
+                              () if ob is None else (ob,))
+        v, extra = value_of(pair, ob, a)
         # a path that went NaN or inf never merges; count it apart
-        finite = (np.isfinite(res["log_weight"])
-                  & np.isfinite(res["full_x"][-1]).all(axis=1)
-                  & np.isfinite(res["full_y"][-1]).all(axis=1))
+        rx, ry = pair.rings
+        finite = (np.isfinite(pair.logw)
+                  & np.isfinite(rx.row(last)).all(axis=1)
+                  & np.isfinite(ry.row(last)).all(axis=1))
         out = _chunk_moments(v)
-        out["unmerged"] = int((finite & ~res["merged"]).sum())
+        out["unmerged"] = int((finite & ~pair.merged).sum())
         out["nonfinite"] = int((~finite).sum())
         out.update(extra)
         return out
@@ -307,13 +317,14 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
     """Relative entropy estimate: half the mean of int |phi|^2 along coupled
     paths run under the measure where the forced copy solves the original
     equation. Failed paths are included and counted in diagnostics."""
-    k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else None
+    k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else grid.n_T
 
-    def value_of(res, a):
-        return 0.5 * res["phi_sq_upper"], {}
+    def value_of(pair, sums, a):
+        return 0.5 * sums.phi_sq, {}
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "Q", k_upper, value_of)
+                             delta_merge, "Q", value_of,
+                             lambda b: _Integrals(grid.m, k_upper, b))
 
 
 _INTEGRANDS = ("phi_sq", "gap_over_gamma_sq", "seg_gap_sq")
@@ -343,13 +354,14 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
         if upper_t > sched.t0:
             raise ValueError("gap_over_gamma_sq lives on [0, t0]; set t_upper <= t0")
 
-    def value_of(res, a):
-        if integrand == "seg_gap_sq":
-            integral = _seg_gap_integral(res["full_x"], res["full_y"], grid.m,
-                                         grid.h, k_upper)
-        else:
-            integral = res["phi_sq_upper" if integrand == "phi_sq" else "gap_gamma_sq"]
-        expo = lam * integral
+    if integrand == "seg_gap_sq":
+        observer = lambda b: _SegGapIntegral(grid.m, grid.h, k_upper, b)
+    else:
+        observer = lambda b: _Integrals(grid.m, k_upper, b)
+
+    def value_of(pair, ob, a):
+        # each observer names its integrals after the integrands
+        expo = lam * getattr(ob, integrand)
         worst = int(np.argmax(expo))
         if expo[worst] > MAX_EXPONENT:
             raise OverflowError(
@@ -358,7 +370,7 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
         return np.exp(expo), {"max_exponent": float(expo[worst])}
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "Q", k_upper, value_of)
+                             delta_merge, "Q", value_of, observer)
 
 
 def _effective_sample_size(est: MCEstimate) -> float:
@@ -382,8 +394,8 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
     below n, the weights are heavy-tailed and mean and SE are unreliable.
     """
 
-    def value_of(res, a):
-        logw = res["log_weight"]
+    def value_of(pair, ob, a):
+        logw = pair.logw
         worst = int(np.argmax(logw))
         if logw[worst] > MAX_EXPONENT:
             raise OverflowError(
@@ -391,12 +403,8 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
         return np.exp(logw), {"max_log_weight": float(logw[worst])}
 
     est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                            delta_merge, "P", None, value_of)
+                            delta_merge, "P", value_of)
     return replace(est, diagnostics=dict(est.diagnostics, ess=_effective_sample_size(est)))
-
-
-def merged_fraction(est: MCEstimate) -> float:
-    return 1.0 - est.failures / est.n
 
 
 def _verdict(margin_se: float, k_tol: float, k_viol: float,
@@ -544,10 +552,13 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
     total_T = (n_burn + windows * grid.m) * h
     run_grid = GridSpec(r0=grid.r0, T=total_T, m=grid.m)
 
-    stream = NoiseStream(seed=seed, h=h, dim=coeffs.dim)
-    noise = stream.batch(0, n_paths, run_grid.n_T)
+    # the whole path is kept, so the noise is drawn in one piece: blocks
+    # would save little memory and re-key every path once per block
+    noise = NoiseStream(seed=seed, h=h, dim=coeffs.dim).batch(0, n_paths, run_grid.n_T)
     zero_hist = np.zeros((grid.m + 1, coeffs.dim))
-    full = _simulate_batch(coeffs, zero_hist, run_grid, noise)
+    rec = _Recorder(grid.m + run_grid.n_T + 1)
+    _simulate_batch(coeffs, zero_hist, run_grid, noise, (rec,))
+    full = rec.full[0]
 
     segs = []
     for j in range(n_paths):

@@ -1,15 +1,19 @@
 """Euler-Maruyama integration of delay equations on a fixed grid.
 
-The state advanced here is the full path history: at step k the drift needs
-the segment covering [t - r0, t], so the engine keeps a time-major array of
-every grid point since -r0 and hands rolling views of it to the delay drift.
+The stepping core streams: the drift at step k needs only the segment
+over [t - r0, t], the last m + 1 grid rows, so a batch keeps its states in
+a mirrored ring of 2(m + 1) rows and draws its noise in blocks of m + 1
+steps. Memory per batch is O(m B d) whatever the horizon. One loop (_run)
+drives both kernels, the Euler step here and the coupled step; whatever
+else a caller wants (running integrals, a window max, the whole path) it
+gets from observers called after each grid row.
 
 Noise is counter-based. Path `j` of a run with seed `s` always sees the
-increments of `Philox(key=[s, j])`, no matter how paths are grouped into
-chunks or worker processes, which is what makes reruns bit-identical. A
-batch builds one Philox per call and re-keys it for each path (key,
-counter and buffer reset together), so its increments are bit-identical
-to those of `NoiseStream.increments`, path by path.
+increments of `Philox(key=[s, j])`, however paths are grouped into chunks
+or worker processes and steps into blocks, which makes reruns
+bit-identical. A batch re-keys one Philox for each path (key, counter and
+buffer reset together, or restored from where the path's previous block
+stopped), path by path bit-identical to `NoiseStream.increments`.
 """
 
 from __future__ import annotations
@@ -51,15 +55,18 @@ class NoiseStream:
         gen = np.random.Generator(np.random.Philox(key=key))
         return gen.standard_normal((n_steps, self.dim)) * np.sqrt(self.h)
 
-    def batch(self, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
+    def batch(self, first_path: int, n_paths: int, n_steps: int,
+              resume: Optional[list] = None, keep: Optional[list] = None) -> np.ndarray:
         """Increments for paths first_path..first_path+n_paths-1, time-major
         (n_steps, n_paths, dim).
 
         One Philox per call, re-keyed to [seed, path] before each path with
         a fresh counter and buffer, so every path is bit-identical to
-        increments(path, n_steps). The generator stays local to the call,
-        so threads may share one stream; each worker process of a
-        multi-worker estimate holds its own forked copy.
+        increments(path, n_steps); or, from resume (one saved Philox state
+        per path), continuing where an earlier call stopped. keep (n_paths
+        slots, resume itself allowed) receives each path's end state. The
+        lists and the generator belong to the caller, so threads may share
+        one stream, and each forked worker process holds its own copy.
         """
         if first_path < 0:
             raise ValueError("path_index must be >= 0")
@@ -67,17 +74,50 @@ class NoiseStream:
         bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
         gen = np.random.Generator(bitgen)
         fresh = bitgen.state
+        # the state setter reads Python ints faster than uint64 array items
+        fresh["state"] = {k: v.tolist() for k, v in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
         key = fresh["state"]["key"]
+        scale = np.sqrt(self.h)
         block = np.empty((min(_BLOCK, n_paths), n_steps, self.dim))
         for b0 in range(0, n_paths, _BLOCK):
             nb = min(_BLOCK, n_paths - b0)
             for i in range(nb):
-                key[1] = first_path + b0 + i
-                bitgen.state = fresh
+                if resume is None:
+                    key[1] = first_path + b0 + i
+                    bitgen.state = fresh
+                else:
+                    bitgen.state = resume[b0 + i]
                 gen.standard_normal(out=block[i])
-            out[:, b0: b0 + nb, :] = block[:nb].transpose(1, 0, 2)
-        out *= np.sqrt(self.h)
+                if keep is not None:
+                    keep[b0 + i] = bitgen.state
+            # scaled while the block is in cache, then copied time-major
+            paths = block[:nb]
+            paths *= scale
+            out[:, b0: b0 + nb, :] = paths.transpose(1, 0, 2)
         return out
+
+
+class NoiseBlocks:
+    """stream.batch(first_path, n_paths, n_steps), time-major with that
+    shape, drawn lazily: blocks(size) yields consecutive (size, n_paths,
+    dim) blocks of steps, the last one shorter, that concatenate to the
+    batch bit for bit. Between blocks each path's Philox state waits in
+    the generator's frame, never on the stream."""
+
+    def __init__(self, stream: NoiseStream, first_path: int, n_paths: int, n_steps: int):
+        self.stream, self.first_path = stream, first_path
+        self.shape = (n_steps, n_paths, stream.dim)
+
+    def blocks(self, size: int):
+        n_steps, n_paths, _ = self.shape
+        # entries are replaced as their paths resume; the last block's end
+        # states are never read, so they are not saved
+        states = [None] * n_paths
+        for k0 in range(0, n_steps, size):
+            yield self.stream.batch(self.first_path, n_paths, min(size, n_steps - k0),
+                                    states if k0 else None,
+                                    states if k0 + size < n_steps else None)
 
 
 @dataclass(frozen=True)
@@ -109,25 +149,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def points(self) -> np.ndarray:
-        """States on [0, T] only, shape (n_T + 1, dim)."""
-        return self.values[self.grid.m:]
-
-    def times(self) -> np.ndarray:
-        """All grid times from -r0 to T."""
-        m, h = self.grid.m, self.grid.h
-        return (np.arange(self.values.shape[0]) - m) * h
-
-    def value_at(self, t: float) -> np.ndarray:
-        k = self.grid.index_of(t, "t")
-        return self.values[self.grid.m + k]
-
-    def segment_at(self, t: float) -> SegmentPath:
-        """Path segment over [t - r0, t] as a SegmentPath."""
-        k = self.grid.index_of(t, "t")
-        return SegmentPath(self.grid.r0, self.values[k: k + self.grid.m + 1].copy())
-
     def endpoint(self) -> np.ndarray:
         return self.values[-1]
 
@@ -139,48 +160,115 @@ def _euler_step(x: np.ndarray, drift: np.ndarray, h: float, sig,
     return x + drift * h + sig.apply(dw)
 
 
-def _segment_views(full: np.ndarray, k: int, m: int) -> np.ndarray:
-    # (B, m+1, d) view of the segment ending at grid step k, no copy
-    return np.moveaxis(full[k: k + m + 1], 0, 1)
+class _Ring:
+    """The last m + 1 states of a batch in a mirrored ring of 2(m + 1) rows.
+
+    Grid row i (row m is time 0) goes to slots i % w and i % w + w,
+    w = m + 1, so the m + 1 rows ending at row i are one contiguous slice:
+    segment(i) is a (B, m + 1, d) view, oldest first, with the strides of
+    a full time-major history. The ring starts from one shared (m + 1, d)
+    history.
+    """
+
+    __slots__ = ("buf", "w")
+
+    def __init__(self, history: np.ndarray, b: int):
+        self.w = len(history)
+        self.buf = np.empty((2 * self.w, b, history.shape[1]))
+        self.buf[:] = np.concatenate([history, history])[:, None, :]
+
+    def put(self, i: int, x: np.ndarray) -> None:
+        # both copies, slots i % w and i % w + w, in one strided write
+        self.buf[i % self.w:: self.w] = x
+
+    def row(self, i: int) -> np.ndarray:
+        return self.buf[i % self.w]
+
+    def segment(self, i: int) -> np.ndarray:
+        j = (i + 1) % self.w
+        return self.buf[j: j + self.w].swapaxes(0, 1)
+
+
+def _run(kernel, noise, observers=()) -> None:
+    """The stepping loop of every kernel. kernel.step(k, dw) returns the
+    new state of each of kernel.rings, written to grid row m + k + 1; noise
+    (n_T, B, d), an array or a NoiseBlocks, is consumed in blocks of m + 1
+    steps. Each observer is called as observer(row, kernel) once the row is
+    in the rings, from the history rows 0..m on.
+    """
+    w = kernel.rings[0].w
+    for i in range(w):
+        for ob in observers:
+            ob(i, kernel)
+    if isinstance(noise, np.ndarray):
+        blocks = (noise[k: k + w] for k in range(0, len(noise), w))
+    else:
+        blocks = noise.blocks(w)
+    k = 0
+    for block in blocks:
+        for dw in block:
+            new = kernel.step(k, dw)
+            k += 1
+            for ring, x in zip(kernel.rings, new):
+                ring.put(w - 1 + k, x)
+            for ob in observers:
+                ob(w - 1 + k, kernel)
+        # let this block go before the next one is drawn
+        del block, dw
+
+
+class _Recorder:
+    """Observer that keeps whole paths, for the one-path dumps and the
+    stationary sampler: full[j] (m + n_T + 1, B, d) holds every grid row
+    of ring j, row m at time 0."""
+
+    def __init__(self, n_rows: int):
+        self.n_rows, self.full = n_rows, None
+
+    def __call__(self, i, kernel):
+        if self.full is None:
+            self.full = tuple(np.empty((self.n_rows,) + r.buf.shape[1:]) for r in kernel.rings)
+        for f, r in zip(self.full, kernel.rings):
+            f[i] = r.row(i)
+
+
+class _Euler:
+    """A batch of uncoupled paths in flight: its ring and the Euler step,
+    which evaluates the diffusion once (as a diagonal where the system
+    declares one) and never its inverse."""
+
+    def __init__(self, coeffs: CoefficientSet, grid: GridSpec, ring: _Ring):
+        self.coeffs, self.grid, self.rings = coeffs, grid, (ring,)
+
+    def step(self, k, dw):
+        coeffs, h, (ring,) = self.coeffs, self.grid.h, self.rings
+        t = k * h
+        i = self.grid.m + k
+        x = ring.row(i)
+        drift = coeffs.z_drift(t, x)
+        if not coeffs.delay_free:
+            drift = drift + coeffs.b_delay(t, ring.segment(i))
+        xn = _euler_step(x, drift, h, coeffs.diffusion(t, x), dw)
+        if not np.isfinite(xn).all():
+            raise FloatingPointError(
+                f"non-finite state at step {k + 1} of {self.grid.n_T} (t={t + h:.6g}); "
+                "reduce h or shrink the coefficients")
+        return (xn,)
 
 
 def _simulate_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
-                    grid: GridSpec, noise: np.ndarray) -> np.ndarray:
-    """Advance a batch of paths; returns the full array (m + n_T + 1, B, d).
-
-    xi_values is either one shared history (m+1, d) or per-path histories
-    (B, m+1, d). noise is time-major (n_T, B, d). The diffusion is
-    evaluated once per step through coeffs.diffusion, as a diagonal where
-    the system declares one; its inverse is never asked for.
+                    grid: GridSpec, noise, observers=()) -> _Ring:
+    """Advance a batch of paths from the shared history xi_values (m+1, d)
+    to T; returns the final ring, whose segment(m + n_T) is the terminal
+    segment. noise is time-major (n_T, B, d), an array or a NoiseBlocks;
+    observers see every grid row (see _run).
     """
-    m, n_t, h = grid.m, grid.n_T, grid.h
-    d = coeffs.dim
     b = noise.shape[1]
-    if noise.shape != (n_t, b, d):
+    if tuple(noise.shape) != (grid.n_T, b, coeffs.dim):
         raise ValueError("noise must have shape (n_T, B, d)")
-    full = np.empty((m + n_t + 1, b, d))
-    if xi_values.ndim == 2:
-        full[: m + 1] = xi_values[:, None, :]
-    else:
-        if xi_values.shape[0] != b:
-            raise ValueError("per-path histories must match the batch size")
-        full[: m + 1] = np.moveaxis(xi_values, 0, 1)
-
-    for k in range(n_t):
-        t = k * h
-        x = full[m + k]
-        seg = _segment_views(full, k, m)
-        drift = coeffs.z_drift(t, x)
-        if not coeffs.delay_free:
-            drift = drift + coeffs.b_delay(t, seg)
-        sig = coeffs.diffusion(t, x)
-        xn = _euler_step(x, drift, h, sig, noise[k])
-        if not np.all(np.isfinite(xn)):
-            raise FloatingPointError(
-                f"non-finite state at step {k + 1} of {n_t} (t={t + h:.6g}); "
-                "reduce h or shrink the coefficients")
-        full[m + k + 1] = xn
-    return full
+    ring = _Ring(xi_values, b)
+    _run(_Euler(coeffs, grid, ring), noise, observers)
+    return ring
 
 
 def simulate_path(coeffs: CoefficientSet, xi: SegmentPath, grid: GridSpec,
@@ -189,6 +277,7 @@ def simulate_path(coeffs: CoefficientSet, xi: SegmentPath, grid: GridSpec,
     grid.check_segments(coeffs.dim, xi)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
     noise = stream.increments(path_index, grid.n_T)[:, None, :]
-    full = _simulate_batch(coeffs, xi.values, grid, noise)
-    return Trajectory(grid=grid, values=full[:, 0, :],
+    rec = _Recorder(grid.m + grid.n_T + 1)
+    _simulate_batch(coeffs, xi.values, grid, noise, (rec,))
+    return Trajectory(grid=grid, values=rec.full[0][:, 0, :],
                       increments=noise[:, 0, :], path_index=path_index, seed=seed)

@@ -65,10 +65,6 @@ class SegmentPath:
     def same_grid(self, other):
         return self.m == other.m and abs(self.r0 - other.r0) <= 1e-12 * max(self.r0, 1.0)
 
-    def to_rows(self):
-        """(time offset, coordinates) rows for CSV serialization."""
-        return [(float(t), *map(float, v)) for t, v in zip(self.times(), self.values)]
-
     def __repr__(self):
         return f"SegmentPath(r0={self.r0}, m={self.m}, d={self.dim})"
 
@@ -76,18 +72,6 @@ class SegmentPath:
         if not isinstance(other, SegmentPath):
             return NotImplemented
         return self.same_grid(other) and np.array_equal(self.values, other.values)
-
-
-def segment_from_function(f, r0, m):
-    """Sample f at the m+1 grid times covering [-r0, 0]."""
-    if m < 1 or int(m) != m:
-        raise ValueError("m must be a positive integer")
-    ts = np.linspace(-float(r0), 0.0, int(m) + 1)
-    vals = [np.atleast_1d(np.asarray(f(t), dtype=float)) for t in ts]
-    a = np.stack(vals)
-    if not np.isfinite(a).all():
-        raise ValueError("initial-data function produced a non-finite sample")
-    return SegmentPath(r0, a)
 
 
 def constant_segment(x, r0, m):
@@ -105,17 +89,6 @@ def sup_distance(a, b):
         raise GridMismatchError(f"segment grids differ: {a!r} vs {b!r}")
     d = a.values - b.values
     return float(np.sqrt((d * d).sum(axis=1)).max())
-
-
-def shift_append(history, new_point):
-    """Roll the window one grid step: drop the oldest value, append new_point."""
-    p = np.atleast_1d(np.asarray(new_point, dtype=float))
-    if p.shape != (history.dim,):
-        raise ValueError(f"new point has dimension {p.shape}, segment has d={history.dim}")
-    if not np.isfinite(p).all():
-        raise ValueError("new point must be finite")
-    vals = np.concatenate([history.values[1:], p[None, :]])
-    return SegmentPath(history.r0, vals)
 
 
 class GridSpec:

@@ -1,12 +1,19 @@
 """Scalar reference implementations that the batched package code is
 checked against: one Euler step, the Girsanov integrand phi, the
-segment-gap integral by brute-force window maxima, and a wrapper that
-turns single-point coefficient callables into batch callables."""
+segment-gap integral by brute-force window maxima, a wrapper that turns
+single-point coefficient callables into batch callables, the stepping
+kernels with their full path histories, and accessors of a recorded path
+that the package does not need."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from harnack_lab.bounds import lambda_p, s_eps, theta_set_contains, w_eps
 from harnack_lab.coefficients import CoefficientSet
 from harnack_lab.coupling import gamma
+from harnack_lab.segment_paths import SegmentPath
 
 
 def coefficient_set_from_pointwise(dim, sigma, z_drift, b_delay, constants, **kw):
@@ -71,3 +78,182 @@ def seg_gap_integral_window_max(full_x, full_y, m, h, k_upper):
         win = gaps[k: k + m + 1].max(axis=0)
         out += win * win * h
     return out
+
+
+# ---------------------------------------------------- full-history kernels
+# The stepping kernels as they were before they streamed: every grid row of
+# both copies is kept in (m + n_T + 1, B, d) arrays and the noise is one
+# (n_T, B, d) array. Same arithmetic in the same order, so the streamed
+# kernels must match them bit for bit.
+
+def simulate_batch_full(coeffs, xi_values, grid, noise):
+    """Full history (m + n_T + 1, B, d) of a batch of uncoupled paths."""
+    m, n_t, h = grid.m, grid.n_T, grid.h
+    b = noise.shape[1]
+    full = np.empty((m + n_t + 1, b, coeffs.dim))
+    full[: m + 1] = xi_values[:, None, :]
+    for k in range(n_t):
+        t = k * h
+        x = full[m + k]
+        drift = coeffs.z_drift(t, x)
+        if not coeffs.delay_free:
+            drift = drift + coeffs.b_delay(t, np.moveaxis(full[k: k + m + 1], 0, 1))
+        full[m + k + 1] = x + drift * h + coeffs.diffusion(t, x).apply(noise[k])
+    return full
+
+
+def coupled_batch_full(coeffs, xi_values, eta_values, grid, sched, noise,
+                       measure, delta_merge, k_upper):
+    """Per-path outputs of a batch of coupled pairs: log_weight, phi_sq
+    and gap_gamma_sq over the first k_upper steps, merged, and the full
+    histories full_x / full_y."""
+    from harnack_lab.coupling import contraction_factors
+
+    m, n_t, h = grid.m, grid.n_T, grid.h
+    b = noise.shape[1]
+    n0 = grid.index_of(sched.t0)
+    alphas = contraction_factors(sched, h, n0)
+    sign = 1.0 if measure == "Q" else -1.0
+    full_x = np.empty((m + n_t + 1, b, coeffs.dim))
+    full_y = np.empty((m + n_t + 1, b, coeffs.dim))
+    full_x[: m + 1] = xi_values[:, None, :]
+    full_y[: m + 1] = eta_values[:, None, :]
+    logw, phi_sq, gap_gamma_sq = np.zeros(b), np.zeros(b), np.zeros(b)
+    merged = np.zeros(b, dtype=bool)
+    for k in range(n_t):
+        t = k * h
+        x, y = full_x[m + k], full_y[m + k]
+        bx = coeffs.b_delay(t, np.moveaxis(full_x[k: k + m + 1], 0, 1))
+        by = coeffs.b_delay(t, np.moveaxis(full_y[k: k + m + 1], 0, 1))
+        zx, zy = coeffs.z_drift(t, x), coeffs.z_drift(t, y)
+        sx, sy = coeffs.diffusion(t, x), coeffs.diffusion(t, y)
+        dw = noise[k]
+        pre = k < n0
+        phi = siginv_y_bdiff = sy.solve(by - bx)
+        if pre:
+            g = float(gamma(t, sched))
+            e = x - y
+            siginv_x_e = sx.solve(e)
+            phi = phi - siginv_x_e / g
+            if k < k_upper:
+                gap_gamma_sq += (e * e).sum(axis=1) / (g * g) * h
+        step = (phi * phi).sum(axis=1) * h
+        if k < k_upper:
+            phi_sq += step
+        logw += (phi * dw).sum(axis=1) + sign * 0.5 * step
+        if measure == "Q":
+            yn = y + (zy + by) * h + sy.apply(dw)
+            xe = x + (zx + by + sx.apply_diff(sy, siginv_y_bdiff)) * h + sx.apply(dw)
+            xn = yn + alphas[k] * (xe - yn) if pre else xe
+            if not pre:
+                xn[merged] = yn[merged]
+        else:
+            xn = x + (zx + bx) * h + sx.apply(dw)
+            if pre:
+                corr = sy.apply_diff(sx, siginv_x_e) / g
+                ye = y + (zy + bx + corr) * h + sy.apply(dw)
+                yn = xn - alphas[k] * (xn - ye)
+            else:
+                yn = y + (zy + bx) * h + sy.apply(dw)
+                yn[merged] = xn[merged]
+        full_x[m + k + 1] = xn
+        full_y[m + k + 1] = yn
+        if k == n0 - 1:
+            merged = (np.linalg.norm(xn - yn, axis=1)
+                      <= delta_merge * (1.0 + np.linalg.norm(xn, axis=1)))
+            if measure == "Q":
+                full_x[m + k + 1][merged] = yn[merged]
+            else:
+                full_y[m + k + 1][merged] = xn[merged]
+    return {"log_weight": logw, "phi_sq": phi_sq, "gap_gamma_sq": gap_gamma_sq,
+            "merged": merged, "full_x": full_x, "full_y": full_y}
+
+
+def point_gaps(traj):
+    """Euclidean gap |X - Y| of a CoupledTrajectory at every grid time from -r0 to T."""
+    return np.linalg.norm(traj.x_values - traj.y_values, axis=1)
+
+
+def segment_at(values, grid, t):
+    """SegmentPath over [t - r0, t] of a path's values (m + n_T + 1, d)."""
+    k = grid.index_of(t, "t")
+    return SegmentPath(grid.r0, values[k: k + grid.m + 1].copy())
+
+
+def value_at(traj, t):
+    """State of a Trajectory at grid time t."""
+    return traj.values[traj.grid.m + traj.grid.index_of(t, "t")]
+
+
+def points(traj):
+    """States of a Trajectory on [0, T] only, shape (n_T + 1, dim)."""
+    return traj.values[traj.grid.m:]
+
+
+def times(traj):
+    """All grid times of a Trajectory from -r0 to T."""
+    return (np.arange(traj.values.shape[0]) - traj.grid.m) * traj.grid.h
+
+
+def coupling_time(traj, delta):
+    """First grid time t >= 0 with |X(t) - Y(t)| <= delta (1 + |X(t)|),
+    nan if the gap never got that small."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    m = traj.grid.m
+    ref = 1.0 + np.linalg.norm(traj.x_values[m:], axis=1)
+    hit = np.nonzero(point_gaps(traj)[m:] <= delta * ref)[0]
+    return float(hit[0] * traj.grid.h) if hit.size else math.nan
+
+
+# ------------------------------------------- segment helpers the package dropped
+
+def segment_from_function(f, r0, m):
+    """Sample f at the m+1 grid times covering [-r0, 0]."""
+    if m < 1 or int(m) != m:
+        raise ValueError("m must be a positive integer")
+    ts = np.linspace(-float(r0), 0.0, int(m) + 1)
+    a = np.stack([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in ts])
+    if not np.isfinite(a).all():
+        raise ValueError("initial-data function produced a non-finite sample")
+    return SegmentPath(r0, a)
+
+
+def shift_append(history, new_point):
+    """Roll the window one grid step: drop the oldest value, append new_point."""
+    p = np.atleast_1d(np.asarray(new_point, dtype=float))
+    if p.shape != (history.dim,):
+        raise ValueError(f"new point has dimension {p.shape}, segment has d={history.dim}")
+    if not np.isfinite(p).all():
+        raise ValueError("new point must be finite")
+    return SegmentPath(history.r0, np.concatenate([history.values[1:], p[None, :]]))
+
+
+def to_rows(seg):
+    """(time offset, coordinates) rows of a segment."""
+    return [(float(t), *map(float, v)) for t, v in zip(seg.times(), seg.values)]
+
+
+def merged_fraction(est):
+    """Share of an estimate's paths that did not fail."""
+    return 1.0 - est.failures / est.n
+
+
+@dataclass(frozen=True)
+class HarnackParameters:
+    """One admissible (p, eps) candidate for the power-Harnack bound, with
+    the derived quantities attached."""
+
+    p: float
+    eps: float
+    lambda_p: float
+    w_eps: float
+    s_eps: float
+
+    @classmethod
+    def build(cls, p, eps, consts, r0):
+        lam = lambda_p(p)
+        if not theta_set_contains(eps, p, consts):
+            raise ValueError(f"eps={eps} is not admissible for p={p}")
+        return cls(p=p, eps=eps, lambda_p=lam, w_eps=w_eps(eps, lam, consts, r0),
+                   s_eps=s_eps(eps, lam, consts, r0))

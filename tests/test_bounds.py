@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack_lab.bounds import (GapPair, HarnackParameters, bound_H_T,
+from harnack_lab.bounds import (GapPair, bound_H_T,
                                 bound_H_T_at, bound_Phi_p,
                                 bound_entropy_prop21,
                                 bound_entropy_with_tail, k4_ratio, lambda_p,
@@ -13,6 +13,7 @@ from harnack_lab.bounds import (GapPair, HarnackParameters, bound_H_T,
 from harnack_lab.coefficients import AssumptionConstants
 from harnack_lab.coupling import GammaSchedule
 from harnack_lab.segment_paths import constant_segment
+from oracles import HarnackParameters
 
 K_REF = AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=1.0)
 K_W = AssumptionConstants(k1=1.0, k2=0.1, k3=1.0, k4=0.0)

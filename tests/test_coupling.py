@@ -9,13 +9,14 @@ from scipy.integrate import quad
 
 from harnack_lab.coefficients import (_DiagDiffusion, builtin_system,
                                       with_scaled_sigma)
-from harnack_lab.coupling import (GammaSchedule, _coupled_batch,
-                                  contraction_factors, coupling_time, gamma,
+from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
+                                  contraction_factors, gamma,
                                   inv_gamma_integral, simulate_coupled_P,
                                   simulate_coupled_Q)
-from harnack_lab.integrator import NoiseStream, _simulate_batch, simulate_path
+from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
+                                    simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import coupling_drift_phi
+from oracles import coupling_drift_phi, coupling_time, point_gaps, segment_at
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -173,7 +174,7 @@ def test_pairs_merge_bitwise_at_deadline(runner, theta):
     k0 = grid.m + grid.index_of(1.0)
     assert np.array_equal(traj.x_values[k0:], traj.y_values[k0:])
     # strictly positive gap right up to the deadline
-    assert (traj.point_gaps()[grid.m:k0] > 0).all()
+    assert (point_gaps(traj)[grid.m:k0] > 0).all()
 
 
 def test_multiplicative_pairs_merge_too():
@@ -257,7 +258,8 @@ def test_phi_sq_steps_match_scalar_oracle_along_the_path(runner):
     for k in range(grid.n_T):
         t = k * grid.h
         phi = coupling_drift_phi(t, traj.x_values[grid.m + k], traj.y_values[grid.m + k],
-                                 traj.x_segment_at(t), traj.y_segment_at(t),
+                                 segment_at(traj.x_values, grid, t),
+                                 segment_at(traj.y_values, grid, t),
                                  traj.sched, co)
         want.append((phi * phi).sum() * grid.h)
     # differencing the running integral costs a few ulps of its final value
@@ -293,7 +295,7 @@ def test_unmergeable_tolerance_counts_paths():
     assert not traj.merged
     # the states still meet to rounding at the deadline (alpha = 0 there)
     k0 = grid.m + grid.index_of(1.0)
-    assert traj.point_gaps()[k0] <= 1e-12
+    assert point_gaps(traj)[k0] <= 1e-12
 
 
 def test_weight_mean_small_sample():
@@ -336,12 +338,27 @@ def kernel_outputs(co, m=20, b=37):
     d = co.dim
     xi = np.linspace(1.0, -0.5, (m + 1) * d).reshape(m + 1, d)
     eta = np.zeros((m + 1, d))
-    noise = NoiseStream(seed=9, h=grid.h, dim=d).batch(0, b, grid.n_T)
+    noise = NoiseBlocks(NoiseStream(seed=9, h=grid.h, dim=d), 0, b, grid.n_T)
     sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
-    out = {"sim": _simulate_batch(co, xi, grid, noise)}
+    rec = _Recorder(grid.m + grid.n_T + 1)
+    _simulate_batch(co, xi, grid, noise, (rec,))
+    out = {"sim": rec.full[0]}
     for measure in ("Q", "P"):
-        res = _coupled_batch(co, xi, eta, grid, sched, noise, measure, 1e-8,
-                             k_upper=grid.n_T // 3, want_paths=True)
+        rec = _Recorder(grid.m + grid.n_T + 1)
+        sums = _Integrals(grid.m, grid.n_T // 3, b)
+        cum = {"phi_sq_cum": np.zeros((grid.n_T + 1, b)),
+               "logw_cum": np.zeros((grid.n_T + 1, b))}
+
+        def running(i, pair, m=grid.m):
+            if i > m:
+                cum["phi_sq_cum"][i - m] = cum["phi_sq_cum"][i - m - 1] + pair.phi_sq
+                cum["logw_cum"][i - m] = pair.logw
+
+        pair = _coupled_batch(co, xi, eta, grid, sched, noise, measure, 1e-8,
+                              (rec, sums, running))
+        res = {"log_weight": pair.logw, "phi_sq_upper": sums.phi_sq,
+               "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
+               "full_x": rec.full[0], "full_y": rec.full[1], **cum}
         out.update({f"{measure}.{k}": v for k, v in res.items()})
     return out
 
@@ -382,10 +399,16 @@ def test_zero_diffusion_steps_without_inverse(monkeypatch):
     grid = GridSpec(1.0, 2.0, 20)
     xi = constant_segment(1.0, 1.0, 20)
     noise = NoiseStream(seed=1, h=grid.h, dim=1).batch(0, 5, grid.n_T)
+
+    def history(c):
+        rec = _Recorder(grid.m + grid.n_T + 1)
+        _simulate_batch(c, xi.values, grid, noise, (rec,))
+        return rec.full[0]
+
     with monkeypatch.context() as mp:
         mp.setattr(_DiagDiffusion, "solve", no_inverse)
-        got = _simulate_batch(co, xi.values, grid, noise)
-    assert np.array_equal(got, _simulate_batch(dense, xi.values, grid, noise))
+        got = history(co)
+    assert np.array_equal(got, history(dense))
     sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
     for c in (co, dense):
         with pytest.raises(ValueError, match="singular"):

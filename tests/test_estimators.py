@@ -14,19 +14,18 @@ from harnack_lab.coefficients import (AssumptionConstants, CoefficientSet,
 from harnack_lab.coupling import GammaSchedule
 from harnack_lab.estimators import (MCEstimate, _chunk_moments,
                                     _effective_sample_size, _reduce_moments,
-                                    _seg_gap_integral,
+                                    _SegGapIntegral,
                                     check_log_harnack,
                                     check_power_harnack, estimate_PT_f,
                                     estimate_entropy_Q,
                                     estimate_exp_functional,
                                     estimate_martingale_mean, make_verdict,
-                                    merged_fraction,
                                     sample_stationary_segments)
 from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
-from harnack_lab.integrator import NoiseStream
+from harnack_lab.integrator import NoiseStream, _Ring
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import seg_gap_integral_window_max
+from oracles import merged_fraction, seg_gap_integral_window_max
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -231,6 +230,21 @@ def test_exp_functional_seg_gap_vs_lemma_on_linear():
     assert est.mean + 3 * est.std_error <= rhs.value
 
 
+class _Pair:
+    """Rings fed row by row from full histories, as a coupled run feeds
+    its observers."""
+
+    def __init__(self, full_x, full_y, m):
+        self.full = (full_x, full_y)
+        self.rings = tuple(_Ring(full[: m + 1, 0], full.shape[1]) for full in self.full)
+
+    def feed(self, observer):
+        for i in range(len(self.full[0])):
+            for ring, full in zip(self.rings, self.full):
+                ring.put(i, full[i])
+            observer(i, self)
+
+
 @pytest.mark.parametrize("k_upper", range(13))
 def test_seg_gap_integral_matches_brute_force_window_max(k_upper):
     # every k_upper of a 12-step horizon, so the last window start falls on
@@ -244,24 +258,26 @@ def test_seg_gap_integral_matches_brute_force_window_max(k_upper):
             # non-finite gaps must propagate as the rescan propagates them
             full_x[m, 0, 0] = np.nan
             full_x[m + 1, 1, d - 1] = np.inf
-            got = _seg_gap_integral(full_x, full_y, m, h, k_upper)
+            seg_gap = _SegGapIntegral(m, h, k_upper, b)
+            _Pair(full_x, full_y, m).feed(seg_gap)
             want = seg_gap_integral_window_max(full_x, full_y, m, h, k_upper)
-            assert np.array_equal(got, want, equal_nan=True), (m, d)
+            assert np.array_equal(seg_gap.seg_gap_sq, want, equal_nan=True), (m, d)
 
 
 def test_seg_gap_integral_scratch_memory():
-    # one (k_upper, B) array plus a few rows; a full-size copy exceeds this
+    # one (w, B) array of suffix maxima plus a few rows, w = m + 1; a
+    # (k_upper, B) suffix array or a gap history exceeds this
     b, m, k_upper = 1024, 100, 150
     rng = np.random.default_rng(4)
-    full_x = rng.normal(size=(m + k_upper + 1, b, 1))
-    full_y = rng.normal(size=(m + k_upper + 1, b, 1))
+    pair = _Pair(rng.normal(size=(m + k_upper + 1, b, 1)),
+                 rng.normal(size=(m + k_upper + 1, b, 1)), m)
     tracemalloc.start()
     try:
-        _seg_gap_integral(full_x, full_y, m, 0.01, k_upper)
+        pair.feed(_SegGapIntegral(m, 0.01, k_upper, b))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (k_upper + 8) * b * 8
+    assert peak <= (m + 1 + 8) * b * 8
 
 
 def test_exp_functional_gap_over_gamma_needs_pre_deadline_cap():

