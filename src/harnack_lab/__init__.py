@@ -36,15 +36,10 @@ from .bounds import (
     GapPair,
     BoundReport,
     LemmaBound,
-    k4_ratio,
     bound_H_T,
     bound_H_T_at,
     bound_entropy_prop21,
     bound_entropy_with_tail,
-    lambda_p,
-    theta_set_contains,
-    w_eps,
-    s_eps,
     bound_Phi_p,
     lemma_rhs,
 )
@@ -74,8 +69,8 @@ __all__ = [
     "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
     "simulate_coupled_Q", "simulate_coupled_P",
     "GapPair", "BoundReport", "LemmaBound",
-    "k4_ratio", "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
-    "lambda_p", "theta_set_contains", "w_eps", "s_eps", "bound_Phi_p", "lemma_rhs",
+    "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
+    "bound_Phi_p", "lemma_rhs",
     "MCEstimate", "VerdictReport", "TestFunction", "StationarySample",
     "test_function", "estimate_PT_f", "estimate_entropy_Q", "estimate_exp_functional",
     "estimate_martingale_mean", "make_verdict",

@@ -97,19 +97,14 @@ class LemmaBound:
         return math.exp(self.log_prefactor) * inner_mean ** self.inner_power
 
 
-def k4_ratio(k4: float, s: float, branch: str = "auto") -> float:
+def _k4_ratio(k4: float, s: float) -> float:
     """K4 / (1 - e^{-K4 s}), positive for every K4, with a series branch
     near K4 s = 0 (three terms; relative error < 1e-13 at the cut)."""
     if s <= 0:
         raise ValueError("s must be positive")
-    if branch not in ("auto", "direct", "series"):
-        raise ValueError("branch must be auto, direct or series")
     u = k4 * s
-    use_series = branch == "series" or (branch == "auto" and abs(u) < _SERIES_CUT)
-    if use_series:
+    if abs(u) < _SERIES_CUT:
         return (1.0 + 0.5 * u + u * u / 12.0) / s
-    if u == 0.0:
-        raise ValueError("direct branch undefined at K4 = 0")
     return k4 / (-math.expm1(-u))
 
 
@@ -158,7 +153,7 @@ def _log_grid(upper: float, size: int) -> np.ndarray:
 def _h_terms(consts: AssumptionConstants, gaps: GapPair, r0: float,
              s: float) -> Tuple[float, float]:
     k = consts
-    gap = 2.0 * k.k3 ** 2 * k4_ratio(k.k4, s) * gaps.point_gap ** 2
+    gap = 2.0 * k.k3 ** 2 * _k4_ratio(k.k4, s) * gaps.point_gap ** 2
     grow = math.exp(k.k2 ** 2 * (k.k1 ** 2 * s + 8.0) * s)
     seg = (k.k1 ** 2 * (r0 / 2.0 + s * (1.0 + k.k2 ** 2 * k.k3 ** 2)) * grow
            * gaps.seg_gap ** 2)
@@ -214,7 +209,7 @@ def bound_entropy_prop21(consts: AssumptionConstants, theta: float, t: float,
     if t > t0:
         raise ValueError("the bound applies for t <= t0")
     k = consts
-    gap = (2.0 * k.k3 ** 2 * k4_ratio(k.k4, t0) * gaps.point_gap ** 2
+    gap = (2.0 * k.k3 ** 2 * _k4_ratio(k.k4, t0) * gaps.point_gap ** 2
            / (theta * (2.0 - theta)))
     grow = math.exp(k.k2 ** 2 * (k.k1 ** 2 * t + 8.0) * t)
     seg = (t * k.k1 ** 2 * (1.0 + k.k2 ** 2 * k.k3 ** 2) * grow / theta ** 2
@@ -235,7 +230,7 @@ def bound_entropy_with_tail(consts: AssumptionConstants, t0: float, r0: float,
     return bound_entropy_prop21(consts, theta, t0, gaps, t0=t0) + tail
 
 
-def lambda_p(p: float) -> float:
+def _lambda_p(p: float) -> float:
     """Exponent weight 1 / (2 (sqrt(p) - 1)^2), defined for p > 1."""
     if not p > 1:
         raise ValueError("p must exceed 1")
@@ -246,7 +241,7 @@ def _power_threshold(consts: AssumptionConstants) -> float:
     return (1.0 + consts.k2 * consts.k3) ** 2
 
 
-def theta_set_contains(eps: float, p: float, consts: AssumptionConstants) -> bool:
+def _theta_set_contains(eps: float, p: float, consts: AssumptionConstants) -> bool:
     """Whether eps is an admissible tuning parameter for exponent p:
     (1-eps)^4 / (2 (1+eps)^3 K2^2 K3^2) >= lambda_p. With K2 = 0 the left
     side is infinite and every eps in (0,1) qualifies."""
@@ -258,10 +253,10 @@ def theta_set_contains(eps: float, p: float, consts: AssumptionConstants) -> boo
     if consts.k2 == 0.0:
         return True
     lhs = (1.0 - eps) ** 4 / (2.0 * (1.0 + eps) ** 3 * (consts.k2 * consts.k3) ** 2)
-    return lhs >= lambda_p(p)
+    return lhs >= _lambda_p(p)
 
 
-def w_eps(eps: float, lam: float, consts: AssumptionConstants, r0: float) -> float:
+def _w_eps(eps: float, lam: float, consts: AssumptionConstants, r0: float) -> float:
     """Largest of the three growth rates entering the exponential-moment
     machinery; scales the admissible horizon s_eps."""
     if not (0.0 < eps < 1.0):
@@ -280,14 +275,14 @@ def w_eps(eps: float, lam: float, consts: AssumptionConstants, r0: float) -> flo
     return max(t1, t2, t3)
 
 
-def s_eps(eps: float, lam: float, consts: AssumptionConstants, r0: float) -> float:
+def _s_eps(eps: float, lam: float, consts: AssumptionConstants, r0: float) -> float:
     """Upper end of the admissible s-range, (sqrt(K1^2 + 2W) - K1)/(4 W K2).
     Unbounded when K2 = 0 (returns inf): no horizon constraint then."""
     if consts.k2 == 0.0:
         # touch the validators so the degenerate branch rejects bad input too
-        w_eps(eps, lam, consts, r0)
+        _w_eps(eps, lam, consts, r0)
         return math.inf
-    w = w_eps(eps, lam, consts, r0)
+    w = _w_eps(eps, lam, consts, r0)
     return (math.sqrt(consts.k1 ** 2 + 2.0 * w) - consts.k1) / (4.0 * w * consts.k2)
 
 
@@ -307,7 +302,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
     thr = _power_threshold(consts)
     if not p > thr:
         raise ValueError(f"p must exceed (1 + K2 K3)^2 = {thr:.6g}, got p={p:.6g}")
-    lam = lambda_p(p)
+    lam = _lambda_p(p)
     k = consts
     pref = (math.sqrt(p) - 1.0) / math.sqrt(p)
     pg2, sg2 = gaps.point_gap ** 2, gaps.seg_gap ** 2
@@ -319,7 +314,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
         else:
             denom = 1.0 - 4.0 * k.k1 * k.k2 * s
             t_quad = 16.0 * k.k2 ** 2 * s * s * w / denom
-        t_gap = (lam * (1.0 + eps) ** 2 * k.k3 ** 2 * k4_ratio(k.k4, s) * pg2
+        t_gap = (lam * (1.0 + eps) ** 2 * k.k3 ** 2 * _k4_ratio(k.k4, s) * pg2
                  / (2.0 * eps * (1.0 - eps) ** 2 * (1.0 + 2.0 * eps)))
         t_seg = (k.k1 ** 2 * r0 * lam + 2.0 * s * w) * sg2
         return t_eps, t_quad, t_gap, t_seg
@@ -327,10 +322,10 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
     def inner(eps):
         # best value over s at this eps; inf when eps is inadmissible so
         # the eps refinement below cannot wander out of the constraint set
-        if not (0.0 < eps < 1.0) or not theta_set_contains(eps, p, consts):
+        if not (0.0 < eps < 1.0) or not _theta_set_contains(eps, p, consts):
             return math.inf, math.nan, math.nan
-        w = w_eps(eps, lam, consts, r0)
-        s_hi = min(s_eps(eps, lam, consts, r0), T - r0)
+        w = _w_eps(eps, lam, consts, r0)
+        s_hi = min(_s_eps(eps, lam, consts, r0), T - r0)
 
         def f(s):
             return pref * sum(terms_at(eps, w, s))
@@ -339,7 +334,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
         return v, s_star, w
 
     eps_candidates = [(i + 1.0) / (eps_grid + 1.0) for i in range(eps_grid)]
-    eps_candidates = [e for e in eps_candidates if theta_set_contains(e, p, consts)]
+    eps_candidates = [e for e in eps_candidates if _theta_set_contains(e, p, consts)]
     if not eps_candidates:
         raise ValueError("no admissible eps found on the grid; "
                          "the admissible set should be nonempty for this p")
@@ -361,7 +356,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
         a, b_out = eps_candidates[-1], 1.0
         for _ in range(80):
             mid = 0.5 * (a + b_out)
-            if mid < 1.0 and theta_set_contains(mid, p, consts):
+            if mid < 1.0 and _theta_set_contains(mid, p, consts):
                 a = mid
             else:
                 b_out = mid

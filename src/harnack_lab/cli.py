@@ -167,30 +167,50 @@ def parse_config(text: str) -> ExperimentConfig:
     out_dir = get("output", "dir", str, "out")
     verbosity = get("output", "verbosity", int, 1)
 
-    # semantic checks; keep collecting rather than bailing early
-    if d < 1:
+    cfg = ExperimentConfig(
+        d=d, r0=r0, T=t_horizon, m=m, t0=t0, xi=xi, eta=eta,
+        system_name=name, system_params=params, theta=theta, p=p,
+        s_choice=s_choice, delta_merge=delta_merge, measure=measure,
+        n=n, seed=seed, k_tol=k_tol, k_viol=k_viol, burn_in=burn_in,
+        f_name=f_name, cap=cap, out_dir=out_dir, verbosity=verbosity)
+    violations += _config_problems(cfg)
+    if violations:
+        raise ConfigError(violations)
+    return cfg
+
+
+def _config_problems(cfg: ExperimentConfig) -> List[str]:
+    """Every semantic violation of a config, collected rather than stopping
+    at the first. parse_config runs it on the file, validate_for_command
+    again once command-line overrides are applied."""
+    violations: List[str] = []
+    if cfg.d < 1:
         violations.append("[problem] d must be >= 1")
-    if r0 <= 0:
+    if cfg.r0 <= 0:
         violations.append("[problem] r0 must be positive")
-    if m < 1:
+    if cfg.m < 1:
         violations.append("[problem] m must be >= 1")
-    if t_horizon <= 0:
+    if cfg.T <= 0:
         violations.append("[problem] t must be positive")
-    if r0 > 0 and m >= 1 and t_horizon > 0:
-        h = r0 / m
+    if cfg.r0 > 0 and cfg.m >= 1 and cfg.T > 0:
+        h, t0 = cfg.h, cfg.t0
         try:
-            GridSpec(r0, t_horizon, m)
+            grid = GridSpec(cfg.r0, cfg.T, cfg.m)
         except ValueError:
+            grid = None
             violations.append(
-                f"[problem] t={t_horizon!r} is not a positive multiple of h=r0/m={h!r}")
+                f"[problem] t={cfg.T!r} is not a positive multiple of h=r0/m={h!r}")
         if t0 is not None:
             if t0 <= 0:
                 violations.append("[problem] t0 must be positive")
             elif abs(round(t0 / h) * h - t0) > 1e-12 * max(t0, 1.0):
                 violations.append(f"[problem] t0={t0!r} is not on the grid (h={h!r})")
-            elif t0 > t_horizon - r0 + 1e-12 * max(t_horizon, 1.0):
-                violations.append("[problem] coupling runs need t0 <= t - r0")
-    for label, spec in (("xi", xi), ("eta", eta)):
+            elif grid is not None:
+                try:
+                    grid.deadline_index(t0)
+                except ValueError:
+                    violations.append("[problem] coupling runs need t0 <= t - r0")
+    for label, spec in (("xi", cfg.xi), ("eta", cfg.eta)):
         if spec == "zero" or spec.startswith("file:"):
             continue
         if spec.startswith("const:"):
@@ -202,41 +222,34 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append(
             f"[problem] {label}={spec!r}: expected 'zero', 'const:<value>' or 'file:<path>'")
 
-    violations += [f"[system] {problem}" for problem in param_problems(name, params)]
+    violations += [f"[system] {problem}"
+                   for problem in param_problems(cfg.system_name, cfg.system_params)]
 
-    if not (0.0 < theta < 2.0):
+    if not (0.0 < cfg.theta < 2.0):
         violations.append("[coupling] theta must lie in (0, 2)")
-    if p is not None and p <= 1.0:
+    if cfg.p is not None and cfg.p <= 1.0:
         violations.append("[coupling] p must exceed 1")
-    if s_choice is not None and s_choice <= 0.0:
+    if cfg.s_choice is not None and cfg.s_choice <= 0.0:
         violations.append("[coupling] s_choice must be positive")
-    if not math.isfinite(delta_merge):
+    if not math.isfinite(cfg.delta_merge):
         violations.append("[coupling] delta_merge must be finite")
-    if measure not in ("Q", "P"):
+    if cfg.measure not in ("Q", "P"):
         violations.append("[coupling] measure must be Q or P")
-    if n < 1:
+    if cfg.n < 1:
         violations.append("[mc] n must be >= 1")
-    if not (0 <= seed < 2 ** 63):
+    if not (0 <= cfg.seed < 2 ** 63):
         violations.append("[mc] seed must lie in [0, 2**63)")
-    if k_tol <= 0 or k_viol < k_tol:
+    if cfg.k_tol <= 0 or cfg.k_viol < cfg.k_tol:
         violations.append("[mc] need 0 < k_tol <= k_viol")
-    if burn_in < 0:
+    if cfg.burn_in < 0:
         violations.append("[mc] burn_in must be nonnegative")
-    if f_name not in _F_NAMES:
+    if cfg.f_name not in _F_NAMES:
         violations.append(f"[functions] f must be one of {_F_NAMES}")
-    if cap <= 0:
+    if cfg.cap <= 0:
         violations.append("[functions] cap must be positive")
-    if verbosity not in (0, 1, 2):
+    if cfg.verbosity not in (0, 1, 2):
         violations.append("[output] verbosity must be 0, 1 or 2")
-
-    if violations:
-        raise ConfigError(violations)
-    return ExperimentConfig(
-        d=d, r0=r0, T=t_horizon, m=m, t0=t0, xi=xi, eta=eta,
-        system_name=name, system_params=params, theta=theta, p=p,
-        s_choice=s_choice, delta_merge=delta_merge, measure=measure,
-        n=n, seed=seed, k_tol=k_tol, k_viol=k_viol, burn_in=burn_in,
-        f_name=f_name, cap=cap, out_dir=out_dir, verbosity=verbosity)
+    return violations
 
 
 def render_config(cfg: ExperimentConfig) -> str:
@@ -302,7 +315,9 @@ def _problem(cfg: ExperimentConfig):
 
 
 def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
-    problems = []
+    """Raise ConfigError unless cfg is valid, as parse_config checks it,
+    and complete for command."""
+    problems = _config_problems(cfg)
     if command in ("couple", "entropy") and cfg.t0 is None:
         problems.append(f"{command} needs [problem] t0")
     if command in ("log-harnack", "power-harnack", "bounds") and cfg.T <= cfg.r0:
@@ -310,8 +325,10 @@ def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
             "the inequality only makes sense past the delay window: need t > r0")
     if command == "power-harnack" and cfg.p is None:
         problems.append("power-harnack needs [coupling] p")
+    # the grid's tolerance, so that s_choice = t - r0 passes however t - r0
+    # rounds
     if command == "log-harnack" and cfg.s_choice is not None \
-            and cfg.s_choice > cfg.T - cfg.r0:
+            and cfg.s_choice > cfg.T - cfg.r0 + 1e-12 * max(cfg.T, 1.0):
         problems.append("s_choice must be <= t - r0")
     if problems:
         raise ConfigError(problems)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .integrator import NoiseStream, _euler_step, _Recorder, _Ring, _run
+from .integrator import NoiseBlocks, NoiseStream, _euler_step, _Recorder, _Ring, _run
 from .segment_paths import GridSpec, SegmentPath
 
 # below this, 1 - exp(-k4 t0) is evaluated by its series to avoid cancellation
@@ -249,14 +249,15 @@ class _Integrals:
 
 def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
                    eta_values: np.ndarray, grid: GridSpec, sched: GammaSchedule,
-                   noise, measure: str, delta_merge: float,
+                   noise: NoiseBlocks, measure: str, delta_merge: float,
                    observers=()) -> _Coupled:
     """Advance a batch of coupled pairs from the shared histories (m+1, d)
-    to T; returns the finished _Coupled. noise is time-major (n_T, B, d),
-    an array or a NoiseBlocks. measure: "Q" (forced copy X solves the
-    original equation under the simulated law) or "P" (unforced copy X
-    drives, weight is a martingale). observers see every grid row, merge
-    snap included (integrator._run).
+    to T; returns the finished _Coupled, whose rings hold the last m + 1
+    rows of each copy. noise has the shape (n_T, B, d). measure: "Q" (forced
+    copy X solves the original equation under the simulated law) or "P"
+    (unforced copy X drives, weight is a martingale). observers see every
+    grid row, merge snap included (integrator._run), so memory is O(m B d)
+    unless an observer keeps more.
     """
     if measure not in ("Q", "P"):
         raise ValueError("measure must be 'Q' or 'P'")
@@ -275,7 +276,7 @@ def _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed, path_index,
     grid.check_segments(coeffs.dim, xi, eta)
     sched = GammaSchedule(theta=theta, k4=coeffs.constants.k4, t0=t0)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
-    noise = stream.increments(path_index, grid.n_T)[:, None, :]
+    noise = NoiseBlocks(stream, path_index, 1, grid.n_T)
     m = grid.m
     rec = _Recorder(m + grid.n_T + 1)
     phi_cum = np.zeros(grid.n_T + 1)

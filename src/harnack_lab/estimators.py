@@ -22,7 +22,7 @@ from ._parallel import map_chunks, ordered_sum
 from .bounds import GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _power_threshold
 from .coefficients import CoefficientSet
 from .coupling import GammaSchedule, _coupled_batch, _Integrals
-from .integrator import NoiseBlocks, NoiseStream, _Recorder, _simulate_batch
+from .integrator import NoiseBlocks, NoiseStream, _simulate_batch
 from .segment_paths import GridSpec, SegmentPath
 
 MAX_EXPONENT = 700.0  # exp() overflows just above this
@@ -149,9 +149,10 @@ def _power_of(f: TestFunction, p: float) -> TestFunction:
 
 @dataclass(frozen=True)
 class StationarySample:
-    """Segments drawn from the long-run law of a delay-free system."""
+    """Moments of n segments drawn from the long-run law of a delay-free
+    system: the mean and variance of their endpoints, and the covariance of
+    each segment's start with its end (the lag-r0 autocovariance)."""
 
-    segments: tuple
     endpoint_mean: np.ndarray
     endpoint_var: np.ndarray
     lag_r0_autocov: np.ndarray
@@ -284,8 +285,7 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
     each chunk's observer; value_of(pair, observer, first path) gives the
     per-path values and extra diagnostics of a finished chunk."""
     grid.check_segments(coeffs.dim, xi, eta)
-    if not sched.t0 <= grid.T - grid.r0:
-        raise ValueError("the coupling deadline must satisfy t0 <= T - r0")
+    grid.deadline_index(sched.t0)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
     last = grid.m + grid.n_T
 
@@ -469,7 +469,9 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
 
     gaps = GapPair.from_segments(xi, eta)
     if s_choice is not None:
-        if not (0.0 < s_choice <= T - grid.r0):
+        # the grid's tolerance, so that s_choice = T - r0 passes however
+        # T - r0 rounds
+        if not (0.0 < s_choice <= T - grid.r0 + 1e-12 * max(T, 1.0)):
             raise ValueError("s_choice must lie in (0, T - r0]")
         h_val = bound_H_T_at(coeffs.constants, gaps, grid.r0, s_choice)
         s_star = s_choice
@@ -531,13 +533,16 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
 def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
                                burn_in: float = 10.0,
                                seed: int = 0) -> StationarySample:
-    """Draw n history segments from the long-run law of a delay-free system.
+    """Moments of n history segments from the long-run law of a delay-free
+    system.
 
     Runs min(n, 256) independent paths from the origin, discards a burn-in,
-    then tiles each path into consecutive length-r0 windows until n segments
-    are collected. Consecutive windows touch at one grid point, so samples
-    from one path are correlated at lag r0; the estimators downstream only
-    need ergodic averages.
+    then tiles each path into consecutive length-r0 windows, path by path,
+    until n segments are counted. Consecutive windows touch at one grid
+    point, so samples from one path are correlated at lag r0; the estimators
+    downstream only need ergodic averages. The moments need only the
+    windows' first and last rows, so the run streams: it keeps its ring,
+    one noise block and the (n, d) window edges, not the paths.
     """
     if not coeffs.delay_free:
         raise ValueError("stationary sampling needs a delay-free system")
@@ -547,34 +552,34 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
         raise ValueError("burn_in must be nonnegative")
     n_paths = min(n, 256)
     windows = -(-n // n_paths)  # ceil
-    h = grid.h
+    h, m = grid.h, grid.m
     n_burn = int(round(burn_in / h))
-    total_T = (n_burn + windows * grid.m) * h
-    run_grid = GridSpec(r0=grid.r0, T=total_T, m=grid.m)
+    total_T = (n_burn + windows * m) * h
+    run_grid = GridSpec(r0=grid.r0, T=total_T, m=m)
 
-    # the whole path is kept, so the noise is drawn in one piece: blocks
-    # would save little memory and re-key every path once per block
-    noise = NoiseStream(seed=seed, h=h, dim=coeffs.dim).batch(0, n_paths, run_grid.n_T)
-    zero_hist = np.zeros((grid.m + 1, coeffs.dim))
-    rec = _Recorder(grid.m + run_grid.n_T + 1)
-    _simulate_batch(coeffs, zero_hist, run_grid, noise, (rec,))
-    full = rec.full[0]
+    # path-major, like the windows: starts[j, k] is path j at the first row
+    # of its window k, ends[j, k] at the last
+    first = m + n_burn
+    starts = np.empty((n_paths, windows, coeffs.dim))
+    ends = np.empty_like(starts)
 
-    segs = []
-    for j in range(n_paths):
-        for w in range(windows):
-            start = grid.m + n_burn + w * grid.m
-            segs.append(SegmentPath(grid.r0, full[start: start + grid.m + 1, j, :].copy()))
-            if len(segs) == n:
-                break
-        if len(segs) == n:
-            break
+    def window_edges(i, euler):
+        k, off = divmod(i - first, m)
+        if i < first or off:
+            return
+        row = euler.rings[0].row(i)
+        if k < windows:
+            starts[:, k] = row
+        if k > 0:
+            ends[:, k - 1] = row
 
-    ends = np.stack([s.values[-1] for s in segs])
-    starts = np.stack([s.values[0] for s in segs])
+    noise = NoiseBlocks(NoiseStream(seed=seed, h=h, dim=coeffs.dim), 0, n_paths, run_grid.n_T)
+    _simulate_batch(coeffs, np.zeros((m + 1, coeffs.dim)), run_grid, noise, (window_edges,))
+
+    starts = starts.reshape(-1, coeffs.dim)[:n]
+    ends = ends.reshape(-1, coeffs.dim)[:n]
     mean = ends.mean(axis=0)
     var = ends.var(axis=0, ddof=1)
     cov = ((starts - starts.mean(axis=0)) * (ends - mean)).sum(axis=0) / (n - 1)
-    return StationarySample(segments=tuple(segs), endpoint_mean=mean,
-                            endpoint_var=var, lag_r0_autocov=cov,
+    return StationarySample(endpoint_mean=mean, endpoint_var=var, lag_r0_autocov=cov,
                             n=n, seed=seed, burn_in=n_burn * h)

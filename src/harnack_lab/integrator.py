@@ -4,16 +4,18 @@ The stepping core streams: the drift at step k needs only the segment
 over [t - r0, t], the last m + 1 grid rows, so a batch keeps its states in
 a mirrored ring of 2(m + 1) rows and draws its noise in blocks of m + 1
 steps. Memory per batch is O(m B d) whatever the horizon. One loop (_run)
-drives both kernels, the Euler step here and the coupled step; whatever
-else a caller wants (running integrals, a window max, the whole path) it
-gets from observers called after each grid row.
+drives both kernels, the Euler step here and the coupled step, and takes
+its noise only as a NoiseBlocks; whatever else a caller wants (running
+integrals, a window max, selected rows) it gets from observers called
+after each grid row. Only the one-path dumps record whole paths.
 
 Noise is counter-based. Path `j` of a run with seed `s` always sees the
 increments of `Philox(key=[s, j])`, however paths are grouped into chunks
 or worker processes and steps into blocks, which makes reruns
 bit-identical. A batch re-keys one Philox for each path (key, counter and
 buffer reset together, or restored from where the path's previous block
-stopped), path by path bit-identical to `NoiseStream.increments`.
+stopped), path by path bit-identical to one standard-normal draw of
+shape (n_steps, dim) from that path's own generator, scaled by sqrt(h).
 """
 
 from __future__ import annotations
@@ -47,22 +49,14 @@ class NoiseStream:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def increments(self, path_index: int, n_steps: int) -> np.ndarray:
-        """Increments dB for one path, shape (n_steps, dim)."""
-        if path_index < 0:
-            raise ValueError("path_index must be >= 0")
-        key = np.array([self.seed, path_index], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        return gen.standard_normal((n_steps, self.dim)) * np.sqrt(self.h)
-
     def batch(self, first_path: int, n_paths: int, n_steps: int,
               resume: Optional[list] = None, keep: Optional[list] = None) -> np.ndarray:
         """Increments for paths first_path..first_path+n_paths-1, time-major
         (n_steps, n_paths, dim).
 
         One Philox per call, re-keyed to [seed, path] before each path with
-        a fresh counter and buffer, so every path is bit-identical to
-        increments(path, n_steps); or, from resume (one saved Philox state
+        a fresh counter and buffer, so every path is bit-identical to its
+        own Philox(key=[seed, path]) draw; or, from resume (one saved Philox state
         per path), continuing where an earlier call stopped. keep (n_paths
         slots, resume itself allowed) receives each path's end state. The
         lists and the generator belong to the caller, so threads may share
@@ -125,13 +119,11 @@ class Trajectory:
     """One simulated path, history included.
 
     values[k] is the state at time -r0 + k*h; index grid.m is time 0 and the
-    last index is time T. increments holds the Brownian increments actually
-    used (n_T, dim), or None when the caller did not keep them.
+    last index is time T.
     """
 
     grid: GridSpec
     values: np.ndarray
-    increments: Optional[np.ndarray] = None
     path_index: int = 0
     seed: int = 0
 
@@ -140,10 +132,6 @@ class Trajectory:
         if self.values.ndim != 2 or self.values.shape[0] != expect:
             raise ValueError(f"values must have shape ({expect}, d)")
         self.values.setflags(write=False)
-        if self.increments is not None:
-            if self.increments.shape[0] != self.grid.n_T:
-                raise ValueError("increments must have n_T rows")
-            self.increments.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -189,23 +177,19 @@ class _Ring:
         return self.buf[j: j + self.w].swapaxes(0, 1)
 
 
-def _run(kernel, noise, observers=()) -> None:
+def _run(kernel, noise: NoiseBlocks, observers=()) -> None:
     """The stepping loop of every kernel. kernel.step(k, dw) returns the
     new state of each of kernel.rings, written to grid row m + k + 1; noise
-    (n_T, B, d), an array or a NoiseBlocks, is consumed in blocks of m + 1
-    steps. Each observer is called as observer(row, kernel) once the row is
-    in the rings, from the history rows 0..m on.
+    (n_T, B, d) is drawn in blocks of m + 1 steps, each released before the
+    next is drawn. Each observer is called as observer(row, kernel) once the
+    row is in the rings, from the history rows 0..m on.
     """
     w = kernel.rings[0].w
     for i in range(w):
         for ob in observers:
             ob(i, kernel)
-    if isinstance(noise, np.ndarray):
-        blocks = (noise[k: k + w] for k in range(0, len(noise), w))
-    else:
-        blocks = noise.blocks(w)
     k = 0
-    for block in blocks:
+    for block in noise.blocks(w):
         for dw in block:
             new = kernel.step(k, dw)
             k += 1
@@ -218,9 +202,8 @@ def _run(kernel, noise, observers=()) -> None:
 
 
 class _Recorder:
-    """Observer that keeps whole paths, for the one-path dumps and the
-    stationary sampler: full[j] (m + n_T + 1, B, d) holds every grid row
-    of ring j, row m at time 0."""
+    """Observer that keeps whole paths, for the one-path dumps only: full[j]
+    (m + n_T + 1, B, d) holds every grid row of ring j, row m at time 0."""
 
     def __init__(self, n_rows: int):
         self.n_rows, self.full = n_rows, None
@@ -257,11 +240,11 @@ class _Euler:
 
 
 def _simulate_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
-                    grid: GridSpec, noise, observers=()) -> _Ring:
+                    grid: GridSpec, noise: NoiseBlocks, observers=()) -> _Ring:
     """Advance a batch of paths from the shared history xi_values (m+1, d)
     to T; returns the final ring, whose segment(m + n_T) is the terminal
-    segment. noise is time-major (n_T, B, d), an array or a NoiseBlocks;
-    observers see every grid row (see _run).
+    segment. noise has the shape (n_T, B, d); observers see every grid row
+    (see _run), so memory is O(m B d) unless an observer keeps more.
     """
     b = noise.shape[1]
     if tuple(noise.shape) != (grid.n_T, b, coeffs.dim):
@@ -276,8 +259,8 @@ def simulate_path(coeffs: CoefficientSet, xi: SegmentPath, grid: GridSpec,
     """Simulate one path of the delay equation started from history xi."""
     grid.check_segments(coeffs.dim, xi)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
-    noise = stream.increments(path_index, grid.n_T)[:, None, :]
     rec = _Recorder(grid.m + grid.n_T + 1)
-    _simulate_batch(coeffs, xi.values, grid, noise, (rec,))
-    return Trajectory(grid=grid, values=rec.full[0][:, 0, :],
-                      increments=noise[:, 0, :], path_index=path_index, seed=seed)
+    _simulate_batch(coeffs, xi.values, grid, NoiseBlocks(stream, path_index, 1, grid.n_T),
+                    (rec,))
+    return Trajectory(grid=grid, values=rec.full[0][:, 0, :], path_index=path_index,
+                      seed=seed)

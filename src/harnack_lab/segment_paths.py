@@ -125,6 +125,15 @@ class GridSpec:
             raise ValueError(f"{label}={t} does not lie on the grid (h={self.h})")
         return k
 
+    def deadline_index(self, t0):
+        """Grid index n0 of a coupling deadline t0 in (0, T - r0]. The upper
+        end is checked on indices, n0 + m <= n_T, so that a t0 equal to
+        T - r0 passes however T - r0 rounds."""
+        n0 = self.index_of(t0, "t0")
+        if n0 < 1 or n0 + self.m > self.n_T:
+            raise ValueError("the coupling deadline must satisfy 0 < t0 <= T - r0")
+        return n0
+
     def check_segments(self, dim, *segments):
         """Raise ValueError unless the initial segments have dimension dim,
         share one segment grid, and cover this grid's delay window (m, r0)."""

@@ -1,19 +1,42 @@
 """Scalar reference implementations that the batched package code is
-checked against: one Euler step, the Girsanov integrand phi, the
-segment-gap integral by brute-force window maxima, a wrapper that turns
-single-point coefficient callables into batch callables, the stepping
-kernels with their full path histories, and accessors of a recorded path
-that the package does not need."""
+checked against: one path's noise from its own generator, one Euler
+step, the Girsanov integrand phi, the segment-gap integral by brute-force
+window maxima, a wrapper that turns single-point coefficient callables
+into batch callables, the stepping kernels with their full path
+histories, the stationary sampler that tiles them, the two branches of
+K4 / (1 - e^{-K4 s}), and accessors of a recorded path that the package
+does not need."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from harnack_lab.bounds import lambda_p, s_eps, theta_set_contains, w_eps
+from harnack_lab.bounds import _lambda_p, _s_eps, _theta_set_contains, _w_eps
 from harnack_lab.coefficients import CoefficientSet
 from harnack_lab.coupling import gamma
-from harnack_lab.segment_paths import SegmentPath
+from harnack_lab.integrator import NoiseStream
+from harnack_lab.segment_paths import GridSpec, SegmentPath
+
+
+def increments(stream, path_index, n_steps):
+    """Increments dB of one path, shape (n_steps, dim), drawn from its own
+    Philox(key=[seed, path_index]) and scaled by sqrt(h): what every path of
+    NoiseStream.batch must equal."""
+    key = np.array([stream.seed, path_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.standard_normal((n_steps, stream.dim)) * np.sqrt(stream.h)
+
+
+def k4_ratio_direct(k4, s):
+    """K4 / (1 - e^{-K4 s}) as written, undefined at K4 = 0."""
+    return k4 / (-math.expm1(-k4 * s))
+
+
+def k4_ratio_series(k4, s):
+    """K4 / (1 - e^{-K4 s}) by its three-term series in u = K4 s."""
+    u = k4 * s
+    return (1.0 + 0.5 * u + u * u / 12.0) / s
 
 
 def coefficient_set_from_pointwise(dim, sigma, z_drift, b_delay, constants, **kw):
@@ -169,6 +192,42 @@ def coupled_batch_full(coeffs, xi_values, eta_values, grid, sched, noise,
             "merged": merged, "full_x": full_x, "full_y": full_y}
 
 
+@dataclass(frozen=True)
+class TiledSample:
+    """The windows of a stationary run as segments, and their moments."""
+
+    segments: tuple
+    endpoint_mean: np.ndarray
+    endpoint_var: np.ndarray
+    lag_r0_autocov: np.ndarray
+
+
+def stationary_segments_tiled(coeffs, grid, n, burn_in=10.0, seed=0):
+    """The stationary sampler as it was before it streamed: min(n, 256)
+    whole paths from the origin, tiled path by path into n length-r0
+    SegmentPath windows after the burn-in, with the same moment arithmetic,
+    so the package must match it bit for bit."""
+    n_paths = min(n, 256)
+    windows = -(-n // n_paths)
+    n_burn = int(round(burn_in / grid.h))
+    run_grid = GridSpec(r0=grid.r0, T=(n_burn + windows * grid.m) * grid.h, m=grid.m)
+    noise = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim).batch(0, n_paths, run_grid.n_T)
+    full = simulate_batch_full(coeffs, np.zeros((grid.m + 1, coeffs.dim)), run_grid, noise)
+    segs = []
+    for j in range(n_paths):
+        for w in range(windows):
+            if len(segs) < n:
+                start = grid.m + n_burn + w * grid.m
+                segs.append(SegmentPath(grid.r0, full[start: start + grid.m + 1, j, :].copy()))
+    ends = np.stack([s.values[-1] for s in segs])
+    starts = np.stack([s.values[0] for s in segs])
+    mean = ends.mean(axis=0)
+    var = ends.var(axis=0, ddof=1)
+    cov = ((starts - starts.mean(axis=0)) * (ends - mean)).sum(axis=0) / (n - 1)
+    return TiledSample(segments=tuple(segs), endpoint_mean=mean, endpoint_var=var,
+                       lag_r0_autocov=cov)
+
+
 def point_gaps(traj):
     """Euclidean gap |X - Y| of a CoupledTrajectory at every grid time from -r0 to T."""
     return np.linalg.norm(traj.x_values - traj.y_values, axis=1)
@@ -252,8 +311,8 @@ class HarnackParameters:
 
     @classmethod
     def build(cls, p, eps, consts, r0):
-        lam = lambda_p(p)
-        if not theta_set_contains(eps, p, consts):
+        lam = _lambda_p(p)
+        if not _theta_set_contains(eps, p, consts):
             raise ValueError(f"eps={eps} is not admissible for p={p}")
-        return cls(p=p, eps=eps, lambda_p=lam, w_eps=w_eps(eps, lam, consts, r0),
-                   s_eps=s_eps(eps, lam, consts, r0))
+        return cls(p=p, eps=eps, lambda_p=lam, w_eps=_w_eps(eps, lam, consts, r0),
+                   s_eps=_s_eps(eps, lam, consts, r0))

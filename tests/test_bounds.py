@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack_lab.bounds import (GapPair, bound_H_T,
+from harnack_lab.bounds import (GapPair, _k4_ratio, _lambda_p, _s_eps,
+                                _theta_set_contains, _w_eps, bound_H_T,
                                 bound_H_T_at, bound_Phi_p,
                                 bound_entropy_prop21,
-                                bound_entropy_with_tail, k4_ratio, lambda_p,
-                                lemma_rhs, s_eps, theta_set_contains, w_eps)
+                                bound_entropy_with_tail, lemma_rhs)
 from harnack_lab.coefficients import AssumptionConstants
 from harnack_lab.coupling import GammaSchedule
 from harnack_lab.segment_paths import constant_segment
-from oracles import HarnackParameters
+from oracles import HarnackParameters, k4_ratio_direct, k4_ratio_series
 
 K_REF = AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=1.0)
 K_W = AssumptionConstants(k1=1.0, k2=0.1, k3=1.0, k4=0.0)
@@ -25,34 +25,33 @@ UNIT_GAPS = GapPair(1.0, 1.0)
 # ---------------------------------------------------------------- k4_ratio
 
 def test_k4_ratio_reference_values():
-    assert k4_ratio(0.0, 1.0) == pytest.approx(1.0)
-    assert k4_ratio(1.0, 1.0) == pytest.approx(1.581977, abs=1e-6)
-    assert k4_ratio(-1.0, 1.0) == pytest.approx(0.581977, abs=1e-6)
+    assert _k4_ratio(0.0, 1.0) == pytest.approx(1.0)
+    assert _k4_ratio(1.0, 1.0) == pytest.approx(1.581977, abs=1e-6)
+    assert _k4_ratio(-1.0, 1.0) == pytest.approx(0.581977, abs=1e-6)
 
 
 def test_k4_ratio_branches_agree_near_zero():
     for s in (0.1, 1.0, 10.0):
-        direct = k4_ratio(1e-8, s, branch="direct")
-        series = k4_ratio(1e-8, s, branch="series")
+        direct = k4_ratio_direct(1e-8, s)
+        series = k4_ratio_series(1e-8, s)
         assert abs(direct - series) <= 1e-6 * abs(series)
-        # auto picks something consistent with both
-        assert k4_ratio(1e-8, s) == pytest.approx(series, rel=1e-6)
+        # the package value is consistent with both
+        assert _k4_ratio(1e-8, s) == pytest.approx(series, rel=1e-6)
+        assert _k4_ratio(1e-8, s) == pytest.approx(direct, rel=1e-6)
 
 
 def test_k4_ratio_limit_vs_direct_at_1e4():
     for s in (0.5, 1.0, 2.0):
-        a = k4_ratio(1e-4, s, branch="direct")
-        b = k4_ratio(1e-4, s, branch="series")
-        assert a == pytest.approx(b, rel=1e-4)
+        got = _k4_ratio(1e-4, s)
+        assert got == pytest.approx(k4_ratio_direct(1e-4, s), rel=1e-4)
+        assert got == pytest.approx(k4_ratio_series(1e-4, s), rel=1e-4)
 
 
 def test_k4_ratio_validation():
     with pytest.raises(ValueError):
-        k4_ratio(1.0, 0.0)
+        _k4_ratio(1.0, 0.0)
     with pytest.raises(ValueError):
-        k4_ratio(1.0, -1.0)
-    with pytest.raises(ValueError):
-        k4_ratio(1.0, 1.0, branch="magic")
+        _k4_ratio(1.0, -1.0)
 
 
 # ---------------------------------------------------------------- GapPair
@@ -168,7 +167,7 @@ def test_entropy_partial_time_uses_frozen_deadline():
     # scales with the elapsed time
     full = bound_entropy_prop21(K_LINEAR, 1.0, 1.0, UNIT_GAPS, t0=1.0)
     half = bound_entropy_prop21(K_LINEAR, 1.0, 0.5, UNIT_GAPS, t0=1.0)
-    gap_term = 2.0 * K_LINEAR.k3 ** 2 * k4_ratio(K_LINEAR.k4, 1.0)
+    gap_term = 2.0 * K_LINEAR.k3 ** 2 * _k4_ratio(K_LINEAR.k4, 1.0)
     assert half == pytest.approx(gap_term + 0.5 * K_LINEAR.k1 ** 2)
     assert full == pytest.approx(gap_term + 1.0 * K_LINEAR.k1 ** 2)
     assert half < full
@@ -184,31 +183,31 @@ def test_entropy_with_tail_assembles_both_pieces():
 # ---------------------------------------------------------------- power
 
 def test_lambda_p_values():
-    assert lambda_p(4.0) == pytest.approx(0.5)
-    assert lambda_p(9.0) == pytest.approx(0.125)
-    assert lambda_p(1e8) < 1e-7
+    assert _lambda_p(4.0) == pytest.approx(0.5)
+    assert _lambda_p(9.0) == pytest.approx(0.125)
+    assert _lambda_p(1e8) < 1e-7
     with pytest.raises(ValueError):
-        lambda_p(1.0)
+        _lambda_p(1.0)
 
 
 def test_theta_set_membership():
     k = AssumptionConstants(k1=1.0, k2=0.5, k3=1.0, k4=0.0)
-    assert theta_set_contains(0.01, 4.0, k)
-    assert not theta_set_contains(0.99, 4.0, k)
+    assert _theta_set_contains(0.01, 4.0, k)
+    assert not _theta_set_contains(0.99, 4.0, k)
     # K2 = 0 admits every eps
     k0 = AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=0.0)
     for eps in (0.01, 0.5, 0.99):
-        assert theta_set_contains(eps, 4.0, k0)
+        assert _theta_set_contains(eps, 4.0, k0)
     with pytest.raises(ValueError):
-        theta_set_contains(0.5, 2.0, k)  # threshold (1+0.5)^2 = 2.25
+        _theta_set_contains(0.5, 2.0, k)  # threshold (1+0.5)^2 = 2.25
     with pytest.raises(ValueError):
-        theta_set_contains(0.0, 4.0, k)
+        _theta_set_contains(0.0, 4.0, k)
 
 
 def test_w_eps_and_s_eps_reference_values():
-    assert w_eps(0.5, 0.5, K_W, 1.0) == pytest.approx(9.0, rel=1e-12)
+    assert _w_eps(0.5, 0.5, K_W, 1.0) == pytest.approx(9.0, rel=1e-12)
     want = (math.sqrt(19.0) - 1.0) / 3.6
-    assert s_eps(0.5, 0.5, K_W, 1.0) == pytest.approx(want, rel=1e-12)
+    assert _s_eps(0.5, 0.5, K_W, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_w_eps_term_structure():
@@ -223,12 +222,12 @@ def test_w_eps_term_structure():
     assert t1 == pytest.approx(1.92)
     assert t2 == pytest.approx(9.0)
     assert t3 == pytest.approx(0.0675)
-    assert w_eps(eps, lam, k, 1.0) == pytest.approx(max(t1, t2, t3))
+    assert _w_eps(eps, lam, k, 1.0) == pytest.approx(max(t1, t2, t3))
 
 
 def test_s_eps_infinite_without_diffusion_lipschitz():
     k0 = AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=0.0)
-    assert s_eps(0.5, 0.5, k0, 1.0) == math.inf
+    assert _s_eps(0.5, 0.5, k0, 1.0) == math.inf
 
 
 def test_s_eps_guarantees_quadratic_denominator():
@@ -236,7 +235,7 @@ def test_s_eps_guarantees_quadratic_denominator():
     for eps in (0.1, 0.5, 0.9):
         for lam in (0.05, 0.5, 5.0):
             k = K_SINE
-            se = s_eps(eps, lam, k, 1.0)
+            se = _s_eps(eps, lam, k, 1.0)
             assert 1.0 - 4.0 * k.k1 * k.k2 * se > 0.0
 
 
@@ -279,8 +278,8 @@ def test_phi_p_nonincreasing_in_p():
 
 def test_phi_p_respects_admissibility():
     rep = bound_Phi_p(16.0, 2.0, K_SINE, UNIT_GAPS, 1.0)
-    lam = lambda_p(16.0)
-    cap = s_eps(rep.eps_star, lam, K_SINE, 1.0)
+    lam = _lambda_p(16.0)
+    cap = _s_eps(rep.eps_star, lam, K_SINE, 1.0)
     assert rep.s_star <= cap * (1.0 + 1e-12)
     assert 1.0 - 4.0 * K_SINE.k1 * K_SINE.k2 * rep.s_star > 0.0
 

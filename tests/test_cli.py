@@ -127,6 +127,14 @@ def test_t0_grid_checks():
         parse_config("[problem]\nm = 100\nt0 = -0.5\n")
 
 
+def test_deadline_at_t_minus_r0_is_checked_on_grid_indices():
+    # 0.3 - 0.1 is 0.19999999999999998 in floats; t0 = 0.2 is t - r0 on the
+    # grid (20 + 10 <= 30 steps) and 0.21 is one step past it
+    assert parse_config("[problem]\nr0 = 0.1\nt = 0.3\nm = 10\nt0 = 0.2\n").t0 == 0.2
+    with pytest.raises(ConfigError, match="t0 <= t - r0"):
+        parse_config("[problem]\nr0 = 0.1\nt = 0.3\nm = 10\nt0 = 0.21\n")
+
+
 def test_validate_for_command_gates():
     cfg = parse_config("")
     with pytest.raises(ConfigError, match="t0"):
@@ -304,6 +312,22 @@ def test_entropy_holds_and_exit_codes(tmp_path):
     assert float(rows[0][1]) <= float(rows[0][5])
 
 
+@pytest.mark.parametrize("command, n", [("entropy", 200), ("couple", 1)])
+def test_deadline_at_t_minus_r0_runs(tmp_path, command, n):
+    # t0 = t - r0 = 0.2, which 0.3 - 0.1 misses by one ulp
+    out = tmp_path / "res"
+    text = cfg_text(r0=0.1, t=0.3, m=10, t0=0.2, n=n, out=out)
+    assert launch(tmp_path, command, text) == 0
+    assert (out / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["entropy", "couple"])
+def test_deadline_one_step_past_t_minus_r0_is_a_config_error(tmp_path, capsys, command):
+    text = cfg_text(r0=0.1, t=0.3, m=10, t0=0.21, n=200, out=tmp_path / "res")
+    assert launch(tmp_path, command, text) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_entropy_exit_3_when_failures_dominate(tmp_path):
     text = cfg_text(t0=1.0, n=100, delta_merge=-1.0, out=tmp_path / "res")
     assert launch(tmp_path, "entropy", text) == 3
@@ -324,6 +348,19 @@ def test_log_harnack_at_delay_boundary_exits_1(tmp_path, capsys):
     text = cfg_text(t=1.0, out=tmp_path / "res")
     assert launch(tmp_path, "log-harnack", text) == 1
     assert "delay window" in capsys.readouterr().err
+
+
+def test_log_harnack_s_choice_at_t_minus_r0(tmp_path, capsys):
+    # s_choice = t - r0 = 0.2 runs; one grid step past it does not
+    out = tmp_path / "res"
+    text = cfg_text(r0=0.1, t=0.3, m=10, s_choice=0.2, n=200, out=out)
+    assert launch(tmp_path, "log-harnack", text) == 0
+    assert (out / "log_harnack.csv").exists()
+    capsys.readouterr()
+    text = cfg_text(r0=0.1, t=0.3, m=10, s_choice=0.21, n=200, out=out)
+    assert launch(tmp_path, "log-harnack", text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "s_choice" in err
 
 
 def test_power_harnack_holds(tmp_path):
@@ -390,6 +427,21 @@ def test_seed_paths_out_overrides(tmp_path):
     header, rows = read_csv(out2 / "couple.csv")
     assert "gamma" in header          # --paths 1 switched to the dump format
     assert rows[0][8] == "123"        # seed column reflects the override
+
+
+@pytest.mark.parametrize("command", ["bounds", "audit"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "[mc] seed must lie in [0, 2**63)"),
+    ("--paths", "0", "[mc] n must be >= 1"),
+])
+def test_overrides_are_validated(tmp_path, capsys, command, flag, value, message):
+    # the same checks as a config file with that value
+    out = tmp_path / "res"
+    assert launch(tmp_path, command, cfg_text(out=out), flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+    assert not out.exists()
 
 
 def test_reruns_are_byte_identical_across_threads(tmp_path):

@@ -398,7 +398,7 @@ def test_zero_diffusion_steps_without_inverse(monkeypatch):
 
     grid = GridSpec(1.0, 2.0, 20)
     xi = constant_segment(1.0, 1.0, 20)
-    noise = NoiseStream(seed=1, h=grid.h, dim=1).batch(0, 5, grid.n_T)
+    noise = NoiseBlocks(NoiseStream(seed=1, h=grid.h, dim=1), 0, 5, grid.n_T)
 
     def history(c):
         rec = _Recorder(grid.m + grid.n_T + 1)

@@ -25,7 +25,7 @@ from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import NoiseStream, _Ring
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import merged_fraction, seg_gap_integral_window_max
+from oracles import merged_fraction, seg_gap_integral_window_max, stationary_segments_tiled
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -505,6 +505,25 @@ def test_log_harnack_s_choice_is_honored():
     assert fixed.meta["s_star"] == pytest.approx(0.25)
 
 
+def test_t_minus_r0_limits_survive_rounding():
+    # 0.3 - 0.1 is 0.19999999999999998 in floats: t0 and s_choice equal to
+    # t - r0 = 0.2 are accepted, one grid step past it is not
+    co = linear()
+    grid = GridSpec(0.1, 0.3, 10)
+    xi, eta = constant_segment(1.0, 0.1, 10), constant_segment(0.0, 0.1, 10)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=0.2)
+    est = estimate_entropy_Q(co, xi, eta, sched, grid, n=64, seed=0)
+    assert est.failures == 0
+    late = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=0.21)
+    with pytest.raises(ValueError, match="deadline"):
+        estimate_entropy_Q(co, xi, eta, late, grid, n=64, seed=0)
+    f = catalog_fn("quad_cap", 100.0)
+    rep = check_log_harnack(co, xi, eta, f, 0.3, grid, n=64, seed=0, s_choice=0.2)
+    assert rep.meta["s_star"] == 0.2
+    with pytest.raises(ValueError, match="s_choice"):
+        check_log_harnack(co, xi, eta, f, 0.3, grid, n=64, seed=0, s_choice=0.21)
+
+
 def test_log_harnack_needs_room_past_delay():
     co = linear()
     grid, xi, eta = setup(m=50, T=1.0)
@@ -547,17 +566,21 @@ def test_stationary_moments_loose():
     assert s.endpoint_var[0] == pytest.approx(0.5, rel=0.15)
     assert s.lag_r0_autocov[0] == pytest.approx(0.5 / math.e, rel=0.3)
     assert s.n == 2000
-    assert len(s.segments) == 2000
-    assert s.segments[0].m == grid.m
+    tiled = stationary_segments_tiled(co, grid, n=2000, burn_in=10.0, seed=0)
+    assert np.array_equal(tiled.endpoint_var, s.endpoint_var)
+    assert len(tiled.segments) == 2000
+    assert tiled.segments[0].m == grid.m
 
 
 def test_stationary_deterministic_contraction():
     co = with_scaled_sigma(builtin_system("ou_nodelay", {"a": 1.0, "s0": 1.0}), 0.0)
     grid = GridSpec(1.0, 2.0, 50)
     s = sample_stationary_segments(co, grid, n=64, burn_in=10.0, seed=0)
-    for seg in s.segments[:5]:
+    tiled = stationary_segments_tiled(co, grid, n=64, burn_in=10.0, seed=0)
+    for seg in tiled.segments[:5]:
         np.testing.assert_allclose(seg.values, 0.0, atol=1e-300)
     assert s.endpoint_var[0] == 0.0
+    assert np.array_equal(tiled.endpoint_mean, s.endpoint_mean)
 
 
 def test_stationary_rejects_delay_systems():
@@ -573,4 +596,21 @@ def test_stationary_reproducible():
     a = sample_stationary_segments(co, grid, n=300, seed=8)
     b = sample_stationary_segments(co, grid, n=300, seed=8)
     assert a.endpoint_var[0] == b.endpoint_var[0]
-    assert a.segments[7] == b.segments[7]
+    assert np.array_equal(a.lag_r0_autocov, b.lag_r0_autocov)
+    tiled_a = stationary_segments_tiled(co, grid, n=300, seed=8)
+    tiled_b = stationary_segments_tiled(co, grid, n=300, seed=8)
+    assert tiled_a.segments[7] == tiled_b.segments[7]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 2000])
+def test_stationary_moments_match_tiled_paths(n, d):
+    # 256 paths: n below, at and just past one window per path, and several
+    # windows with a partial last path
+    co = builtin_system("ou_nodelay", {"a": 1.0, "s0": 1.0}, dim=d)
+    grid = GridSpec(1.0, 2.0, 10)
+    got = sample_stationary_segments(co, grid, n=n, burn_in=2.0, seed=3)
+    want = stationary_segments_tiled(co, grid, n=n, burn_in=2.0, seed=3)
+    assert len(want.segments) == n
+    for key in ("endpoint_mean", "endpoint_var", "lag_r0_autocov"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key

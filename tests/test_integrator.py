@@ -9,8 +9,8 @@ from harnack_lab.coefficients import (AssumptionConstants, builtin_system,
                                       with_scaled_sigma)
 from harnack_lab.integrator import NoiseBlocks, NoiseStream, Trajectory, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (coefficient_set_from_pointwise, points, segment_at, step_euler,
-                     times, value_at)
+from oracles import (coefficient_set_from_pointwise, increments, points, segment_at,
+                     step_euler, times, value_at)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -19,21 +19,21 @@ def linear(a=-1.0, c=0.5, s0=1.0):
 
 def test_noise_stream_reproducible_and_scaled():
     ns = NoiseStream(seed=5, h=0.01, dim=2)
-    a = ns.increments(3, 100)
-    b = ns.increments(3, 100)
+    a = ns.batch(3, 1, 100)[:, 0, :]
+    b = ns.batch(3, 1, 100)[:, 0, :]
     np.testing.assert_array_equal(a, b)
     assert a.shape == (100, 2)
     # increments carry the sqrt(h) scale
-    raw = NoiseStream(seed=5, h=1.0, dim=2).increments(3, 100)
+    raw = NoiseStream(seed=5, h=1.0, dim=2).batch(3, 1, 100)[:, 0, :]
     np.testing.assert_allclose(a, raw * 0.1)
 
 
 def test_noise_stream_paths_differ():
     ns = NoiseStream(seed=5, h=0.01, dim=1)
-    assert not np.array_equal(ns.increments(0, 50), ns.increments(1, 50))
+    assert not np.array_equal(increments(ns, 0, 50), increments(ns, 1, 50))
     # different seeds differ too
     other = NoiseStream(seed=6, h=0.01, dim=1)
-    assert not np.array_equal(ns.increments(0, 50), other.increments(0, 50))
+    assert not np.array_equal(increments(ns, 0, 50), increments(other, 0, 50))
 
 
 @pytest.mark.parametrize("seed, first, n_paths, n_steps, dim", [
@@ -52,7 +52,7 @@ def test_noise_stream_batch_matches_single(seed, first, n_paths, n_steps, dim):
     batch = ns.batch(first_path=first, n_paths=n_paths, n_steps=n_steps)
     assert batch.shape == (n_steps, n_paths, dim)
     for j in range(n_paths):
-        np.testing.assert_array_equal(batch[:, j, :], ns.increments(first + j, n_steps))
+        np.testing.assert_array_equal(batch[:, j, :], increments(ns, first + j, n_steps))
 
 
 def test_noise_stream_batch_chunk_split_invariant():
@@ -118,8 +118,6 @@ def test_noise_stream_validation():
     with pytest.raises(ValueError):
         NoiseStream(seed=0, h=0.0, dim=1)
     with pytest.raises(ValueError):
-        NoiseStream(seed=0, h=0.1, dim=1).increments(-2, 10)
-    with pytest.raises(ValueError):
         NoiseStream(seed=0, h=0.1, dim=1).batch(-2, 3, 10)
 
 
@@ -173,7 +171,7 @@ def test_simulate_path_euler_identity_small_grid():
     grid = GridSpec(1.0, 0.75, 4)  # h = 0.25, n_T = 3
     xi = constant_segment(1.0, 1.0, 4)
     traj = simulate_path(co, xi, grid, seed=12)
-    dw = NoiseStream(seed=12, h=grid.h, dim=1).increments(0, 3)
+    dw = increments(NoiseStream(seed=12, h=grid.h, dim=1), 0, 3)
     full = list(xi.values[:, 0])
     for k in range(3):
         x = full[-1]

@@ -1,5 +1,6 @@
 """The streaming stepping core against the full-history kernels of
-tests/oracles.py, and its memory against the horizon."""
+tests/oracles.py, and its memory against the horizon and, for the
+stationary sampler, against the sample size."""
 
 import dataclasses
 import tracemalloc
@@ -8,14 +9,17 @@ import numpy as np
 import pytest
 
 from harnack_lab.coefficients import builtin_system
-from harnack_lab.coupling import GammaSchedule, _coupled_batch, _Integrals
+from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
+                                  simulate_coupled_P, simulate_coupled_Q)
 from harnack_lab.estimators import (_SegGapIntegral, estimate_entropy_Q,
                                     estimate_exp_functional,
-                                    estimate_martingale_mean, estimate_PT_f)
+                                    estimate_martingale_mean, estimate_PT_f,
+                                    sample_stationary_segments)
 from harnack_lab.estimators import test_function as catalog_fn
-from harnack_lab.integrator import NoiseBlocks, NoiseStream, _Recorder, _simulate_batch
-from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (coupled_batch_full, seg_gap_integral_window_max,
+from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
+                                    simulate_path)
+from harnack_lab.segment_paths import GridSpec, SegmentPath, constant_segment
+from oracles import (coupled_batch_full, increments, seg_gap_integral_window_max,
                      simulate_batch_full)
 
 SINE = ("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1}, 1)
@@ -86,6 +90,29 @@ def test_coupled_kernel_matches_full_history(case, measure, m, k_upper):
         want["full_x"], want["full_y"], m, grid.h, k_upper))
 
 
+@pytest.mark.parametrize("measure", ["Q", "P"])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_one_path_dumps_match_full_history(case, measure):
+    # path 5 over three noise blocks, against the full-history kernels fed
+    # that path's own increments
+    co = system(*case)
+    m = 7
+    grid, xi, eta, stream = setup(m, co.dim)
+    noise = increments(stream, 5, grid.n_T)[:, None, :]
+    traj = simulate_path(co, SegmentPath(grid.r0, xi), grid, seed=9, path_index=5)
+    assert np.array_equal(traj.values, simulate_batch_full(co, xi, grid, noise)[:, 0, :])
+    run = simulate_coupled_Q if measure == "Q" else simulate_coupled_P
+    pair = run(co, SegmentPath(grid.r0, xi), SegmentPath(grid.r0, eta), grid, 1.0,
+               seed=9, path_index=5)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+    want = coupled_batch_full(co, xi, eta, grid, sched, noise, measure, 1e-8, grid.n_T)
+    assert np.array_equal(pair.x_values, want["full_x"][:, 0, :])
+    assert np.array_equal(pair.y_values, want["full_y"][:, 0, :])
+    assert pair.log_weight_cum[-1] == want["log_weight"][0]
+    assert pair.phi_sq_cum[-1] == want["phi_sq"][0]
+    assert pair.merged == want["merged"][0]
+
+
 # ------------------------------------------------------ memory vs horizon
 
 def _peak(call):
@@ -123,3 +150,18 @@ def test_chunk_memory_does_not_grow_with_the_horizon(name):
         grid = GridSpec(1.0, t, m)
         peaks[t] = _peak(lambda: ESTIMATES[name](co, grid, xi, eta, sched))
     assert peaks[8.0] <= 1.1 * peaks[2.0], peaks
+
+
+def test_stationary_memory_does_not_grow_with_n():
+    # 256 paths at m = 100: whole paths at n = 8192 are about 2.3 times
+    # those at n = 2048; the streamed run keeps its ring, one noise block
+    # and the (n, d) window edges
+    co = builtin_system("ou_nodelay", {"a": 1.0, "s0": 1.0})
+    grid = GridSpec(1.0, 2.0, 100)
+    # a first run allocates one-off caches that would inflate the baseline
+    sample_stationary_segments(co, grid, n=16, burn_in=1.0, seed=1)
+    peaks = {}
+    for n in (2048, 8192):
+        peaks[n] = _peak(lambda: sample_stationary_segments(co, grid, n=n, burn_in=10.0,
+                                                            seed=1))
+    assert peaks[8192] <= 1.25 * peaks[2048], peaks
