@@ -325,6 +325,9 @@ def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
             "the inequality only makes sense past the delay window: need t > r0")
     if command == "power-harnack" and cfg.p is None:
         problems.append("power-harnack needs [coupling] p")
+    # one path gives no standard error; only the couple dump takes n = 1
+    if command in ("entropy", "log-harnack", "power-harnack", "stationary") and cfg.n < 2:
+        problems.append(f"{command} needs [mc] n >= 2")
     # the grid's tolerance, so that s_choice = t - r0 passes however t - r0
     # rounds
     if command == "log-harnack" and cfg.s_choice is not None \

@@ -236,6 +236,7 @@ class _Integrals:
     first k_upper steps."""
 
     def __init__(self, m: int, k_upper: int, b: int):
+        self.k_upper = k_upper
         self.rows = range(m + 1, m + k_upper + 1)
         self.phi_sq = np.zeros(b)
         self.gap_over_gamma_sq = np.zeros(b)
@@ -252,8 +253,10 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
                    noise: NoiseBlocks, measure: str, delta_merge: float,
                    observers=()) -> _Coupled:
     """Advance a batch of coupled pairs from the shared histories (m+1, d)
-    to T; returns the finished _Coupled, whose rings hold the last m + 1
-    rows of each copy. noise has the shape (n_T, B, d). measure: "Q" (forced
+    by one step per noise row; returns the finished _Coupled, whose rings
+    hold the last m + 1 rows of each copy. noise has the shape (k, B, d),
+    k = n_T for the whole horizon, and k >= n0 for the merge flags to be
+    set (t0 = n0 h). measure: "Q" (forced
     copy X solves the original equation under the simulated law) or "P"
     (unforced copy X drives, weight is a martingale). observers see every
     grid row, merge snap included (integrator._run), so memory is O(m B d)

@@ -283,20 +283,32 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
                       delta_merge, measure, value_of, observer=None) -> MCEstimate:
     """Coupled chunks reduced to one estimate. observer(B), if given, builds
     each chunk's observer; value_of(pair, observer, first path) gives the
-    per-path values and extra diagnostics of a finished chunk."""
+    per-path values and extra diagnostics of a finished chunk.
+
+    A chunk with an observer reads nothing past the observer's step
+    k_upper, so it stops after max(k_upper, n0) steps (t0 = n0 h): still
+    through the merge check, and drawing only the prefix of each path's
+    noise, which is bit-identical to the full draw. Without an observer
+    the values come from the final state, and chunks run to T. nonfinite
+    counts the paths whose state or log-weight is NaN or inf where the
+    chunk stops, at max(t_upper, t0) or at T.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2 paths")
     grid.check_segments(coeffs.dim, xi, eta)
-    grid.deadline_index(sched.t0)
+    n0 = grid.deadline_index(sched.t0)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
-    last = grid.m + grid.n_T
 
     def chunk(a, b):
         ob = observer(b - a) if observer is not None else None
+        k_stop = grid.n_T if ob is None else max(ob.k_upper, n0)
         pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched,
-                              NoiseBlocks(stream, a, b - a, grid.n_T), measure, delta_merge,
+                              NoiseBlocks(stream, a, b - a, k_stop), measure, delta_merge,
                               () if ob is None else (ob,))
         v, extra = value_of(pair, ob, a)
         # a path that went NaN or inf never merges; count it apart
         rx, ry = pair.rings
+        last = grid.m + k_stop
         finite = (np.isfinite(pair.logw)
                   & np.isfinite(rx.row(last)).all(axis=1)
                   & np.isfinite(ry.row(last)).all(axis=1))
@@ -314,9 +326,12 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
                        t_upper: Optional[float] = None,
                        delta_merge: float = 1e-8,
                        threads: Optional[int] = None) -> MCEstimate:
-    """Relative entropy estimate: half the mean of int |phi|^2 along coupled
-    paths run under the measure where the forced copy solves the original
-    equation. Failed paths are included and counted in diagnostics."""
+    """Relative entropy estimate: half the mean of int |phi|^2 over
+    [0, t_upper] (default the full horizon) along coupled paths run under
+    the measure where the forced copy solves the original equation. Failed
+    paths are included and counted in diagnostics; with t_upper, chunks
+    stop at max(t_upper, t0), and nonfinite counts only the paths that
+    failed on that span."""
     k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else grid.n_T
 
     def value_of(pair, sums, a):
@@ -342,17 +357,19 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
       phi_sq             int |phi|^2
       gap_over_gamma_sq  int |X-Y|^2 / gamma^2   (needs t_upper <= t0)
       seg_gap_sq         int of the squared running segment gap
-    Raises on exponent overflow, reporting lam and the offending path.
+    Chunks stop at max(t_upper, t0), the last time the estimate or the
+    merge check reads, so diagnostics["nonfinite"] counts only the paths
+    that failed on that span. Raises on exponent overflow, reporting lam
+    and the offending path.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if integrand not in _INTEGRANDS:
         raise ValueError(f"integrand must be one of {_INTEGRANDS}")
     k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else grid.n_T
-    if integrand == "gap_over_gamma_sq":
-        upper_t = t_upper if t_upper is not None else grid.T
-        if upper_t > sched.t0:
-            raise ValueError("gap_over_gamma_sq lives on [0, t0]; set t_upper <= t0")
+    # on grid indices, so that a t_upper that rounds onto t0 passes
+    if integrand == "gap_over_gamma_sq" and k_upper > grid.deadline_index(sched.t0):
+        raise ValueError("gap_over_gamma_sq lives on [0, t0]; set t_upper <= t0")
 
     if integrand == "seg_gap_sq":
         observer = lambda b: _SegGapIntegral(grid.m, grid.h, k_upper, b)

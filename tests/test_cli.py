@@ -444,6 +444,24 @@ def test_overrides_are_validated(tmp_path, capsys, command, flag, value, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, kw", [
+    ("entropy", {}),
+    ("log-harnack", {}),
+    ("power-harnack", {"name": "sine_multiplicative",
+                       "params": {"a": -1.0, "c": 0.2, "s0": 0.1}, "p": 16.0}),
+    ("stationary", {"name": "ou_nodelay", "params": {"a": 1.0, "s0": 1.0}}),
+])
+def test_one_path_is_a_config_error_for_estimates(tmp_path, capsys, command, kw):
+    # one path gives no standard error; only couple takes n = 1, as a dump
+    out = tmp_path / "res"
+    text = cfg_text(t=2.0, m=10, t0=1.0, n=1, out=out, **kw)
+    assert launch(tmp_path, command, text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"{command} needs [mc] n >= 2" in err
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical_across_threads(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(cfg_text(n=2000, out=tmp_path / "a"))

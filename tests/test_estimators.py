@@ -165,6 +165,13 @@ def test_pt_f_rejects_segment_on_another_delay_window():
 
 # -------------------------------------------------------------- entropy
 
+def test_entropy_needs_two_paths():
+    co = linear()
+    grid, xi, eta = setup(m=20)
+    with pytest.raises(ValueError, match="n >= 2"):
+        estimate_entropy_Q(co, xi, eta, sched_for(co), grid, n=1, seed=0)
+
+
 def test_entropy_zero_for_equal_starts():
     co = sine()
     grid, xi, _ = setup(m=40)
@@ -294,6 +301,23 @@ def test_exp_functional_gap_over_gamma_needs_pre_deadline_cap():
     with pytest.raises(ValueError):
         estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=1.0,
                                 n=8, seed=0, integrand="bogus")
+
+
+def test_exp_functional_gap_over_gamma_cap_on_grid_indices():
+    # t0 = 0.3: 0.1 + 0.2 rounds to 0.30000000000000004, on t0's grid index
+    co = linear()
+    grid = GridSpec(1.0, 2.0, 10)
+    xi, eta = constant_segment(1.0, 1.0, 10), constant_segment(0.0, 1.0, 10)
+    sched = sched_for(co, t0=0.3)
+
+    def run(t_upper):
+        return estimate_exp_functional(co, xi, eta, sched, grid, lam=0.01, n=8, seed=0,
+                                       integrand="gap_over_gamma_sq", t_upper=t_upper)
+
+    assert 0.1 + 0.2 > 0.3
+    assert run(0.1 + 0.2) == run(0.3)
+    with pytest.raises(ValueError, match=r"\[0, t0\]"):
+        run(0.4)
 
 
 def test_exp_functional_overflow_reports_path():

@@ -1,6 +1,7 @@
 """The streaming stepping core against the full-history kernels of
-tests/oracles.py, and its memory against the horizon and, for the
-stationary sampler, against the sample size."""
+tests/oracles.py, its memory against the horizon and, for the stationary
+sampler, against the sample size, and the early stop of coupled chunks
+whose estimate reads only up to t_upper."""
 
 import dataclasses
 import tracemalloc
@@ -8,10 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harnack_lab.coefficients import builtin_system
+from harnack_lab import estimators
+from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
                                   simulate_coupled_P, simulate_coupled_Q)
-from harnack_lab.estimators import (_SegGapIntegral, estimate_entropy_Q,
+from harnack_lab.estimators import (_chunk_moments, _reduce_moments,
+                                    _SegGapIntegral, estimate_entropy_Q,
                                     estimate_exp_functional,
                                     estimate_martingale_mean, estimate_PT_f,
                                     sample_stationary_segments)
@@ -165,3 +168,171 @@ def test_stationary_memory_does_not_grow_with_n():
         peaks[n] = _peak(lambda: sample_stationary_segments(co, grid, n=n, burn_in=10.0,
                                                             seed=1))
     assert peaks[8192] <= 1.25 * peaks[2048], peaks
+
+
+# ------------------------------------------------- stop at max(t_upper, t0)
+
+STOP_GRID = GridSpec(1.0, 3.0, 10)  # h = 0.1, one noise block is 11 steps
+STOP_T0 = 1.5                       # n0 = 15: the merge check is in block 2
+LAM = 0.05
+
+
+def stop_estimate(co, kind, t_upper, n=40, seed=11):
+    m, d = STOP_GRID.m, co.dim
+    xi = SegmentPath(1.0, np.linspace(1.0, -0.5, (m + 1) * d).reshape(m + 1, d))
+    eta = constant_segment(np.zeros(d), 1.0, m)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=STOP_T0)
+    if kind == "entropy":
+        est = estimate_entropy_Q(co, xi, eta, sched, STOP_GRID, n=n, seed=seed,
+                                 t_upper=t_upper, threads=1)
+    else:
+        est = estimate_exp_functional(co, xi, eta, sched, STOP_GRID, lam=LAM, n=n,
+                                      seed=seed, integrand=kind, t_upper=t_upper,
+                                      threads=1)
+    return est, (xi, eta, sched)
+
+
+def full_horizon_estimate(co, kind, t_upper, xi, eta, sched, n=40, seed=11):
+    # every chunk stepped to T on the (n_T, B, d) noise, as before the stop
+    grid = STOP_GRID
+    k_upper = grid.index_of(t_upper)
+    stream = NoiseStream(seed=seed, h=grid.h, dim=co.dim)
+    want = coupled_batch_full(co, xi.values, eta.values, grid, sched,
+                              stream.batch(0, n, grid.n_T), "Q", 1e-8, k_upper)
+    extra = {}
+    if kind == "entropy":
+        v = 0.5 * want["phi_sq"]
+    else:
+        integral = {"phi_sq": want["phi_sq"], "gap_over_gamma_sq": want["gap_gamma_sq"],
+                    "seg_gap_sq": seg_gap_integral_window_max(
+                        want["full_x"], want["full_y"], grid.m, grid.h, k_upper)}[kind]
+        expo = LAM * integral
+        v = np.exp(expo)
+        extra["max_exponent"] = float(expo.max())
+    finite = (np.isfinite(want["log_weight"]) & np.isfinite(want["full_x"][-1]).all(axis=1)
+              & np.isfinite(want["full_y"][-1]).all(axis=1))
+    out = _chunk_moments(v)
+    out["unmerged"] = int((finite & ~want["merged"]).sum())
+    out["nonfinite"] = int((~finite).sum())
+    out.update(extra)
+    return _reduce_moments([out], n, seed)
+
+
+STOP_TIMES = {"h": 0.1, "t0-h": STOP_T0 - 0.1, "t0": STOP_T0, "past-t0": 2.2, "T": 3.0}
+# gap_over_gamma_sq lives on [0, t0]
+STOP_CASES = [(kind, at) for kind in ("entropy", "phi_sq", "gap_over_gamma_sq", "seg_gap_sq")
+              for at in STOP_TIMES
+              if kind != "gap_over_gamma_sq" or STOP_TIMES[at] <= STOP_T0]
+
+
+@pytest.mark.parametrize("kind, t_upper", STOP_CASES, ids=[f"{k}-{a}" for k, a in STOP_CASES])
+@pytest.mark.parametrize("case", [SINE, LINEAR], ids=["sine-d1", "linear-d3"])
+def test_stopped_estimate_matches_full_horizon(case, kind, t_upper):
+    t_upper = STOP_TIMES[t_upper]
+    co = system(case, False)
+    got, problem = stop_estimate(co, kind, t_upper)
+    want = full_horizon_estimate(co, kind, t_upper, *problem)
+    assert got.mean == want.mean
+    assert got.std_error == want.std_error
+    assert got.diagnostics == want.diagnostics
+
+
+def spy_steps(monkeypatch):
+    """Number of steps of every coupled chunk the estimators run."""
+    seen = []
+    real = estimators._coupled_batch
+
+    def spy(coeffs, xi_values, eta_values, grid, sched, noise, *rest):
+        seen.append(noise.shape[0])
+        return real(coeffs, xi_values, eta_values, grid, sched, noise, *rest)
+
+    monkeypatch.setattr(estimators, "_coupled_batch", spy)
+    return seen
+
+
+ACCEPTANCE_RUNS = {
+    # name: (estimate at the acceptance grid, steps per chunk)
+    "seg_gap_sq-0.5": (lambda *a: estimate_exp_functional(
+        *a, lam=0.01, n=2, seed=1, integrand="seg_gap_sq", t_upper=0.5, threads=1), 400),
+    "gap_over_gamma_sq-1.0": (lambda *a: estimate_exp_functional(
+        *a, lam=0.01, n=2, seed=1, integrand="gap_over_gamma_sq", t_upper=1.0,
+        threads=1), 400),
+    "phi_sq-1.5": (lambda *a: estimate_exp_functional(
+        *a, lam=0.01, n=2, seed=1, t_upper=1.5, threads=1), 600),
+    "phi_sq-T": (lambda *a: estimate_exp_functional(
+        *a, lam=0.01, n=2, seed=1, t_upper=2.0, threads=1), 800),
+    "entropy-0.5": (lambda *a: estimate_entropy_Q(*a, n=2, seed=1, t_upper=0.5,
+                                                  threads=1), 400),
+    "entropy": (lambda *a: estimate_entropy_Q(*a, n=2, seed=1, threads=1), 800),
+    "martingale_mean": (lambda *a: estimate_martingale_mean(*a, n=2, seed=1,
+                                                            threads=1), 800),
+}
+
+
+@pytest.mark.parametrize("name", list(ACCEPTANCE_RUNS))
+def test_chunk_steps_to_max_of_t_upper_and_t0(monkeypatch, name):
+    # m = 400, t0 = 1, T = 2: n0 = 400, n_T = 800
+    co = builtin_system(*LINEAR[:2])
+    grid = GridSpec(1.0, 2.0, 400)
+    xi, eta = constant_segment(1.0, 1.0, 400), constant_segment(0.0, 1.0, 400)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+    seen = spy_steps(monkeypatch)
+    run, steps = ACCEPTANCE_RUNS[name]
+    run(co, xi, eta, sched, grid)
+    assert seen == [steps]
+
+
+@pytest.mark.parametrize("kind", ["entropy", "phi_sq"])
+def test_stop_before_t0_still_counts_unmerged(kind):
+    # t_upper = h < t0: the chunk must still run through the merge check
+    co = system(LINEAR, False)
+    m = STOP_GRID.m
+    xi = constant_segment(np.ones(3), 1.0, m)
+    eta = constant_segment(np.zeros(3), 1.0, m)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=STOP_T0)
+    kw = dict(n=20, seed=3, t_upper=STOP_GRID.h, delta_merge=-1.0, threads=1)
+    if kind == "entropy":
+        est = estimate_entropy_Q(co, xi, eta, sched, STOP_GRID, **kw)
+    else:
+        est = estimate_exp_functional(co, xi, eta, sched, STOP_GRID, lam=LAM, **kw)
+    assert est.diagnostics["unmerged"] == 20
+    assert est.diagnostics["nonfinite"] == 0
+    assert est.failures == 20
+
+
+def nan_after(t_bad):
+    # a contracting system whose drift turns NaN once t > t_bad; NaN then
+    # holds both copies from the next grid row on
+    ones = lambda t, x: np.ones((x.shape[0], 1, 1))
+    return CoefficientSet(
+        dim=1, sigma=ones, sigma_inv=ones,
+        z_drift=lambda t, x: -x if t <= t_bad else np.full_like(x, np.nan),
+        b_delay=lambda t, seg: np.zeros((seg.shape[0], 1)),
+        constants=AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=1.0))
+
+
+@pytest.mark.parametrize("kind", ["entropy", "phi_sq"])
+@pytest.mark.parametrize("t_upper, t_bad, nonfinite", [
+    (1.5, 1.45, 0),    # NaN from t = 1.6, past t_upper > t0
+    (1.5, 1.25, 12),   # NaN from t = 1.4, before t_upper
+    (0.5, 0.95, 0),    # NaN from t = 1.1, past t0 > t_upper
+    (0.5, 0.75, 12),   # NaN from t = 0.9, between t_upper and t0
+    (0.5, 0.25, 12),   # NaN from t = 0.4, before t_upper
+])
+def test_nonfinite_counts_failures_up_to_the_stop(kind, t_upper, t_bad, nonfinite):
+    # r0 = 0.5, h = 0.1, t0 = 1, T = 2: a chunk stops at max(t_upper, t0)
+    co = nan_after(t_bad)
+    grid = GridSpec(0.5, 2.0, 5)
+    xi, eta = constant_segment(1.0, 0.5, 5), constant_segment(0.0, 0.5, 5)
+    sched = GammaSchedule(theta=1.0, k4=1.0, t0=1.0)
+    kw = dict(n=12, seed=2, t_upper=t_upper, threads=1)
+    with np.errstate(all="ignore"):
+        if kind == "entropy":
+            est = estimate_entropy_Q(co, xi, eta, sched, grid, **kw)
+        else:
+            est = estimate_exp_functional(co, xi, eta, sched, grid, lam=LAM, **kw)
+    assert est.diagnostics["nonfinite"] == nonfinite
+    assert est.diagnostics["unmerged"] == 0
+    assert est.failures == nonfinite
+    if not nonfinite:
+        assert np.isfinite(est.mean) and np.isfinite(est.std_error)
