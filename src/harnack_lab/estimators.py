@@ -285,13 +285,11 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
     each chunk's observer; value_of(pair, observer, first path) gives the
     per-path values and extra diagnostics of a finished chunk.
 
-    A chunk with an observer reads nothing past the observer's step
-    k_upper, so it stops after max(k_upper, n0) steps (t0 = n0 h): still
-    through the merge check, and drawing only the prefix of each path's
-    noise, which is bit-identical to the full draw. Without an observer
-    the values come from the final state, and chunks run to T. nonfinite
-    counts the paths whose state or log-weight is NaN or inf where the
-    chunk stops, at max(t_upper, t0) or at T.
+    A chunk with an observer stops after max(observer.k_upper, n0) steps
+    (t0 = n0 h), the last row its values or the merge check read, and
+    draws only that prefix of each path's noise, bit-identical to the full
+    draw; without one the values come from the final state, and chunks run
+    to T. nonfinite counts the paths NaN or inf where the chunk stops.
     """
     if n < 2:
         raise ValueError("need n >= 2 paths")

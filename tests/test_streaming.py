@@ -314,8 +314,10 @@ def nan_after(t_bad):
 @pytest.mark.parametrize("kind", ["entropy", "phi_sq"])
 @pytest.mark.parametrize("t_upper, t_bad, nonfinite", [
     (1.5, 1.45, 0),    # NaN from t = 1.6, past t_upper > t0
+    (1.5, 1.35, 12),   # NaN from t = 1.5, the last row read
     (1.5, 1.25, 12),   # NaN from t = 1.4, before t_upper
     (0.5, 0.95, 0),    # NaN from t = 1.1, past t0 > t_upper
+    (0.5, 0.85, 12),   # NaN from t = 1.0, the last row read
     (0.5, 0.75, 12),   # NaN from t = 0.9, between t_upper and t0
     (0.5, 0.25, 12),   # NaN from t = 0.4, before t_upper
 ])
