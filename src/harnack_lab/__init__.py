@@ -21,7 +21,6 @@ from .coefficients import (
     AuditReport,
     builtin_system,
     audit_assumptions,
-    with_scaled_sigma,
 )
 from .integrator import Trajectory, NoiseStream, simulate_path
 from .coupling import (
@@ -64,7 +63,7 @@ __all__ = [
     "__version__",
     "SegmentPath", "GridSpec", "constant_segment", "sup_distance",
     "AssumptionConstants", "CoefficientSet", "AuditBox", "AuditReport",
-    "builtin_system", "audit_assumptions", "with_scaled_sigma",
+    "builtin_system", "audit_assumptions",
     "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
     "simulate_coupled_Q", "simulate_coupled_P",

@@ -32,9 +32,9 @@ from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet,
                            audit_assumptions, builtin_system, param_problems)
 from .coupling import (GammaSchedule, gamma, simulate_coupled_P,
                        simulate_coupled_Q)
-from .estimators import (MCEstimate, VerdictReport, estimate_entropy_Q,
-                         estimate_martingale_mean, check_log_harnack,
-                         check_power_harnack, make_verdict,
+from .estimators import (TEST_FUNCTIONS, MCEstimate, VerdictReport,
+                         estimate_entropy_Q, estimate_martingale_mean,
+                         check_log_harnack, check_power_harnack, make_verdict,
                          sample_stationary_segments, test_function)
 from .integrator import simulate_path
 from .segment_paths import GridSpec, SegmentPath, constant_segment
@@ -43,8 +43,6 @@ VERSION_TAG = f"harnack-lab-v{__version__}"
 
 COMMANDS = ("audit", "simulate", "couple", "bounds", "entropy",
             "log-harnack", "power-harnack", "stationary")
-
-_F_NAMES = ("quad_cap", "exp_cap")
 
 VERDICT_HEADER = ["claim", "lhs", "lhs_se", "rhs", "rhs_se", "bound",
                   "margin_se", "verdict", "n", "seed", "h", "failures",
@@ -131,41 +129,43 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"[{sec}] {key}: cannot parse {raw!r}")
             return default
 
-    d = get("problem", "d", int, 1)
-    r0 = get("problem", "r0", float, 1.0)
-    t_horizon = get("problem", "t", float, 2.0)
-    m = get("problem", "m", int, 400)
-    t0 = get("problem", "t0", float, None)
-    xi = get("problem", "xi", str, "const:1.0")
-    eta = get("problem", "eta", str, "const:0.0")
+    # every default is ExperimentConfig's
+    dft = ExperimentConfig()
+    d = get("problem", "d", int, dft.d)
+    r0 = get("problem", "r0", float, dft.r0)
+    t_horizon = get("problem", "t", float, dft.T)
+    m = get("problem", "m", int, dft.m)
+    t0 = get("problem", "t0", float, dft.t0)
+    xi = get("problem", "xi", str, dft.xi)
+    eta = get("problem", "eta", str, dft.eta)
 
-    name = get("system", "name", str, "linear_additive")
+    name = get("system", "name", str, dft.system_name)
     params: Dict[str, float] = {}
     if "system" in cp:
         for key in cp["system"]:
             if key == "name":
                 continue
             params[key] = get("system", key, float, math.nan)
-    if not params and name == "linear_additive":
-        params = {"a": -1.0, "c": 0.5, "s0": 1.0}
+    if not params and name == dft.system_name:
+        params = dft.system_params
 
-    theta = get("coupling", "theta", float, 1.0)
-    p = get("coupling", "p", float, None)
-    s_choice = get("coupling", "s_choice", float, None)
-    delta_merge = get("coupling", "delta_merge", float, 1e-8)
-    measure = get("coupling", "measure", str, "Q")
+    theta = get("coupling", "theta", float, dft.theta)
+    p = get("coupling", "p", float, dft.p)
+    s_choice = get("coupling", "s_choice", float, dft.s_choice)
+    delta_merge = get("coupling", "delta_merge", float, dft.delta_merge)
+    measure = get("coupling", "measure", str, dft.measure)
 
-    n = get("mc", "n", int, 10000)
-    seed = get("mc", "seed", int, 0)
-    k_tol = get("mc", "k_tol", float, 3.0)
-    k_viol = get("mc", "k_viol", float, 6.0)
-    burn_in = get("mc", "burn_in", float, 10.0)
+    n = get("mc", "n", int, dft.n)
+    seed = get("mc", "seed", int, dft.seed)
+    k_tol = get("mc", "k_tol", float, dft.k_tol)
+    k_viol = get("mc", "k_viol", float, dft.k_viol)
+    burn_in = get("mc", "burn_in", float, dft.burn_in)
 
-    f_name = get("functions", "f", str, "quad_cap")
-    cap = get("functions", "cap", float, 100.0)
+    f_name = get("functions", "f", str, dft.f_name)
+    cap = get("functions", "cap", float, dft.cap)
 
-    out_dir = get("output", "dir", str, "out")
-    verbosity = get("output", "verbosity", int, 1)
+    out_dir = get("output", "dir", str, dft.out_dir)
+    verbosity = get("output", "verbosity", int, dft.verbosity)
 
     cfg = ExperimentConfig(
         d=d, r0=r0, T=t_horizon, m=m, t0=t0, xi=xi, eta=eta,
@@ -243,8 +243,8 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
         violations.append("[mc] need 0 < k_tol <= k_viol")
     if cfg.burn_in < 0:
         violations.append("[mc] burn_in must be nonnegative")
-    if cfg.f_name not in _F_NAMES:
-        violations.append(f"[functions] f must be one of {_F_NAMES}")
+    if cfg.f_name not in TEST_FUNCTIONS:
+        violations.append(f"[functions] f must be one of {TEST_FUNCTIONS}")
     if cfg.cap <= 0:
         violations.append("[functions] cap must be positive")
     if cfg.verbosity not in (0, 1, 2):

@@ -8,14 +8,13 @@ The four declared constants encode what the bound calculators need:
   k4  one-sided dissipativity:
       |sigma(t,x)-sigma(t,y)|_HS^2 + 2<x-y, Z(t,x)-Z(t,y)> <= k4 |x-y|^2
 
-Callables are batch-valued: sigma(t, x) maps x of shape (B, d) to (B, d, d),
-sigma_inv(t, x), when given, to (B, d, d) as well, z_drift(t, x) to (B, d),
-and b_delay(t, seg) maps segment values of shape (B, m+1, d) (oldest point
-first) to (B, d). A system whose diffusion is diagonal also declares
-sigma_diag(t, x) -> (B, d), the diagonal entries; the stepping kernels then
-apply sigma, its inverse (taken as 1.0 / diag) and the difference of two
-diffusions as elementwise products, while the audit keeps reading the dense
-sigma and sigma_inv, which must describe the same matrices. Constants are
+Callables are batch-valued: z_drift(t, x) maps x of shape (B, d) to (B, d),
+b_delay(t, seg) maps segment values of shape (B, m+1, d) (oldest point
+first) to (B, d), and sigma(t, x) maps x to the (B, d) entries of a
+diagonal diffusion or to (B, d, d) dense matrices; any other shape is an
+error. The stepping kernels and the audit read sigma through the same
+diffusion objects, which apply a diagonal, its inverse (1.0 / diag), the
+difference of two diffusions and their norms elementwise. Constants are
 declarations; the auditor can only falsify them on samples, never prove
 them.
 """
@@ -48,7 +47,9 @@ def _singular(t, e=None):
 
 class _DiagDiffusion:
     """A diagonal sigma(t, x) for one batch of states, held as its (B, d)
-    diagonal; sigma, its inverse and differences act elementwise."""
+    diagonal; sigma, its inverse, differences and their norms act
+    elementwise. diff_op_norm, diff_hs_sq and inv_op_norm give
+    |sigma - other|_op, |sigma - other|_HS^2 and |sigma^-1|_op per state."""
 
     __slots__ = ("t", "diag")
 
@@ -62,62 +63,83 @@ class _DiagDiffusion:
 
     def solve(self, vec):
         """sigma^-1 vec; the inverse is 1.0 / diag, formed only when asked."""
-        if not self.diag.all():
-            raise _singular(self.t)
-        return (1.0 / self.diag) * vec
+        return self._inv() * vec
 
     def apply_diff(self, other, vec):
         """(sigma - other's sigma) vec."""
         return (self.diag - other.diag) * vec
 
+    def diff_op_norm(self, other):
+        return np.abs(self.diag - other.diag).max(axis=1)
+
+    def diff_hs_sq(self, other):
+        return ((self.diag - other.diag) ** 2).sum(axis=1)
+
+    def inv_op_norm(self):
+        return np.abs(self._inv()).max(axis=1)
+
+    def _inv(self):
+        if not self.diag.all():
+            raise _singular(self.t)
+        return 1.0 / self.diag
+
 
 class _DenseDiffusion:
     """A dense sigma(t, x) for one batch of states, held as (B, d, d)
-    matrices; sigma_inv (or, without it, a linear solve) is evaluated only
-    when the inverse is asked for."""
+    matrices; the inverse is formed only when asked for."""
 
-    __slots__ = ("coeffs", "t", "x", "mat")
+    __slots__ = ("t", "mat")
 
-    def __init__(self, coeffs, t, x):
-        self.coeffs = coeffs
+    def __init__(self, t, mat):
         self.t = t
-        self.x = x
-        self.mat = coeffs.sigma(t, x)
+        self.mat = mat
 
     def apply(self, vec):
         return np.einsum("bij,bj->bi", self.mat, vec)
 
     def solve(self, vec):
-        if self.coeffs.sigma_inv is not None:
-            return np.einsum("bij,bj->bi", self.coeffs.sigma_inv(self.t, self.x), vec)
-        try:
-            return np.linalg.solve(self.mat, vec[..., None])[..., 0]
-        except np.linalg.LinAlgError as e:
-            raise _singular(self.t, e) from None
+        return np.einsum("bij,bj->bi", self._inv(), vec)
 
     def apply_diff(self, other, vec):
         return np.einsum("bij,bj->bi", self.mat - other.mat, vec)
+
+    def diff_op_norm(self, other):
+        return _op_norm(self.mat - other.mat)
+
+    def diff_hs_sq(self, other):
+        return ((self.mat - other.mat) ** 2).sum(axis=(1, 2))
+
+    def inv_op_norm(self):
+        return _op_norm(self._inv())
+
+    def _inv(self):
+        try:
+            return np.linalg.inv(self.mat)
+        except np.linalg.LinAlgError as e:
+            raise _singular(self.t, e) from None
+
+
+def _op_norm(mats):
+    # largest singular value per stacked matrix
+    if mats.shape[-1] == 1:
+        return np.abs(mats[:, 0, 0])
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
     """Batch-valued coefficient callables plus their declared constants.
 
-    sigma (t, x) -> (B, d, d) is the dense diffusion; sigma_inv, when
-    provided, gives its inverse and skips the dense linear solve.
-    sigma_diag (t, x) -> (B, d), when provided, declares the diffusion
-    diagonal with these entries; the kernels then step with it alone, so
-    it must agree with sigma on the diagonal (the dense forms stay for the
-    audit). delay_free marks systems whose b vanishes identically (required
-    by the stationary sampler).
+    sigma(t, x) is the system's one diffusion: (B, d) entries of a diagonal
+    sigma, or (B, d, d) dense matrices; the kernels and the audit both read
+    it through diffusion(). delay_free marks systems whose b vanishes
+    identically (required by the stationary sampler).
     """
     dim: int
     sigma: object
     z_drift: object
     b_delay: object
     constants: AssumptionConstants
-    sigma_inv: object = None
-    sigma_diag: object = None
     delay_free: bool = False
     name: str = "custom"
     params: dict = field(default_factory=dict)
@@ -125,43 +147,15 @@ class CoefficientSet:
     def diffusion(self, t, x):
         """sigma(t, x) for a batch of states x (B, d), evaluated once; its
         apply, solve and apply_diff give sigma vec, sigma^-1 vec and
-        (sigma - other) vec for vectors vec (B, d)."""
-        if self.sigma_diag is not None:
-            return _DiagDiffusion(t, self.sigma_diag(t, x))
-        return _DenseDiffusion(self, t, x)
-
-    def apply_sigma_inv(self, t, x, vec):
-        """sigma(t,x)^-1 vec for batched points x (B,d) and vectors vec (B,d)."""
-        return self.diffusion(t, x).solve(vec)
-
-    def sigma_inv_matrix(self, t, x):
-        if self.sigma_inv is not None:
-            return self.sigma_inv(t, x)
-        b, d = x.shape
-        eye = np.broadcast_to(np.eye(d), (b, d, d))
-        try:
-            return np.linalg.solve(self.sigma(t, x), eye)
-        except np.linalg.LinAlgError as e:
-            raise _singular(t, e) from None
-
-
-def _dense_from_diag(diag_fn, invert=False):
-    """Dense (B, d, d) callable with diag_fn's entries, or their
-    reciprocals, on the diagonal."""
-    def mat(t, x):
-        diag = diag_fn(t, x)
-        out = np.zeros(diag.shape + diag.shape[-1:])
-        idx = np.arange(diag.shape[-1])
-        out[:, idx, idx] = 1.0 / diag if invert else diag
-        return out
-    return mat
-
-
-def _diagonal(diag_fn):
-    """CoefficientSet keywords for a diffusion declared by its diagonal."""
-    return {"sigma": _dense_from_diag(diag_fn),
-            "sigma_inv": _dense_from_diag(diag_fn, invert=True),
-            "sigma_diag": diag_fn}
+        (sigma - other) vec for vectors vec (B, d). Raises ValueError
+        unless sigma returns (B, d) (a diagonal) or (B, d, d)."""
+        sig = np.asarray(self.sigma(t, x))
+        if sig.shape == x.shape:
+            return _DiagDiffusion(t, sig)
+        if sig.shape == x.shape + x.shape[-1:]:
+            return _DenseDiffusion(t, sig)
+        raise ValueError(f"sigma(t={t}, x) has shape {sig.shape}; x of shape {x.shape} "
+                         f"needs {x.shape} (diagonal) or {x.shape + x.shape[-1:]} (dense)")
 
 
 # The system catalog: each name with the parameters it takes. "constants"
@@ -196,8 +190,7 @@ def builtin_system(name, params=None, dim=1, **kw):
     sine_multiplicative:  dX = (a X(t) + c X(t-r0)) dt + s0 (2 + sin X(t)) dB, d=1
     ou_nodelay:           dX = -a X(t) dt + s0 dB
 
-    All three diffusions are diagonal and declare sigma_diag; their dense
-    sigma and sigma_inv are built from it.
+    All three diffusions are diagonal: sigma returns their (B, d) entries.
     """
     params = dict(params or {}, **kw)
     d = int(dim)
@@ -224,7 +217,7 @@ def builtin_system(name, params=None, dim=1, **kw):
             z_drift=lambda t, x: a * x,
             b_delay=lambda t, seg: c * seg[:, 0, :],
             constants=consts,
-            **_diagonal(diag),
+            sigma=diag,
             delay_free=(c == 0.0),
             name=name,
             params={"a": a, "c": c, "s0": s0},
@@ -240,7 +233,7 @@ def builtin_system(name, params=None, dim=1, **kw):
             z_drift=lambda t, x: -a * x,
             b_delay=lambda t, seg: np.zeros((seg.shape[0], seg.shape[2])),
             constants=consts,
-            **_diagonal(lambda t, x: np.full(x.shape, s0)),
+            sigma=lambda t, x: np.full(x.shape, s0),
             delay_free=True,
             name=name,
             params={"a": a, "s0": s0},
@@ -248,38 +241,6 @@ def builtin_system(name, params=None, dim=1, **kw):
 
     raise ValueError("the 'constants' pseudo-system carries no dynamics; "
                      "it only feeds the bound calculators")
-
-
-def with_scaled_sigma(coeffs, scale):
-    """Test-mode copy with the diffusion multiplied by a constant factor.
-
-    The dense sigma and sigma_inv and the declared diagonal are all scaled.
-    scale=0 turns the dynamics into the drift ODE. The declared constants are
-    kept as-is (they describe the original system); the scaled copy is meant
-    for integrator checks only.
-    """
-    scale = float(scale)
-    sig = coeffs.sigma
-    inv = None
-    if scale != 0.0 and coeffs.sigma_inv is not None:
-        orig_inv = coeffs.sigma_inv
-        inv = lambda t, x: orig_inv(t, x) / scale
-    diag = None
-    if coeffs.sigma_diag is not None:
-        orig_diag = coeffs.sigma_diag
-        diag = lambda t, x: orig_diag(t, x) * scale
-    return CoefficientSet(
-        dim=coeffs.dim,
-        sigma=lambda t, x: sig(t, x) * scale,
-        z_drift=coeffs.z_drift,
-        b_delay=coeffs.b_delay,
-        constants=coeffs.constants,
-        sigma_inv=inv,
-        sigma_diag=diag,
-        delay_free=coeffs.delay_free,
-        name=f"{coeffs.name}*sigma_scale={scale}",
-        params=dict(coeffs.params),
-    )
 
 
 @dataclass(frozen=True)
@@ -324,13 +285,6 @@ class AuditReport:
 _AUDIT_CHUNK = 4096
 
 
-def _op_norm(mats):
-    # largest singular value per stacked matrix
-    if mats.shape[-1] == 1:
-        return np.abs(mats[:, 0, 0])
-    return np.linalg.svd(mats, compute_uv=False)[:, 0]
-
-
 def audit_assumptions(coeffs, box=None, n=10000, seed=0, slack=1e-6):
     """Empirical maxima of the four assumption ratios over random samples.
 
@@ -372,35 +326,37 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0, slack=1e-6):
                     maxima[cond] = float(ratios[i])
                     worst[cond] = (t, tuple(map(float, np.atleast_1d(pts[i]))))
 
+            # sigma read through the same objects the kernels step with
+            sx = coeffs.diffusion(t, gx)
+            sy = coeffs.diffusion(t, gy)
+
             # A1: normalized delay-drift increment vs segment sup distance
             try:
                 bdiff = coeffs.b_delay(t, gxi) - coeffs.b_delay(t, geta)
-                normed = coeffs.apply_sigma_inv(t, geta[:, -1, :], bdiff)
+                normed = coeffs.diffusion(t, geta[:, -1, :]).solve(bdiff)
                 segdist = np.sqrt(((gxi - geta) ** 2).sum(axis=2)).max(axis=1)
                 ok = segdist > 0
                 if ok.any():
                     update("A1", np.linalg.norm(normed[ok], axis=1) / segdist[ok], geta[:, -1, :][ok])
             except ValueError:
-                singular = (t, "segment endpoint during A1")
+                singular = (t, ("segment endpoint during A1",))
 
-            sx = coeffs.sigma(t, gx)
-            sy = coeffs.sigma(t, gy)
             dxy = np.linalg.norm(gx - gy, axis=1)
             ok = dxy > 0
 
             # A2: operator-norm diffusion increment vs 1 and |x-y|
             if ok.any():
-                update("A2", _op_norm(sx[ok] - sy[ok]) / np.minimum(1.0, dxy[ok]), gx[ok])
+                update("A2", sx.diff_op_norm(sy)[ok] / np.minimum(1.0, dxy[ok]), gx[ok])
 
             # A3: operator norm of the inverse diffusion
             try:
-                update("A3", _op_norm(coeffs.sigma_inv_matrix(t, gx)), gx)
+                update("A3", sx.inv_op_norm(), gx)
             except ValueError:
                 singular = (t, tuple(map(float, gx[0])))
 
             # A4: HS increment squared plus twice the drift alignment, vs |x-y|^2
             if ok.any():
-                hs2 = ((sx[ok] - sy[ok]) ** 2).sum(axis=(1, 2))
+                hs2 = sx.diff_hs_sq(sy)[ok]
                 zdiff = coeffs.z_drift(t, gx[ok]) - coeffs.z_drift(t, gy[ok])
                 inner = ((gx[ok] - gy[ok]) * zdiff).sum(axis=1)
                 update("A4", (hs2 + 2.0 * inner) / dxy[ok] ** 2, gx[ok])
@@ -420,6 +376,5 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0, slack=1e-6):
             passed = bool(np.isfinite(emp) and emp <= dec + tol)
         conditions[cond] = ConditionAudit(cond, float(emp), float(dec), passed, *worst[cond])
     if singular is not None:
-        conditions["A3"] = ConditionAudit("A3", np.inf, k.k3, False, singular[0],
-                                          singular[1] if isinstance(singular[1], tuple) else (singular[1],))
+        conditions["A3"] = ConditionAudit("A3", np.inf, k.k3, False, *singular)
     return AuditReport(conditions=conditions, n=n, seed=seed, slack=slack)

@@ -107,6 +107,9 @@ class TestFunction:
         return v
 
 
+TEST_FUNCTIONS = ("quad_cap", "exp_cap")
+
+
 def test_function(name: str, cap: float = 100.0) -> TestFunction:
     """Catalog of test functions: "quad_cap" is 1 + min(|endpoint|^2, cap),
     "exp_cap" is exp(min(sup norm, cap)). Both bounded, both >= 1."""
@@ -126,7 +129,7 @@ def test_function(name: str, cap: float = 100.0) -> TestFunction:
             return np.exp(np.minimum(sup, cap))
         return TestFunction(name="exp_cap", fn=fn, lower=1.0, upper=math.exp(cap),
                             params={"cap": cap})
-    raise ValueError(f"unknown test function {name!r}; catalog: quad_cap, exp_cap")
+    raise ValueError(f"unknown test function {name!r}; catalog: {', '.join(TEST_FUNCTIONS)}")
 
 
 def _log_of(f: TestFunction) -> TestFunction:
@@ -343,6 +346,16 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
 _INTEGRANDS = ("phi_sq", "gap_over_gamma_sq", "seg_gap_sq")
 
 
+def _checked_exp(expo: np.ndarray, a: int, prefix: str, label: str):
+    """exp(expo) of a chunk whose first path is a, and its largest non-NaN
+    exponent (nan if all are NaN), which must not exceed MAX_EXPONENT (+inf
+    does): a NaN path cannot hide an overflow."""
+    worst = int(np.argmax(np.where(np.isnan(expo), -np.inf, expo)))
+    if expo[worst] > MAX_EXPONENT:
+        raise OverflowError(f"{prefix}path {a + worst}, {label} {expo[worst]:.4g}")
+    return np.exp(expo), float(expo[worst])
+
+
 def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
                             eta: SegmentPath, sched: GammaSchedule,
                             grid: GridSpec, lam: float, n: int, seed: int,
@@ -376,13 +389,10 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
 
     def value_of(pair, ob, a):
         # each observer names its integrals after the integrands
-        expo = lam * getattr(ob, integrand)
-        worst = int(np.argmax(expo))
-        if expo[worst] > MAX_EXPONENT:
-            raise OverflowError(
-                f"exponent overflow in exp-functional estimate: lam={lam}, "
-                f"path {a + worst}, exponent {expo[worst]:.4g}")
-        return np.exp(expo), {"max_exponent": float(expo[worst])}
+        values, top = _checked_exp(
+            lam * getattr(ob, integrand), a,
+            f"exponent overflow in exp-functional estimate: lam={lam}, ", "exponent")
+        return values, {"max_exponent": top}
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
                              delta_merge, "Q", value_of, observer)
@@ -410,12 +420,8 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
     """
 
     def value_of(pair, ob, a):
-        logw = pair.logw
-        worst = int(np.argmax(logw))
-        if logw[worst] > MAX_EXPONENT:
-            raise OverflowError(
-                f"weight overflow: path {a + worst}, log-weight {logw[worst]:.4g}")
-        return np.exp(logw), {"max_log_weight": float(logw[worst])}
+        values, top = _checked_exp(pair.logw, a, "weight overflow: ", "log-weight")
+        return values, {"max_log_weight": top}
 
     est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
                             delta_merge, "P", value_of)
@@ -463,6 +469,17 @@ def make_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, bound: float,
                          k_viol=k_viol, meta=dict(meta or {}))
 
 
+def _check_harnack_inputs(claim, f_min, coeffs, xi, eta, f, T, grid):
+    """The input checks shared by both Harnack verdicts."""
+    if not T > grid.r0:
+        raise ValueError("the inequality needs a horizon longer than the delay: T > r0")
+    if abs(T - grid.T) > 1e-12 * max(T, 1.0):
+        raise ValueError("T must equal the grid horizon")
+    if f.lower < f_min:
+        raise ValueError(f"{claim} checks need f >= {f_min:g}")
+    grid.check_segments(coeffs.dim, xi, eta)
+
+
 def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
                       f: TestFunction, T: float, grid: GridSpec, n: int,
                       seed: int, s_choice: Optional[float] = None,
@@ -474,13 +491,7 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
     seeds; the log on the right propagates its error by the delta method.
     s_choice pins the free coupling horizon inside H instead of minimizing.
     """
-    if not T > grid.r0:
-        raise ValueError("the inequality needs a horizon longer than the delay: T > r0")
-    if abs(T - grid.T) > 1e-12 * max(T, 1.0):
-        raise ValueError("T must equal the grid horizon")
-    if f.lower < 1.0:
-        raise ValueError("log-Harnack checks need f >= 1")
-    grid.check_segments(coeffs.dim, xi, eta)
+    _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, T, grid)
 
     gaps = GapPair.from_segments(xi, eta)
     if s_choice is not None:
@@ -517,13 +528,7 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
     thr = _power_threshold(coeffs.constants)
     if not p > thr:
         raise ValueError(f"p must exceed (1 + K2 K3)^2 = {thr:.6g}, got p={p:.6g}")
-    if not T > grid.r0:
-        raise ValueError("the inequality needs a horizon longer than the delay: T > r0")
-    if abs(T - grid.T) > 1e-12 * max(T, 1.0):
-        raise ValueError("T must equal the grid horizon")
-    if f.lower < 0.0:
-        raise ValueError("power-Harnack checks need f >= 0")
-    grid.check_segments(coeffs.dim, xi, eta)
+    _check_harnack_inputs("power-Harnack", 0.0, coeffs, xi, eta, f, T, grid)
 
     gaps = GapPair.from_segments(xi, eta)
     rep = bound_Phi_p(p, T, coeffs.constants, gaps, grid.r0, eps_grid, s_grid)

@@ -2,18 +2,19 @@
 checked against: one path's noise from its own generator, one Euler
 step, the Girsanov integrand phi, the segment-gap integral by brute-force
 window maxima, a wrapper that turns single-point coefficient callables
-into batch callables, the stepping kernels with their full path
-histories, the stationary sampler that tiles them, the two branches of
+into batch callables, dense and rescaled diffusions, the assumption audit
+on dense matrices, the stepping kernels with their full path histories, the stationary sampler that tiles them, the two branches of
 K4 / (1 - e^{-K4 s}), and accessors of a recorded path that the package
 does not need."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from harnack_lab.bounds import _lambda_p, _s_eps, _theta_set_contains, _w_eps
-from harnack_lab.coefficients import CoefficientSet
+from harnack_lab.coefficients import AuditReport, CoefficientSet, ConditionAudit
 from harnack_lab.coupling import gamma
 from harnack_lab.integrator import NoiseStream
 from harnack_lab.segment_paths import GridSpec, SegmentPath
@@ -53,8 +54,103 @@ def coefficient_set_from_pointwise(dim, sigma, z_drift, b_delay, constants, **kw
     return CoefficientSet(dim, sig_b, z_b, b_b, constants, **kw)
 
 
+def dense_sigma(sigma):
+    """(t, x) -> (B, d, d) callable with the (B, d) entries of a diagonal
+    sigma on its diagonal."""
+    def mat(t, x):
+        diag = sigma(t, x)
+        out = np.zeros(diag.shape + diag.shape[-1:])
+        idx = np.arange(diag.shape[-1])
+        out[:, idx, idx] = diag
+        return out
+    return mat
+
+
+def with_scaled_sigma(coeffs, scale):
+    """Copy of coeffs with its diffusion multiplied by a constant factor;
+    scale 0 turns the dynamics into the drift ODE. The declared constants
+    are kept as they are (they describe the original system), so the copy
+    is for integrator checks only."""
+    scale = float(scale)
+    sig = coeffs.sigma
+    return dataclasses.replace(coeffs, sigma=lambda t, x: sig(t, x) * scale,
+                               name=f"{coeffs.name}*sigma_scale={scale}",
+                               params=dict(coeffs.params))
+
+
+def _op_norm(mats):
+    # largest singular value per stacked matrix
+    if mats.shape[-1] == 1:
+        return np.abs(mats[:, 0, 0])
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def audit_dense(coeffs, box, n, seed, slack=1e-6):
+    """The assumption audit of a system with a diagonal sigma, on dense
+    (B, d, d) matrices: sigma with the entries on its diagonal, sigma^-1
+    with their reciprocals, sigma^-1 applied by einsum, operator norms by
+    SVD and HS norms over the whole matrix. Same samples and the same
+    reductions as audit_assumptions, which reads the diagonal
+    elementwise and must match this bit for bit."""
+    d, k = coeffs.dim, coeffs.constants
+    sig = dense_sigma(coeffs.sigma)
+    sig_inv = dense_sigma(lambda t, x: 1.0 / coeffs.sigma(t, x))
+    maxima = {c: -np.inf for c in ("A1", "A2", "A3", "A4")}
+    worst = {c: (np.nan, ()) for c in ("A1", "A2", "A3", "A4")}
+    group, done, shard = 256, 0, 0
+    while done < n:
+        b = min(4096, n - done)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, shard], dtype=np.uint64)))
+        ts = rng.uniform(box.t_min, box.t_max, size=(b + group - 1) // group)
+        x = rng.uniform(box.x_min, box.x_max, size=(b, d))
+        y = rng.uniform(box.x_min, box.x_max, size=(b, d))
+        seg_xi = rng.uniform(box.x_min, box.x_max, size=(b, box.m + 1, d))
+        seg_eta = rng.uniform(box.x_min, box.x_max, size=(b, box.m + 1, d))
+        for g, t in enumerate(ts):
+            t = float(t)
+            sl = slice(g * group, min((g + 1) * group, b))
+            gx, gy, gxi, geta = x[sl], y[sl], seg_xi[sl], seg_eta[sl]
+
+            def update(cond, ratios, pts):
+                i = int(np.argmax(ratios))
+                if ratios[i] > maxima[cond]:
+                    maxima[cond] = float(ratios[i])
+                    worst[cond] = (t, tuple(map(float, np.atleast_1d(pts[i]))))
+
+            end = geta[:, -1, :]
+            bdiff = coeffs.b_delay(t, gxi) - coeffs.b_delay(t, geta)
+            normed = np.einsum("bij,bj->bi", sig_inv(t, end), bdiff)
+            segdist = np.sqrt(((gxi - geta) ** 2).sum(axis=2)).max(axis=1)
+            ok = segdist > 0
+            if ok.any():
+                update("A1", np.linalg.norm(normed[ok], axis=1) / segdist[ok], end[ok])
+            sx, sy = sig(t, gx), sig(t, gy)
+            dxy = np.linalg.norm(gx - gy, axis=1)
+            ok = dxy > 0
+            if ok.any():
+                update("A2", _op_norm(sx[ok] - sy[ok]) / np.minimum(1.0, dxy[ok]), gx[ok])
+            update("A3", _op_norm(sig_inv(t, gx)), gx)
+            if ok.any():
+                hs2 = ((sx[ok] - sy[ok]) ** 2).sum(axis=(1, 2))
+                zdiff = coeffs.z_drift(t, gx[ok]) - coeffs.z_drift(t, gy[ok])
+                inner = ((gx[ok] - gy[ok]) * zdiff).sum(axis=1)
+                update("A4", (hs2 + 2.0 * inner) / dxy[ok] ** 2, gx[ok])
+        done += b
+        shard += 1
+    conditions = {}
+    for cond, dec in {"A1": k.k1, "A2": k.k2, "A3": k.k3, "A4": k.k4}.items():
+        emp, passed = maxima[cond], True
+        if emp == -np.inf:
+            emp = 0.0
+        else:
+            passed = bool(np.isfinite(emp) and emp <= dec + slack * max(1.0, abs(dec)))
+        conditions[cond] = ConditionAudit(cond, float(emp), float(dec), passed, *worst[cond])
+    return AuditReport(conditions=conditions, n=n, seed=seed, slack=slack)
+
+
 def step_euler(t, x, seg, dw, h, coeffs):
-    """One explicit Euler step: x + (Z(t,x) + b(t,seg)) h + sigma(t,x) dW.
+    """One explicit Euler step: x + (Z(t,x) + b(t,seg)) h + sigma(t,x) dW,
+    with sigma as a dense matrix.
 
     x and dw are flat (d,) vectors; seg is the path segment ending at time t
     (its endpoint is conventionally x, but that is not enforced).
@@ -66,8 +162,10 @@ def step_euler(t, x, seg, dw, h, coeffs):
     xb = x[None, :]
     segb = seg.values[None, :, :]
     drift = coeffs.z_drift(t, xb) + coeffs.b_delay(t, segb)
-    sig = coeffs.sigma(t, xb)
-    out = x + drift[0] * h + sig[0] @ dw
+    sig = np.asarray(coeffs.sigma(t, xb))[0]
+    if sig.ndim == 1:
+        sig = np.diag(sig)
+    out = x + drift[0] * h + sig @ dw
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(f"non-finite state after Euler step at t={t:.6g}")
     return out
@@ -82,10 +180,10 @@ def coupling_drift_phi(t, x, y, seg_x, seg_y, sched, coeffs):
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     bdiff = coeffs.b_delay(t, seg_y.values[None]) - coeffs.b_delay(t, seg_x.values[None])
-    out = coeffs.apply_sigma_inv(t, y[None], bdiff)[0]
+    out = coeffs.diffusion(t, y[None]).solve(bdiff)[0]
     if t < sched.t0:
         g = gamma(t, sched)
-        out = out - coeffs.apply_sigma_inv(t, x[None], (x - y)[None])[0] / g
+        out = out - coeffs.diffusion(t, x[None]).solve((x - y)[None])[0] / g
     return out
 
 

@@ -6,8 +6,11 @@ import pytest
 
 from harnack_lab.coefficients import (AssumptionConstants, AuditBox,
                                       CoefficientSet, audit_assumptions,
-                                      builtin_system, with_scaled_sigma)
-from oracles import coefficient_set_from_pointwise
+                                      builtin_system)
+from harnack_lab.integrator import NoiseBlocks, NoiseStream, _Recorder, _simulate_batch
+from harnack_lab.segment_paths import GridSpec
+from oracles import (audit_dense, coefficient_set_from_pointwise, dense_sigma,
+                     with_scaled_sigma)
 
 
 def test_constants_validation():
@@ -64,14 +67,17 @@ def test_sigma_inv_application():
     x = np.array([[0.3], [-1.2], [2.0]])
     vec = np.array([[1.0], [2.0], [-0.5]])
     want = vec / (0.1 * (2.0 + np.sin(x)))
-    np.testing.assert_allclose(co.apply_sigma_inv(0.0, x, vec), want)
-    # matrix form agrees with the vector form
-    m = co.sigma_inv_matrix(0.0, x)
-    np.testing.assert_allclose(np.einsum("bij,bj->bi", m, vec), want)
+    sig = co.diffusion(0.0, x)
+    np.testing.assert_allclose(sig.solve(vec), want)
+    np.testing.assert_allclose(sig.inv_op_norm(), np.abs(want / vec)[:, 0])
+    # the dense twin inverts the same matrices
+    dense = dataclasses.replace(co, sigma=dense_sigma(co.sigma)).diffusion(0.0, x)
+    np.testing.assert_allclose(dense.solve(vec), want)
+    np.testing.assert_allclose(dense.inv_op_norm(), sig.inv_op_norm())
 
 
 def test_sigma_inv_fallback_solve():
-    # no sigma_inv provided: apply_sigma_inv goes through a dense solve
+    # a dense sigma is inverted as a matrix
     def sig(t, x):
         out = np.zeros((x.shape[0], 2, 2))
         out[:, 0, 0] = 2.0
@@ -85,9 +91,51 @@ def test_sigma_inv_fallback_solve():
         constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=-2.0))
     x = np.zeros((3, 2))
     vec = np.tile([1.0, 2.0], (3, 1))
-    got = co.apply_sigma_inv(0.0, x, vec)
+    got = co.diffusion(0.0, x).solve(vec)
     want = np.linalg.solve(np.array([[2.0, 1.0], [0.0, 4.0]]), [1.0, 2.0])
     np.testing.assert_allclose(got, np.tile(want, (3, 1)))
+
+
+@pytest.mark.parametrize("shape", [lambda b, d: (b,), lambda b, d: (b, d, d + 1)],
+                         ids=["B", "B-d-d+1"])
+def test_sigma_of_another_shape_is_an_error(shape):
+    co = CoefficientSet(
+        dim=2, sigma=lambda t, x: np.ones(shape(*x.shape)), z_drift=lambda t, x: -x,
+        b_delay=lambda t, seg: np.zeros((seg.shape[0], 2)),
+        constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=-2.0))
+    with pytest.raises(ValueError, match="shape"):
+        co.diffusion(0.0, np.zeros((3, 2)))
+    # the audit reports the shape, not a singular sigma
+    with pytest.raises(ValueError, match="shape"):
+        audit_assumptions(co, n=16, seed=0)
+
+
+def test_audit_reads_the_dense_matrix_the_kernels_step_with():
+    mat = np.array([[2.0, 1.0], [0.0, 4.0]])
+    k3 = np.linalg.svd(np.linalg.inv(mat), compute_uv=False)[0]
+
+    def system(scale, k3_declared):
+        return CoefficientSet(
+            dim=2, sigma=lambda t, x: np.broadcast_to(scale * mat, x.shape + (2,)),
+            z_drift=lambda t, x: -x,
+            b_delay=lambda t, seg: np.zeros((seg.shape[0], 2)),
+            constants=AssumptionConstants(k1=0.0, k2=0.0, k3=k3_declared, k4=-2.0))
+
+    grid = GridSpec(1.0, 0.5, 2)  # one Euler step
+    xi = np.ones((3, 2))
+    stream = NoiseStream(seed=4, h=grid.h, dim=2)
+    dw = stream.batch(0, 5, 1)[0]
+    for scale in (1.0, 5.0):
+        co = system(scale, k3 / scale)
+        a3 = audit_assumptions(co, n=600, seed=1).conditions["A3"]
+        assert a3.passed
+        assert a3.empirical_max == pytest.approx(k3 / scale, rel=1e-12)
+        rec = _Recorder(grid.m + grid.n_T + 1)
+        _simulate_batch(co, xi, grid, NoiseBlocks(stream, 0, 5, 1), (rec,))
+        np.testing.assert_allclose(rec.full[0][-1], 1.0 - grid.h + dw @ (scale * mat).T,
+                                   rtol=1e-14, atol=1e-15)
+    # the k3 of the scaled matrix does not hold for the unscaled one
+    assert not audit_assumptions(system(1.0, k3 / 5.0), n=600, seed=1).conditions["A3"].passed
 
 
 def test_pointwise_wrapper_matches_batch():
@@ -123,8 +171,7 @@ def test_audit_catches_understated_constants():
     # same dynamics, but declare a delay constant that is too small
     bad = CoefficientSet(
         dim=1, sigma=good.sigma, z_drift=good.z_drift, b_delay=good.b_delay,
-        constants=AssumptionConstants(k1=0.3, k2=0.0, k3=1.0, k4=-2.0),
-        sigma_inv=good.sigma_inv)
+        constants=AssumptionConstants(k1=0.3, k2=0.0, k3=1.0, k4=-2.0))
     report = audit_assumptions(bad, n=4000, seed=3)
     assert not report.conditions["A1"].passed
     assert report.conditions["A1"].empirical_max > 0.3
@@ -134,8 +181,7 @@ def test_audit_catches_understated_dissipativity():
     good = builtin_system("linear_additive", {"a": -1.0, "c": 0.5, "s0": 1.0})
     bad = CoefficientSet(
         dim=1, sigma=good.sigma, z_drift=good.z_drift, b_delay=good.b_delay,
-        constants=AssumptionConstants(k1=0.5, k2=0.0, k3=1.0, k4=-2.5),
-        sigma_inv=good.sigma_inv)
+        constants=AssumptionConstants(k1=0.5, k2=0.0, k3=1.0, k4=-2.5))
     report = audit_assumptions(bad, n=4000, seed=3)
     assert not report.conditions["A4"].passed
     assert report.conditions["A4"].empirical_max == pytest.approx(-2.0, abs=1e-6)
@@ -145,8 +191,7 @@ def test_audit_catches_understated_inverse_bound():
     good = builtin_system("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1})
     bad = CoefficientSet(
         dim=1, sigma=good.sigma, z_drift=good.z_drift, b_delay=good.b_delay,
-        constants=AssumptionConstants(k1=2.0, k2=0.2, k3=5.0, k4=-1.99),
-        sigma_inv=good.sigma_inv)
+        constants=AssumptionConstants(k1=2.0, k2=0.2, k3=5.0, k4=-1.99))
     report = audit_assumptions(bad, n=4000, seed=3)
     assert not report.conditions["A3"].passed
 
@@ -183,29 +228,28 @@ def test_with_scaled_sigma():
     co = builtin_system("linear_additive", {"a": -1.0, "c": 0.5, "s0": 1.0})
     doubled = with_scaled_sigma(co, 2.0)
     x = np.array([[0.7]])
-    assert doubled.sigma(0.0, x)[0, 0, 0] == pytest.approx(2.0)
-    assert doubled.sigma_inv(0.0, x)[0, 0, 0] == pytest.approx(0.5)
-    assert doubled.sigma_diag(0.0, x)[0, 0] == 2.0
+    assert doubled.sigma(0.0, x)[0, 0] == 2.0
+    assert doubled.diffusion(0.0, x).solve(np.ones((1, 1)))[0, 0] == 0.5
     off = with_scaled_sigma(co, 0.0)
-    assert off.sigma(0.0, x)[0, 0, 0] == 0.0
-    assert off.sigma_inv is None
-    assert off.sigma_diag(0.0, x)[0, 0] == 0.0
+    assert off.sigma(0.0, x)[0, 0] == 0.0
+    with pytest.raises(ValueError, match="singular"):
+        off.diffusion(0.0, x).solve(np.ones((1, 1)))
 
 
 @pytest.mark.parametrize("name,params,dim", [
     ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 1),
     ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 3),
+    ("ou_nodelay", {"a": 1.0, "s0": 0.3}, 1),
     ("ou_nodelay", {"a": 1.0, "s0": 0.3}, 3),
     ("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1}, 1),
 ])
-def test_declared_diagonal_matches_dense_forms(name, params, dim):
+def test_audit_of_diagonal_matches_dense_formulas(name, params, dim):
     co = builtin_system(name, params, dim=dim)
-    x = np.random.default_rng(5).uniform(-4.0, 4.0, size=(50, dim))
-    diag = co.sigma_diag(0.3, x)
-    assert diag.shape == (50, dim)
-    idx = np.arange(dim)
-    assert np.array_equal(co.sigma(0.3, x)[:, idx, idx], diag)
-    assert np.array_equal(co.sigma_inv(0.3, x)[:, idx, idx], 1.0 / diag)
-    # the audit reads the same numbers with or without the diagonal
-    dense = dataclasses.replace(co, sigma_diag=None)
-    assert audit_assumptions(co, n=2000, seed=3) == audit_assumptions(dense, n=2000, seed=3)
+    assert co.sigma(0.3, np.zeros((4, dim))).shape == (4, dim)
+    box = AuditBox(t_max=2.0)
+    got = audit_assumptions(co, box=box, n=5000, seed=3)
+    want = audit_dense(co, box, n=5000, seed=3)
+    assert got.conditions.keys() == want.conditions.keys()
+    for cond in want.conditions:
+        assert got.conditions[cond] == want.conditions[cond], cond
+    assert got == want

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from harnack_lab.coefficients import (_DiagDiffusion, builtin_system,
-                                      with_scaled_sigma)
+from harnack_lab.coefficients import _DenseDiffusion, _DiagDiffusion, builtin_system
 from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
                                   contraction_factors, gamma,
                                   inv_gamma_integral, simulate_coupled_P,
@@ -16,7 +15,8 @@ from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import coupling_drift_phi, coupling_time, point_gaps, segment_at
+from oracles import (coupling_drift_phi, coupling_time, dense_sigma, point_gaps,
+                     segment_at, with_scaled_sigma)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -329,8 +329,8 @@ def test_coupled_input_validation():
 # ------------------------------------------------------- diagonal diffusion
 
 def dense_twin(co):
-    """The same system with its dense sigma / sigma_inv and no diagonal."""
-    return dataclasses.replace(co, sigma_diag=None)
+    """The same system with its diagonal sigma as dense matrices."""
+    return dataclasses.replace(co, sigma=dense_sigma(co.sigma))
 
 
 def kernel_outputs(co, m=20, b=37):
@@ -373,14 +373,15 @@ DIAGONAL_SYSTEMS = [
 
 
 @pytest.mark.parametrize("name,params,dim", DIAGONAL_SYSTEMS)
-@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("scale", [1.0, 2.0, 3.0])
 def test_diagonal_diffusion_matches_dense_twin(name, params, dim, scale):
     co = builtin_system(name, params, dim=dim)
-    assert co.sigma_diag is not None
     dense = dense_twin(co)
     if scale != 1.0:
         co, dense = with_scaled_sigma(co, scale), with_scaled_sigma(dense, scale)
-        assert co.sigma_diag is not None and dense.sigma_diag is None
+    x = np.zeros((2, dim))
+    assert isinstance(co.diffusion(0.0, x), _DiagDiffusion)
+    assert isinstance(dense.diffusion(0.0, x), _DenseDiffusion)
     got, want = kernel_outputs(co), kernel_outputs(dense)
     assert got.keys() == want.keys()
     for key in want:

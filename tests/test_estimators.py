@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from harnack_lab.bounds import GapPair, bound_entropy_with_tail, lemma_rhs
 from harnack_lab._parallel import CHUNK
-from harnack_lab.coefficients import (AssumptionConstants, CoefficientSet,
-                                      builtin_system, with_scaled_sigma)
+from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule
-from harnack_lab.estimators import (MCEstimate, _chunk_moments,
+from harnack_lab.estimators import (MCEstimate, _checked_exp, _chunk_moments,
                                     _effective_sample_size, _reduce_moments,
                                     _SegGapIntegral,
                                     check_log_harnack,
@@ -25,7 +24,8 @@ from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import NoiseStream, _Ring
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import merged_fraction, seg_gap_integral_window_max, stationary_segments_tiled
+from oracles import (merged_fraction, seg_gap_integral_window_max, stationary_segments_tiled,
+                     with_scaled_sigma)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -328,6 +328,36 @@ def test_exp_functional_overflow_reports_path():
                                 n=8, seed=0)
 
 
+def test_nan_path_does_not_hide_exponent_overflow():
+    # unit sigma and zero drift, until a state passes 1.5 and its drift turns
+    # NaN; without the NaN the same run overflows at path 8 (exponent 1000)
+    co = CoefficientSet(
+        dim=1, sigma=lambda t, x: np.ones(x.shape),
+        z_drift=lambda t, x: np.where(x > 1.5, np.nan, 0.0),
+        b_delay=lambda t, seg: np.zeros((seg.shape[0], 1)),
+        constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=0.0))
+    grid = GridSpec(0.5, 2.0, 5)
+    xi, eta = constant_segment(1.0, 0.5, 5), constant_segment(0.0, 0.5, 5)
+    sched = GammaSchedule(theta=1.0, k4=0.0, t0=1.0)
+    with pytest.raises(OverflowError, match="path 8, exponent 1000"):
+        estimate_exp_functional(co, xi, eta, sched, grid, lam=1000.0, n=64, seed=0,
+                                t_upper=1.0, threads=1)
+
+
+def test_checked_exp_skips_nan_entries():
+    nan, inf = math.nan, math.inf
+    values, top = _checked_exp(np.array([nan, 3.0, nan, 5.0]), 10, "", "exponent")
+    assert top == 5.0
+    assert np.isnan(values[0]) and values[3] == math.exp(5.0)
+    with pytest.raises(OverflowError, match="path 12, exponent 800"):
+        _checked_exp(np.array([1.0, nan, 800.0]), 10, "", "exponent")
+    with pytest.raises(OverflowError, match="weight overflow: path 11, log-weight inf"):
+        _checked_exp(np.array([nan, inf]), 10, "weight overflow: ", "log-weight")
+    # a chunk with nothing but NaN keeps the diagnostic nan
+    values, top = _checked_exp(np.full(3, nan), 0, "", "exponent")
+    assert math.isnan(top) and np.isnan(values).all()
+
+
 def test_exp_functional_negative_lam_rejected():
     co = linear()
     grid, xi, eta = setup(m=50)
@@ -383,8 +413,7 @@ def blow_up_system():
         sigma=lambda t, x: np.ones((x.shape[0], 1, 1)),
         z_drift=lambda t, x: np.where(x > 0, np.inf, 0.0),
         b_delay=lambda t, seg: np.zeros((seg.shape[0], 1)),
-        constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=0.0),
-        sigma_inv=lambda t, x: np.ones((x.shape[0], 1, 1)))
+        constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=0.0))
 
 
 @pytest.mark.parametrize("delta_merge", [1e-8, -1.0])

@@ -5,12 +5,11 @@ import threading
 import numpy as np
 import pytest
 
-from harnack_lab.coefficients import (AssumptionConstants, builtin_system,
-                                      with_scaled_sigma)
+from harnack_lab.coefficients import AssumptionConstants, builtin_system
 from harnack_lab.integrator import NoiseBlocks, NoiseStream, Trajectory, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
 from oracles import (coefficient_set_from_pointwise, increments, points, segment_at,
-                     step_euler, times, value_at)
+                     step_euler, times, value_at, with_scaled_sigma)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):

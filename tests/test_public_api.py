@@ -9,7 +9,7 @@ PUBLIC = [
     "__version__",
     "SegmentPath", "GridSpec", "constant_segment", "sup_distance",
     "AssumptionConstants", "CoefficientSet", "AuditBox", "AuditReport",
-    "builtin_system", "audit_assumptions", "with_scaled_sigma",
+    "builtin_system", "audit_assumptions",
     "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
     "simulate_coupled_Q", "simulate_coupled_P",

@@ -22,8 +22,8 @@ from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, SegmentPath, constant_segment
-from oracles import (coupled_batch_full, increments, seg_gap_integral_window_max,
-                     simulate_batch_full)
+from oracles import (coupled_batch_full, dense_sigma, increments,
+                     seg_gap_integral_window_max, simulate_batch_full)
 
 SINE = ("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1}, 1)
 LINEAR = ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 3)
@@ -31,8 +31,8 @@ LINEAR = ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 3)
 
 def system(name, dense):
     co = builtin_system(*name[:2], dim=name[2])
-    # the dense twin steps through sigma / sigma_inv matrices instead
-    return dataclasses.replace(co, sigma_diag=None) if dense else co
+    # the dense twin steps through (B, d, d) matrices instead
+    return dataclasses.replace(co, sigma=dense_sigma(co.sigma)) if dense else co
 
 
 def setup(m, d, b=37):
@@ -305,7 +305,7 @@ def nan_after(t_bad):
     # holds both copies from the next grid row on
     ones = lambda t, x: np.ones((x.shape[0], 1, 1))
     return CoefficientSet(
-        dim=1, sigma=ones, sigma_inv=ones,
+        dim=1, sigma=ones,
         z_drift=lambda t, x: -x if t <= t_bad else np.full_like(x, np.nan),
         b_delay=lambda t, seg: np.zeros((seg.shape[0], 1)),
         constants=AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=1.0))
