@@ -41,9 +41,6 @@ from .segment_paths import GridSpec, SegmentPath, constant_segment
 
 VERSION_TAG = f"harnack-lab-v{__version__}"
 
-COMMANDS = ("audit", "simulate", "couple", "bounds", "entropy",
-            "log-harnack", "power-harnack", "stationary")
-
 VERDICT_HEADER = ["claim", "lhs", "lhs_se", "rhs", "rhs_se", "bound",
                   "margin_se", "verdict", "n", "seed", "h", "failures",
                   "version"]
@@ -92,6 +89,35 @@ class ExperimentConfig:
         return self.r0 / self.m
 
 
+# (section, key, ExperimentConfig field, parser), one row per fixed key in
+# file order. [system] is free-form: besides its name it holds the catalog's
+# parameters, which parse as floats and render sorted after the name.
+_KEYS = (
+    ("problem", "d", "d", int),
+    ("problem", "r0", "r0", float),
+    ("problem", "t", "T", float),
+    ("problem", "m", "m", int),
+    ("problem", "t0", "t0", float),
+    ("problem", "xi", "xi", str),
+    ("problem", "eta", "eta", str),
+    ("system", "name", "system_name", str),
+    ("coupling", "theta", "theta", float),
+    ("coupling", "p", "p", float),
+    ("coupling", "s_choice", "s_choice", float),
+    ("coupling", "delta_merge", "delta_merge", float),
+    ("coupling", "measure", "measure", str),
+    ("mc", "n", "n", int),
+    ("mc", "seed", "seed", int),
+    ("mc", "k_tol", "k_tol", float),
+    ("mc", "k_viol", "k_viol", float),
+    ("mc", "burn_in", "burn_in", float),
+    ("functions", "f", "f_name", str),
+    ("functions", "cap", "cap", float),
+    ("output", "dir", "out_dir", str),
+    ("output", "verbosity", "verbosity", int),
+)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config, collecting all violations before
     raising. Unknown sections and keys are errors, not warnings."""
@@ -103,21 +129,15 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError([f"unparseable config: {exc}"]) from exc
 
-    known = {
-        "problem": {"d", "r0", "t", "m", "t0", "xi", "eta"},
-        "system": None,  # free-form params plus name
-        "coupling": {"theta", "p", "s_choice", "delta_merge", "measure"},
-        "mc": {"n", "seed", "k_tol", "k_viol", "burn_in"},
-        "functions": {"f", "cap"},
-        "output": {"dir", "verbosity"},
-    }
+    known: Dict[str, set] = {}
+    for sec, key, _, _ in _KEYS:
+        known.setdefault(sec, set()).add(key)
     for sec in cp.sections():
         if sec not in known:
             violations.append(f"unknown section [{sec}]")
-        elif known[sec] is not None:
-            for key in cp[sec]:
-                if key not in known[sec]:
-                    violations.append(f"unknown key '{key}' in [{sec}]")
+        elif sec != "system":
+            violations += [f"unknown key '{key}' in [{sec}]"
+                           for key in cp[sec] if key not in known[sec]]
 
     def get(sec, key, conv, default):
         if sec not in cp or key not in cp[sec]:
@@ -129,50 +149,17 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"[{sec}] {key}: cannot parse {raw!r}")
             return default
 
-    # every default is ExperimentConfig's
     dft = ExperimentConfig()
-    d = get("problem", "d", int, dft.d)
-    r0 = get("problem", "r0", float, dft.r0)
-    t_horizon = get("problem", "t", float, dft.T)
-    m = get("problem", "m", int, dft.m)
-    t0 = get("problem", "t0", float, dft.t0)
-    xi = get("problem", "xi", str, dft.xi)
-    eta = get("problem", "eta", str, dft.eta)
-
-    name = get("system", "name", str, dft.system_name)
-    params: Dict[str, float] = {}
-    if "system" in cp:
-        for key in cp["system"]:
-            if key == "name":
-                continue
-            params[key] = get("system", key, float, math.nan)
-    if not params and name == dft.system_name:
-        params = dft.system_params
-
-    theta = get("coupling", "theta", float, dft.theta)
-    p = get("coupling", "p", float, dft.p)
-    s_choice = get("coupling", "s_choice", float, dft.s_choice)
-    delta_merge = get("coupling", "delta_merge", float, dft.delta_merge)
-    measure = get("coupling", "measure", str, dft.measure)
-
-    n = get("mc", "n", int, dft.n)
-    seed = get("mc", "seed", int, dft.seed)
-    k_tol = get("mc", "k_tol", float, dft.k_tol)
-    k_viol = get("mc", "k_viol", float, dft.k_viol)
-    burn_in = get("mc", "burn_in", float, dft.burn_in)
-
-    f_name = get("functions", "f", str, dft.f_name)
-    cap = get("functions", "cap", float, dft.cap)
-
-    out_dir = get("output", "dir", str, dft.out_dir)
-    verbosity = get("output", "verbosity", int, dft.verbosity)
-
-    cfg = ExperimentConfig(
-        d=d, r0=r0, T=t_horizon, m=m, t0=t0, xi=xi, eta=eta,
-        system_name=name, system_params=params, theta=theta, p=p,
-        s_choice=s_choice, delta_merge=delta_merge, measure=measure,
-        n=n, seed=seed, k_tol=k_tol, k_viol=k_viol, burn_in=burn_in,
-        f_name=f_name, cap=cap, out_dir=out_dir, verbosity=verbosity)
+    values = {}
+    for sec, key, fld, conv in _KEYS:
+        values[fld] = get(sec, key, conv, getattr(dft, fld))
+        if sec == "system":
+            params = {k: get(sec, k, float, math.nan)
+                      for k in (cp[sec] if sec in cp else ()) if k != key}
+            if not params and values[fld] == dft.system_name:
+                params = dft.system_params
+            values["system_params"] = params
+    cfg = ExperimentConfig(**values)
     violations += _config_problems(cfg)
     if violations:
         raise ConfigError(violations)
@@ -253,29 +240,20 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
 
 
 def render_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config so that parse_config round-trips it exactly."""
-    lines = ["[problem]",
-             f"d = {cfg.d}", f"r0 = {cfg.r0!r}", f"t = {cfg.T!r}",
-             f"m = {cfg.m}"]
-    if cfg.t0 is not None:
-        lines.append(f"t0 = {cfg.t0!r}")
-    lines += [f"xi = {cfg.xi}", f"eta = {cfg.eta}", "",
-              "[system]", f"name = {cfg.system_name}"]
-    for key in sorted(cfg.system_params):
-        lines.append(f"{key} = {cfg.system_params[key]!r}")
-    lines += ["", "[coupling]", f"theta = {cfg.theta!r}"]
-    if cfg.p is not None:
-        lines.append(f"p = {cfg.p!r}")
-    if cfg.s_choice is not None:
-        lines.append(f"s_choice = {cfg.s_choice!r}")
-    lines += [f"delta_merge = {cfg.delta_merge!r}", f"measure = {cfg.measure}",
-              "", "[mc]", f"n = {cfg.n}", f"seed = {cfg.seed}",
-              f"k_tol = {cfg.k_tol!r}", f"k_viol = {cfg.k_viol!r}",
-              f"burn_in = {cfg.burn_in!r}",
-              "", "[functions]", f"f = {cfg.f_name}", f"cap = {cfg.cap!r}",
-              "", "[output]", f"dir = {cfg.out_dir}",
-              f"verbosity = {cfg.verbosity}", ""]
-    return "\n".join(lines)
+    """Serialize a config so that parse_config round-trips it exactly: the
+    _KEYS rows in order, floats by repr, a None left out."""
+    lines: List[str] = []
+    section = None
+    for sec, key, fld, conv in _KEYS:
+        if sec != section:
+            lines += ["", f"[{sec}]"]
+            section = sec
+        value = getattr(cfg, fld)
+        if value is not None:
+            lines.append(f"{key} = {value!r}" if conv is float else f"{key} = {value}")
+        if sec == "system":
+            lines += [f"{k} = {cfg.system_params[k]!r}" for k in sorted(cfg.system_params)]
+    return "\n".join(lines[1:] + [""])
 
 
 def config_grid(cfg: ExperimentConfig) -> GridSpec:
@@ -457,25 +435,24 @@ def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
                   f"log R_T={traj.log_weight_cum[-1]:.6g}")
         return 0
 
-    reports = []
     if cfg.measure == "P":
         est = estimate_martingale_mean(coeffs, xi, eta, sched, grid, cfg.n,
                                        cfg.seed, cfg.delta_merge, threads)
-        frac_fail = est.failures / cfg.n
+    else:
+        est = estimate_entropy_Q(coeffs, xi, eta, sched, grid, cfg.n, cfg.seed,
+                                 delta_merge=cfg.delta_merge, threads=threads)
+    # unmerged plus non-finite paths
+    failure_fraction = est.failures / cfg.n
+    reports = []
+    if cfg.measure == "P":
         reports.append(make_verdict(
             "girsanov_weight_mean", est,
             MCEstimate(mean=1.0, std_error=0.0, n=0, seed=cfg.seed),
             bound=1.0, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
-            failure_fraction=frac_fail, two_sided=True,
+            failure_fraction=failure_fraction, two_sided=True,
             meta={"ess": est.diagnostics["ess"]}))
-    else:
-        est = estimate_entropy_Q(coeffs, xi, eta, sched, grid, cfg.n, cfg.seed,
-                                 delta_merge=cfg.delta_merge, threads=threads)
-        frac_fail = est.failures / cfg.n
-
-    unmerged = est.failures / cfg.n
-    se = math.sqrt(max(unmerged * (1.0 - unmerged), 0.0) / cfg.n)
-    lhs = MCEstimate(mean=unmerged, std_error=se, n=cfg.n, seed=cfg.seed,
+    se = math.sqrt(max(failure_fraction * (1.0 - failure_fraction), 0.0) / cfg.n)
+    lhs = MCEstimate(mean=failure_fraction, std_error=se, n=cfg.n, seed=cfg.seed,
                      diagnostics={"failures": est.failures})
     rhs = MCEstimate(mean=1e-3, std_error=0.0, n=0, seed=cfg.seed)
     reports.append(make_verdict("coupling_unmerged_fraction", lhs, rhs,
@@ -597,6 +574,7 @@ _DISPATCH = {
     "power-harnack": _cmd_power_harnack,
     "stationary": _cmd_stationary,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run_command(argv) -> int:
@@ -620,17 +598,10 @@ def run_command(argv) -> int:
 
     try:
         with open(args.config) as fh:
-            text = fh.read()
-        cfg = parse_config(text)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.paths is not None:
-            overrides["n"] = args.paths
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+            cfg = parse_config(fh.read())
+        overrides = {fld: v for fld, v in (("seed", args.seed), ("n", args.paths),
+                                            ("out_dir", args.out)) if v is not None}
+        cfg = dataclasses.replace(cfg, **overrides)
         validate_for_command(cfg, args.command)
         return _DISPATCH[args.command](cfg, args.threads)
     except ConfigError as exc:

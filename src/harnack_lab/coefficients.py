@@ -132,8 +132,9 @@ class CoefficientSet:
 
     sigma(t, x) is the system's one diffusion: (B, d) entries of a diagonal
     sigma, or (B, d, d) dense matrices; the kernels and the audit both read
-    it through diffusion(). delay_free marks systems whose b vanishes
-    identically (required by the stationary sampler).
+    it through diffusion(), and z_drift and b_delay through z() and b(),
+    which check their (B, d) shape. delay_free marks systems whose b
+    vanishes identically (required by the stationary sampler).
     """
     dim: int
     sigma: object
@@ -156,6 +157,22 @@ class CoefficientSet:
             return _DenseDiffusion(t, sig)
         raise ValueError(f"sigma(t={t}, x) has shape {sig.shape}; x of shape {x.shape} "
                          f"needs {x.shape} (diagonal) or {x.shape + x.shape[-1:]} (dense)")
+
+    def z(self, t, x):
+        """z_drift(t, x) for a batch of states x (B, d), checked to be (B, d)."""
+        return _drift_out("z_drift", t, self.z_drift(t, x), x.shape)
+
+    def b(self, t, seg):
+        """b_delay(t, seg) for a batch of segments (B, m+1, d), checked to be
+        (B, d)."""
+        return _drift_out("b_delay", t, self.b_delay(t, seg), (seg.shape[0], seg.shape[2]))
+
+
+def _drift_out(name, t, out, shape):
+    out = np.asarray(out)
+    if out.shape != shape:
+        raise ValueError(f"{name}(t={t}, .) has shape {out.shape}; expected {shape}")
+    return out
 
 
 # The system catalog: each name with the parameters it takes. "constants"
@@ -331,15 +348,17 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0, slack=1e-6):
             sy = coeffs.diffusion(t, gy)
 
             # A1: normalized delay-drift increment vs segment sup distance
+            bdiff = coeffs.b(t, gxi) - coeffs.b(t, geta)
+            s_eta = coeffs.diffusion(t, geta[:, -1, :])
             try:
-                bdiff = coeffs.b_delay(t, gxi) - coeffs.b_delay(t, geta)
-                normed = coeffs.diffusion(t, geta[:, -1, :]).solve(bdiff)
+                normed = s_eta.solve(bdiff)
+            except ValueError:
+                singular = (t, ("segment endpoint during A1",))
+            else:
                 segdist = np.sqrt(((gxi - geta) ** 2).sum(axis=2)).max(axis=1)
                 ok = segdist > 0
                 if ok.any():
                     update("A1", np.linalg.norm(normed[ok], axis=1) / segdist[ok], geta[:, -1, :][ok])
-            except ValueError:
-                singular = (t, ("segment endpoint during A1",))
 
             dxy = np.linalg.norm(gx - gy, axis=1)
             ok = dxy > 0
@@ -357,7 +376,7 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0, slack=1e-6):
             # A4: HS increment squared plus twice the drift alignment, vs |x-y|^2
             if ok.any():
                 hs2 = sx.diff_hs_sq(sy)[ok]
-                zdiff = coeffs.z_drift(t, gx[ok]) - coeffs.z_drift(t, gy[ok])
+                zdiff = coeffs.z(t, gx[ok]) - coeffs.z(t, gy[ok])
                 inner = ((gx[ok] - gy[ok]) * zdiff).sum(axis=1)
                 update("A4", (hs2 + 2.0 * inner) / dxy[ok] ** 2, gx[ok])
 

@@ -177,10 +177,10 @@ class _Coupled:
         pre = k < self.n0
         merged = self.merged
 
-        bx = coeffs.b_delay(t, rx.segment(i))
-        by = coeffs.b_delay(t, ry.segment(i))
-        zx = coeffs.z_drift(t, x)
-        zy = coeffs.z_drift(t, y)
+        bx = coeffs.b(t, rx.segment(i))
+        by = coeffs.b(t, ry.segment(i))
+        zx = coeffs.z(t, x)
+        zy = coeffs.z(t, y)
         sx = coeffs.diffusion(t, x)
         sy = coeffs.diffusion(t, y)
         siginv_y_bdiff = sy.solve(by - bx)

@@ -228,9 +228,9 @@ class _Euler:
         t = k * h
         i = self.grid.m + k
         x = ring.row(i)
-        drift = coeffs.z_drift(t, x)
+        drift = coeffs.z(t, x)
         if not coeffs.delay_free:
-            drift = drift + coeffs.b_delay(t, ring.segment(i))
+            drift = drift + coeffs.b(t, ring.segment(i))
         xn = _euler_step(x, drift, h, coeffs.diffusion(t, x), dw)
         if not np.isfinite(xn).all():
             raise FloatingPointError(

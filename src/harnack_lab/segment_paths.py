@@ -115,9 +115,6 @@ class GridSpec:
     def __setattr__(self, name, value):
         raise AttributeError("GridSpec is immutable")
 
-    def times(self):
-        return np.arange(self.n_T + 1) * self.h
-
     def index_of(self, t, label="time"):
         """Grid index of a time that must lie on the grid."""
         k = round(float(t) / self.h)

@@ -2,6 +2,7 @@ import csv
 import math
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +117,64 @@ def test_unparseable_values_reported_per_key():
     joined = "\n".join(exc.value.violations)
     assert "cannot parse 'lots'" in joined
     assert "seed" in joined
+
+
+def test_render_config_exact_text():
+    # every optional key set; [system] parameters come out sorted
+    cfg = ExperimentConfig(
+        d=2, r0=0.5, T=1.5, m=200, t0=0.5, xi="zero", eta="const:0.25",
+        system_name="ou_nodelay", system_params={"s0": 0.1, "a": 2.0},
+        theta=0.75, p=16.0, s_choice=0.25, delta_merge=1e-10, measure="P",
+        n=5000, seed=42, k_tol=2.5, k_viol=7.0, burn_in=3.0,
+        f_name="exp_cap", cap=10.0, out_dir="results", verbosity=2)
+    assert render_config(cfg) == "\n".join([
+        "[problem]", "d = 2", "r0 = 0.5", "t = 1.5", "m = 200", "t0 = 0.5",
+        "xi = zero", "eta = const:0.25", "",
+        "[system]", "name = ou_nodelay", "a = 2.0", "s0 = 0.1", "",
+        "[coupling]", "theta = 0.75", "p = 16.0", "s_choice = 0.25",
+        "delta_merge = 1e-10", "measure = P", "",
+        "[mc]", "n = 5000", "seed = 42", "k_tol = 2.5", "k_viol = 7.0",
+        "burn_in = 3.0", "",
+        "[functions]", "f = exp_cap", "cap = 10.0", "",
+        "[output]", "dir = results", "verbosity = 2", ""])
+    assert parse_config(render_config(cfg)) == cfg
+
+
+def test_violations_listed_in_order():
+    # unknown sections and keys in file order, then unparseable values in
+    # section order ([system] after [problem]), then the semantic checks
+    text = "\n".join([
+        "[output]", "verbosity = loud",
+        "[problem]", "m = many", "xi = wobble",
+        "[extra]", "x = 1",
+        "[system]", "name = ou_nodelay", "a = fast", "s0 = 1.0",
+        "[mc]", "n = lots", "chains = 4",
+        "[coupling]", "theta = 2.5", "delta_merge = tiny",
+        "[functions]", "cap = big", "f = cube",
+    ])
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.violations == [
+        "unknown section [extra]",
+        "unknown key 'chains' in [mc]",
+        "[problem] m: cannot parse 'many'",
+        "[system] a: cannot parse 'fast'",
+        "[coupling] delta_merge: cannot parse 'tiny'",
+        "[mc] n: cannot parse 'lots'",
+        "[functions] cap: cannot parse 'big'",
+        "[output] verbosity: cannot parse 'loud'",
+        "[problem] xi='wobble': expected 'zero', 'const:<value>' or 'file:<path>'",
+        "[coupling] theta must lie in (0, 2)",
+        "[functions] f must be one of ('quad_cap', 'exp_cap')",
+    ]
+
+
+def test_readme_config_example_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(text)
+    assert cfg.t0 == 1.0 and cfg.p == 16.0 and cfg.n == 10000
+    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_t0_grid_checks():

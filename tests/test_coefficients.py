@@ -7,8 +7,12 @@ import pytest
 from harnack_lab.coefficients import (AssumptionConstants, AuditBox,
                                       CoefficientSet, audit_assumptions,
                                       builtin_system)
-from harnack_lab.integrator import NoiseBlocks, NoiseStream, _Recorder, _simulate_batch
-from harnack_lab.segment_paths import GridSpec
+from harnack_lab.coupling import simulate_coupled_Q
+from harnack_lab.estimators import estimate_PT_f
+from harnack_lab.estimators import test_function as catalog_fn
+from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
+                                    simulate_path)
+from harnack_lab.segment_paths import GridSpec, constant_segment
 from oracles import (audit_dense, coefficient_set_from_pointwise, dense_sigma,
                      with_scaled_sigma)
 
@@ -108,6 +112,40 @@ def test_sigma_of_another_shape_is_an_error(shape):
     # the audit reports the shape, not a singular sigma
     with pytest.raises(ValueError, match="shape"):
         audit_assumptions(co, n=16, seed=0)
+
+
+@pytest.mark.parametrize("dim, z_drift, b_delay, message", [
+    (1, lambda t, x: -x[:, 0], lambda t, seg: seg[:, 0, :], r"z_drift\(t=.*\) has shape \(\d+,\)"),
+    (2, lambda t, x: -x, lambda t, seg: seg[:, 0, :1], r"b_delay\(t=.*\) has shape \(\d+, 1\)"),
+], ids=["z_drift-B", "b_delay-B-1"])
+def test_drift_of_another_shape_is_an_error(dim, z_drift, b_delay, message):
+    # broadcast silently, these skewed the audit's A4 or added the one
+    # column of b to both components
+    co = CoefficientSet(
+        dim=dim, sigma=lambda t, x: np.ones(x.shape), z_drift=z_drift, b_delay=b_delay,
+        constants=AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=-2.0))
+    grid = GridSpec(1.0, 2.0, 4)
+    xi = constant_segment(np.ones(dim), 1.0, 4)
+    with pytest.raises(ValueError, match=message):
+        audit_assumptions(co, n=300, seed=0)
+    with pytest.raises(ValueError, match=message):
+        simulate_path(co, xi, grid, seed=0)
+    with pytest.raises(ValueError, match=message):
+        estimate_PT_f(co, xi, catalog_fn("quad_cap", 100.0), grid, n=16, seed=0)
+    with pytest.raises(ValueError, match=message):
+        simulate_coupled_Q(co, xi, constant_segment(np.zeros(dim), 1.0, 4), grid, t0=1.0)
+
+
+def test_audit_lets_a_b_delay_error_through():
+    # an error in b_delay is not a singular sigma (A3 = inf with A1 unsampled)
+    def b_delay(t, seg):
+        raise ValueError("user bug")
+
+    co = CoefficientSet(
+        dim=1, sigma=lambda t, x: np.ones(x.shape), z_drift=lambda t, x: -x,
+        b_delay=b_delay, constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=-2.0))
+    with pytest.raises(ValueError, match="user bug"):
+        audit_assumptions(co, n=300, seed=0)
 
 
 def test_audit_reads_the_dense_matrix_the_kernels_step_with():

@@ -104,8 +104,7 @@ def test_grid_spec_fields():
     g = GridSpec(1.0, 2.0, 400)
     assert g.h == pytest.approx(0.0025)
     assert g.n_T == 800
-    assert len(g.times()) == 801
-    assert g.times()[-1] == pytest.approx(2.0)
+    assert g.index_of(2.0) == 800
     with pytest.raises(AttributeError):
         g.T = 3.0
 
