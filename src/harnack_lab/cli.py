@@ -122,8 +122,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config, collecting all violations before
     raising. Unknown sections and keys are errors, not warnings."""
     violations: List[str] = []
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                   interpolation=None)
+    # no section header holds a newline, so [DEFAULT] is a section like any other
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                   default_section="\n")
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -40,9 +40,13 @@ TIE_ULPS = 8
 class MCEstimate:
     """Sample mean with its standard error and run provenance.
 
-    diagnostics holds the range (min, max) and, for coupled estimates, the
-    failed paths: unmerged (finite but apart at t0), nonfinite (NaN or inf
-    state or weight) and failures, their sum.
+    diagnostics, each merged across chunks as follows: min and max, the
+    range of the values (nan if any is NaN); for coupled estimates the
+    failed paths, summed: unmerged (finite but apart at t0) and nonfinite
+    (NaN or inf state or weight); max_exponent (exp functional) or
+    max_log_weight (weight mean), the largest non-NaN one (nan if none);
+    failures, unmerged + nonfinite. raw_mean, bound and ess are set on the
+    merged estimate. No diagnostic depends on the chunk split.
     """
 
     mean: float
@@ -169,44 +173,53 @@ class StationarySample:
         self.lag_r0_autocov.setflags(write=False)
 
 
-_MOMENT_KEYS = ("n", "sum", "m2", "min", "max")
+@dataclass(frozen=True)
+class _Chunk:
+    """One chunk's count, sum, squared deviations from its mean (m2) and
+    range; a coupled chunk adds its failed paths and its worst case."""
 
-# coupled paths that failed: finite but apart at t0, or with a NaN or inf
-# final state or log-weight
-_FAILURE_KEYS = ("unmerged", "nonfinite")
+    n: int
+    sum: float
+    m2: float
+    min: float
+    max: float
+    unmerged: Optional[int] = None
+    nonfinite: Optional[int] = None
+    worst: float = math.nan
+
+    @classmethod
+    def of(cls, v: np.ndarray, **coupled) -> "_Chunk":
+        total = float(v.sum())
+        dev = v - total / v.size
+        return cls(v.size, total, float((dev * dev).sum()), float(v.min()),
+                   float(v.max()), **coupled)
 
 
-def _chunk_moments(v: np.ndarray) -> dict:
-    """Count, sum, sum of squared deviations from the chunk mean (M2) and
-    range of one chunk's values."""
-    total = float(v.sum())
-    dev = v - total / v.size
-    return {"n": v.size, "sum": total, "m2": float((dev * dev).sum()),
-            "min": float(v.min()), "max": float(v.max())}
-
-
-def _reduce_moments(parts, n: int, seed: int) -> MCEstimate:
+def _reduce(parts: List[_Chunk], seed: int, worst: Optional[str] = None) -> MCEstimate:
+    """One estimate from the chunks, in chunk order; worst names the
+    diagnostic of the chunks' worst case, if the estimate reports one."""
     # Chan, Golub & LeVeque: merge chunk means and M2s in chunk order, so the
     # variance never takes the cancelling difference sum(v^2) - n mean^2
     count, run_mean, m2 = 0, 0.0, 0.0
     for p in parts:
-        delta = p["sum"] / p["n"] - run_mean
-        n_ab = count + p["n"]
-        run_mean += delta * p["n"] / n_ab
-        m2 += p["m2"] + delta * delta * count * p["n"] / n_ab
+        delta = p.sum / p.n - run_mean
+        n_ab = count + p.n
+        run_mean += delta * p.n / n_ab
+        m2 += p.m2 + delta * delta * count * p.n / n_ab
         count = n_ab
-    mean = ordered_sum([p["sum"] for p in parts]) / n
-    var = m2 / (n - 1) if n > 1 else 0.0
-    diag = {"min": min(p["min"] for p in parts), "max": max(p["max"] for p in parts)}
-    # failure counts add up across chunks; any other extra key is a worst case
-    for key in parts[0]:
-        if key in _FAILURE_KEYS:
-            diag[key] = sum(p[key] for p in parts)
-        elif key not in _MOMENT_KEYS:
-            diag[key] = max(p[key] for p in parts)
-    diag["failures"] = sum(diag.get(key, 0) for key in _FAILURE_KEYS)
-    return MCEstimate(mean=float(mean), std_error=math.sqrt(var / n), n=n,
-                      seed=seed, diagnostics=diag)
+    var = m2 / (count - 1) if count > 1 else 0.0
+    # the range of all the values, NaN if any is NaN, as np.min and np.max
+    diag = {"min": float(np.min([p.min for p in parts])),
+            "max": float(np.max([p.max for p in parts]))}
+    if parts[0].unmerged is not None:
+        diag["unmerged"] = sum(p.unmerged for p in parts)
+        diag["nonfinite"] = sum(p.nonfinite for p in parts)
+    if worst is not None:
+        # skipping NaN, as _checked_exp does within a chunk
+        diag[worst] = float(np.fmax.reduce([p.worst for p in parts]))
+    diag["failures"] = diag.get("unmerged", 0) + diag.get("nonfinite", 0)
+    return MCEstimate(mean=ordered_sum([p.sum for p in parts]) / count,
+                      std_error=math.sqrt(var / count), n=count, seed=seed, diagnostics=diag)
 
 
 class _SegGapIntegral:
@@ -277,16 +290,16 @@ def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
     def chunk(a, b):
         noise = NoiseBlocks(stream, a, b - a, grid.n_T)
         ring = _simulate_batch(coeffs, xi.values, grid, noise)
-        return _chunk_moments(f(ring.segment(grid.m + grid.n_T)))
+        return _Chunk.of(f(ring.segment(grid.m + grid.n_T)))
 
-    return _reduce_moments(map_chunks(chunk, n, threads), n, seed)
+    return _reduce(map_chunks(chunk, n, threads), seed)
 
 
-def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                      delta_merge, measure, value_of, observer=None) -> MCEstimate:
+def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, delta_merge,
+                      measure, value_of, observer=None, worst=None) -> MCEstimate:
     """Coupled chunks reduced to one estimate. observer(B), if given, builds
     each chunk's observer; value_of(pair, observer, first path) gives the
-    per-path values and extra diagnostics of a finished chunk.
+    per-path values and worst case of a finished chunk; worst names it.
 
     A chunk with an observer stops after max(observer.k_upper, n0) steps
     (t0 = n0 h), the last row its values or the merge check read, and
@@ -306,20 +319,17 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
         pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched,
                               NoiseBlocks(stream, a, b - a, k_stop), measure, delta_merge,
                               () if ob is None else (ob,))
-        v, extra = value_of(pair, ob, a)
+        v, top = value_of(pair, ob, a)
         # a path that went NaN or inf never merges; count it apart
         rx, ry = pair.rings
         last = grid.m + k_stop
         finite = (np.isfinite(pair.logw)
                   & np.isfinite(rx.row(last)).all(axis=1)
                   & np.isfinite(ry.row(last)).all(axis=1))
-        out = _chunk_moments(v)
-        out["unmerged"] = int((finite & ~pair.merged).sum())
-        out["nonfinite"] = int((~finite).sum())
-        out.update(extra)
-        return out
+        return _Chunk.of(v, unmerged=int((finite & ~pair.merged).sum()),
+                         nonfinite=int((~finite).sum()), worst=top)
 
-    return _reduce_moments(map_chunks(chunk, n, threads), n, seed)
+    return _reduce(map_chunks(chunk, n, threads), seed, worst)
 
 
 def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
@@ -336,7 +346,7 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
     k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else grid.n_T
 
     def value_of(pair, sums, a):
-        return 0.5 * sums.phi_sq, {}
+        return 0.5 * sums.phi_sq, math.nan
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
                              delta_merge, "Q", value_of,
@@ -389,13 +399,12 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
 
     def value_of(pair, ob, a):
         # each observer names its integrals after the integrands
-        values, top = _checked_exp(
+        return _checked_exp(
             lam * getattr(ob, integrand), a,
             f"exponent overflow in exp-functional estimate: lam={lam}, ", "exponent")
-        return values, {"max_exponent": top}
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "Q", value_of, observer)
+                             delta_merge, "Q", value_of, observer, "max_exponent")
 
 
 def _effective_sample_size(est: MCEstimate) -> float:
@@ -420,11 +429,10 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
     """
 
     def value_of(pair, ob, a):
-        values, top = _checked_exp(pair.logw, a, "weight overflow: ", "log-weight")
-        return values, {"max_log_weight": top}
+        return _checked_exp(pair.logw, a, "weight overflow: ", "log-weight")
 
     est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                            delta_merge, "P", value_of)
+                            delta_merge, "P", value_of, worst="max_log_weight")
     return replace(est, diagnostics=dict(est.diagnostics, ess=_effective_sample_size(est)))
 
 
@@ -469,6 +477,16 @@ def make_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, bound: float,
                          k_viol=k_viol, meta=dict(meta or {}))
 
 
+def _log_of_mean(raw: MCEstimate, bound: Optional[float] = None,
+                 p: float = 1.0) -> MCEstimate:
+    """(1/p) log raw.mean, plus bound if given, with its SE by the delta
+    method; diagnostics keep raw_mean and the bound."""
+    extra = {} if bound is None else {"bound": bound}
+    return MCEstimate(mean=math.log(raw.mean) / p + (bound or 0.0),
+                      std_error=raw.std_error / (p * raw.mean), n=raw.n, seed=raw.seed,
+                      diagnostics={"raw_mean": raw.mean, **extra, **raw.diagnostics})
+
+
 def _check_harnack_inputs(claim, f_min, coeffs, xi, eta, f, T, grid):
     """The input checks shared by both Harnack verdicts."""
     if not T > grid.r0:
@@ -507,10 +525,7 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
 
     lhs = estimate_PT_f(coeffs, eta, _log_of(f), grid, n, seed, threads)
     raw = estimate_PT_f(coeffs, xi, f, grid, n, seed + 1, threads)
-    rhs = MCEstimate(mean=math.log(raw.mean) + h_val,
-                     std_error=raw.std_error / raw.mean, n=raw.n, seed=raw.seed,
-                     diagnostics={"raw_mean": raw.mean, "bound": h_val,
-                                  **raw.diagnostics})
+    rhs = _log_of_mean(raw, h_val)
     return make_verdict("log_harnack", lhs, rhs, h_val, k_tol, k_viol,
                         meta={"s_star": s_star, "point_gap": gaps.point_gap,
                               "seg_gap": gaps.seg_gap})
@@ -536,15 +551,7 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
     raw_l = estimate_PT_f(coeffs, eta, f, grid, n, seed, threads)
     raw_r = estimate_PT_f(coeffs, xi, _power_of(f, p), grid, n, seed + 1, threads)
     # compare log E f(eta) against (1/p) log E f^p(xi) + Phi_p
-    lhs = MCEstimate(mean=math.log(raw_l.mean),
-                     std_error=raw_l.std_error / raw_l.mean,
-                     n=raw_l.n, seed=raw_l.seed,
-                     diagnostics={"raw_mean": raw_l.mean, **raw_l.diagnostics})
-    rhs = MCEstimate(mean=math.log(raw_r.mean) / p + rep.value,
-                     std_error=raw_r.std_error / (p * raw_r.mean),
-                     n=raw_r.n, seed=raw_r.seed,
-                     diagnostics={"raw_mean": raw_r.mean, "bound": rep.value,
-                                  **raw_r.diagnostics})
+    lhs, rhs = _log_of_mean(raw_l), _log_of_mean(raw_r, rep.value, p)
     return make_verdict("power_harnack", lhs, rhs, rep.value, k_tol, k_viol,
                         meta={"p": p, "s_star": rep.s_star,
                               "eps_star": rep.eps_star, "log_scale": 1.0})

@@ -111,6 +111,18 @@ def test_all_violations_collected():
     assert "measure" in joined
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nn = 5\n",
+    "[system]\nname = linear_additive\na = -1.0\nc = 0.5\ns0 = 1.0\n[DEFAULT]\nseed = 3\n",
+], ids=["alone", "with-system"])
+def test_default_section_is_unknown(text):
+    # configparser's [DEFAULT] is a section like any other: neither
+    # silently dropped nor copied into [system] as a parameter
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.violations == ["unknown section [DEFAULT]"]
+
+
 def test_unparseable_values_reported_per_key():
     with pytest.raises(ConfigError) as exc:
         parse_config("[mc]\nn = lots\nseed = -3\n")

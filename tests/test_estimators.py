@@ -4,15 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harnack_lab.bounds import GapPair, bound_entropy_with_tail, lemma_rhs
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule
-from harnack_lab.estimators import (MCEstimate, _checked_exp, _chunk_moments,
-                                    _effective_sample_size, _reduce_moments,
+from harnack_lab.estimators import (MCEstimate, _checked_exp, _Chunk,
+                                    _effective_sample_size, _reduce,
                                     _SegGapIntegral,
                                     check_log_harnack,
                                     check_power_harnack, estimate_PT_f,
@@ -24,7 +24,8 @@ from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import NoiseStream, _Ring
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (merged_fraction, seg_gap_integral_window_max, stationary_segments_tiled,
+from oracles import (chunk_moments_dict, merged_fraction, reduce_moments_dict,
+                     seg_gap_integral_window_max, stationary_segments_tiled,
                      with_scaled_sigma)
 
 
@@ -161,6 +162,74 @@ def test_pt_f_rejects_segment_on_another_delay_window():
     grid = GridSpec(1.0, 1.0, 20)
     with pytest.raises(ValueError, match="time grid"):
         estimate_PT_f(co, constant_segment(1.0, 0.5, 20), ONE, grid, n=4, seed=0)
+
+
+# -------------------------------------------------------------- reduction
+
+def split_at(v, cuts):
+    return [v[a:b] for a, b in zip((0, *cuts), (*cuts, v.size))]
+
+
+@st.composite
+def split_values(draw):
+    n = draw(st.integers(2, 40))
+    v = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n)))
+    # cuts at neighbouring indices leave size-1 chunks
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    return v + draw(st.sampled_from([0.0, 1e8])), cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(split=split_values(), coupled=st.booleans())
+@example(split=(np.array([1.0, 2.0]), [1]), coupled=False)
+@example(split=(np.array([1e8, 1e8 + 1.0, 1e8 + 3.0]), [1, 2]), coupled=True)
+def test_reduce_matches_dict_oracle(split, coupled):
+    # mean and SE bit for bit, and on NaN-free values every diagnostic, in
+    # the same order, as the chunk dicts merged by key name
+    v, cuts = split
+    parts, dicts = [], []
+    for k, c in enumerate(split_at(v, cuts)):
+        if coupled:
+            fails, top = dict(unmerged=k % 3, nonfinite=k % 2), float(c[0])
+            parts.append(_Chunk.of(c, **fails, worst=top))
+            dicts.append({**chunk_moments_dict(c), **fails, "max_exponent": top})
+        else:
+            parts.append(_Chunk.of(c))
+            dicts.append(chunk_moments_dict(c))
+    est = _reduce(parts, 7, "max_exponent" if coupled else None)
+    ref = reduce_moments_dict(dicts, v.size, 7)
+    assert (est.mean, est.std_error, est.n, est.seed) == (ref.mean, ref.std_error, v.size, 7)
+    assert list(est.diagnostics.items()) == list(ref.diagnostics.items())
+
+
+@pytest.mark.parametrize("lead", [1.0, math.nan], ids=["finite-first", "nan-first"])
+def test_reduce_diagnostics_do_not_depend_on_the_split(lead):
+    # the range propagates NaN, as np.min and np.max over all values do; the
+    # worst case skips it, as _checked_exp does within a chunk. Splits that
+    # put a NaN-free chunk first, or an all-NaN one, are the ones at risk
+    nan = math.nan
+    expo = np.array([lead, nan, 5.0, 2.0, nan, 3.0])
+
+    def merged(cuts):
+        parts = []
+        for c in split_at(expo, cuts):
+            values, top = _checked_exp(c, 0, "", "exponent")
+            parts.append(_Chunk.of(values, unmerged=0,
+                                   nonfinite=int(np.isnan(values).sum()), worst=top))
+        return repr(_reduce(parts, 0, "max_exponent").diagnostics)
+
+    whole = merged([])
+    blown = 2 + math.isnan(lead)
+    assert whole == repr({"min": nan, "max": nan, "unmerged": 0, "nonfinite": blown,
+                          "max_exponent": 5.0, "failures": blown})
+    for k in range(1 << (expo.size - 1)):
+        cuts = [i for i in range(1, expo.size) if k >> (i - 1) & 1]
+        assert merged(cuts) == whole, cuts
+
+
+def test_chunk_rejects_an_unknown_field():
+    with pytest.raises(TypeError):
+        _Chunk.of(np.ones(3), unmergd=1)
 
 
 # -------------------------------------------------------------- entropy
@@ -397,11 +466,11 @@ def test_weight_mean_ess_dominant_weight():
     n = 1000
     w = np.ones(n)
     w[17] = 1e8
-    est = _reduce_moments([_chunk_moments(w[:600]), _chunk_moments(w[600:])], n, 0)
+    est = _reduce([_Chunk.of(w[:600]), _Chunk.of(w[600:])], 0)
     want = w.sum() ** 2 / (w * w).sum()
     assert _effective_sample_size(est) == pytest.approx(want, rel=1e-9)
     assert 1.0 < _effective_sample_size(est) < 1.001
-    flat = _reduce_moments([_chunk_moments(np.full(n, 0.3))], n, 0)
+    flat = _reduce([_Chunk.of(np.full(n, 0.3))], 0)
     assert _effective_sample_size(flat) == pytest.approx(n, rel=1e-12)
 
 

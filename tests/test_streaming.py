@@ -4,6 +4,7 @@ sampler, against the sample size, and the early stop of coupled chunks
 whose estimate reads only up to t_upper."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from harnack_lab import estimators
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
                                   simulate_coupled_P, simulate_coupled_Q)
-from harnack_lab.estimators import (_chunk_moments, _reduce_moments,
+from harnack_lab.estimators import (_Chunk, _reduce,
                                     _SegGapIntegral, estimate_entropy_Q,
                                     estimate_exp_functional,
                                     estimate_martingale_mean, estimate_PT_f,
@@ -199,23 +200,20 @@ def full_horizon_estimate(co, kind, t_upper, xi, eta, sched, n=40, seed=11):
     stream = NoiseStream(seed=seed, h=grid.h, dim=co.dim)
     want = coupled_batch_full(co, xi.values, eta.values, grid, sched,
                               stream.batch(0, n, grid.n_T), "Q", 1e-8, k_upper)
-    extra = {}
+    worst = None
     if kind == "entropy":
-        v = 0.5 * want["phi_sq"]
+        v, top = 0.5 * want["phi_sq"], math.nan
     else:
         integral = {"phi_sq": want["phi_sq"], "gap_over_gamma_sq": want["gap_gamma_sq"],
                     "seg_gap_sq": seg_gap_integral_window_max(
                         want["full_x"], want["full_y"], grid.m, grid.h, k_upper)}[kind]
         expo = LAM * integral
-        v = np.exp(expo)
-        extra["max_exponent"] = float(expo.max())
+        v, top, worst = np.exp(expo), float(expo.max()), "max_exponent"
     finite = (np.isfinite(want["log_weight"]) & np.isfinite(want["full_x"][-1]).all(axis=1)
               & np.isfinite(want["full_y"][-1]).all(axis=1))
-    out = _chunk_moments(v)
-    out["unmerged"] = int((finite & ~want["merged"]).sum())
-    out["nonfinite"] = int((~finite).sum())
-    out.update(extra)
-    return _reduce_moments([out], n, seed)
+    out = _Chunk.of(v, unmerged=int((finite & ~want["merged"]).sum()),
+                    nonfinite=int((~finite).sum()), worst=top)
+    return _reduce([out], seed, worst)
 
 
 STOP_TIMES = {"h": 0.1, "t0-h": STOP_T0 - 0.1, "t0": STOP_T0, "past-t0": 2.2, "T": 3.0}
