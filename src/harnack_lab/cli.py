@@ -402,8 +402,8 @@ def _cmd_simulate(cfg: ExperimentConfig, threads) -> int:
     return 0
 
 
-def _couple_dump(cfg, grid, sched, traj) -> None:
-    d = cfg.d
+def _couple_dump(cfg, traj) -> None:
+    d, grid, sched = cfg.d, traj.grid, traj.sched
     rows = []
     for k in range(grid.n_T + 1):
         t = k * grid.h
@@ -425,17 +425,16 @@ def _couple_dump(cfg, grid, sched, traj) -> None:
 
 def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
     coeffs, grid, xi, eta = _problem(cfg)
-    sched = GammaSchedule(theta=cfg.theta, k4=coeffs.constants.k4, t0=cfg.t0)
-
     if cfg.n == 1:
         run = simulate_coupled_P if cfg.measure == "P" else simulate_coupled_Q
         traj = run(coeffs, xi, eta, grid, cfg.t0, theta=cfg.theta,
                    seed=cfg.seed, delta_merge=cfg.delta_merge)
-        _couple_dump(cfg, grid, sched, traj)
+        _couple_dump(cfg, traj)
         _say(cfg, f"coupled pair dumped; merged={traj.merged}, "
                   f"log R_T={traj.log_weight_cum[-1]:.6g}")
         return 0
 
+    sched = GammaSchedule(theta=cfg.theta, k4=coeffs.constants.k4, t0=cfg.t0)
     if cfg.measure == "P":
         est = estimate_martingale_mean(coeffs, xi, eta, sched, grid, cfg.n,
                                        cfg.seed, cfg.delta_merge, threads)
@@ -531,7 +530,7 @@ def _cmd_bounds(cfg: ExperimentConfig, threads) -> int:
 def _cmd_log_harnack(cfg: ExperimentConfig, threads) -> int:
     coeffs, grid, xi, eta = _problem(cfg)
     f = test_function(cfg.f_name, cfg.cap)
-    rep = check_log_harnack(coeffs, xi, eta, f, cfg.T, grid, cfg.n, cfg.seed,
+    rep = check_log_harnack(coeffs, xi, eta, f, grid, cfg.n, cfg.seed,
                             s_choice=cfg.s_choice, k_tol=cfg.k_tol,
                             k_viol=cfg.k_viol, threads=threads)
     return _finish(cfg, "log-harnack", [rep])
@@ -540,7 +539,7 @@ def _cmd_log_harnack(cfg: ExperimentConfig, threads) -> int:
 def _cmd_power_harnack(cfg: ExperimentConfig, threads) -> int:
     coeffs, grid, xi, eta = _problem(cfg)
     f = test_function(cfg.f_name, cfg.cap)
-    rep = check_power_harnack(coeffs, xi, eta, f, cfg.p, cfg.T, grid, cfg.n,
+    rep = check_power_harnack(coeffs, xi, eta, f, cfg.p, grid, cfg.n,
                               cfg.seed, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
                               threads=threads)
     return _finish(cfg, "power-harnack", [rep])

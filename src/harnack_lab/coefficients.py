@@ -200,7 +200,7 @@ def param_problems(name, params):
     return problems
 
 
-def builtin_system(name, params=None, dim=1, **kw):
+def builtin_system(name, params, dim=1):
     """Catalog test system with analytically derived constants.
 
     linear_additive:      dX = (a X(t) + c X(t-r0)) dt + s0 dB
@@ -209,7 +209,6 @@ def builtin_system(name, params=None, dim=1, **kw):
 
     All three diffusions are diagonal: sigma returns their (B, d) entries.
     """
-    params = dict(params or {}, **kw)
     d = int(dim)
     problems = param_problems(name, params)
     if problems:
@@ -300,13 +299,14 @@ class AuditReport:
 
 
 _AUDIT_CHUNK = 4096
+_AUDIT_SLACK = 1e-6
 
 
-def audit_assumptions(coeffs, box=None, n=10000, seed=0, slack=1e-6):
+def audit_assumptions(coeffs, box=None, n=10000, seed=0):
     """Empirical maxima of the four assumption ratios over random samples.
 
     Passing uses an additive-relative tolerance, max <= declared +
-    slack*max(1, |declared|), which stays meaningful for negative k4.
+    _AUDIT_SLACK*max(1, |declared|), which stays meaningful for negative k4.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
@@ -387,7 +387,7 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0, slack=1e-6):
     conditions = {}
     for cond, dec in declared.items():
         emp = maxima[cond]
-        tol = slack * max(1.0, abs(dec))
+        tol = _AUDIT_SLACK * max(1.0, abs(dec))
         if emp == -np.inf:
             # no informative sample pair; nothing falsified
             emp, passed = 0.0, True
@@ -396,4 +396,4 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0, slack=1e-6):
         conditions[cond] = ConditionAudit(cond, float(emp), float(dec), passed, *worst[cond])
     if singular is not None:
         conditions["A3"] = ConditionAudit("A3", np.inf, k.k3, False, *singular)
-    return AuditReport(conditions=conditions, n=n, seed=seed, slack=slack)
+    return AuditReport(conditions=conditions, n=n, seed=seed, slack=_AUDIT_SLACK)

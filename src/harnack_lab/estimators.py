@@ -487,40 +487,37 @@ def _log_of_mean(raw: MCEstimate, bound: Optional[float] = None,
                       diagnostics={"raw_mean": raw.mean, **extra, **raw.diagnostics})
 
 
-def _check_harnack_inputs(claim, f_min, coeffs, xi, eta, f, T, grid):
+def _check_harnack_inputs(claim, f_min, coeffs, xi, eta, f, grid):
     """The input checks shared by both Harnack verdicts."""
-    if not T > grid.r0:
+    if not grid.T > grid.r0:
         raise ValueError("the inequality needs a horizon longer than the delay: T > r0")
-    if abs(T - grid.T) > 1e-12 * max(T, 1.0):
-        raise ValueError("T must equal the grid horizon")
     if f.lower < f_min:
         raise ValueError(f"{claim} checks need f >= {f_min:g}")
     grid.check_segments(coeffs.dim, xi, eta)
 
 
 def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
-                      f: TestFunction, T: float, grid: GridSpec, n: int,
-                      seed: int, s_choice: Optional[float] = None,
+                      f: TestFunction, grid: GridSpec, n: int, seed: int,
+                      s_choice: Optional[float] = None,
                       k_tol: float = 3.0, k_viol: float = 6.0,
-                      s_grid_size: int = 200,
                       threads: Optional[int] = None) -> VerdictReport:
-    """One-sided test of  E log f(X_T^eta) <= log E f(X_T^xi) + H  with the
-    closed-form additive constant H. The two expectations use independent
-    seeds; the log on the right propagates its error by the delta method.
-    s_choice pins the free coupling horizon inside H instead of minimizing.
+    """One-sided test of  E log f(X^eta) <= log E f(X^xi) + H  at the grid's
+    horizon, with the closed-form additive constant H. The two expectations
+    use independent seeds; the log on the right propagates its error by the
+    delta method. s_choice pins H's coupling horizon instead of minimizing.
     """
-    _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, T, grid)
+    _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, grid)
 
     gaps = GapPair.from_segments(xi, eta)
     if s_choice is not None:
         # the grid's tolerance, so that s_choice = T - r0 passes however
         # T - r0 rounds
-        if not (0.0 < s_choice <= T - grid.r0 + 1e-12 * max(T, 1.0)):
+        if not (0.0 < s_choice <= grid.T - grid.r0 + 1e-12 * max(grid.T, 1.0)):
             raise ValueError("s_choice must lie in (0, T - r0]")
         h_val = bound_H_T_at(coeffs.constants, gaps, grid.r0, s_choice)
         s_star = s_choice
     else:
-        rep = bound_H_T(coeffs.constants, gaps, T, grid.r0, s_grid_size)
+        rep = bound_H_T(coeffs.constants, gaps, grid.T, grid.r0)
         h_val, s_star = rep.value, rep.s_star
 
     lhs = estimate_PT_f(coeffs, eta, _log_of(f), grid, n, seed, threads)
@@ -532,21 +529,20 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
 
 
 def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
-                        eta: SegmentPath, f: TestFunction, p: float, T: float,
+                        eta: SegmentPath, f: TestFunction, p: float,
                         grid: GridSpec, n: int, seed: int,
                         k_tol: float = 3.0, k_viol: float = 6.0,
-                        eps_grid: int = 200, s_grid: int = 200,
                         threads: Optional[int] = None) -> VerdictReport:
-    """One-sided test of  E f(X_T^eta) <= (E f^p(X_T^xi))^{1/p} exp(Phi_p),
-    compared in log space because Phi_p is large on realistic constants.
+    """One-sided test of  E f(X^eta) <= (E f^p(X^xi))^{1/p} exp(Phi_p) at the
+    grid's horizon, in log space because Phi_p is large on realistic constants.
     """
     thr = _power_threshold(coeffs.constants)
     if not p > thr:
         raise ValueError(f"p must exceed (1 + K2 K3)^2 = {thr:.6g}, got p={p:.6g}")
-    _check_harnack_inputs("power-Harnack", 0.0, coeffs, xi, eta, f, T, grid)
+    _check_harnack_inputs("power-Harnack", 0.0, coeffs, xi, eta, f, grid)
 
     gaps = GapPair.from_segments(xi, eta)
-    rep = bound_Phi_p(p, T, coeffs.constants, gaps, grid.r0, eps_grid, s_grid)
+    rep = bound_Phi_p(p, grid.T, coeffs.constants, gaps, grid.r0)
 
     raw_l = estimate_PT_f(coeffs, eta, f, grid, n, seed, threads)
     raw_r = estimate_PT_f(coeffs, xi, _power_of(f, p), grid, n, seed + 1, threads)

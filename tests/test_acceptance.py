@@ -87,8 +87,8 @@ def test_criterion_03_entropy_bound():
 
 def test_criterion_04_log_harnack():
     f = catalog_fn("quad_cap", 100.0)
-    rep = check_log_harnack(LINEAR, XI, ETA, f, 2.0, GRID, n=N_FULL, seed=0)
-    jensen = check_log_harnack(LINEAR, XI, XI, f, 2.0, GRID, n=N_FULL, seed=0)
+    rep = check_log_harnack(LINEAR, XI, ETA, f, GRID, n=N_FULL, seed=0)
+    jensen = check_log_harnack(LINEAR, XI, XI, f, GRID, n=N_FULL, seed=0)
     ok = (rep.verdict == "holds" and jensen.verdict == "holds"
           and jensen.bound == 0.0)
     report(4, "log-Harnack inequality", ok,
@@ -107,10 +107,10 @@ def test_criterion_05_delay_window_is_required(tmp_path):
 
 def test_criterion_06_power_harnack():
     f = catalog_fn("quad_cap", 100.0)
-    rep = check_power_harnack(SINE, XI, ETA, f, 16.0, 2.0, GRID,
+    rep = check_power_harnack(SINE, XI, ETA, f, 16.0, GRID,
                               n=N_FULL, seed=0)
     try:
-        check_power_harnack(SINE, XI, ETA, f, 9.0, 2.0, GRID, n=4, seed=0)
+        check_power_harnack(SINE, XI, ETA, f, 9.0, GRID, n=4, seed=0)
         rejected = False
     except ValueError:
         rejected = True

@@ -600,7 +600,7 @@ def test_log_harnack_jensen_control():
     co = linear()
     grid, xi, _ = setup(m=50)
     f = catalog_fn("quad_cap", 100.0)
-    rep = check_log_harnack(co, xi, xi, f, 2.0, grid, n=4000, seed=2)
+    rep = check_log_harnack(co, xi, xi, f, grid, n=4000, seed=2)
     assert rep.verdict == "holds"
     assert rep.bound == 0.0
     assert rep.margin_se > 0
@@ -610,7 +610,7 @@ def test_log_harnack_distinct_starts_holds():
     co = linear()
     grid, xi, eta = setup(m=100)
     f = catalog_fn("quad_cap", 100.0)
-    rep = check_log_harnack(co, xi, eta, f, 2.0, grid, n=4000, seed=2)
+    rep = check_log_harnack(co, xi, eta, f, grid, n=4000, seed=2)
     assert rep.verdict == "holds"
     assert rep.bound > 0
     assert rep.meta["s_star"] > 0
@@ -620,8 +620,8 @@ def test_log_harnack_s_choice_is_honored():
     co = linear()
     grid, xi, eta = setup(m=100)
     f = catalog_fn("quad_cap", 100.0)
-    free = check_log_harnack(co, xi, eta, f, 2.0, grid, n=500, seed=2)
-    fixed = check_log_harnack(co, xi, eta, f, 2.0, grid, n=500, seed=2,
+    free = check_log_harnack(co, xi, eta, f, grid, n=500, seed=2)
+    fixed = check_log_harnack(co, xi, eta, f, grid, n=500, seed=2,
                               s_choice=0.25)
     assert fixed.bound >= free.bound - 1e-12
     assert fixed.meta["s_star"] == pytest.approx(0.25)
@@ -640,10 +640,10 @@ def test_t_minus_r0_limits_survive_rounding():
     with pytest.raises(ValueError, match="deadline"):
         estimate_entropy_Q(co, xi, eta, late, grid, n=64, seed=0)
     f = catalog_fn("quad_cap", 100.0)
-    rep = check_log_harnack(co, xi, eta, f, 0.3, grid, n=64, seed=0, s_choice=0.2)
+    rep = check_log_harnack(co, xi, eta, f, grid, n=64, seed=0, s_choice=0.2)
     assert rep.meta["s_star"] == 0.2
     with pytest.raises(ValueError, match="s_choice"):
-        check_log_harnack(co, xi, eta, f, 0.3, grid, n=64, seed=0, s_choice=0.21)
+        check_log_harnack(co, xi, eta, f, grid, n=64, seed=0, s_choice=0.21)
 
 
 def test_log_harnack_needs_room_past_delay():
@@ -651,7 +651,7 @@ def test_log_harnack_needs_room_past_delay():
     grid, xi, eta = setup(m=50, T=1.0)
     f = catalog_fn("quad_cap", 100.0)
     with pytest.raises(ValueError, match="r0"):
-        check_log_harnack(co, xi, eta, f, 1.0, grid, n=16, seed=0)
+        check_log_harnack(co, xi, eta, f, grid, n=16, seed=0)
 
 
 def test_log_harnack_requires_f_at_least_one():
@@ -660,13 +660,13 @@ def test_log_harnack_requires_f_at_least_one():
     f = ObsFn(name="small", fn=lambda segs: np.full(segs.shape[0], 0.5),
                      lower=0.5, upper=0.5)
     with pytest.raises(ValueError, match=">= 1"):
-        check_log_harnack(co, xi, eta, f, 2.0, grid, n=16, seed=0)
+        check_log_harnack(co, xi, eta, f, grid, n=16, seed=0)
 
 
 def test_power_harnack_trivial_f():
     co = sine()
     grid, xi, eta = setup(m=50)
-    rep = check_power_harnack(co, xi, eta, ONE, 16.0, 2.0, grid, n=64, seed=0)
+    rep = check_power_harnack(co, xi, eta, ONE, 16.0, grid, n=64, seed=0)
     assert rep.verdict == "holds"
     assert rep.margin_se == math.inf
 
@@ -676,7 +676,7 @@ def test_power_harnack_threshold_enforced():
     grid, xi, eta = setup(m=50)
     f = catalog_fn("quad_cap", 100.0)
     with pytest.raises(ValueError, match="9"):
-        check_power_harnack(co, xi, eta, f, 9.0, 2.0, grid, n=16, seed=0)
+        check_power_harnack(co, xi, eta, f, 9.0, grid, n=16, seed=0)
 
 
 # -------------------------------------------------------------- stationary
