@@ -92,7 +92,7 @@ class LemmaBound:
     def compose(self, inner_mean: float) -> float:
         """Evaluate the bound given a Monte Carlo value of the inner
         expectation E_Q exp[inner_coeff * I]."""
-        if inner_mean <= 0:
+        if not inner_mean > 0:
             raise ValueError("inner expectation must be positive")
         return math.exp(self.log_prefactor) * inner_mean ** self.inner_power
 
@@ -100,7 +100,7 @@ class LemmaBound:
 def _k4_ratio(k4: float, s: float) -> float:
     """K4 / (1 - e^{-K4 s}), positive for every K4, with a series branch
     near K4 s = 0 (three terms; relative error < 1e-13 at the cut)."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be positive")
     u = k4 * s
     if abs(u) < _SERIES_CUT:
@@ -165,9 +165,9 @@ def bound_H_T_at(consts: AssumptionConstants, gaps: GapPair, r0: float,
     """Log-Harnack additive constant evaluated at one fixed coupling horizon
     s rather than minimized; any s > 0 gives a valid (possibly loose) bound
     provided s <= T - r0 for the intended T."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be positive")
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValueError("r0 must be positive")
     return sum(_h_terms(consts, gaps, r0, s))
 
@@ -182,7 +182,7 @@ def bound_H_T(consts: AssumptionConstants, gaps: GapPair, T: float, r0: float,
     """
     if not T > r0:
         raise ValueError("the horizon must exceed the delay: T > r0 is required")
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValueError("r0 must be positive")
 
     s_star, value, edge = _grid_refine(
@@ -221,7 +221,7 @@ def bound_entropy_with_tail(consts: AssumptionConstants, t0: float, r0: float,
                             gaps: GapPair, theta: float = 1.0) -> float:
     """Entropy bound over the full horizon: the deadline part plus the cost
     of the history mismatch persisting on [t0, t0 + r0)."""
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValueError("r0 must be positive")
     k = consts
     tail = (k.k1 ** 2 * r0 / 2.0
@@ -263,7 +263,7 @@ def _w_eps(eps: float, lam: float, consts: AssumptionConstants, r0: float) -> fl
         raise ValueError("eps must lie in (0, 1)")
     if not lam > 0:
         raise ValueError("lam must be positive")
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValueError("r0 must be positive")
     k1, k2, k3 = consts.k1, consts.k2, consts.k3
     e2 = eps * eps
@@ -297,7 +297,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
     """
     if not T > r0:
         raise ValueError("the horizon must exceed the delay: T > r0 is required")
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValueError("r0 must be positive")
     thr = _power_threshold(consts)
     if not p > thr:
@@ -415,9 +415,9 @@ def lemma_rhs(kind: str, consts: AssumptionConstants, gaps: GapPair,
                           inner_power=eps / (1.0 + 2.0 * eps), s=s)
 
     if kind == "seg_gap_at_time":
-        if lam < 0:
+        if not lam >= 0:
             raise ValueError("lam must be nonnegative")
-        if s is not None and s < 0:
+        if s is not None and not s >= 0:
             raise ValueError("s must be nonnegative")
         pre = 1.0 + lam * gaps.seg_gap ** 2
         coeff = 4.0 * lam * k.k2 * (2.0 * lam * k.k2 + k.k1)
@@ -425,7 +425,7 @@ def lemma_rhs(kind: str, consts: AssumptionConstants, gaps: GapPair,
                           inner_power=0.5, s=s)
 
     if kind == "seg_gap_integral":
-        if s is None or s <= 0:
+        if s is None or not s > 0:
             raise ValueError("seg_gap_integral needs s > 0")
         if not lam > 0:
             raise ValueError("lam must be positive")

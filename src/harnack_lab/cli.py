@@ -32,12 +32,12 @@ from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet,
                            audit_assumptions, builtin_system, param_problems)
 from .coupling import (GammaSchedule, gamma, simulate_coupled_P,
                        simulate_coupled_Q)
-from .estimators import (TEST_FUNCTIONS, MCEstimate, VerdictReport,
-                         estimate_entropy_Q, estimate_martingale_mean,
+from .estimators import (FAILURE_TOLERANCE, TEST_FUNCTIONS, MCEstimate,
+                         VerdictReport, estimate_entropy_Q, estimate_martingale_mean,
                          check_log_harnack, check_power_harnack, make_verdict,
                          sample_stationary_segments, test_function)
 from .integrator import simulate_path
-from .segment_paths import GridSpec, SegmentPath, constant_segment
+from .segment_paths import GridSpec, SegmentPath, constant_segment, grid_index
 
 VERSION_TAG = f"harnack-lab-v{__version__}"
 
@@ -155,7 +155,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for sec, key, fld, conv in _KEYS:
         values[fld] = get(sec, key, conv, getattr(dft, fld))
         if sec == "system":
-            params = {k: get(sec, k, float, math.nan)
+            # a placeholder for a value that does not parse, reported once
+            params = {k: get(sec, k, float, 0.0)
                       for k in (cp[sec] if sec in cp else ()) if k != key}
             if not params and values[fld] == dft.system_name:
                 params = dft.system_params
@@ -171,7 +172,14 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
     """Every semantic violation of a config, collected rather than stopping
     at the first. parse_config runs it on the file, validate_for_command
     again once command-line overrides are applied."""
-    violations: List[str] = []
+    # NaN passes every "x <= 0" rule below, and inf breaks the grid
+    # arithmetic, so every float is checked to be finite first
+    nonfinite = {fld for _, _, fld, conv in _KEYS if conv is float
+                 and getattr(cfg, fld) is not None and not math.isfinite(getattr(cfg, fld))}
+    violations = [f"[{sec}] {key} must be finite" for sec, key, fld, _ in _KEYS
+                  if fld in nonfinite]
+    violations += [f"[system] {k} must be finite"
+                   for k, v in cfg.system_params.items() if not math.isfinite(v)]
     if cfg.d < 1:
         violations.append("[problem] d must be >= 1")
     if cfg.r0 <= 0:
@@ -180,7 +188,7 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
         violations.append("[problem] m must be >= 1")
     if cfg.T <= 0:
         violations.append("[problem] t must be positive")
-    if cfg.r0 > 0 and cfg.m >= 1 and cfg.T > 0:
+    if cfg.r0 > 0 and cfg.m >= 1 and cfg.T > 0 and not nonfinite & {"r0", "T"}:
         h, t0 = cfg.h, cfg.t0
         try:
             grid = GridSpec(cfg.r0, cfg.T, cfg.m)
@@ -188,10 +196,10 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
             grid = None
             violations.append(
                 f"[problem] t={cfg.T!r} is not a positive multiple of h=r0/m={h!r}")
-        if t0 is not None:
+        if t0 is not None and "t0" not in nonfinite:
             if t0 <= 0:
                 violations.append("[problem] t0 must be positive")
-            elif abs(round(t0 / h) * h - t0) > 1e-12 * max(t0, 1.0):
+            elif grid_index(t0, h) is None:
                 violations.append(f"[problem] t0={t0!r} is not on the grid (h={h!r})")
             elif grid is not None:
                 try:
@@ -219,8 +227,6 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
         violations.append("[coupling] p must exceed 1")
     if cfg.s_choice is not None and cfg.s_choice <= 0.0:
         violations.append("[coupling] s_choice must be positive")
-    if not math.isfinite(cfg.delta_merge):
-        violations.append("[coupling] delta_merge must be finite")
     if cfg.measure not in ("Q", "P"):
         violations.append("[coupling] measure must be Q or P")
     if cfg.n < 1:
@@ -454,9 +460,10 @@ def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
     se = math.sqrt(max(failure_fraction * (1.0 - failure_fraction), 0.0) / cfg.n)
     lhs = MCEstimate(mean=failure_fraction, std_error=se, n=cfg.n, seed=cfg.seed,
                      diagnostics={"failures": est.failures})
-    rhs = MCEstimate(mean=1e-3, std_error=0.0, n=0, seed=cfg.seed)
+    rhs = MCEstimate(mean=FAILURE_TOLERANCE, std_error=0.0, n=0, seed=cfg.seed)
     reports.append(make_verdict("coupling_unmerged_fraction", lhs, rhs,
-                                bound=1e-3, k_tol=cfg.k_tol, k_viol=cfg.k_viol))
+                                bound=FAILURE_TOLERANCE, k_tol=cfg.k_tol,
+                                k_viol=cfg.k_viol))
 
     rows = [_verdict_row(r, cfg.n, cfg.seed, cfg.h) for r in reports]
     if cfg.measure == "Q":

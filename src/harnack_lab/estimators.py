@@ -117,7 +117,7 @@ TEST_FUNCTIONS = ("quad_cap", "exp_cap")
 def test_function(name: str, cap: float = 100.0) -> TestFunction:
     """Catalog of test functions: "quad_cap" is 1 + min(|endpoint|^2, cap),
     "exp_cap" is exp(min(sup norm, cap)). Both bounded, both >= 1."""
-    if cap <= 0:
+    if not cap > 0:
         raise ValueError("cap must be positive")
     if name == "quad_cap":
         def fn(segs):
@@ -383,8 +383,8 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
     that failed on that span. Raises on exponent overflow, reporting lam
     and the offending path.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be finite and nonnegative")
     if integrand not in _INTEGRANDS:
         raise ValueError(f"integrand must be one of {_INTEGRANDS}")
     k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else grid.n_T
@@ -468,6 +468,8 @@ def make_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, bound: float,
     -|deviation|/se for equality claims (the weight-mean check), so any
     large deviation in either direction counts against the claim.
     """
+    if not 0 < k_tol <= k_viol < math.inf:
+        raise ValueError("need finite 0 < k_tol <= k_viol")
     margin = _margin(lhs.mean, lhs.std_error, rhs.mean, rhs.std_error)
     if two_sided:
         margin = -abs(margin) if margin != 0.0 else 0.0
@@ -571,7 +573,7 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
         raise ValueError("stationary sampling needs a delay-free system")
     if n < 2:
         raise ValueError("need n >= 2 segments")
-    if burn_in < 0:
+    if not burn_in >= 0:
         raise ValueError("burn_in must be nonnegative")
     n_paths = min(n, 256)
     windows = -(-n // n_paths)  # ceil

@@ -5,6 +5,8 @@ m+1 points covering the delay window [-r0, 0]. The grid step is always
 h = r0/m so that the delay lookup lands exactly on a stored value.
 """
 
+import math
+
 import numpy as np
 
 
@@ -35,7 +37,7 @@ class SegmentPath:
         if not np.isfinite(a).all():
             raise ValueError("segment values must be finite")
         r0 = float(r0)
-        if r0 <= 0:
+        if not r0 > 0:
             raise ValueError("r0 must be positive")
         m = a.shape[0] - 1
         a = a.copy()
@@ -91,6 +93,16 @@ def sup_distance(a, b):
     return float(np.sqrt((d * d).sum(axis=1)).max())
 
 
+def grid_index(t, h):
+    """The index k with k h = t to within 1e-12 relative, or None if t is
+    not on the grid of step h (NaN, infinite and overflowing t included)."""
+    k = t / h if h > 0 else math.inf
+    if not math.isfinite(k):
+        return None
+    k = round(k)
+    return k if abs(k * h - t) <= 1e-12 * max(abs(t), 1.0) else None
+
+
 class GridSpec:
     """Uniform time grid for a run: step h = r0/m, horizon T = n_T * h."""
 
@@ -100,11 +112,11 @@ class GridSpec:
         r0 = float(r0)
         T = float(T)
         m = int(m)
-        if r0 <= 0 or T <= 0 or m < 1:
+        if not (r0 > 0 and T > 0) or m < 1:
             raise ValueError("need r0 > 0, T > 0 and integer m >= 1")
         h = r0 / m
-        n_T = round(T / h)
-        if n_T < 1 or abs(n_T * h - T) > 1e-12 * max(T, 1.0):
+        n_T = grid_index(T, h)
+        if n_T is None or n_T < 1:
             raise ValueError(f"T={T} is not an integer multiple of h={h}")
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "T", T)
@@ -117,8 +129,8 @@ class GridSpec:
 
     def index_of(self, t, label="time"):
         """Grid index of a time that must lie on the grid."""
-        k = round(float(t) / self.h)
-        if k < 0 or k > self.n_T or abs(k * self.h - t) > 1e-12 * max(abs(t), 1.0):
+        k = grid_index(float(t), self.h)
+        if k is None or k < 0 or k > self.n_T:
             raise ValueError(f"{label}={t} does not lie on the grid (h={self.h})")
         return k
 

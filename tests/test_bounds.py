@@ -340,6 +340,23 @@ def test_lemma_gap_over_gamma_shape():
         lemma_rhs("gap_over_gamma", K_SINE, UNIT_GAPS, lam=0.05, eps=0.3)
 
 
+def test_nan_arguments_are_rejected():
+    # each returned nan (or a bound with a nan inside) instead of raising
+    nan = math.nan
+    with pytest.raises(ValueError, match="s must"):
+        bound_H_T_at(K_SINE, UNIT_GAPS, 1.0, nan)
+    with pytest.raises(ValueError, match="r0"):
+        bound_H_T_at(K_SINE, UNIT_GAPS, nan, 0.5)
+    with pytest.raises(ValueError, match="r0"):
+        bound_entropy_with_tail(K_LINEAR, 1.0, nan, UNIT_GAPS)
+    with pytest.raises(ValueError, match="lam"):
+        lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=nan, s=0.5)
+    with pytest.raises(ValueError, match="s must"):
+        lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.5, s=nan)
+    with pytest.raises(ValueError, match="inner"):
+        lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.5).compose(nan)
+
+
 def test_lemma_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         lemma_rhs("lemma_4_3", K_SINE, UNIT_GAPS, lam=1.0, s=0.5)

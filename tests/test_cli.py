@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harnack_lab.cli import (ConfigError, ExperimentConfig, VERDICT_HEADER,
-                             VERSION_TAG, parse_config, render_config,
+                             VERSION_TAG, _KEYS, parse_config, render_config,
                              run_command, validate_for_command)
 
 
@@ -196,6 +198,50 @@ def test_t0_grid_checks():
         parse_config("[problem]\nm = 100\nt0 = 1.5\n")
     with pytest.raises(ConfigError, match="t0 must be positive"):
         parse_config("[problem]\nm = 100\nt0 = -0.5\n")
+
+
+# every float a config holds: the float rows of _KEYS and the parameters of
+# the [system] section below
+FLOAT_KEYS = [(sec, key) for sec, key, _, conv in _KEYS if conv is float] + [
+    ("system", "a"), ("system", "c"), ("system", "s0")]
+
+
+def config_with(values):
+    """The default config as a file, with values[(section, key)] set."""
+    sections = {"system": {"name": "linear_additive", "a": "-1.0", "c": "0.5", "s0": "1.0"}}
+    for (sec, key), v in values.items():
+        sections.setdefault(sec, {})[key] = v
+    return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for sec, kv in sections.items())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sec,key", FLOAT_KEYS)
+def test_nonfinite_floats_are_config_errors(sec, key, value):
+    # NaN passed every "x <= 0" rule, and inf overflowed the grid arithmetic
+    with pytest.raises(ConfigError) as exc:
+        parse_config(config_with({(sec, key): value}))
+    assert exc.value.violations[0] == f"[{sec}] {key} must be finite"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(FLOAT_KEYS), st.floats().map(repr),
+                       min_size=1, max_size=3))
+def test_any_float_parses_or_is_a_config_error(values):
+    try:
+        cfg = parse_config(config_with(values))
+    except ConfigError:
+        return
+    assert all(math.isfinite(getattr(cfg, fld)) for _, _, fld, conv in _KEYS
+               if conv is float and getattr(cfg, fld) is not None)
+
+
+def test_nan_k_tol_no_longer_reads_inconclusive(tmp_path, capsys):
+    # with k_tol = nan, a claim that holds by a wide margin read
+    # "inconclusive" (exit 3)
+    text = cfg_text(out=tmp_path / "res").replace("[mc]\n", "[mc]\nk_tol = nan\n")
+    assert launch(tmp_path, "log-harnack", text) == 1
+    assert "[mc] k_tol must be finite" in capsys.readouterr().err
 
 
 def test_deadline_at_t_minus_r0_is_checked_on_grid_indices():

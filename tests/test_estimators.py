@@ -430,9 +430,11 @@ def test_checked_exp_skips_nan_entries():
 def test_exp_functional_negative_lam_rejected():
     co = linear()
     grid, xi, eta = setup(m=50)
-    with pytest.raises(ValueError):
-        estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=-0.5,
-                                n=8, seed=0)
+    # so are nan, which gave mean nan with no failure counted, and inf
+    for lam in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=lam,
+                                    n=8, seed=0)
 
 
 # -------------------------------------------------------------- martingale
@@ -592,6 +594,15 @@ def test_verdict_two_sided_folds_margin():
     assert lo.margin_se == pytest.approx(-5.0)
     near = make_verdict("c", mk(1.01, 0.1), mk(1.0, 0.0), 1.0, two_sided=True)
     assert near.verdict == "holds"
+
+
+@pytest.mark.parametrize("k_tol,k_viol", [
+    (math.nan, 6.0), (3.0, math.nan), (math.inf, math.inf), (3.0, math.inf),
+    (0.0, 6.0), (-1.0, 6.0), (4.0, 3.0)])
+def test_make_verdict_needs_finite_ordered_thresholds(k_tol, k_viol):
+    # with k_viol = nan, a margin of -70 SE read "inconclusive"
+    with pytest.raises(ValueError, match="k_tol <= k_viol"):
+        make_verdict("c", mk(8.0, 0.1), mk(1.0, 0.0), 1.0, k_tol=k_tol, k_viol=k_viol)
 
 
 # -------------------------------------------------------------- checks

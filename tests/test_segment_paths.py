@@ -118,6 +118,21 @@ def test_grid_spec_rejects_incommensurate_horizon():
         GridSpec(0.0, 1.0, 4)
 
 
+@pytest.mark.parametrize("r0,T,m", [
+    (np.nan, 2.0, 4), (1.0, np.nan, 4), (np.inf, 2.0, 4), (1.0, np.inf, 4),
+    (1.0, 1e308, 400), (5e-324, 2.0, 400)])
+def test_grid_spec_rejects_nonfinite_and_overflowing_input(r0, T, m):
+    # T / h of inf or nan raised OverflowError or a bare conversion error,
+    # and h = 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match="need r0|multiple"):
+        GridSpec(r0, T, m)
+
+
+def test_segment_rejects_nan_r0():
+    with pytest.raises(ValueError, match="r0"):
+        SegmentPath(np.nan, np.zeros((3, 1)))
+
+
 def test_grid_index_of():
     g = GridSpec(1.0, 2.0, 4)
     assert g.index_of(0.5) == 2
@@ -128,6 +143,9 @@ def test_grid_index_of():
         g.index_of(2.25)
     with pytest.raises(ValueError):
         g.index_of(-0.25)
+    for t in (np.nan, np.inf, 1e308):
+        with pytest.raises(ValueError, match="does not lie on the grid"):
+            g.index_of(t)
 
 
 def test_to_rows_round_trip():
