@@ -1,9 +1,11 @@
 """Deterministic work splitting for Monte Carlo loops.
 
-Chunk boundaries are fixed (8192 paths) and never depend on the worker
-count, per-chunk work is a pure function of the chunk's global path range,
-and partial results are reduced in chunk order. Running with 1 worker or 8
-therefore produces bit-identical numbers.
+Chunk boundaries are fixed and never depend on the worker count: 8192
+paths, or 4096 pairs in the Harnack checks, which step two copies of each
+path (from xi and from eta) in one batch. Per-chunk work is a pure
+function of the chunk's global path range, and partial results are
+reduced in chunk order. Running with 1 worker or 8 therefore produces
+bit-identical numbers.
 
 With more than one worker, chunks run in processes forked from the caller,
 min(threads, chunks, CPU count) of them: the kernels' per-step numpy calls
@@ -21,6 +23,10 @@ import os
 from typing import Callable, List, Optional, Sequence, Tuple
 
 CHUNK = 8192
+
+# pairs per chunk of the paired Harnack checks, whose batches step two
+# copies of each path: CHUNK columns in all
+PAIR_CHUNK = CHUNK // 2
 
 ENV_THREADS = "HARNACK_LAB_THREADS"
 

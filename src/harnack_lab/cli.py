@@ -211,10 +211,13 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
             continue
         if spec.startswith("const:"):
             try:
-                float(spec[6:])
-                continue
+                value = float(spec[6:])
             except ValueError:
                 pass
+            else:
+                if not math.isfinite(value):
+                    violations.append(f"[problem] {label} must be finite")
+                continue
         violations.append(
             f"[problem] {label}={spec!r}: expected 'zero', 'const:<value>' or 'file:<path>'")
 

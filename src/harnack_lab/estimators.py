@@ -1,9 +1,9 @@
 """Monte Carlo estimators and inequality verdicts.
 
-Estimates are assembled from fixed 8192-path chunks whose partial sums
-(through math.fsum) and squared deviations are reduced in chunk order, so a
-given (seed, n, grid) always produces the same bits regardless of worker
-count. Inequality checks are one-sided statistical tests: a claim "holds"
+Estimates are assembled from fixed 8192-path chunks (4096 pairs in the
+Harnack checks) whose partial sums (through math.fsum) and squared
+deviations are reduced in chunk order, so a given (seed, n, grid) always
+produces the same bits regardless of worker count. Inequality checks are one-sided statistical tests: a claim "holds"
 when the estimated margin is not significantly negative, and is only called
 "violated" at a stronger significance (6 standard errors by default) to keep
 discretization bias from raising false alarms.
@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ._parallel import map_chunks, ordered_sum
+from ._parallel import PAIR_CHUNK, map_chunks, ordered_sum
 from .bounds import GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _power_threshold
 from .coefficients import CoefficientSet
 from .coupling import GammaSchedule, _coupled_batch, _Integrals
@@ -64,8 +64,10 @@ class MCEstimate:
 class VerdictReport:
     """Outcome of one inequality check.
 
-    margin_se is (rhs - lhs) in combined-standard-error units; positive
-    means the inequality held with room. verdict follows the one-sided
+    margin_se is (rhs - lhs) in units of its standard error: the two
+    sides' SEs combined as independent, or, for the Harnack checks, whose
+    sides share their paths, with their covariance; positive means the
+    inequality held with room. verdict follows the one-sided
     rule: holds when margin_se >= -k_tol, violated when <= -k_viol,
     inconclusive between, and forced inconclusive when too many coupled
     paths failed to merge.
@@ -176,7 +178,9 @@ class StationarySample:
 @dataclass(frozen=True)
 class _Chunk:
     """One chunk's count, sum, squared deviations from its mean (m2) and
-    range; a coupled chunk adds its failed paths and its worst case."""
+    range; a coupled chunk adds its failed paths and its worst case, a
+    paired chunk the moments of its second value y on the same paths and
+    the co-moment cxy, the sum of (x - mean x)(y - mean y)."""
 
     n: int
     sum: float
@@ -186,6 +190,8 @@ class _Chunk:
     unmerged: Optional[int] = None
     nonfinite: Optional[int] = None
     worst: float = math.nan
+    y: Optional["_Chunk"] = None
+    cxy: float = math.nan
 
     @classmethod
     def of(cls, v: np.ndarray, **coupled) -> "_Chunk":
@@ -194,19 +200,37 @@ class _Chunk:
         return cls(v.size, total, float((dev * dev).sum()), float(v.min()),
                    float(v.max()), **coupled)
 
+    @classmethod
+    def paired(cls, x: np.ndarray, y: np.ndarray) -> "_Chunk":
+        cx, cy = cls.of(x), cls.of(y)
+        cxy = float(((x - cx.sum / x.size) * (y - cy.sum / y.size)).sum())
+        return replace(cx, y=cy, cxy=cxy)
+
+
+def _fold(parts) -> float:
+    """The co-moment of all the chunks from their (n, sum x, sum y, c)
+    triples, c the chunk's sum of (x - mean x)(y - mean y), merged in chunk
+    order as C = C_a + C_b + dx dy n_a n_b / n, dx and dy the differences of
+    the two parts' means (Chan, Golub & LeVeque; Pebay, SAND2008-6212). It
+    never takes the cancelling difference sum(x y) - n mean_x mean_y. With
+    x = y it merges M2, the squared deviations."""
+    count, mean_x, mean_y, c = 0, 0.0, 0.0, 0.0
+    for n, sum_x, sum_y, c_part in parts:
+        dx = sum_x / n - mean_x
+        dy = sum_y / n - mean_y
+        n_ab = count + n
+        mean_x += dx * n / n_ab
+        mean_y += dy * n / n_ab
+        c += c_part + dx * dy * count * n / n_ab
+        count = n_ab
+    return c
+
 
 def _reduce(parts: List[_Chunk], seed: int, worst: Optional[str] = None) -> MCEstimate:
     """One estimate from the chunks, in chunk order; worst names the
     diagnostic of the chunks' worst case, if the estimate reports one."""
-    # Chan, Golub & LeVeque: merge chunk means and M2s in chunk order, so the
-    # variance never takes the cancelling difference sum(v^2) - n mean^2
-    count, run_mean, m2 = 0, 0.0, 0.0
-    for p in parts:
-        delta = p.sum / p.n - run_mean
-        n_ab = count + p.n
-        run_mean += delta * p.n / n_ab
-        m2 += p.m2 + delta * delta * count * p.n / n_ab
-        count = n_ab
+    count = sum(p.n for p in parts)
+    m2 = _fold([(p.n, p.sum, p.sum, p.m2) for p in parts])
     var = m2 / (count - 1) if count > 1 else 0.0
     # the range of all the values, NaN if any is NaN, as np.min and np.max
     diag = {"min": float(np.min([p.min for p in parts])),
@@ -220,6 +244,15 @@ def _reduce(parts: List[_Chunk], seed: int, worst: Optional[str] = None) -> MCEs
     diag["failures"] = diag.get("unmerged", 0) + diag.get("nonfinite", 0)
     return MCEstimate(mean=ordered_sum([p.sum for p in parts]) / count,
                       std_error=math.sqrt(var / count), n=count, seed=seed, diagnostics=diag)
+
+
+def _reduce_paired(parts: List[_Chunk], seed: int):
+    """The estimates of x and y from paired chunks, and the covariance of
+    their means, C / (n (n - 1)) with C the merged co-moment."""
+    x = _reduce(parts, seed)
+    y = _reduce([p.y for p in parts], seed)
+    c = _fold([(p.n, p.sum, p.y.sum, p.cxy) for p in parts])
+    return x, y, c / (x.n * (x.n - 1))
 
 
 class _SegGapIntegral:
@@ -289,10 +322,29 @@ def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
 
     def chunk(a, b):
         noise = NoiseBlocks(stream, a, b - a, grid.n_T)
-        ring = _simulate_batch(coeffs, xi.values, grid, noise)
+        (ring,) = _simulate_batch(coeffs, (xi.values,), grid, noise)
         return _Chunk.of(f(ring.segment(grid.m + grid.n_T)))
 
     return _reduce(map_chunks(chunk, n, threads), seed)
+
+
+def _paired_PT_f(coeffs, eta, f_eta, xi, f_xi, grid, n, seed, threads):
+    """f_eta(X^eta) and f_xi(X^xi) at T over n paired paths: the copies of
+    path j from eta and from xi are driven by the same noise, that of path j
+    of seed. Returns both estimates and the covariance of their means. A
+    chunk steps PAIR_CHUNK paths from each history, so that a batch stays
+    CHUNK columns wide."""
+    if n < 2:
+        raise ValueError("need n >= 2 paths")
+    stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
+    last = grid.m + grid.n_T
+
+    def chunk(a, b):
+        noise = NoiseBlocks(stream, a, b - a, grid.n_T)
+        r_eta, r_xi = _simulate_batch(coeffs, (eta.values, xi.values), grid, noise)
+        return _Chunk.paired(f_eta(r_eta.segment(last)), f_xi(r_xi.segment(last)))
+
+    return _reduce_paired(map_chunks(chunk, n, threads, PAIR_CHUNK), seed)
 
 
 def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, delta_merge,
@@ -438,6 +490,8 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
 
 def _verdict(margin_se: float, k_tol: float, k_viol: float,
              failure_fraction: float) -> str:
+    if not 0 < k_tol <= k_viol < math.inf:
+        raise ValueError("need finite 0 < k_tol <= k_viol")
     if math.isnan(margin_se) or failure_fraction > FAILURE_TOLERANCE:
         return "inconclusive"
     if margin_se >= -k_tol:
@@ -447,12 +501,12 @@ def _verdict(margin_se: float, k_tol: float, k_viol: float,
     return "inconclusive"
 
 
-def _margin(lhs_mean, lhs_se, rhs_mean, rhs_se) -> float:
+def _margin(lhs_mean, rhs_mean, se) -> float:
+    """rhs - lhs in units of se, the SE of that difference."""
     diff = rhs_mean - lhs_mean
     tie = TIE_ULPS * sys.float_info.epsilon * max(abs(lhs_mean), abs(rhs_mean))
     if math.isfinite(diff) and abs(diff) <= tie:
         return 0.0
-    se = math.hypot(lhs_se, rhs_se)
     if se == 0.0:
         return math.inf if diff > 0 else -math.inf
     return diff / se
@@ -468,15 +522,30 @@ def make_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, bound: float,
     -|deviation|/se for equality claims (the weight-mean check), so any
     large deviation in either direction counts against the claim.
     """
-    if not 0 < k_tol <= k_viol < math.inf:
-        raise ValueError("need finite 0 < k_tol <= k_viol")
-    margin = _margin(lhs.mean, lhs.std_error, rhs.mean, rhs.std_error)
+    margin = _margin(lhs.mean, rhs.mean, math.hypot(lhs.std_error, rhs.std_error))
     if two_sided:
         margin = -abs(margin) if margin != 0.0 else 0.0
     verdict = _verdict(margin, k_tol, k_viol, failure_fraction)
     return VerdictReport(claim=claim, lhs=lhs, rhs=rhs, bound=bound,
                          margin_se=margin, verdict=verdict, k_tol=k_tol,
                          k_viol=k_viol, meta=dict(meta or {}))
+
+
+def _paired_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, cov: float,
+                    bound: float, k_tol: float, k_viol: float, meta: dict) -> VerdictReport:
+    """The one-sided verdict on lhs <= rhs for two sides estimated on the
+    same paths, cov the covariance of the two estimates. The margin's SE is
+    the delta-method SE of rhs - lhs, sqrt(se_l^2 + se_r^2 - 2 cov): the
+    sides are correlated, so the independent-sides SE hypot(se_l, se_r)
+    would misstate the spread of the margin. meta gains their correlation
+    (nan when either SE is 0)."""
+    se_l, se_r = lhs.std_error, rhs.std_error
+    se = math.sqrt(max(se_l * se_l + se_r * se_r - 2.0 * cov, 0.0))
+    margin = _margin(lhs.mean, rhs.mean, se)
+    corr = cov / (se_l * se_r) if se_l * se_r > 0 else math.nan
+    return VerdictReport(claim=claim, lhs=lhs, rhs=rhs, bound=bound, margin_se=margin,
+                         verdict=_verdict(margin, k_tol, k_viol, 0.0), k_tol=k_tol,
+                         k_viol=k_viol, meta=dict(meta, corr=corr))
 
 
 def _log_of_mean(raw: MCEstimate, bound: Optional[float] = None,
@@ -504,9 +573,12 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
                       k_tol: float = 3.0, k_viol: float = 6.0,
                       threads: Optional[int] = None) -> VerdictReport:
     """One-sided test of  E log f(X^eta) <= log E f(X^xi) + H  at the grid's
-    horizon, with the closed-form additive constant H. The two expectations
-    use independent seeds; the log on the right propagates its error by the
-    delta method. s_choice pins H's coupling horizon instead of minimizing.
+    horizon, with the closed-form additive constant H. Both expectations
+    come from the same n paths, each started once from eta and once from xi
+    on common noise (the coupling of the paper's proof, which shares the
+    Brownian motion); the log on the right and the margin's SE, paired
+    covariance included, follow by the delta method. s_choice pins H's
+    coupling horizon instead of minimizing.
     """
     _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, grid)
 
@@ -522,12 +594,12 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
         rep = bound_H_T(coeffs.constants, gaps, grid.T, grid.r0)
         h_val, s_star = rep.value, rep.s_star
 
-    lhs = estimate_PT_f(coeffs, eta, _log_of(f), grid, n, seed, threads)
-    raw = estimate_PT_f(coeffs, xi, f, grid, n, seed + 1, threads)
+    lhs, raw, cov = _paired_PT_f(coeffs, eta, _log_of(f), xi, f, grid, n, seed, threads)
     rhs = _log_of_mean(raw, h_val)
-    return make_verdict("log_harnack", lhs, rhs, h_val, k_tol, k_viol,
-                        meta={"s_star": s_star, "point_gap": gaps.point_gap,
-                              "seg_gap": gaps.seg_gap})
+    # Cov(mean log f(eta), log mean f(xi)) = Cov(means) / mean f(xi)
+    return _paired_verdict("log_harnack", lhs, rhs, cov / raw.mean, h_val, k_tol, k_viol,
+                           {"s_star": s_star, "point_gap": gaps.point_gap,
+                            "seg_gap": gaps.seg_gap})
 
 
 def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
@@ -537,6 +609,7 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
                         threads: Optional[int] = None) -> VerdictReport:
     """One-sided test of  E f(X^eta) <= (E f^p(X^xi))^{1/p} exp(Phi_p) at the
     grid's horizon, in log space because Phi_p is large on realistic constants.
+    Both sides come from the same paired paths, as in check_log_harnack.
     """
     thr = _power_threshold(coeffs.constants)
     if not p > thr:
@@ -546,13 +619,14 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
     gaps = GapPair.from_segments(xi, eta)
     rep = bound_Phi_p(p, grid.T, coeffs.constants, gaps, grid.r0)
 
-    raw_l = estimate_PT_f(coeffs, eta, f, grid, n, seed, threads)
-    raw_r = estimate_PT_f(coeffs, xi, _power_of(f, p), grid, n, seed + 1, threads)
+    raw_l, raw_r, cov = _paired_PT_f(coeffs, eta, f, xi, _power_of(f, p), grid, n, seed,
+                                     threads)
     # compare log E f(eta) against (1/p) log E f^p(xi) + Phi_p
     lhs, rhs = _log_of_mean(raw_l), _log_of_mean(raw_r, rep.value, p)
-    return make_verdict("power_harnack", lhs, rhs, rep.value, k_tol, k_viol,
-                        meta={"p": p, "s_star": rep.s_star,
-                              "eps_star": rep.eps_star, "log_scale": 1.0})
+    return _paired_verdict("power_harnack", lhs, rhs, cov / (p * raw_l.mean * raw_r.mean),
+                           rep.value, k_tol, k_viol,
+                           {"p": p, "s_star": rep.s_star, "eps_star": rep.eps_star,
+                            "log_scale": 1.0})
 
 
 def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
@@ -599,7 +673,7 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
             ends[:, k - 1] = row
 
     noise = NoiseBlocks(NoiseStream(seed=seed, h=h, dim=coeffs.dim), 0, n_paths, run_grid.n_T)
-    _simulate_batch(coeffs, np.zeros((m + 1, coeffs.dim)), run_grid, noise, (window_edges,))
+    _simulate_batch(coeffs, (np.zeros((m + 1, coeffs.dim)),), run_grid, noise, (window_edges,))
 
     starts = starts.reshape(-1, coeffs.dim)[:n]
     ends = ends.reshape(-1, coeffs.dim)[:n]

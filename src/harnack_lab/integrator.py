@@ -7,7 +7,10 @@ steps. Memory per batch is O(m B d) whatever the horizon. One loop (_run)
 drives both kernels, the Euler step here and the coupled step, and takes
 its noise only as a NoiseBlocks; whatever else a caller wants (running
 integrals, a window max, selected rows) it gets from observers called
-after each grid row. Only the one-path dumps record whole paths.
+after each grid row. Only the one-path dumps record whole paths. Both
+kernels step one ring per copy with one noise draw: the coupled step its
+X and Y, the Euler step one copy per starting history (the Harnack checks
+pair xi and eta on common noise).
 
 Noise is counter-based. Path `j` of a run with seed `s` always sees the
 increments of `Philox(key=[s, j])`, however paths are grouped into chunks
@@ -216,42 +219,49 @@ class _Recorder:
 
 
 class _Euler:
-    """A batch of uncoupled paths in flight: its ring and the Euler step,
-    which evaluates the diffusion once (as a diagonal where the system
-    declares one) and never its inverse."""
+    """A batch of uncoupled paths in flight: one ring per starting history,
+    every ring stepped by the same dw, so column q of each ring is driven by
+    the noise of path q. The Euler step evaluates the diffusion once per
+    state (as a diagonal where the system declares one) and never its
+    inverse."""
 
-    def __init__(self, coeffs: CoefficientSet, grid: GridSpec, ring: _Ring):
-        self.coeffs, self.grid, self.rings = coeffs, grid, (ring,)
+    def __init__(self, coeffs: CoefficientSet, grid: GridSpec, rings: tuple):
+        self.coeffs, self.grid, self.rings = coeffs, grid, rings
 
     def step(self, k, dw):
-        coeffs, h, (ring,) = self.coeffs, self.grid.h, self.rings
+        coeffs, h = self.coeffs, self.grid.h
         t = k * h
         i = self.grid.m + k
-        x = ring.row(i)
-        drift = coeffs.z(t, x)
-        if not coeffs.delay_free:
-            drift = drift + coeffs.b(t, ring.segment(i))
-        xn = _euler_step(x, drift, h, coeffs.diffusion(t, x), dw)
-        if not np.isfinite(xn).all():
-            raise FloatingPointError(
-                f"non-finite state at step {k + 1} of {self.grid.n_T} (t={t + h:.6g}); "
-                "reduce h or shrink the coefficients")
-        return (xn,)
+        new = []
+        for ring in self.rings:
+            x = ring.row(i)
+            drift = coeffs.z(t, x)
+            if not coeffs.delay_free:
+                drift = drift + coeffs.b(t, ring.segment(i))
+            xn = _euler_step(x, drift, h, coeffs.diffusion(t, x), dw)
+            if not np.isfinite(xn).all():
+                raise FloatingPointError(
+                    f"non-finite state at step {k + 1} of {self.grid.n_T} (t={t + h:.6g}); "
+                    "reduce h or shrink the coefficients")
+            new.append(xn)
+        return new
 
 
-def _simulate_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
-                    grid: GridSpec, noise: NoiseBlocks, observers=()) -> _Ring:
-    """Advance a batch of paths from the shared history xi_values (m+1, d)
-    to T; returns the final ring, whose segment(m + n_T) is the terminal
-    segment. noise has the shape (n_T, B, d); observers see every grid row
-    (see _run), so memory is O(m B d) unless an observer keeps more.
+def _simulate_batch(coeffs: CoefficientSet, histories: tuple,
+                    grid: GridSpec, noise: NoiseBlocks, observers=()) -> tuple:
+    """Advance a batch of paths to T from each shared history (m+1, d) in
+    histories, all driven by the same noise, and return the final rings in
+    that order; ring.segment(m + n_T) is a ring's terminal segment. noise
+    has the shape (n_T, B, d) whatever the number of histories; observers
+    see every grid row (see _run), so memory is O(m B d) per history unless
+    an observer keeps more.
     """
     b = noise.shape[1]
     if tuple(noise.shape) != (grid.n_T, b, coeffs.dim):
         raise ValueError("noise must have shape (n_T, B, d)")
-    ring = _Ring(xi_values, b)
-    _run(_Euler(coeffs, grid, ring), noise, observers)
-    return ring
+    rings = tuple(_Ring(values, b) for values in histories)
+    _run(_Euler(coeffs, grid, rings), noise, observers)
+    return rings
 
 
 def simulate_path(coeffs: CoefficientSet, xi: SegmentPath, grid: GridSpec,
@@ -260,7 +270,7 @@ def simulate_path(coeffs: CoefficientSet, xi: SegmentPath, grid: GridSpec,
     grid.check_segments(coeffs.dim, xi)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
     rec = _Recorder(grid.m + grid.n_T + 1)
-    _simulate_batch(coeffs, xi.values, grid, NoiseBlocks(stream, path_index, 1, grid.n_T),
-                    (rec,))
+    _simulate_batch(coeffs, (xi.values,), grid,
+                    NoiseBlocks(stream, path_index, 1, grid.n_T), (rec,))
     return Trajectory(grid=grid, values=rec.full[0][:, 0, :], path_index=path_index,
                       seed=seed)

@@ -224,6 +224,15 @@ def test_nonfinite_floats_are_config_errors(sec, key, value):
     assert exc.value.violations[0] == f"[{sec}] {key} must be finite"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("label", ["xi", "eta"])
+def test_nonfinite_const_segments_are_config_errors(label, value):
+    # const:nan parsed as a float and failed only when the segment was built
+    with pytest.raises(ConfigError) as exc:
+        parse_config(config_with({("problem", label): f"const:{value}"}))
+    assert exc.value.violations == [f"[problem] {label} must be finite"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.sampled_from(FLOAT_KEYS), st.floats().map(repr),
                        min_size=1, max_size=3))
@@ -590,6 +599,26 @@ def test_reruns_are_byte_identical_across_threads(tmp_path):
                         "--threads", "8"]) == 0
     eight = (tmp_path / "b" / "log_harnack.csv").read_bytes()
     assert one == eight
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform has no fork start method")
+@pytest.mark.parametrize("command,kw", [
+    ("log-harnack", {}),
+    ("power-harnack", {"name": "sine_multiplicative",
+                       "params": {"a": -1.0, "c": 0.2, "s0": 0.1}, "p": 16.0})])
+def test_paired_checks_are_byte_identical_across_workers(tmp_path, monkeypatch,
+                                                         command, kw):
+    # 2 * 4096 + 77 pairs: two full pair chunks and a short one, forked to
+    # two workers or run in the calling process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        text = cfg_text(n=2 * 4096 + 77, m=10, out=out, **kw)
+        assert launch(tmp_path, command, text, "--threads", threads) == 0
+        csvs.append((out / (command.replace("-", "_") + ".csv")).read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

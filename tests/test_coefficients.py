@@ -169,7 +169,7 @@ def test_audit_reads_the_dense_matrix_the_kernels_step_with():
         assert a3.passed
         assert a3.empirical_max == pytest.approx(k3 / scale, rel=1e-12)
         rec = _Recorder(grid.m + grid.n_T + 1)
-        _simulate_batch(co, xi, grid, NoiseBlocks(stream, 0, 5, 1), (rec,))
+        _simulate_batch(co, (xi,), grid, NoiseBlocks(stream, 0, 5, 1), (rec,))
         np.testing.assert_allclose(rec.full[0][-1], 1.0 - grid.h + dw @ (scale * mat).T,
                                    rtol=1e-14, atol=1e-15)
     # the k3 of the scaled matrix does not hold for the unscaled one

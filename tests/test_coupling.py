@@ -341,7 +341,7 @@ def kernel_outputs(co, m=20, b=37):
     noise = NoiseBlocks(NoiseStream(seed=9, h=grid.h, dim=d), 0, b, grid.n_T)
     sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
     rec = _Recorder(grid.m + grid.n_T + 1)
-    _simulate_batch(co, xi, grid, noise, (rec,))
+    _simulate_batch(co, (xi,), grid, noise, (rec,))
     out = {"sim": rec.full[0]}
     for measure in ("Q", "P"):
         rec = _Recorder(grid.m + grid.n_T + 1)
@@ -403,7 +403,7 @@ def test_zero_diffusion_steps_without_inverse(monkeypatch):
 
     def history(c):
         rec = _Recorder(grid.m + grid.n_T + 1)
-        _simulate_batch(c, xi.values, grid, noise, (rec,))
+        _simulate_batch(c, (xi.values,), grid, noise, (rec,))
         return rec.full[0]
 
     with monkeypatch.context() as mp:

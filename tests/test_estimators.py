@@ -12,8 +12,8 @@ from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule
 from harnack_lab.estimators import (MCEstimate, _checked_exp, _Chunk,
-                                    _effective_sample_size, _reduce,
-                                    _SegGapIntegral,
+                                    _effective_sample_size, _log_of, _power_of,
+                                    _reduce, _reduce_paired, _SegGapIntegral,
                                     check_log_harnack,
                                     check_power_harnack, estimate_PT_f,
                                     estimate_entropy_Q,
@@ -22,7 +22,7 @@ from harnack_lab.estimators import (MCEstimate, _checked_exp, _Chunk,
                                     sample_stationary_segments)
 from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
-from harnack_lab.integrator import NoiseStream, _Ring
+from harnack_lab.integrator import NoiseStream, _Ring, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
 from oracles import (chunk_moments_dict, merged_fraction, reduce_moments_dict,
                      seg_gap_integral_window_max, stationary_segments_tiled,
@@ -225,6 +225,25 @@ def test_reduce_diagnostics_do_not_depend_on_the_split(lead):
     for k in range(1 << (expo.size - 1)):
         cuts = [i for i in range(1, expo.size) if k >> (i - 1) & 1]
         assert merged(cuts) == whole, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(split=split_values(), slope=st.floats(-3.0, 3.0))
+def test_paired_reduce_merges_the_co_moment(split, slope):
+    # the co-moment merged over any split agrees with the two-pass one over
+    # all values; with y = x it is the M2 that _reduce merges
+    x, cuts = split
+    y = slope * x + np.cos(x)
+    parts = [_Chunk.paired(a, b) for a, b in zip(split_at(x, cuts), split_at(y, cuts))]
+    ex, ey, cov = _reduce_paired(parts, 3)
+    assert ex == _reduce([_Chunk.of(a) for a in split_at(x, cuts)], 3)
+    assert ey == _reduce([_Chunk.of(b) for b in split_at(y, cuts)], 3)
+    n = x.size
+    ref = ((x - x.mean()) * (y - y.mean())).sum() / (n * (n - 1))
+    assert abs(cov - ref) <= 1e-9 * ex.std_error * ey.std_error + 1e-12
+    same = [_Chunk.paired(a, a) for a in split_at(x, cuts)]
+    ex, _, var = _reduce_paired(same, 3)
+    assert var == pytest.approx(ex.std_error ** 2, rel=1e-12, abs=1e-300)
 
 
 def test_chunk_rejects_an_unknown_field():
@@ -608,6 +627,8 @@ def test_make_verdict_needs_finite_ordered_thresholds(k_tol, k_viol):
 # -------------------------------------------------------------- checks
 
 def test_log_harnack_jensen_control():
+    # with xi = eta both sides read the same paths: the log of the mean of
+    # f against the mean of log f, Jensen's gap, and H = 0
     co = linear()
     grid, xi, _ = setup(m=50)
     f = catalog_fn("quad_cap", 100.0)
@@ -615,6 +636,57 @@ def test_log_harnack_jensen_control():
     assert rep.verdict == "holds"
     assert rep.bound == 0.0
     assert rep.margin_se > 0
+    assert rep.meta["corr"] > 0
+    # n fits in one chunk of either width, so the sums are the same sums
+    assert rep.lhs.mean == estimate_PT_f(co, xi, _log_of(f), grid, 4000, 2).mean
+    assert rep.rhs.diagnostics["raw_mean"] == estimate_PT_f(co, xi, f, grid, 4000, 2).mean
+
+
+@pytest.mark.parametrize("claim", ["log", "power"])
+def test_harnack_sides_take_path_j_of_the_seed(claim):
+    # the xi copy of path j is simulate_path(xi, seed, j), and the eta copy
+    # the path estimate_PT_f draws from eta at the same seed
+    co = linear() if claim == "log" else sine()
+    grid, xi, eta = setup(m=20)
+    f = catalog_fn("quad_cap", 100.0)
+    n, seed = 6, 4
+    ends = np.stack([simulate_path(co, xi, grid, seed, j).values[-(grid.m + 1):]
+                     for j in range(n)])
+    if claim == "log":
+        rep = check_log_harnack(co, xi, eta, f, grid, n=n, seed=seed)
+        f_xi, f_eta = f, _log_of(f)
+    else:
+        rep = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
+        f_xi, f_eta = _power_of(f, 16.0), f
+    assert rep.rhs.diagnostics["raw_mean"] == f_xi(ends).sum() / n
+    eta_side = estimate_PT_f(co, eta, f_eta, grid, n, seed)
+    assert rep.lhs.diagnostics.get("raw_mean", rep.lhs.mean) == eta_side.mean
+
+
+def test_paired_margin_se_is_calibrated():
+    # Over S seeds, the margins d = rhs - lhs (margin_se times its SE)
+    # scatter with the variance the paired SE claims: (S - 1) var(d) / se^2
+    # is chi-square with S - 1 degrees of freedom, se^2 averaged over the
+    # seeds. The two-sided 99.9 % band holds the paired SE and rejects
+    # hypot(se_l, se_r), which ignores the correlation of the two sides.
+    from scipy.stats import chi2
+
+    co = linear()
+    grid, xi, eta = setup(m=10)
+    f = catalog_fn("quad_cap", 100.0)
+    seeds = 200
+    d, se_sq, hypot_sq = [], [], []
+    for seed in range(seeds):
+        rep = check_log_harnack(co, xi, eta, f, grid, n=256, seed=1000 + seed,
+                                s_choice=0.5)
+        diff = rep.rhs.mean - rep.lhs.mean
+        d.append(diff)
+        se_sq.append((diff / rep.margin_se) ** 2)
+        hypot_sq.append(rep.lhs.std_error ** 2 + rep.rhs.std_error ** 2)
+    lo, hi = chi2.ppf([0.0005, 0.9995], seeds - 1) / (seeds - 1)
+    spread = np.var(d, ddof=1)
+    assert lo <= spread / np.mean(se_sq) <= hi
+    assert not lo <= spread / np.mean(hypot_sq) <= hi
 
 
 def test_log_harnack_distinct_starts_holds():

@@ -57,10 +57,30 @@ def test_uncoupled_kernel_matches_full_history(case, m):
     grid, xi, _, stream = setup(m, co.dim)
     b = 37
     rec = _Recorder(m + grid.n_T + 1)
-    ring = _simulate_batch(co, xi, grid, NoiseBlocks(stream, 0, b, grid.n_T), (rec,))
+    (ring,) = _simulate_batch(co, (xi,), grid, NoiseBlocks(stream, 0, b, grid.n_T), (rec,))
     want = simulate_batch_full(co, xi, grid, stream.batch(0, b, grid.n_T))
     assert np.array_equal(rec.full[0], want)
     assert np.array_equal(ring.segment(m + grid.n_T), np.moveaxis(want[grid.n_T:], 0, 1))
+
+
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_paired_kernel_steps_each_history_on_the_same_noise(case, m):
+    # two histories in one batch: each ring is the one-history run on the
+    # same noise, and rows of the one-path simulator at every grid row
+    co = system(*case)
+    grid, xi, eta, stream = setup(m, co.dim)
+    b = 5
+    rec = _Recorder(m + grid.n_T + 1)
+    rings = _simulate_batch(co, (eta, xi), grid, NoiseBlocks(stream, 3, b, grid.n_T), (rec,))
+    assert len(rings) == len(rec.full) == 2
+    noise = stream.batch(3, b, grid.n_T)
+    for hist, full in zip((eta, xi), rec.full):
+        assert np.array_equal(full, simulate_batch_full(co, hist, grid, noise))
+    seg = SegmentPath(1.0, xi)
+    for q in range(b):
+        path = simulate_path(co, seg, grid, seed=9, path_index=3 + q)
+        assert np.array_equal(rings[1].segment(m + grid.n_T)[q], path.values[grid.n_T:])
 
 
 @pytest.mark.parametrize("k_upper", ["0", "1", "n0", "nT"])
