@@ -596,7 +596,8 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
 
     lhs, raw, cov = _paired_PT_f(coeffs, eta, _log_of(f), xi, f, grid, n, seed, threads)
     rhs = _log_of_mean(raw, h_val)
-    # Cov(mean log f(eta), log mean f(xi)) = Cov(means) / mean f(xi)
+    # by the delta method, Cov(mean log f(eta), log mean f(xi)) is
+    # Cov(means) / mean f(xi)
     return _paired_verdict("log_harnack", lhs, rhs, cov / raw.mean, h_val, k_tol, k_viol,
                            {"s_star": s_star, "point_gap": gaps.point_gap,
                             "seg_gap": gaps.seg_gap})
@@ -621,7 +622,8 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
 
     raw_l, raw_r, cov = _paired_PT_f(coeffs, eta, f, xi, _power_of(f, p), grid, n, seed,
                                      threads)
-    # compare log E f(eta) against (1/p) log E f^p(xi) + Phi_p
+    # compare log E f(eta) against (1/p) log E f^p(xi) + Phi_p; by the delta
+    # method their covariance is Cov(means) / (p mean f(eta) mean f^p(xi))
     lhs, rhs = _log_of_mean(raw_l), _log_of_mean(raw_r, rep.value, p)
     return _paired_verdict("power_harnack", lhs, rhs, cov / (p * raw_l.mean * raw_r.mean),
                            rep.value, k_tol, k_viol,

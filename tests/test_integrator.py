@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from harnack_lab.coefficients import AssumptionConstants, builtin_system
-from harnack_lab.integrator import NoiseBlocks, NoiseStream, Trajectory, simulate_path
+from harnack_lab.integrator import (NoiseBlocks, NoiseStream, Trajectory, _simulate_batch,
+                                    simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
 from oracles import (coefficient_set_from_pointwise, increments, points, segment_at,
                      step_euler, times, value_at, with_scaled_sigma)
@@ -190,18 +191,33 @@ def test_simulate_path_validates_inputs():
         simulate_path(co, constant_segment([1.0, 1.0], 1.0, 10), grid, seed=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_simulate_path_raises_on_nonfinite():
-    co = coefficient_set_from_pointwise(
+def exploding():
+    """x' = 1e30 x^3 without noise: 0 stays put, 10 overflows in a few steps."""
+    return coefficient_set_from_pointwise(
         dim=1,
         sigma=lambda t, x: [[0.0]],
         z_drift=lambda t, x: x * x * x * 1e30,
         b_delay=lambda t, seg: [0.0],
         constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=0.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_simulate_path_raises_on_nonfinite():
     grid = GridSpec(1.0, 2.0, 4)
     xi = constant_segment(10.0, 1.0, 4)
     with pytest.raises(FloatingPointError, match="step"):
-        simulate_path(co, xi, grid, seed=0)
+        simulate_path(exploding(), xi, grid, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("first", [0.0, 10.0])
+def test_every_paired_ring_checks_its_states(first):
+    # one history stays finite, the other overflows, in either ring
+    grid = GridSpec(1.0, 2.0, 4)
+    histories = [np.full((5, 1), first), np.full((5, 1), 10.0 - first)]
+    noise = NoiseBlocks(NoiseStream(seed=0, h=grid.h, dim=1), 0, 3, grid.n_T)
+    with pytest.raises(FloatingPointError, match="non-finite state"):
+        _simulate_batch(exploding(), histories, grid, noise)
 
 
 def test_trajectory_accessors():
