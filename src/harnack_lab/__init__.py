@@ -28,8 +28,7 @@ from .coupling import (
     CoupledTrajectory,
     gamma,
     inv_gamma_integral,
-    simulate_coupled_Q,
-    simulate_coupled_P,
+    simulate_coupled,
 )
 from .bounds import (
     GapPair,
@@ -66,7 +65,7 @@ __all__ = [
     "builtin_system", "audit_assumptions",
     "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
-    "simulate_coupled_Q", "simulate_coupled_P",
+    "simulate_coupled",
     "GapPair", "BoundReport", "LemmaBound",
     "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
     "bound_Phi_p", "lemma_rhs",

@@ -24,10 +24,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 CHUNK = 8192
 
-# pairs per chunk of the paired Harnack checks, whose batches step two
-# copies of each path: CHUNK columns in all
-PAIR_CHUNK = CHUNK // 2
-
 ENV_THREADS = "HARNACK_LAB_THREADS"
 
 # the chunk function of the map a worker process serves; _install sets it

@@ -23,6 +23,11 @@ from .segment_paths import SegmentPath, sup_distance
 # switch to the series branch of K4/(1 - e^{-K4 s}) below this |K4 s|
 _SERIES_CUT = 1e-6
 
+# points of the log grid in s (bound_H_T, bound_Phi_p) and of the uniform
+# grid in eps (bound_Phi_p) that the minimizers search before refining
+S_GRID = 200
+EPS_GRID = 200
+
 
 @dataclass(frozen=True)
 class GapPair:
@@ -172,8 +177,8 @@ def bound_H_T_at(consts: AssumptionConstants, gaps: GapPair, r0: float,
     return sum(_h_terms(consts, gaps, r0, s))
 
 
-def bound_H_T(consts: AssumptionConstants, gaps: GapPair, T: float, r0: float,
-              s_grid_size: int = 200) -> BoundReport:
+def bound_H_T(consts: AssumptionConstants, gaps: GapPair, T: float,
+              r0: float) -> BoundReport:
     """Additive constant of the log-Harnack inequality at horizon T > r0.
 
     Minimizes, over the free coupling horizon s in (0, T - r0], the sum of
@@ -187,12 +192,12 @@ def bound_H_T(consts: AssumptionConstants, gaps: GapPair, T: float, r0: float,
 
     s_star, value, edge = _grid_refine(
         lambda s: sum(_h_terms(consts, gaps, r0, s)),
-        _log_grid(T - r0, s_grid_size))
+        _log_grid(T - r0, S_GRID))
     gap_t, seg_t = _h_terms(consts, gaps, r0, s_star)
     return BoundReport(
         value=value, s_star=s_star,
         terms={"gap_term": gap_t, "segment_term": seg_t},
-        at_boundary=edge, meta={"s_grid_size": s_grid_size, "s_max": T - r0})
+        at_boundary=edge, meta={"s_grid_size": S_GRID, "s_max": T - r0})
 
 
 def bound_entropy_prop21(consts: AssumptionConstants, theta: float, t: float,
@@ -237,8 +242,12 @@ def _lambda_p(p: float) -> float:
     return 1.0 / (2.0 * (math.sqrt(p) - 1.0) ** 2)
 
 
-def _power_threshold(consts: AssumptionConstants) -> float:
-    return (1.0 + consts.k2 * consts.k3) ** 2
+def _check_power_exponent(p: float, consts: AssumptionConstants) -> None:
+    """Raise ValueError unless p exceeds (1 + K2 K3)^2, the least exponent
+    the power-Harnack inequality admits."""
+    thr = (1.0 + consts.k2 * consts.k3) ** 2
+    if not p > thr:
+        raise ValueError(f"p must exceed (1 + K2 K3)^2 = {thr:.6g}, got p={p:.6g}")
 
 
 def _theta_set_contains(eps: float, p: float, consts: AssumptionConstants) -> bool:
@@ -247,9 +256,7 @@ def _theta_set_contains(eps: float, p: float, consts: AssumptionConstants) -> bo
     side is infinite and every eps in (0,1) qualifies."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    thr = _power_threshold(consts)
-    if not p > thr:
-        raise ValueError(f"p must exceed (1 + K2 K3)^2 = {thr:.6g}, got p={p:.6g}")
+    _check_power_exponent(p, consts)
     if consts.k2 == 0.0:
         return True
     lhs = (1.0 - eps) ** 4 / (2.0 * (1.0 + eps) ** 3 * (consts.k2 * consts.k3) ** 2)
@@ -287,7 +294,7 @@ def _s_eps(eps: float, lam: float, consts: AssumptionConstants, r0: float) -> fl
 
 
 def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
-                r0: float, eps_grid: int = 200, s_grid: int = 200) -> BoundReport:
+                r0: float) -> BoundReport:
     """Additive exponent of the power-Harnack inequality at horizon T.
 
     Two-level minimization: eps runs over a uniform grid on (0,1) filtered
@@ -299,9 +306,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
         raise ValueError("the horizon must exceed the delay: T > r0 is required")
     if not r0 > 0:
         raise ValueError("r0 must be positive")
-    thr = _power_threshold(consts)
-    if not p > thr:
-        raise ValueError(f"p must exceed (1 + K2 K3)^2 = {thr:.6g}, got p={p:.6g}")
+    _check_power_exponent(p, consts)
     lam = _lambda_p(p)
     k = consts
     pref = (math.sqrt(p) - 1.0) / math.sqrt(p)
@@ -330,10 +335,10 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
         def f(s):
             return pref * sum(terms_at(eps, w, s))
 
-        s_star, v, _ = _grid_refine(f, _log_grid(s_hi, s_grid))
+        s_star, v, _ = _grid_refine(f, _log_grid(s_hi, S_GRID))
         return v, s_star, w
 
-    eps_candidates = [(i + 1.0) / (eps_grid + 1.0) for i in range(eps_grid)]
+    eps_candidates = [(i + 1.0) / (EPS_GRID + 1.0) for i in range(EPS_GRID)]
     eps_candidates = [e for e in eps_candidates if _theta_set_contains(e, p, consts)]
     if not eps_candidates:
         raise ValueError("no admissible eps found on the grid; "
@@ -372,7 +377,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
         terms={"eps_term": pref * t_eps, "quadratic_term": pref * t_quad,
                "gap_term": pref * t_gap, "segment_term": pref * t_seg},
         at_boundary=eps_edge,
-        meta={"eps_grid": eps_grid, "s_grid": s_grid, "lambda_p": lam,
+        meta={"eps_grid": EPS_GRID, "s_grid": S_GRID, "lambda_p": lam,
               "w_eps": w_b, "prefactor": pref})
 
 

@@ -30,8 +30,7 @@ from .bounds import (GapPair, bound_H_T, bound_Phi_p, bound_entropy_prop21,
                      bound_entropy_with_tail)
 from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet,
                            audit_assumptions, builtin_system, param_problems)
-from .coupling import (GammaSchedule, gamma, simulate_coupled_P,
-                       simulate_coupled_Q)
+from .coupling import GammaSchedule, gamma, simulate_coupled
 from .estimators import (FAILURE_TOLERANCE, TEST_FUNCTIONS, MCEstimate,
                          VerdictReport, estimate_entropy_Q, estimate_martingale_mean,
                          check_log_harnack, check_power_harnack, make_verdict,
@@ -316,10 +315,8 @@ def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
     # one path gives no standard error; only the couple dump takes n = 1
     if command in ("entropy", "log-harnack", "power-harnack", "stationary") and cfg.n < 2:
         problems.append(f"{command} needs [mc] n >= 2")
-    # the grid's tolerance, so that s_choice = t - r0 passes however t - r0
-    # rounds
     if command == "log-harnack" and cfg.s_choice is not None \
-            and cfg.s_choice > cfg.T - cfg.r0 + 1e-12 * max(cfg.T, 1.0):
+            and cfg.s_choice > GridSpec.horizon_end(cfg.T, cfg.r0):
         problems.append("s_choice must be <= t - r0")
     if problems:
         raise ConfigError(problems)
@@ -380,7 +377,7 @@ def _out_path(cfg: ExperimentConfig, command: str) -> str:
 
 def _cmd_audit(cfg: ExperimentConfig, threads) -> int:
     coeffs = config_coeffs(cfg)
-    box = AuditBox(t_min=0.0, t_max=cfg.T, r0=cfg.r0)
+    box = AuditBox(t_min=0.0, t_max=cfg.T)
     report = audit_assumptions(coeffs, box=box, n=cfg.n, seed=cfg.seed)
     rows = []
     for cond, c in sorted(report.conditions.items()):
@@ -435,9 +432,9 @@ def _couple_dump(cfg, traj) -> None:
 def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
     coeffs, grid, xi, eta = _problem(cfg)
     if cfg.n == 1:
-        run = simulate_coupled_P if cfg.measure == "P" else simulate_coupled_Q
-        traj = run(coeffs, xi, eta, grid, cfg.t0, theta=cfg.theta,
-                   seed=cfg.seed, delta_merge=cfg.delta_merge)
+        traj = simulate_coupled(coeffs, xi, eta, grid, cfg.t0, cfg.measure,
+                                theta=cfg.theta, seed=cfg.seed,
+                                delta_merge=cfg.delta_merge)
         _couple_dump(cfg, traj)
         _say(cfg, f"coupled pair dumped; merged={traj.merged}, "
                   f"log R_T={traj.log_weight_cum[-1]:.6g}")
@@ -455,16 +452,13 @@ def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
     reports = []
     if cfg.measure == "P":
         reports.append(make_verdict(
-            "girsanov_weight_mean", est,
-            MCEstimate(mean=1.0, std_error=0.0, n=0, seed=cfg.seed),
-            bound=1.0, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
+            "girsanov_weight_mean", est, bound=1.0, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
             failure_fraction=failure_fraction, two_sided=True,
             meta={"ess": est.diagnostics["ess"]}))
     se = math.sqrt(max(failure_fraction * (1.0 - failure_fraction), 0.0) / cfg.n)
     lhs = MCEstimate(mean=failure_fraction, std_error=se, n=cfg.n, seed=cfg.seed,
                      diagnostics={"failures": est.failures})
-    rhs = MCEstimate(mean=FAILURE_TOLERANCE, std_error=0.0, n=0, seed=cfg.seed)
-    reports.append(make_verdict("coupling_unmerged_fraction", lhs, rhs,
+    reports.append(make_verdict("coupling_unmerged_fraction", lhs,
                                 bound=FAILURE_TOLERANCE, k_tol=cfg.k_tol,
                                 k_viol=cfg.k_viol))
 
@@ -485,11 +479,8 @@ def _cmd_entropy(cfg: ExperimentConfig, threads) -> int:
     gaps = GapPair.from_segments(xi, eta)
     bound = bound_entropy_with_tail(coeffs.constants, cfg.t0, cfg.r0, gaps,
                                     theta=cfg.theta)
-    rep = make_verdict(
-        "entropy_vs_bound", est,
-        MCEstimate(mean=bound, std_error=0.0, n=0, seed=cfg.seed),
-        bound=bound, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
-        failure_fraction=est.failures / cfg.n)
+    rep = make_verdict("entropy_vs_bound", est, bound=bound, k_tol=cfg.k_tol,
+                       k_viol=cfg.k_viol, failure_fraction=est.failures / cfg.n)
     return _finish(cfg, "entropy", [rep])
 
 

@@ -266,7 +266,6 @@ class AuditBox:
     t_max: float = 1.0
     x_min: float = -5.0
     x_max: float = 5.0
-    r0: float = 1.0
     m: int = 8
 
     def __post_init__(self):

@@ -7,12 +7,12 @@ together by t0. The extra drift is paid for with an exponential weight
 (Girsanov), so expectations under the unforced law can be recovered from
 the forced simulation and vice versa.
 
-Both simulation directions are provided. simulate_coupled_Q runs the pair
-under the measure in which the forced copy solves the original equation
+One coupling is read under two measures, and simulate_coupled takes the
+measure as an input. Under Q the forced copy solves the original equation
 (the direction used by the entropy and exponential-moment estimates);
-simulate_coupled_P runs it under the law of the unforced copy, where the
-weight has expectation one exactly, step by step, which makes a sharp
-Monte Carlo sanity check possible.
+under P the unforced copy does, and the weight has expectation one
+exactly, step by step, which makes a sharp Monte Carlo sanity check
+possible.
 
 The gap dynamics contain the stiff term -(X - Y)/gamma. An explicit Euler
 step would blow up as gamma -> 0, so each substep integrates that term
@@ -274,8 +274,15 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
     return pair
 
 
-def _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed, path_index,
-                      delta_merge, measure) -> CoupledTrajectory:
+def simulate_coupled(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
+                     grid: GridSpec, t0: float, measure: str, theta: float = 1.0,
+                     seed: int = 0, path_index: int = 0,
+                     delta_merge: float = 1e-8) -> CoupledTrajectory:
+    """One coupled pair, path path_index of seed, with its whole history.
+    X starts from xi, Y from eta, and the copies merge by the deadline t0.
+    measure "Q": X is forced onto Y, which solves the original equation.
+    measure "P": X solves the original equation and Y is forced onto it;
+    the exponential weight has mean one exactly at every step."""
     grid.check_segments(coeffs.dim, xi, eta)
     sched = GammaSchedule(theta=theta, k4=coeffs.constants.k4, t0=t0)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
@@ -298,26 +305,3 @@ def _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed, path_index,
         phi_sq_cum=phi_cum, log_weight_cum=logw_cum,
         merged=bool(pair.merged[0]), delta_merge=delta_merge,
         seed=seed, path_index=path_index)
-
-
-def simulate_coupled_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
-                       grid: GridSpec, t0: float, theta: float = 1.0,
-                       seed: int = 0, path_index: int = 0,
-                       delta_merge: float = 1e-8) -> CoupledTrajectory:
-    """Coupled pair under the measure where the forced copy X solves the
-    original equation. Y starts from eta and is the reference solution; X
-    starts from xi and is pulled onto Y by the deadline t0."""
-    return _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed,
-                             path_index, delta_merge, "Q")
-
-
-def simulate_coupled_P(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
-                       grid: GridSpec, t0: float, theta: float = 1.0,
-                       seed: int = 0, path_index: int = 0,
-                       delta_merge: float = 1e-8) -> CoupledTrajectory:
-    """Coupled pair under the unforced law: X solves the original equation
-    from xi, Y is forced onto X by t0, and the exponential weight has mean
-    one exactly at every step."""
-    return _simulate_coupled(coeffs, xi, eta, grid, t0, theta, seed,
-                             path_index, delta_merge, "P")
-

@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ._parallel import PAIR_CHUNK, map_chunks, ordered_sum
-from .bounds import GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _power_threshold
+from ._parallel import CHUNK, map_chunks, ordered_sum
+from .bounds import GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _check_power_exponent
 from .coefficients import CoefficientSet
 from .coupling import GammaSchedule, _coupled_batch, _Integrals
 from .integrator import NoiseBlocks, NoiseStream, _simulate_batch
@@ -97,7 +97,6 @@ class TestFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    params: Dict[str, float] = field(default_factory=dict)
 
     def __call__(self, segments: np.ndarray) -> np.ndarray:
         v = np.asarray(self.fn(segments), dtype=float)
@@ -125,16 +124,14 @@ def test_function(name: str, cap: float = 100.0) -> TestFunction:
         def fn(segs):
             end_sq = (segs[:, -1, :] ** 2).sum(axis=1)
             return 1.0 + np.minimum(end_sq, cap)
-        return TestFunction(name="quad_cap", fn=fn, lower=1.0, upper=1.0 + cap,
-                            params={"cap": cap})
+        return TestFunction(name="quad_cap", fn=fn, lower=1.0, upper=1.0 + cap)
     if name == "exp_cap":
         if cap > MAX_EXPONENT:
             raise ValueError("cap too large: exp would overflow")
         def fn(segs):
             sup = np.sqrt((segs ** 2).sum(axis=2)).max(axis=1)
             return np.exp(np.minimum(sup, cap))
-        return TestFunction(name="exp_cap", fn=fn, lower=1.0, upper=math.exp(cap),
-                            params={"cap": cap})
+        return TestFunction(name="exp_cap", fn=fn, lower=1.0, upper=math.exp(cap))
     raise ValueError(f"unknown test function {name!r}; catalog: {', '.join(TEST_FUNCTIONS)}")
 
 
@@ -143,8 +140,7 @@ def _log_of(f: TestFunction) -> TestFunction:
         raise ValueError("log form needs f >= 1")
     return TestFunction(name=f"log({f.name})",
                         fn=lambda segs: np.log(f(segs)),
-                        lower=math.log(f.lower), upper=math.log(f.upper),
-                        params=dict(f.params))
+                        lower=math.log(f.lower), upper=math.log(f.upper))
 
 
 def _power_of(f: TestFunction, p: float) -> TestFunction:
@@ -153,7 +149,7 @@ def _power_of(f: TestFunction, p: float) -> TestFunction:
         raise ValueError(f"f^p overflows for {f.name} with p={p}; lower the cap")
     return TestFunction(name=f"{f.name}^{p:g}",
                         fn=lambda segs: f(segs) ** p,
-                        lower=f.lower ** p, upper=up, params=dict(f.params))
+                        lower=f.lower ** p, upper=up)
 
 
 @dataclass(frozen=True)
@@ -311,40 +307,36 @@ class _SegGapIntegral:
             self.seg_gap_sq += win
 
 
+def _PT_f(coeffs, starts, grid, n, seed, threads):
+    """f(X^seg) at T over n paths for each start (seg, f) in starts, one
+    start or two. The copies of path j from every start are driven by the
+    same noise, that of path j of seed, and a chunk steps CHUNK // len(starts)
+    paths from each start, so that a batch stays CHUNK columns wide. One
+    start gives its estimate; two give both estimates and the covariance of
+    their means."""
+    if n < 2:
+        raise ValueError("need n >= 2 paths")
+    grid.check_segments(coeffs.dim, *(seg for seg, _ in starts))
+    stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
+    histories = tuple(seg.values for seg, _ in starts)
+    last = grid.m + grid.n_T
+    one = len(starts) == 1
+
+    def chunk(a, b):
+        noise = NoiseBlocks(stream, a, b - a, grid.n_T)
+        rings = _simulate_batch(coeffs, histories, grid, noise)
+        values = [f(ring.segment(last)) for (_, f), ring in zip(starts, rings)]
+        return _Chunk.of(*values) if one else _Chunk.paired(*values)
+
+    parts = map_chunks(chunk, n, threads, CHUNK // len(starts))
+    return _reduce(parts, seed) if one else _reduce_paired(parts, seed)
+
+
 def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
                   grid: GridSpec, n: int, seed: int,
                   threads: Optional[int] = None) -> MCEstimate:
     """Mean of f over the terminal segments of n independent paths from xi."""
-    if n < 2:
-        raise ValueError("need n >= 2 paths")
-    grid.check_segments(coeffs.dim, xi)
-    stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
-
-    def chunk(a, b):
-        noise = NoiseBlocks(stream, a, b - a, grid.n_T)
-        (ring,) = _simulate_batch(coeffs, (xi.values,), grid, noise)
-        return _Chunk.of(f(ring.segment(grid.m + grid.n_T)))
-
-    return _reduce(map_chunks(chunk, n, threads), seed)
-
-
-def _paired_PT_f(coeffs, eta, f_eta, xi, f_xi, grid, n, seed, threads):
-    """f_eta(X^eta) and f_xi(X^xi) at T over n paired paths: the copies of
-    path j from eta and from xi are driven by the same noise, that of path j
-    of seed. Returns both estimates and the covariance of their means. A
-    chunk steps PAIR_CHUNK paths from each history, so that a batch stays
-    CHUNK columns wide."""
-    if n < 2:
-        raise ValueError("need n >= 2 paths")
-    stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
-    last = grid.m + grid.n_T
-
-    def chunk(a, b):
-        noise = NoiseBlocks(stream, a, b - a, grid.n_T)
-        r_eta, r_xi = _simulate_batch(coeffs, (eta.values, xi.values), grid, noise)
-        return _Chunk.paired(f_eta(r_eta.segment(last)), f_xi(r_xi.segment(last)))
-
-    return _reduce_paired(map_chunks(chunk, n, threads, PAIR_CHUNK), seed)
+    return _PT_f(coeffs, ((xi, f),), grid, n, seed, threads)
 
 
 def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, delta_merge,
@@ -492,6 +484,9 @@ def _verdict(margin_se: float, k_tol: float, k_viol: float,
              failure_fraction: float) -> str:
     if not 0 < k_tol <= k_viol < math.inf:
         raise ValueError("need finite 0 < k_tol <= k_viol")
+    # NaN would pass "failure_fraction > FAILURE_TOLERANCE" below unseen
+    if not 0 <= failure_fraction <= 1:
+        raise ValueError("failure_fraction must lie in [0, 1]")
     if math.isnan(margin_se) or failure_fraction > FAILURE_TOLERANCE:
         return "inconclusive"
     if margin_se >= -k_tol:
@@ -512,17 +507,19 @@ def _margin(lhs_mean, rhs_mean, se) -> float:
     return diff / se
 
 
-def make_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, bound: float,
+def make_verdict(claim: str, lhs: MCEstimate, bound: float,
                  k_tol: float = 3.0, k_viol: float = 6.0,
                  failure_fraction: float = 0.0, two_sided: bool = False,
                  meta: Optional[dict] = None) -> VerdictReport:
-    """Assemble a VerdictReport from two estimates.
+    """Assemble a VerdictReport of an estimate against a closed-form bound.
 
-    One-sided claims assert lhs <= rhs. two_sided turns the margin into
+    One-sided claims assert lhs <= bound; the report's rhs is the bound as
+    an estimate with standard error 0. two_sided turns the margin into
     -|deviation|/se for equality claims (the weight-mean check), so any
     large deviation in either direction counts against the claim.
     """
-    margin = _margin(lhs.mean, rhs.mean, math.hypot(lhs.std_error, rhs.std_error))
+    rhs = MCEstimate(mean=bound, std_error=0.0, n=0, seed=lhs.seed)
+    margin = _margin(lhs.mean, bound, lhs.std_error)
     if two_sided:
         margin = -abs(margin) if margin != 0.0 else 0.0
     verdict = _verdict(margin, k_tol, k_viol, failure_fraction)
@@ -584,9 +581,7 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
 
     gaps = GapPair.from_segments(xi, eta)
     if s_choice is not None:
-        # the grid's tolerance, so that s_choice = T - r0 passes however
-        # T - r0 rounds
-        if not (0.0 < s_choice <= grid.T - grid.r0 + 1e-12 * max(grid.T, 1.0)):
+        if not (0.0 < s_choice <= GridSpec.horizon_end(grid.T, grid.r0)):
             raise ValueError("s_choice must lie in (0, T - r0]")
         h_val = bound_H_T_at(coeffs.constants, gaps, grid.r0, s_choice)
         s_star = s_choice
@@ -594,7 +589,7 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
         rep = bound_H_T(coeffs.constants, gaps, grid.T, grid.r0)
         h_val, s_star = rep.value, rep.s_star
 
-    lhs, raw, cov = _paired_PT_f(coeffs, eta, _log_of(f), xi, f, grid, n, seed, threads)
+    lhs, raw, cov = _PT_f(coeffs, ((eta, _log_of(f)), (xi, f)), grid, n, seed, threads)
     rhs = _log_of_mean(raw, h_val)
     # by the delta method, Cov(mean log f(eta), log mean f(xi)) is
     # Cov(means) / mean f(xi)
@@ -612,16 +607,14 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
     grid's horizon, in log space because Phi_p is large on realistic constants.
     Both sides come from the same paired paths, as in check_log_harnack.
     """
-    thr = _power_threshold(coeffs.constants)
-    if not p > thr:
-        raise ValueError(f"p must exceed (1 + K2 K3)^2 = {thr:.6g}, got p={p:.6g}")
+    _check_power_exponent(p, coeffs.constants)
     _check_harnack_inputs("power-Harnack", 0.0, coeffs, xi, eta, f, grid)
 
     gaps = GapPair.from_segments(xi, eta)
     rep = bound_Phi_p(p, grid.T, coeffs.constants, gaps, grid.r0)
 
-    raw_l, raw_r, cov = _paired_PT_f(coeffs, eta, f, xi, _power_of(f, p), grid, n, seed,
-                                     threads)
+    raw_l, raw_r, cov = _PT_f(coeffs, ((eta, f), (xi, _power_of(f, p))), grid, n, seed,
+                              threads)
     # compare log E f(eta) against (1/p) log E f^p(xi) + Phi_p; by the delta
     # method their covariance is Cov(means) / (p mean f(eta) mean f^p(xi))
     lhs, rhs = _log_of_mean(raw_l), _log_of_mean(raw_r, rep.value, p)
@@ -649,8 +642,8 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
         raise ValueError("stationary sampling needs a delay-free system")
     if n < 2:
         raise ValueError("need n >= 2 segments")
-    if not burn_in >= 0:
-        raise ValueError("burn_in must be nonnegative")
+    if not 0 <= burn_in < math.inf:
+        raise ValueError("burn_in must be finite and nonnegative")
     n_paths = min(n, 256)
     windows = -(-n // n_paths)  # ceil
     h, m = grid.h, grid.m

@@ -143,6 +143,13 @@ class GridSpec:
             raise ValueError("the coupling deadline must satisfy 0 < t0 <= T - r0")
         return n0
 
+    @staticmethod
+    def horizon_end(T, r0):
+        """Upper end of a coupling horizon s in (0, T - r0], to the grid's
+        tolerance, so that s = T - r0 passes however T - r0 rounds. A
+        static method, so that a config is checked before its grid exists."""
+        return T - r0 + 1e-12 * max(T, 1.0)
+
     def check_segments(self, dim, *segments):
         """Raise ValueError unless the initial segments have dimension dim,
         share one segment grid, and cover this grid's delay window (m, r0)."""

@@ -11,8 +11,7 @@ import pytest
 from harnack_lab.bounds import (GapPair, _k4_ratio, bound_H_T, bound_entropy_prop21,
                                 bound_entropy_with_tail, lemma_rhs)
 from harnack_lab.coefficients import builtin_system
-from harnack_lab.coupling import (GammaSchedule, inv_gamma_integral,
-                                  simulate_coupled_Q)
+from harnack_lab.coupling import GammaSchedule, inv_gamma_integral, simulate_coupled
 from harnack_lab.estimators import (check_log_harnack, check_power_harnack,
                                     estimate_entropy_Q,
                                     estimate_exp_functional,
@@ -144,7 +143,7 @@ def test_criterion_08_gap_matches_closed_form():
         xi = constant_segment(1.0, 1.0, m)
         eta = constant_segment(0.0, 1.0, m)
         sc = sched(co)
-        traj = simulate_coupled_Q(co, xi, eta, grid, 1.0, theta=1.0, seed=0)
+        traj = simulate_coupled(co, xi, eta, grid, 1.0, "Q", theta=1.0, seed=0)
         worst = 0.0
         for j in range(grid.n_T + 1):
             t = j * grid.h

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack_lab import bounds
 from harnack_lab.bounds import (GapPair, _k4_ratio, _lambda_p, _s_eps,
                                 _theta_set_contains, _w_eps, bound_H_T,
                                 bound_H_T_at, bound_Phi_p,
@@ -128,10 +129,14 @@ def test_h_t_monotone_in_gaps(pg1, pg2, extra1, extra2):
     assert big >= small - 1e-10 * max(1.0, abs(small))
 
 
-def test_h_t_grid_doubling_stable():
+def test_h_t_grid_doubling_stable(monkeypatch):
     for k in (K_LINEAR, K_SINE):
-        a = bound_H_T(k, UNIT_GAPS, 2.0, 1.0, s_grid_size=200).value
-        b = bound_H_T(k, UNIT_GAPS, 2.0, 1.0, s_grid_size=400).value
+        monkeypatch.setattr(bounds, "S_GRID", 200)
+        a = bound_H_T(k, UNIT_GAPS, 2.0, 1.0).value
+        monkeypatch.setattr(bounds, "S_GRID", 400)
+        rep = bound_H_T(k, UNIT_GAPS, 2.0, 1.0)
+        assert rep.meta["s_grid_size"] == 400
+        b = rep.value
         assert abs(a - b) <= 1e-4 * abs(b)
 
 
@@ -247,15 +252,17 @@ def test_harnack_parameters_build():
         HarnackParameters.build(9.0, 0.999, K_SINE, 1.0)
 
 
-def test_phi_p_reference_run():
+def test_phi_p_reference_run(monkeypatch):
     rep = bound_Phi_p(9.0, 2.0, K_W, UNIT_GAPS, 1.0)
     assert rep.value > 0
     assert rep.eps_star is not None
     assert 0 < rep.s_star <= 1.0
     assert sum(rep.terms.values()) == pytest.approx(rep.value, rel=1e-12)
     # independent 10x denser grid agrees
-    dense = bound_Phi_p(9.0, 2.0, K_W, UNIT_GAPS, 1.0,
-                        eps_grid=2000, s_grid=2000)
+    monkeypatch.setattr(bounds, "EPS_GRID", 2000)
+    monkeypatch.setattr(bounds, "S_GRID", 2000)
+    dense = bound_Phi_p(9.0, 2.0, K_W, UNIT_GAPS, 1.0)
+    assert (dense.meta["eps_grid"], dense.meta["s_grid"]) == (2000, 2000)
     assert rep.value == pytest.approx(dense.value, rel=1e-3)
 
 
@@ -284,10 +291,11 @@ def test_phi_p_respects_admissibility():
     assert 1.0 - 4.0 * K_SINE.k1 * K_SINE.k2 * rep.s_star > 0.0
 
 
-def test_phi_p_grid_doubling_stable():
+def test_phi_p_grid_doubling_stable(monkeypatch):
     a = bound_Phi_p(16.0, 2.0, K_SINE, UNIT_GAPS, 1.0).value
-    b = bound_Phi_p(16.0, 2.0, K_SINE, UNIT_GAPS, 1.0,
-                    eps_grid=400, s_grid=400).value
+    monkeypatch.setattr(bounds, "EPS_GRID", 400)
+    monkeypatch.setattr(bounds, "S_GRID", 400)
+    b = bound_Phi_p(16.0, 2.0, K_SINE, UNIT_GAPS, 1.0).value
     assert abs(a - b) <= 1e-4 * abs(b)
 
 

@@ -588,17 +588,28 @@ def test_one_path_is_a_config_error_for_estimates(tmp_path, capsys, command, kw)
     assert not out.exists()
 
 
-def test_reruns_are_byte_identical_across_threads(tmp_path):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(cfg_text(n=2000, out=tmp_path / "a"))
-    assert run_command(["log-harnack", "--config", str(cfg),
-                        "--threads", "1"]) == 0
-    one = (tmp_path / "a" / "log_harnack.csv").read_bytes()
-    cfg.write_text(cfg_text(n=2000, out=tmp_path / "b"))
-    assert run_command(["log-harnack", "--config", str(cfg),
-                        "--threads", "8"]) == 0
-    eight = (tmp_path / "b" / "log_harnack.csv").read_bytes()
-    assert one == eight
+def test_reruns_are_byte_identical_across_threads(tmp_path, monkeypatch):
+    # couple under P, 2 * 8192 + 77 paths: two full chunks and a short one,
+    # run in the calling process or forked to min(8, 3, CPUs) = 2 workers
+    # (in the calling process both times where the platform has no fork)
+    from harnack_lab import _parallel
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    real, forks = _parallel._map_forked, []
+
+    def map_forked(fn, ranges, workers, context):
+        forks.append(workers)
+        return real(fn, ranges, workers, context)
+
+    monkeypatch.setattr(_parallel, "_map_forked", map_forked)
+    csvs = []
+    for threads in ("1", "8"):
+        out = tmp_path / threads
+        text = cfg_text(n=2 * 8192 + 77, m=10, t0=1.0, measure="P", out=out)
+        assert launch(tmp_path, "couple", text, "--threads", threads) == 0
+        csvs.append((out / "couple.csv").read_bytes())
+    assert forks == ([2] if "fork" in multiprocessing.get_all_start_methods() else [])
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -7,7 +7,7 @@ import pytest
 from harnack_lab.coefficients import (AssumptionConstants, AuditBox,
                                       CoefficientSet, audit_assumptions,
                                       builtin_system)
-from harnack_lab.coupling import simulate_coupled_Q
+from harnack_lab.coupling import simulate_coupled
 from harnack_lab.estimators import estimate_PT_f
 from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
@@ -133,7 +133,7 @@ def test_drift_of_another_shape_is_an_error(dim, z_drift, b_delay, message):
     with pytest.raises(ValueError, match=message):
         estimate_PT_f(co, xi, catalog_fn("quad_cap", 100.0), grid, n=16, seed=0)
     with pytest.raises(ValueError, match=message):
-        simulate_coupled_Q(co, xi, constant_segment(np.zeros(dim), 1.0, 4), grid, t0=1.0)
+        simulate_coupled(co, xi, constant_segment(np.zeros(dim), 1.0, 4), grid, 1.0, "Q")
 
 
 def test_audit_lets_a_b_delay_error_through():

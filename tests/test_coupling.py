@@ -10,8 +10,7 @@ from scipy.integrate import quad
 from harnack_lab.coefficients import _DenseDiffusion, _DiagDiffusion, builtin_system
 from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
                                   contraction_factors, gamma,
-                                  inv_gamma_integral, simulate_coupled_P,
-                                  simulate_coupled_Q)
+                                  inv_gamma_integral, simulate_coupled)
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
@@ -132,7 +131,7 @@ def test_q_reference_copy_is_the_autonomous_path():
     # from eta with the same noise, so it reproduces simulate_path bitwise
     co = linear()
     grid, xi, eta = std_setup(m=100)
-    traj = simulate_coupled_Q(co, xi, eta, grid, 1.0, seed=21, path_index=5)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=21, path_index=5)
     ref = simulate_path(co, eta, grid, seed=21, path_index=5)
     np.testing.assert_array_equal(traj.y_values, ref.values)
 
@@ -140,7 +139,7 @@ def test_q_reference_copy_is_the_autonomous_path():
 def test_p_forced_copy_is_the_autonomous_path():
     co = sine()
     grid, xi, eta = std_setup(m=100)
-    traj = simulate_coupled_P(co, xi, eta, grid, 1.0, seed=8, path_index=2)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, "P", seed=8, path_index=2)
     ref = simulate_path(co, xi, grid, seed=8, path_index=2)
     np.testing.assert_array_equal(traj.x_values, ref.values)
 
@@ -153,7 +152,7 @@ def test_q_marginal_statistics():
     ys = np.empty(n)
     xs = np.empty(n)
     for j in range(n):
-        t = simulate_coupled_Q(co, xi, eta, grid, 1.0, seed=33, path_index=j)
+        t = simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=33, path_index=j)
         ys[j] = t.y_values[-1, 0]
     for j in range(n):
         xs[j] = simulate_path(co, eta, grid, seed=77, path_index=j).endpoint()[0]
@@ -164,12 +163,13 @@ def test_q_marginal_statistics():
     assert abs(ys.var() - xs.var()) < 4 * math.sqrt(2) * se_var
 
 
-@pytest.mark.parametrize("runner", [simulate_coupled_Q, simulate_coupled_P])
+@pytest.mark.parametrize("measure", ["Q", "P"],
+                         ids=["simulate_coupled_Q", "simulate_coupled_P"])
 @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5])
-def test_pairs_merge_bitwise_at_deadline(runner, theta):
+def test_pairs_merge_bitwise_at_deadline(measure, theta):
     co = linear()
     grid, xi, eta = std_setup(m=80)
-    traj = runner(co, xi, eta, grid, 1.0, theta=theta, seed=13)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, measure, theta=theta, seed=13)
     assert traj.merged
     k0 = grid.m + grid.index_of(1.0)
     assert np.array_equal(traj.x_values[k0:], traj.y_values[k0:])
@@ -180,8 +180,8 @@ def test_pairs_merge_bitwise_at_deadline(runner, theta):
 def test_multiplicative_pairs_merge_too():
     co = sine()
     grid, xi, eta = std_setup(m=80)
-    for runner in (simulate_coupled_Q, simulate_coupled_P):
-        traj = runner(co, xi, eta, grid, 1.0, seed=3)
+    for measure in ("Q", "P"):
+        traj = simulate_coupled(co, xi, eta, grid, 1.0, measure, seed=3)
         assert traj.merged
         k0 = grid.m + grid.index_of(1.0)
         assert np.array_equal(traj.x_values[k0:], traj.y_values[k0:])
@@ -190,7 +190,7 @@ def test_multiplicative_pairs_merge_too():
 def test_coupling_time_reads_the_deadline():
     co = linear()
     grid, xi, eta = std_setup(m=80)
-    traj = simulate_coupled_Q(co, xi, eta, grid, 1.0, seed=13)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=13)
     assert coupling_time(traj, 0.0) == pytest.approx(1.0)
     # a loose tolerance is hit earlier
     assert coupling_time(traj, 0.5) < 1.0
@@ -201,8 +201,8 @@ def test_coupling_time_reads_the_deadline():
 def test_identical_starts_stay_identical():
     co = sine()
     grid, xi, _ = std_setup(m=60)
-    for runner in (simulate_coupled_Q, simulate_coupled_P):
-        traj = runner(co, xi, xi, grid, 1.0, seed=5)
+    for measure in ("Q", "P"):
+        traj = simulate_coupled(co, xi, xi, grid, 1.0, measure, seed=5)
         assert np.array_equal(traj.x_values, traj.y_values)
         np.testing.assert_array_equal(traj.phi_sq_cum, 0.0)
         np.testing.assert_array_equal(traj.log_weight_cum, 0.0)
@@ -213,7 +213,7 @@ def test_phi_vanishes_once_segments_merge():
     # phi = 0 from t0 + r0 on: both states and delayed states coincide
     co = linear()
     grid, xi, eta = std_setup(m=60, T=3.0)
-    traj = simulate_coupled_Q(co, xi, eta, grid, 1.0, seed=2)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=2)
     k_seg = grid.index_of(2.0)  # t0 + r0
     tail = traj.phi_sq_cum[k_seg:]
     np.testing.assert_allclose(np.diff(tail), 0.0, atol=1e-30)
@@ -225,7 +225,7 @@ def test_phi_vanishes_once_segments_merge():
 def test_cumulatives_shapes_and_monotonicity():
     co = linear()
     grid, xi, eta = std_setup(m=50)
-    traj = simulate_coupled_Q(co, xi, eta, grid, 1.0, seed=1)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=1)
     assert traj.phi_sq_cum.shape == (grid.n_T + 1,)
     assert traj.log_weight_cum.shape == (grid.n_T + 1,)
     assert traj.phi_sq_cum[0] == 0.0
@@ -249,11 +249,12 @@ def test_coupling_drift_phi_pointwise():
     assert got2[0] == pytest.approx(-0.5)
 
 
-@pytest.mark.parametrize("runner", [simulate_coupled_Q, simulate_coupled_P])
-def test_phi_sq_steps_match_scalar_oracle_along_the_path(runner):
+@pytest.mark.parametrize("measure", ["Q", "P"],
+                         ids=["simulate_coupled_Q", "simulate_coupled_P"])
+def test_phi_sq_steps_match_scalar_oracle_along_the_path(measure):
     co = sine()
     grid, xi, eta = std_setup(m=40)
-    traj = runner(co, xi, eta, grid, 1.0, seed=4)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, measure, seed=4)
     want = []
     for k in range(grid.n_T):
         t = k * grid.h
@@ -291,7 +292,7 @@ def test_unmergeable_tolerance_counts_paths():
     # negative tolerance can never be met, so the pair reports unmerged
     co = linear()
     grid, xi, eta = std_setup(m=50)
-    traj = simulate_coupled_Q(co, xi, eta, grid, 1.0, seed=4, delta_merge=-1.0)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=4, delta_merge=-1.0)
     assert not traj.merged
     # the states still meet to rounding at the deadline (alpha = 0 there)
     k0 = grid.m + grid.index_of(1.0)
@@ -304,7 +305,7 @@ def test_weight_mean_small_sample():
     n = 400
     w = np.empty(n)
     for j in range(n):
-        t = simulate_coupled_P(co, xi, eta, grid, 1.0, seed=55, path_index=j)
+        t = simulate_coupled(co, xi, eta, grid, 1.0, "P", seed=55, path_index=j)
         w[j] = math.exp(t.log_weight_cum[-1])
     se = w.std(ddof=1) / math.sqrt(n)
     assert abs(w.mean() - 1.0) < 4 * se
@@ -315,15 +316,17 @@ def test_coupled_input_validation():
     grid, xi, eta = std_setup(m=40)
     bad_eta = constant_segment(0.0, 1.0, 39)
     with pytest.raises(ValueError):
-        simulate_coupled_Q(co, xi, bad_eta, grid, 1.0)
+        simulate_coupled(co, xi, bad_eta, grid, 1.0, "Q")
     with pytest.raises(ValueError):
-        simulate_coupled_Q(co, xi, eta, grid, 2.5)  # t0 beyond horizon
+        simulate_coupled(co, xi, eta, grid, 2.5, "Q")  # t0 beyond horizon
     with pytest.raises(ValueError):
-        simulate_coupled_Q(co, xi, eta, grid, 0.0)
+        simulate_coupled(co, xi, eta, grid, 0.0, "Q")
     with pytest.raises(ValueError):
-        simulate_coupled_Q(co, xi, eta, grid, 1.0, theta=2.0)
+        simulate_coupled(co, xi, eta, grid, 1.0, "Q", theta=2.0)
     with pytest.raises(ValueError):
-        simulate_coupled_Q(co, xi, eta, grid, 1.0 + grid.h / 3)  # off grid
+        simulate_coupled(co, xi, eta, grid, 1.0 + grid.h / 3, "Q")  # off grid
+    with pytest.raises(ValueError, match="measure must be 'Q' or 'P'"):
+        simulate_coupled(co, xi, eta, grid, 1.0, "R")
 
 
 # ------------------------------------------------------- diagonal diffusion

@@ -562,56 +562,56 @@ def mk(mean, se, n=100, seed=0, failures=0):
 
 
 def test_verdict_rule_bands():
-    assert make_verdict("c", mk(1.0, 0.1), mk(1.2, 0.0), 1.2).verdict == "holds"
-    assert make_verdict("c", mk(1.25, 0.1), mk(1.2, 0.0), 1.2).verdict == "holds"
+    assert make_verdict("c", mk(1.0, 0.1), 1.2).verdict == "holds"
+    assert make_verdict("c", mk(1.25, 0.1), 1.2).verdict == "holds"
     # between 3 and 6 SE of violation: inconclusive
-    r = make_verdict("c", mk(1.6, 0.1), mk(1.2, 0.0), 1.2)
+    r = make_verdict("c", mk(1.6, 0.1), 1.2)
     assert r.verdict == "inconclusive"
-    assert make_verdict("c", mk(2.0, 0.1), mk(1.2, 0.0), 1.2).verdict == "violated"
+    assert make_verdict("c", mk(2.0, 0.1), 1.2).verdict == "violated"
 
 
 def test_verdict_custom_multipliers():
-    r = make_verdict("c", mk(1.5, 0.1), mk(1.2, 0.0), 1.2, k_tol=4.0, k_viol=5.0)
+    r = make_verdict("c", mk(1.5, 0.1), 1.2, k_tol=4.0, k_viol=5.0)
     assert r.verdict == "holds"
-    r2 = make_verdict("c", mk(1.8, 0.1), mk(1.2, 0.0), 1.2, k_tol=4.0, k_viol=5.0)
+    r2 = make_verdict("c", mk(1.8, 0.1), 1.2, k_tol=4.0, k_viol=5.0)
     assert r2.verdict == "violated"
 
 
 def test_verdict_zero_se_degenerate():
-    assert make_verdict("c", mk(1.0, 0.0), mk(2.0, 0.0), 2.0).margin_se == math.inf
-    assert make_verdict("c", mk(2.0, 0.0), mk(1.0, 0.0), 1.0).margin_se == -math.inf
-    assert make_verdict("c", mk(1.0, 0.0), mk(1.0, 0.0), 1.0).margin_se == 0.0
-    assert make_verdict("c", mk(1.0, 0.0), mk(1.0, 0.0), 1.0).verdict == "holds"
+    assert make_verdict("c", mk(1.0, 0.0), 2.0).margin_se == math.inf
+    assert make_verdict("c", mk(2.0, 0.0), 1.0).margin_se == -math.inf
+    assert make_verdict("c", mk(1.0, 0.0), 1.0).margin_se == 0.0
+    assert make_verdict("c", mk(1.0, 0.0), 1.0).verdict == "holds"
     # one ulp above the bound is rounding, not a violation
     for x in (1.0, 0.5862266, -3.75e5):
         up = math.nextafter(x, math.inf)
         for se in (0.0, 1e-18):
-            r = make_verdict("c", mk(up, se), mk(x, 0.0), x)
+            r = make_verdict("c", mk(up, se), x)
             assert r.margin_se == 0.0
             assert r.verdict == "holds"
 
 
 def test_verdict_nan_margin_inconclusive():
-    r = make_verdict("c", mk(math.nan, 0.1), mk(1.0, 0.0), 1.0)
+    r = make_verdict("c", mk(math.nan, 0.1), 1.0)
     assert r.verdict == "inconclusive"
 
 
 def test_verdict_failure_fraction_forces_inconclusive():
-    r = make_verdict("c", mk(0.5, 0.1), mk(2.0, 0.0), 2.0,
+    r = make_verdict("c", mk(0.5, 0.1), 2.0,
                      failure_fraction=0.002)
     assert r.verdict == "inconclusive"
-    ok = make_verdict("c", mk(0.5, 0.1), mk(2.0, 0.0), 2.0,
+    ok = make_verdict("c", mk(0.5, 0.1), 2.0,
                       failure_fraction=0.0005)
     assert ok.verdict == "holds"
 
 
 def test_verdict_two_sided_folds_margin():
-    hi = make_verdict("c", mk(0.5, 0.1), mk(1.0, 0.0), 1.0, two_sided=True)
+    hi = make_verdict("c", mk(0.5, 0.1), 1.0, two_sided=True)
     assert hi.margin_se == pytest.approx(-5.0)
     assert hi.verdict == "inconclusive"
-    lo = make_verdict("c", mk(1.5, 0.1), mk(1.0, 0.0), 1.0, two_sided=True)
+    lo = make_verdict("c", mk(1.5, 0.1), 1.0, two_sided=True)
     assert lo.margin_se == pytest.approx(-5.0)
-    near = make_verdict("c", mk(1.01, 0.1), mk(1.0, 0.0), 1.0, two_sided=True)
+    near = make_verdict("c", mk(1.01, 0.1), 1.0, two_sided=True)
     assert near.verdict == "holds"
 
 
@@ -621,7 +621,21 @@ def test_verdict_two_sided_folds_margin():
 def test_make_verdict_needs_finite_ordered_thresholds(k_tol, k_viol):
     # with k_viol = nan, a margin of -70 SE read "inconclusive"
     with pytest.raises(ValueError, match="k_tol <= k_viol"):
-        make_verdict("c", mk(8.0, 0.1), mk(1.0, 0.0), 1.0, k_tol=k_tol, k_viol=k_viol)
+        make_verdict("c", mk(8.0, 0.1), 1.0, k_tol=k_tol, k_viol=k_viol)
+
+
+@pytest.mark.parametrize("fraction", [math.nan, -0.1, 1.5, math.inf])
+def test_make_verdict_needs_failure_fraction_in_unit_interval(fraction):
+    # with nan, "nan > FAILURE_TOLERANCE" was False and the verdict read holds
+    with pytest.raises(ValueError, match="failure_fraction"):
+        make_verdict("c", mk(1.0, 0.1), 1.2, failure_fraction=fraction)
+
+
+def test_make_verdict_rhs_is_the_bound():
+    r = make_verdict("c", mk(1.0, 0.1, seed=7), 1.2)
+    assert r.rhs == MCEstimate(mean=1.2, std_error=0.0, n=0, seed=7)
+    assert r.bound == 1.2
+    assert r.margin_se == pytest.approx(2.0)
 
 
 # -------------------------------------------------------------- checks
@@ -793,6 +807,14 @@ def test_stationary_rejects_delay_systems():
     grid = GridSpec(1.0, 2.0, 50)
     with pytest.raises(ValueError, match="delay"):
         sample_stationary_segments(co, grid, n=16, seed=0)
+
+
+@pytest.mark.parametrize("burn_in", [-1.0, math.nan, math.inf])
+def test_stationary_needs_finite_nonnegative_burn_in(burn_in):
+    # inf passed "not burn_in >= 0" and overflowed in int(round(inf / h))
+    co = builtin_system("ou_nodelay", {"a": 1.0, "s0": 1.0})
+    with pytest.raises(ValueError, match="burn_in must be finite and nonnegative"):
+        sample_stationary_segments(co, GridSpec(1.0, 2.0, 10), n=16, burn_in=burn_in)
 
 
 def test_stationary_reproducible():

@@ -13,7 +13,7 @@ import pytest
 from harnack_lab import estimators
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
-                                  simulate_coupled_P, simulate_coupled_Q)
+                                  simulate_coupled)
 from harnack_lab.estimators import (_Chunk, _reduce,
                                     _SegGapIntegral, estimate_entropy_Q,
                                     estimate_exp_functional,
@@ -125,9 +125,8 @@ def test_one_path_dumps_match_full_history(case, measure):
     noise = increments(stream, 5, grid.n_T)[:, None, :]
     traj = simulate_path(co, SegmentPath(grid.r0, xi), grid, seed=9, path_index=5)
     assert np.array_equal(traj.values, simulate_batch_full(co, xi, grid, noise)[:, 0, :])
-    run = simulate_coupled_Q if measure == "Q" else simulate_coupled_P
-    pair = run(co, SegmentPath(grid.r0, xi), SegmentPath(grid.r0, eta), grid, 1.0,
-               seed=9, path_index=5)
+    pair = simulate_coupled(co, SegmentPath(grid.r0, xi), SegmentPath(grid.r0, eta), grid,
+                            1.0, measure, seed=9, path_index=5)
     sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
     want = coupled_batch_full(co, xi, eta, grid, sched, noise, measure, 1e-8, grid.n_T)
     assert np.array_equal(pair.x_values, want["full_x"][:, 0, :])
