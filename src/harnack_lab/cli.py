@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -323,7 +323,7 @@ def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
 
 
 def _fmt(v) -> str:
-    if v is None or v == "":
+    if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
@@ -341,104 +341,108 @@ def _write_csv(path: str, header: List[str], rows: List[list]) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _verdict_row(rep: VerdictReport, n: int, seed: int, h: float) -> list:
-    failures = rep.lhs.failures + rep.rhs.failures
-    return [rep.claim, rep.lhs.mean, rep.lhs.std_error, rep.rhs.mean,
-            rep.rhs.std_error, rep.bound, rep.margin_se, rep.verdict,
-            n, seed, h, failures, VERSION_TAG]
+@dataclass
+class _Result:
+    """What a command reports: its CSV header and rows keyed by column (a
+    missing key is a blank cell), the lines it prints, each with the
+    verbosity it needs, and the verdicts that set the exit code."""
+
+    header: List[str]
+    rows: List[dict] = field(default_factory=list)
+    lines: List[Tuple[int, str]] = field(default_factory=list)
+    verdicts: List[str] = field(default_factory=list)
 
 
-def _say(cfg: ExperimentConfig, msg: str) -> None:
-    if cfg.verbosity >= 1:
-        print(msg)
-
-
-def _finish(cfg, command: str, reports: List[VerdictReport], rows=None) -> int:
-    """Print the verdicts, write the command's CSV (one verdict row per
-    report unless rows are given) and return the exit code."""
-    for r in reports:
-        _say(cfg, f"{r.claim}: lhs={r.lhs.mean:.6g} (se {r.lhs.std_error:.2g})  "
-                  f"rhs={r.rhs.mean:.6g} (se {r.rhs.std_error:.2g})  "
-                  f"margin={r.margin_se:.3g} se  verdict={r.verdict}")
-        if cfg.verbosity >= 2 and r.meta:
-            _say(cfg, f"  meta: {r.meta}")
-    if rows is None:
-        rows = [_verdict_row(r, cfg.n, cfg.seed, cfg.h) for r in reports]
-    _write_csv(_out_path(cfg, command), VERDICT_HEADER, rows)
-    verdicts = [r.verdict for r in reports]
-    if "violated" in verdicts:
+def _emit(cfg: ExperimentConfig, command: str, res: _Result) -> int:
+    """Write the command's CSV, then print its lines; return the exit code:
+    2 if a verdict is violated, else 3 if one is inconclusive, else 0. The
+    n, seed, h and version columns are filled by name unless a row sets
+    them."""
+    given = {"n": cfg.n, "seed": cfg.seed, "h": cfg.h, "version": VERSION_TAG}
+    rows = [[{**given, **row}.get(col) for col in res.header] for row in res.rows]
+    _write_csv(os.path.join(cfg.out_dir, command.replace("-", "_") + ".csv"),
+               res.header, rows)
+    for level, line in res.lines:
+        if cfg.verbosity >= level:
+            print(line)
+    if "violated" in res.verdicts:
         return 2
-    return 3 if "inconclusive" in verdicts else 0
+    return 3 if "inconclusive" in res.verdicts else 0
 
 
-def _out_path(cfg: ExperimentConfig, command: str) -> str:
-    return os.path.join(cfg.out_dir, command.replace("-", "_") + ".csv")
+def _verdicts(reports: List[VerdictReport]) -> _Result:
+    """One verdict-schema row and one printed line per report, plus its
+    meta at verbosity 2."""
+    res = _Result(VERDICT_HEADER, verdicts=[r.verdict for r in reports])
+    for r in reports:
+        res.rows.append({"claim": r.claim, "lhs": r.lhs.mean, "lhs_se": r.lhs.std_error,
+                         "rhs": r.rhs.mean, "rhs_se": r.rhs.std_error, "bound": r.bound,
+                         "margin_se": r.margin_se, "verdict": r.verdict,
+                         "failures": r.lhs.failures + r.rhs.failures})
+        res.lines.append((1, f"{r.claim}: lhs={r.lhs.mean:.6g} (se {r.lhs.std_error:.2g})  "
+                             f"rhs={r.rhs.mean:.6g} (se {r.rhs.std_error:.2g})  "
+                             f"margin={r.margin_se:.3g} se  verdict={r.verdict}"))
+        if r.meta:
+            res.lines.append((2, f"  meta: {r.meta}"))
+    return res
 
 
-def _cmd_audit(cfg: ExperimentConfig, threads) -> int:
-    coeffs = config_coeffs(cfg)
-    box = AuditBox(t_min=0.0, t_max=cfg.T)
-    report = audit_assumptions(coeffs, box=box, n=cfg.n, seed=cfg.seed)
-    rows = []
+def _cmd_audit(cfg: ExperimentConfig, threads) -> _Result:
+    report = audit_assumptions(config_coeffs(cfg), box=AuditBox(t_min=0.0, t_max=cfg.T),
+                               n=cfg.n, seed=cfg.seed)
+    res = _Result(["condition", "empirical_max", "declared", "passed", "worst_t",
+                   "worst_point", "n", "seed", "h", "version"])
     for cond, c in sorted(report.conditions.items()):
-        rows.append([cond, c.empirical_max, c.declared, c.passed, c.worst_t,
-                     ";".join(_fmt(x) for x in np.atleast_1d(c.worst_point)),
-                     cfg.n, cfg.seed, cfg.h, VERSION_TAG])
-        _say(cfg, f"{cond}: empirical {c.empirical_max:.6g} vs declared "
-                  f"{c.declared:.6g} -> {'pass' if c.passed else 'FAIL'}")
-    _write_csv(_out_path(cfg, "audit"),
-               ["condition", "empirical_max", "declared", "passed", "worst_t",
-                "worst_point", "n", "seed", "h", "version"], rows)
-    return 0 if report.all_passed else 2
+        res.rows.append({"condition": cond, "empirical_max": c.empirical_max,
+                         "declared": c.declared, "passed": c.passed, "worst_t": c.worst_t,
+                         "worst_point": ";".join(_fmt(x) for x in np.atleast_1d(c.worst_point))})
+        res.lines.append((1, f"{cond}: empirical {c.empirical_max:.6g} vs declared "
+                             f"{c.declared:.6g} -> {'pass' if c.passed else 'FAIL'}"))
+        res.verdicts.append("holds" if c.passed else "violated")
+    return res
 
 
-def _cmd_simulate(cfg: ExperimentConfig, threads) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, threads) -> _Result:
     coeffs = config_coeffs(cfg)
     grid = config_grid(cfg)
     xi = config_segment(cfg, cfg.xi)
     traj = simulate_path(coeffs, xi, grid, cfg.seed)
-    rows = []
+    xs = [f"x{i}" for i in range(cfg.d)]
+    res = _Result(["step", "t", *xs, "seed", "n", "h", "version"])
     for k in range(grid.n_T + 1):
-        x = traj.values[grid.m + k]
-        rows.append([k, k * grid.h, *x, cfg.seed, 1, cfg.h, VERSION_TAG])
-    _write_csv(_out_path(cfg, "simulate"),
-               ["step", "t", *[f"x{i}" for i in range(cfg.d)],
-                "seed", "n", "h", "version"], rows)
-    _say(cfg, f"simulated one path to t={grid.T:g}; endpoint {traj.endpoint()}")
-    return 0
+        res.rows.append({"step": k, "t": k * grid.h, **dict(zip(xs, traj.values[grid.m + k])),
+                         "n": 1})
+    res.lines.append((1, f"simulated one path to t={grid.T:g}; endpoint {traj.endpoint()}"))
+    return res
 
 
-def _couple_dump(cfg, traj) -> None:
-    d, grid, sched = cfg.d, traj.grid, traj.sched
-    rows = []
+def _couple_dump(cfg, traj) -> _Result:
+    grid, sched = traj.grid, traj.sched
+    xs, ys = [f"x{i}" for i in range(cfg.d)], [f"y{i}" for i in range(cfg.d)]
+    res = _Result(["step", "t", *xs, *ys, "gap", "gamma", "phi_sq", "log_weight",
+                   "seed", "n", "h", "version"])
     for k in range(grid.n_T + 1):
         t = k * grid.h
         x = traj.x_values[grid.m + k]
         y = traj.y_values[grid.m + k]
-        gap = float(np.linalg.norm(x - y))
-        g = gamma(t, sched) if t < sched.t0 else ""
+        row = {"step": k, "t": t, **dict(zip(xs, x)), **dict(zip(ys, y)),
+               "gap": float(np.linalg.norm(x - y)), "log_weight": traj.log_weight_cum[k]}
+        if t < sched.t0:
+            row["gamma"] = gamma(t, sched)
         if k < grid.n_T:
-            phi_sq = (traj.phi_sq_cum[k + 1] - traj.phi_sq_cum[k]) / grid.h
-        else:
-            phi_sq = ""
-        rows.append([k, t, *x, *y, gap, g, phi_sq, traj.log_weight_cum[k],
-                     cfg.seed, 1, cfg.h, VERSION_TAG])
-    _write_csv(_out_path(cfg, "couple"),
-               ["step", "t", *[f"x{i}" for i in range(d)],
-                *[f"y{i}" for i in range(d)], "gap", "gamma", "phi_sq",
-                "log_weight", "seed", "n", "h", "version"], rows)
+            row["phi_sq"] = (traj.phi_sq_cum[k + 1] - traj.phi_sq_cum[k]) / grid.h
+        res.rows.append(row)
+    res.lines.append((1, f"coupled pair dumped; merged={traj.merged}, "
+                         f"log R_T={traj.log_weight_cum[-1]:.6g}"))
+    return res
 
 
-def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
+def _cmd_couple(cfg: ExperimentConfig, threads) -> _Result:
     coeffs, grid, xi, eta = _problem(cfg)
     if cfg.n == 1:
-        traj = simulate_coupled(coeffs, xi, eta, grid, cfg.t0, cfg.measure,
-                                theta=cfg.theta, seed=cfg.seed,
-                                delta_merge=cfg.delta_merge)
-        _couple_dump(cfg, traj)
-        _say(cfg, f"coupled pair dumped; merged={traj.merged}, "
-                  f"log R_T={traj.log_weight_cum[-1]:.6g}")
-        return 0
+        return _couple_dump(cfg, simulate_coupled(coeffs, xi, eta, grid, cfg.t0, cfg.measure,
+                                                  theta=cfg.theta, seed=cfg.seed,
+                                                  delta_merge=cfg.delta_merge))
 
     sched = GammaSchedule(theta=cfg.theta, k4=coeffs.constants.k4, t0=cfg.t0)
     if cfg.measure == "P":
@@ -461,17 +465,17 @@ def _cmd_couple(cfg: ExperimentConfig, threads) -> int:
     reports.append(make_verdict("coupling_unmerged_fraction", lhs,
                                 bound=FAILURE_TOLERANCE, k_tol=cfg.k_tol,
                                 k_viol=cfg.k_viol))
-
-    rows = [_verdict_row(r, cfg.n, cfg.seed, cfg.h) for r in reports]
+    res = _verdicts(reports)
     if cfg.measure == "Q":
-        rows.append(["entropy_half_phi_sq", est.mean, est.std_error, "", "",
-                     "", "", "info", cfg.n, cfg.seed, cfg.h, est.failures,
-                     VERSION_TAG])
-        _say(cfg, f"half mean int |phi|^2 = {est.mean:.6g} (se {est.std_error:.2g})")
-    return _finish(cfg, "couple", reports, rows)
+        res.rows.append({"claim": "entropy_half_phi_sq", "lhs": est.mean,
+                         "lhs_se": est.std_error, "verdict": "info",
+                         "failures": est.failures})
+        res.lines.insert(0, (1, f"half mean int |phi|^2 = {est.mean:.6g} "
+                                f"(se {est.std_error:.2g})"))
+    return res
 
 
-def _cmd_entropy(cfg: ExperimentConfig, threads) -> int:
+def _cmd_entropy(cfg: ExperimentConfig, threads) -> _Result:
     coeffs, grid, xi, eta = _problem(cfg)
     sched = GammaSchedule(theta=cfg.theta, k4=coeffs.constants.k4, t0=cfg.t0)
     est = estimate_entropy_Q(coeffs, xi, eta, sched, grid, cfg.n, cfg.seed,
@@ -479,90 +483,74 @@ def _cmd_entropy(cfg: ExperimentConfig, threads) -> int:
     gaps = GapPair.from_segments(xi, eta)
     bound = bound_entropy_with_tail(coeffs.constants, cfg.t0, cfg.r0, gaps,
                                     theta=cfg.theta)
-    rep = make_verdict("entropy_vs_bound", est, bound=bound, k_tol=cfg.k_tol,
-                       k_viol=cfg.k_viol, failure_fraction=est.failures / cfg.n)
-    return _finish(cfg, "entropy", [rep])
+    return _verdicts([make_verdict("entropy_vs_bound", est, bound=bound, k_tol=cfg.k_tol,
+                                   k_viol=cfg.k_viol, failure_fraction=est.failures / cfg.n)])
 
 
-def _cmd_bounds(cfg: ExperimentConfig, threads) -> int:
+def _cmd_bounds(cfg: ExperimentConfig, threads) -> _Result:
     consts = config_constants(cfg)
     xi = config_segment(cfg, cfg.xi)
     eta = config_segment(cfg, cfg.eta)
     gaps = GapPair.from_segments(xi, eta)
-    header = ["claim", "value", "s_star", "eps_star", "gap_term",
-              "segment_term", "eps_term", "quadratic_term", "at_boundary",
-              "n", "seed", "h", "version"]
-    rows = []
+    res = _Result(["claim", "value", "s_star", "eps_star", "gap_term", "segment_term",
+                   "eps_term", "quadratic_term", "at_boundary", "n", "seed", "h", "version"])
 
     rep = bound_H_T(consts, gaps, cfg.T, cfg.r0)
-    rows.append(["log_harnack_H_T", rep.value, rep.s_star, "",
-                 rep.terms["gap_term"], rep.terms["segment_term"], "", "",
-                 rep.at_boundary, cfg.n, cfg.seed, cfg.h, VERSION_TAG])
-    _say(cfg, f"log-Harnack additive constant: {rep.value:.6g} "
-              f"at s = {rep.s_star:.6g}"
-              + (" (boundary)" if rep.at_boundary else ""))
-    _say(cfg, f"  gap term {rep.terms['gap_term']:.6g}, "
-              f"segment term {rep.terms['segment_term']:.6g}")
+    res.rows.append({"claim": "log_harnack_H_T", "value": rep.value, "s_star": rep.s_star,
+                     **rep.terms, "at_boundary": rep.at_boundary})
+    res.lines.append((1, f"log-Harnack additive constant: {rep.value:.6g} "
+                         f"at s = {rep.s_star:.6g}"
+                         + (" (boundary)" if rep.at_boundary else "")))
+    res.lines.append((1, f"  gap term {rep.terms['gap_term']:.6g}, "
+                         f"segment term {rep.terms['segment_term']:.6g}"))
 
     if cfg.t0 is not None:
         v1 = bound_entropy_prop21(consts, cfg.theta, cfg.t0, gaps, t0=cfg.t0)
         v2 = bound_entropy_with_tail(consts, cfg.t0, cfg.r0, gaps, cfg.theta)
-        rows.append(["entropy_deadline_bound", v1, "", "", "", "", "", "",
-                     "", cfg.n, cfg.seed, cfg.h, VERSION_TAG])
-        rows.append(["entropy_full_bound", v2, "", "", "", "", "", "",
-                     "", cfg.n, cfg.seed, cfg.h, VERSION_TAG])
-        _say(cfg, f"entropy bound to the deadline: {v1:.6g}; "
-                  f"with history tail: {v2:.6g}")
+        res.rows.append({"claim": "entropy_deadline_bound", "value": v1})
+        res.rows.append({"claim": "entropy_full_bound", "value": v2})
+        res.lines.append((1, f"entropy bound to the deadline: {v1:.6g}; "
+                             f"with history tail: {v2:.6g}"))
 
     if cfg.p is not None:
         prep = bound_Phi_p(cfg.p, cfg.T, consts, gaps, cfg.r0)
-        rows.append(["power_harnack_Phi_p", prep.value, prep.s_star,
-                     prep.eps_star, prep.terms["gap_term"],
-                     prep.terms["segment_term"], prep.terms["eps_term"],
-                     prep.terms["quadratic_term"], prep.at_boundary,
-                     cfg.n, cfg.seed, cfg.h, VERSION_TAG])
-        _say(cfg, f"power-Harnack exponent at p={cfg.p:g}: {prep.value:.6g} "
-                  f"at (eps, s) = ({prep.eps_star:.4g}, {prep.s_star:.4g})")
-
-    _write_csv(_out_path(cfg, "bounds"), header, rows)
-    return 0
+        res.rows.append({"claim": "power_harnack_Phi_p", "value": prep.value,
+                         "s_star": prep.s_star, "eps_star": prep.eps_star, **prep.terms,
+                         "at_boundary": prep.at_boundary})
+        res.lines.append((1, f"power-Harnack exponent at p={cfg.p:g}: {prep.value:.6g} "
+                             f"at (eps, s) = ({prep.eps_star:.4g}, {prep.s_star:.4g})"))
+    return res
 
 
-def _cmd_log_harnack(cfg: ExperimentConfig, threads) -> int:
+def _cmd_log_harnack(cfg: ExperimentConfig, threads) -> _Result:
     coeffs, grid, xi, eta = _problem(cfg)
     f = test_function(cfg.f_name, cfg.cap)
-    rep = check_log_harnack(coeffs, xi, eta, f, grid, cfg.n, cfg.seed,
-                            s_choice=cfg.s_choice, k_tol=cfg.k_tol,
-                            k_viol=cfg.k_viol, threads=threads)
-    return _finish(cfg, "log-harnack", [rep])
+    return _verdicts([check_log_harnack(coeffs, xi, eta, f, grid, cfg.n, cfg.seed,
+                                        s_choice=cfg.s_choice, k_tol=cfg.k_tol,
+                                        k_viol=cfg.k_viol, threads=threads)])
 
 
-def _cmd_power_harnack(cfg: ExperimentConfig, threads) -> int:
+def _cmd_power_harnack(cfg: ExperimentConfig, threads) -> _Result:
     coeffs, grid, xi, eta = _problem(cfg)
     f = test_function(cfg.f_name, cfg.cap)
-    rep = check_power_harnack(coeffs, xi, eta, f, cfg.p, grid, cfg.n,
-                              cfg.seed, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
-                              threads=threads)
-    return _finish(cfg, "power-harnack", [rep])
+    return _verdicts([check_power_harnack(coeffs, xi, eta, f, cfg.p, grid, cfg.n,
+                                          cfg.seed, k_tol=cfg.k_tol, k_viol=cfg.k_viol,
+                                          threads=threads)])
 
 
-def _cmd_stationary(cfg: ExperimentConfig, threads) -> int:
-    coeffs = config_coeffs(cfg)
-    grid = config_grid(cfg)
-    sample = sample_stationary_segments(coeffs, grid, cfg.n, cfg.burn_in,
-                                        cfg.seed)
-    rows = []
+def _cmd_stationary(cfg: ExperimentConfig, threads) -> _Result:
+    sample = sample_stationary_segments(config_coeffs(cfg), config_grid(cfg), cfg.n,
+                                        cfg.burn_in, cfg.seed)
+    res = _Result(["component", "endpoint_mean", "endpoint_var", "lag_r0_autocov",
+                   "n", "seed", "h", "version"])
     for i in range(cfg.d):
-        rows.append([i, sample.endpoint_mean[i], sample.endpoint_var[i],
-                     sample.lag_r0_autocov[i], cfg.n, cfg.seed, cfg.h,
-                     VERSION_TAG])
-    _write_csv(_out_path(cfg, "stationary"),
-               ["component", "endpoint_mean", "endpoint_var",
-                "lag_r0_autocov", "n", "seed", "h", "version"], rows)
-    _say(cfg, f"stationary sample of {sample.n} segments: endpoint mean "
-              f"{sample.endpoint_mean}, var {sample.endpoint_var}, "
-              f"lag-r0 autocov {sample.lag_r0_autocov}")
-    return 0
+        res.rows.append({"component": i, "endpoint_mean": sample.endpoint_mean[i],
+                         "endpoint_var": sample.endpoint_var[i],
+                         "lag_r0_autocov": sample.lag_r0_autocov[i]})
+    res.lines.append((1, f"stationary sample of {sample.n} segments: endpoint mean "
+                         f"{sample.endpoint_mean}, var {sample.endpoint_var}, "
+                         f"lag-r0 autocov {sample.lag_r0_autocov}"))
+    return res
 
 
 _DISPATCH = {
@@ -604,7 +592,7 @@ def run_command(argv) -> int:
                                             ("out_dir", args.out)) if v is not None}
         cfg = dataclasses.replace(cfg, **overrides)
         validate_for_command(cfg, args.command)
-        return _DISPATCH[args.command](cfg, args.threads)
+        return _emit(cfg, args.command, _DISPATCH[args.command](cfg, args.threads))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@ import csv
 import math
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +539,130 @@ def test_audit_passes_catalog_system(tmp_path):
     assert header[0] == "condition"
     assert [r[0] for r in rows] == ["A1", "A2", "A3", "A4"]
     assert all(r[3] == "true" for r in rows)
+
+
+# ------------------------------------------------------------ output
+
+SINE = {"name": "sine_multiplicative", "params": {"a": -1.0, "c": 0.2, "s0": 0.1}}
+OU = {"name": "ou_nodelay", "params": {"a": 1.0, "s0": 1.0}}
+# every command, with its lines at verbosity 2 that carry a report's meta
+RUNS = {
+    "audit": ("audit", dict(n=50), 0),
+    "simulate": ("simulate", {}, 0),
+    "couple-dump": ("couple", dict(t0=1.0, n=1), 0),
+    "couple-q": ("couple", dict(t0=1.0, n=50), 0),
+    "couple-p": ("couple", dict(t0=1.0, n=50, measure="P"), 1),
+    "bounds": ("bounds", dict(t0=1.0, p=16.0, **SINE), 0),
+    "entropy": ("entropy", dict(t0=1.0, n=50), 0),
+    "log-harnack": ("log-harnack", dict(n=50), 1),
+    "power-harnack": ("power-harnack", dict(p=16.0, n=50, **SINE), 1),
+    "stationary": ("stationary", dict(n=50, **OU), 0),
+}
+
+
+def run_at(tmp_path, capsys, run, verbosity, **kw):
+    command, base, _ = RUNS[run]
+    rc = launch(tmp_path, command, cfg_text(m=10, verbosity=verbosity, **{**base, **kw}))
+    out, err = capsys.readouterr()
+    return rc, out.splitlines(), err
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_verbosity_sets_what_each_command_prints(tmp_path, capsys, run):
+    # 0 prints nothing, 1 the report without meta, 2 adds each report's meta
+    lines = {}
+    for v in (0, 1, 2):
+        rc, lines[v], err = run_at(tmp_path, capsys, run, v, out=tmp_path / f"v{v}")
+        assert (rc, err) == (0, "")
+    assert lines[0] == []
+    assert lines[1] and not any("meta:" in line for line in lines[1])
+    meta = [line for line in lines[2] if line.startswith("  meta: ")]
+    assert len(meta) == RUNS[run][2]
+    assert [line for line in lines[2] if line not in meta] == lines[1]
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_unwritable_csv_prints_one_error_and_no_report(tmp_path, capsys, run):
+    # the CSV is written before any report line is printed
+    (tmp_path / "blocker").write_text("")
+    rc, lines, err = run_at(tmp_path, capsys, run, 2, out=tmp_path / "blocker" / "res")
+    assert rc == 1
+    assert lines == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_audit_failure_exits_2(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from harnack_lab import cli
+
+    def audit(*args, **kwargs):
+        report = real(*args, **kwargs)
+        a2 = dataclasses.replace(report.conditions["A2"], passed=False)
+        return dataclasses.replace(report, conditions={**report.conditions, "A2": a2})
+
+    real = cli.audit_assumptions
+    monkeypatch.setattr(cli, "audit_assumptions", audit)
+    out = tmp_path / "res"
+    rc, lines, _ = run_at(tmp_path, capsys, "audit", 1, out=out)
+    assert rc == 2
+    assert [line.endswith("FAIL") for line in lines] == [False, True, False, False]
+    _, rows = read_csv(out / "audit.csv")
+    assert [r[3] for r in rows] == ["true", "false", "true", "true"]
+
+
+# every name of harnack_lab.cli that perfbench/tracer.py wraps
+TRACED = ("parse_config", "_write_csv", "builtin_system", "audit_assumptions",
+          "bound_H_T", "bound_Phi_p", "estimate_entropy_Q", "estimate_martingale_mean",
+          "check_log_harnack", "check_power_harnack", "sample_stationary_segments")
+
+
+def test_traced_names_are_looked_up_at_call_time(tmp_path, capsys, monkeypatch):
+    # the tracer replaces these module attributes and skips absent ones, so
+    # a name bound at import would silently zero its per-layer metrics
+    from harnack_lab import cli
+
+    calls = {name: [] for name in TRACED}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append((args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for run in RUNS:
+        assert run_at(tmp_path, capsys, run, 0, out=tmp_path / run)[0] == 0
+    assert {name for name, seen in calls.items() if not seen} == set()
+    # the tracer reads the path and the row count from the positional arguments
+    for args, kwargs in calls["_write_csv"]:
+        path, header, rows = args
+        assert kwargs == {}
+        assert len(read_csv(path)[1]) == len(rows)
+
+
+def test_readme_lists_the_csv_columns(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | CSV file | columns |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines()[1:]:
+        who, files, cols = line.strip("|").split("|")
+        header = cols.strip(" `").replace("x0..", "x0, x1").replace("y0..", "y0, y1")
+        for run, csv_file in zip(re.findall(r"`([a-z-]+)`( \(n [=≥] [12]\))?", who),
+                                 re.findall(r"`([a-z_]+\.csv)`", files), strict=True):
+            key = {"couple (n = 1)": "couple-dump", "couple (n ≥ 2)": "couple-q"}.get(
+                "".join(run), run[0])
+            listed[key] = (csv_file, header.split(", "))
+    written = {}
+    for run in RUNS:
+        d = 1 if run in ("bounds", "power-harnack") else 2
+        out = tmp_path / run
+        assert run_at(tmp_path, capsys, run, 0, out=out, d=d)[0] == 0
+        (csv_file,) = os.listdir(out)
+        written[run] = (csv_file, read_csv(out / csv_file)[0])
+    listed["couple-p"] = listed["couple-q"]
+    assert listed == written
 
 
 # ------------------------------------------------------------ overrides
