@@ -173,16 +173,18 @@ class StationarySample:
 
 @dataclass(frozen=True)
 class _Chunk:
-    """One chunk's count, sum, squared deviations from its mean (m2) and
-    range; a coupled chunk adds its failed paths and its worst case, a
-    paired chunk the moments of its second value y on the same paths and
-    the co-moment cxy, the sum of (x - mean x)(y - mean y)."""
+    """One chunk's count, sum, squared deviations from its mean (m2),
+    range and shifted sum, the sum of (v - min); a coupled chunk adds its
+    failed paths and its worst case, a paired chunk the moments of its
+    second value y on the same paths and the co-moment cxy, the sum of
+    (x - mean x)(y - mean y)."""
 
     n: int
     sum: float
     m2: float
     min: float
     max: float
+    shifted_sum: float
     unmerged: Optional[int] = None
     nonfinite: Optional[int] = None
     worst: float = math.nan
@@ -193,8 +195,9 @@ class _Chunk:
     def of(cls, v: np.ndarray, **coupled) -> "_Chunk":
         total = float(v.sum())
         dev = v - total / v.size
-        return cls(v.size, total, float((dev * dev).sum()), float(v.min()),
-                   float(v.max()), **coupled)
+        low = float(v.min())
+        return cls(v.size, total, float((dev * dev).sum()), low, float(v.max()),
+                   float((v - low).sum()), **coupled)
 
     @classmethod
     def paired(cls, x: np.ndarray, y: np.ndarray) -> "_Chunk":
@@ -204,16 +207,23 @@ class _Chunk:
 
 
 def _fold(parts) -> float:
-    """The co-moment of all the chunks from their (n, sum x, sum y, c)
-    triples, c the chunk's sum of (x - mean x)(y - mean y), merged in chunk
-    order as C = C_a + C_b + dx dy n_a n_b / n, dx and dy the differences of
-    the two parts' means (Chan, Golub & LeVeque; Pebay, SAND2008-6212). It
-    never takes the cancelling difference sum(x y) - n mean_x mean_y. With
-    x = y it merges M2, the squared deviations."""
+    """The co-moment of all the chunks from their (x, y, c) triples, x and
+    y the chunks of the two values on the same paths, c their sum of
+    (x - mean x)(y - mean y), merged in chunk order as
+    C = C_a + C_b + dx dy n_a n_b / n, dx and dy the differences of the two
+    parts' means (Chan, Golub & LeVeque; Pebay, SAND2008-6212). It never
+    takes the cancelling difference sum(x y) - n mean_x mean_y. With x = y
+    it merges M2, the squared deviations.
+
+    The means are taken relative to the first chunk's minimum, each from
+    its chunk's minimum and shifted sum: values that share a large offset
+    would leave their rounding, first order, in dx and dy."""
     count, mean_x, mean_y, c = 0, 0.0, 0.0, 0.0
-    for n, sum_x, sum_y, c_part in parts:
-        dx = sum_x / n - mean_x
-        dy = sum_y / n - mean_y
+    base_x, base_y = parts[0][0].min, parts[0][1].min
+    for x, y, c_part in parts:
+        n = x.n
+        dx = (x.min - base_x) + x.shifted_sum / n - mean_x
+        dy = (y.min - base_y) + y.shifted_sum / n - mean_y
         n_ab = count + n
         mean_x += dx * n / n_ab
         mean_y += dy * n / n_ab
@@ -226,7 +236,7 @@ def _reduce(parts: List[_Chunk], seed: int, worst: Optional[str] = None) -> MCEs
     """One estimate from the chunks, in chunk order; worst names the
     diagnostic of the chunks' worst case, if the estimate reports one."""
     count = sum(p.n for p in parts)
-    m2 = _fold([(p.n, p.sum, p.sum, p.m2) for p in parts])
+    m2 = _fold([(p, p, p.m2) for p in parts])
     var = m2 / (count - 1) if count > 1 else 0.0
     # the range of all the values, NaN if any is NaN, as np.min and np.max
     diag = {"min": float(np.min([p.min for p in parts])),
@@ -247,7 +257,7 @@ def _reduce_paired(parts: List[_Chunk], seed: int):
     their means, C / (n (n - 1)) with C the merged co-moment."""
     x = _reduce(parts, seed)
     y = _reduce([p.y for p in parts], seed)
-    c = _fold([(p.n, p.sum, p.y.sum, p.cxy) for p in parts])
+    c = _fold([(p, p.y, p.cxy) for p in parts])
     return x, y, c / (x.n * (x.n - 1))
 
 

@@ -394,12 +394,13 @@ def to_rows(seg):
 
 
 def chunk_moments_dict(v):
-    """Count, sum, sum of squared deviations from the chunk mean (M2) and
-    range of one chunk's values, as a dict."""
+    """Count, sum, sum of squared deviations from the chunk mean (M2),
+    range and sum of (v - min) of one chunk's values, as a dict."""
     total = float(v.sum())
     dev = v - total / v.size
     return {"n": v.size, "sum": total, "m2": float((dev * dev).sum()),
-            "min": float(v.min()), "max": float(v.max())}
+            "min": float(v.min()), "max": float(v.max()),
+            "shifted_sum": float((v - v.min()).sum())}
 
 
 def reduce_moments_dict(parts, n, seed):
@@ -410,7 +411,8 @@ def reduce_moments_dict(parts, n, seed):
     and standard error."""
     count, run_mean, m2 = 0, 0.0, 0.0
     for p in parts:
-        delta = p["sum"] / p["n"] - run_mean
+        # the mean relative to the first chunk's minimum
+        delta = (p["min"] - parts[0]["min"]) + p["shifted_sum"] / p["n"] - run_mean
         n_ab = count + p["n"]
         run_mean += delta * p["n"] / n_ab
         m2 += p["m2"] + delta * delta * count * p["n"] / n_ab
@@ -422,7 +424,7 @@ def reduce_moments_dict(parts, n, seed):
     for key in parts[0]:
         if key in failure_keys:
             diag[key] = sum(p[key] for p in parts)
-        elif key not in ("n", "sum", "m2", "min", "max"):
+        elif key not in ("n", "sum", "m2", "min", "max", "shifted_sum"):
             diag[key] = max(p[key] for p in parts)
     diag["failures"] = sum(diag.get(key, 0) for key in failure_keys)
     return MCEstimate(mean=float(mean), std_error=math.sqrt(var / n), n=n,
