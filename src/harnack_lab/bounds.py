@@ -102,6 +102,14 @@ class LemmaBound:
         return math.exp(self.log_prefactor) * inner_mean ** self.inner_power
 
 
+def _require_finite_positive(**values: float) -> None:
+    """Raise ValueError naming the first of values that is not finite and
+    positive; NaN fails too."""
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
+
+
 def _k4_ratio(k4: float, s: float) -> float:
     """K4 / (1 - e^{-K4 s}), positive for every K4, with a series branch
     near K4 s = 0 (three terms; relative error < 1e-13 at the cut)."""
@@ -170,10 +178,7 @@ def bound_H_T_at(consts: AssumptionConstants, gaps: GapPair, r0: float,
     """Log-Harnack additive constant evaluated at one fixed coupling horizon
     s rather than minimized; any s > 0 gives a valid (possibly loose) bound
     provided s <= T - r0 for the intended T."""
-    if not s > 0:
-        raise ValueError("s must be positive")
-    if not r0 > 0:
-        raise ValueError("r0 must be positive")
+    _require_finite_positive(s=s, r0=r0)
     return sum(_h_terms(consts, gaps, r0, s))
 
 
@@ -187,8 +192,7 @@ def bound_H_T(consts: AssumptionConstants, gaps: GapPair, T: float,
     """
     if not T > r0:
         raise ValueError("the horizon must exceed the delay: T > r0 is required")
-    if not r0 > 0:
-        raise ValueError("r0 must be positive")
+    _require_finite_positive(r0=r0, T=T)
 
     s_star, value, edge = _grid_refine(
         lambda s: sum(_h_terms(consts, gaps, r0, s)),
@@ -207,10 +211,9 @@ def bound_entropy_prop21(consts: AssumptionConstants, theta: float, t: float,
     (defaults to t) and schedule parameter theta."""
     if not (0.0 < theta < 2.0):
         raise ValueError("theta must lie in (0, 2)")
-    if not t > 0:
-        raise ValueError("t must be positive")
     if t0 is None:
         t0 = t
+    _require_finite_positive(t=t, t0=t0)
     if t > t0:
         raise ValueError("the bound applies for t <= t0")
     k = consts
@@ -226,8 +229,7 @@ def bound_entropy_with_tail(consts: AssumptionConstants, t0: float, r0: float,
                             gaps: GapPair, theta: float = 1.0) -> float:
     """Entropy bound over the full horizon: the deadline part plus the cost
     of the history mismatch persisting on [t0, t0 + r0)."""
-    if not r0 > 0:
-        raise ValueError("r0 must be positive")
+    _require_finite_positive(r0=r0)
     k = consts
     tail = (k.k1 ** 2 * r0 / 2.0
             * math.exp(k.k2 ** 2 * (k.k1 ** 2 * t0 + 8.0) * t0)
@@ -304,8 +306,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
     """
     if not T > r0:
         raise ValueError("the horizon must exceed the delay: T > r0 is required")
-    if not r0 > 0:
-        raise ValueError("r0 must be positive")
+    _require_finite_positive(r0=r0, T=T)
     _check_power_exponent(p, consts)
     lam = _lambda_p(p)
     k = consts

@@ -365,6 +365,20 @@ def test_nan_arguments_are_rejected():
         lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.5).compose(nan)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bound_H_T(K_SINE, UNIT_GAPS, math.inf, 1.0),
+    lambda: bound_Phi_p(16.0, math.inf, K_SINE, UNIT_GAPS, 1.0),
+    lambda: bound_entropy_with_tail(K_LINEAR, 1.0, math.inf, UNIT_GAPS),
+    lambda: bound_entropy_with_tail(K_LINEAR, math.inf, 1.0, UNIT_GAPS),
+    lambda: bound_entropy_prop21(K_LINEAR, 1.0, 0.5, UNIT_GAPS, t0=math.inf),
+    lambda: bound_H_T_at(K_SINE, UNIT_GAPS, 1.0, math.inf),
+], ids=["H_T-T", "Phi_p-T", "tail-r0", "tail-t0", "prop21-t0", "H_T_at-s"])
+def test_infinite_arguments_are_rejected(call):
+    # bound_H_T warned, then blamed s; the others returned a number or inf
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        call()
+
+
 def test_lemma_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         lemma_rhs("lemma_4_3", K_SINE, UNIT_GAPS, lam=1.0, s=0.5)
