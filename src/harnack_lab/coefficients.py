@@ -19,7 +19,7 @@ declarations; the auditor can only falsify them on samples, never prove
 them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 
@@ -143,7 +143,6 @@ class CoefficientSet:
     constants: AssumptionConstants
     delay_free: bool = False
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def diffusion(self, t, x):
         """sigma(t, x) for a batch of states x (B, d), evaluated once; its
@@ -236,7 +235,6 @@ def builtin_system(name, params, dim=1):
             sigma=diag,
             delay_free=(c == 0.0),
             name=name,
-            params={"a": a, "c": c, "s0": s0},
         )
 
     if name == "ou_nodelay":
@@ -252,7 +250,6 @@ def builtin_system(name, params, dim=1):
             sigma=lambda t, x: np.full(x.shape, s0),
             delay_free=True,
             name=name,
-            params={"a": a, "s0": s0},
         )
 
     raise ValueError("the 'constants' pseudo-system carries no dynamics; "

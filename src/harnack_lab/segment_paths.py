@@ -61,9 +61,6 @@ class SegmentPath:
         # value at relative time 0
         return np.array(self.values[-1])
 
-    def times(self):
-        return np.linspace(-self.r0, 0.0, self.m + 1)
-
     def same_grid(self, other):
         return self.m == other.m and abs(self.r0 - other.r0) <= 1e-12 * max(self.r0, 1.0)
 

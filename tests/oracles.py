@@ -76,8 +76,7 @@ def with_scaled_sigma(coeffs, scale):
     scale = float(scale)
     sig = coeffs.sigma
     return dataclasses.replace(coeffs, sigma=lambda t, x: sig(t, x) * scale,
-                               name=f"{coeffs.name}*sigma_scale={scale}",
-                               params=dict(coeffs.params))
+                               name=f"{coeffs.name}*sigma_scale={scale}")
 
 
 def _op_norm(mats):
@@ -390,7 +389,7 @@ def shift_append(history, new_point):
 
 def to_rows(seg):
     """(time offset, coordinates) rows of a segment."""
-    return [(float(t), *map(float, v)) for t, v in zip(seg.times(), seg.values)]
+    return [(float(t), *map(float, v)) for t, v in zip(np.linspace(-seg.r0, 0.0, seg.m + 1), seg.values)]
 
 
 def chunk_moments_dict(v):

@@ -16,7 +16,6 @@ def test_segment_basic_shape_and_accessors():
     assert seg.dim == 2
     assert seg.h == pytest.approx(0.25)
     np.testing.assert_array_equal(seg.endpoint(), [8.0, 9.0])
-    np.testing.assert_allclose(seg.times(), [-1.0, -0.75, -0.5, -0.25, 0.0])
 
 
 def test_segment_accepts_1d_values():
