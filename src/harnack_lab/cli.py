@@ -358,8 +358,8 @@ def _emit(cfg: ExperimentConfig, command: str, res: _Result) -> int:
     2 if a verdict is violated, else 3 if one is inconclusive, else 0. The
     n, seed, h and version columns are filled by name unless a row sets
     them."""
-    given = {"n": cfg.n, "seed": cfg.seed, "h": cfg.h, "version": VERSION_TAG}
-    rows = [[{**given, **row}.get(col) for col in res.header] for row in res.rows]
+    provenance = {"n": cfg.n, "seed": cfg.seed, "h": cfg.h, "version": VERSION_TAG}
+    rows = [[{**provenance, **row}.get(col) for col in res.header] for row in res.rows]
     _write_csv(os.path.join(cfg.out_dir, command.replace("-", "_") + ".csv"),
                res.header, rows)
     for level, line in res.lines:
@@ -393,9 +393,10 @@ def _cmd_audit(cfg: ExperimentConfig, threads) -> _Result:
     res = _Result(["condition", "empirical_max", "declared", "passed", "worst_t",
                    "worst_point", "n", "seed", "h", "version"])
     for cond, c in sorted(report.conditions.items()):
+        point = ";".join(_fmt(x) for x in np.atleast_1d(c.worst_point))
         res.rows.append({"condition": cond, "empirical_max": c.empirical_max,
                          "declared": c.declared, "passed": c.passed, "worst_t": c.worst_t,
-                         "worst_point": ";".join(_fmt(x) for x in np.atleast_1d(c.worst_point))})
+                         "worst_point": point})
         res.lines.append((1, f"{cond}: empirical {c.empirical_max:.6g} vs declared "
                              f"{c.declared:.6g} -> {'pass' if c.passed else 'FAIL'}"))
         res.verdicts.append("holds" if c.passed else "violated")
@@ -410,8 +411,8 @@ def _cmd_simulate(cfg: ExperimentConfig, threads) -> _Result:
     xs = [f"x{i}" for i in range(cfg.d)]
     res = _Result(["step", "t", *xs, "seed", "n", "h", "version"])
     for k in range(grid.n_T + 1):
-        res.rows.append({"step": k, "t": k * grid.h, **dict(zip(xs, traj.values[grid.m + k])),
-                         "n": 1})
+        x = traj.values[grid.m + k]
+        res.rows.append({"step": k, "t": k * grid.h, **dict(zip(xs, x)), "n": 1})
     res.lines.append((1, f"simulated one path to t={grid.T:g}; endpoint {traj.endpoint()}"))
     return res
 
