@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -345,10 +345,12 @@ def _write_csv(path: str, header: List[str], rows: List[list]) -> None:
 class _Result:
     """What a command reports: its CSV header and rows keyed by column (a
     missing key is a blank cell), the lines it prints, each with the
-    verbosity it needs, and the verdicts that set the exit code."""
+    verbosity it needs, and the verdicts that set the exit code. The
+    one-path dumps give their rows as a generator, so that a dump's rows
+    are held only once, as the lists the CSV writer takes."""
 
     header: List[str]
-    rows: List[dict] = field(default_factory=list)
+    rows: Iterable[dict] = field(default_factory=list)
     lines: List[Tuple[int, str]] = field(default_factory=list)
     verdicts: List[str] = field(default_factory=list)
 
@@ -409,33 +411,33 @@ def _cmd_simulate(cfg: ExperimentConfig, threads) -> _Result:
     xi = config_segment(cfg, cfg.xi)
     traj = simulate_path(coeffs, xi, grid, cfg.seed)
     xs = [f"x{i}" for i in range(cfg.d)]
-    res = _Result(["step", "t", *xs, "seed", "n", "h", "version"])
-    for k in range(grid.n_T + 1):
-        x = traj.values[grid.m + k]
-        res.rows.append({"step": k, "t": k * grid.h, **dict(zip(xs, x)), "n": 1})
-    res.lines.append((1, f"simulated one path to t={grid.T:g}; endpoint {traj.endpoint()}"))
-    return res
+    rows = ({"step": k, "t": k * grid.h, **dict(zip(xs, traj.values[grid.m + k])), "n": 1}
+            for k in range(grid.n_T + 1))
+    return _Result(["step", "t", *xs, "seed", "n", "h", "version"], rows,
+                   [(1, f"simulated one path to t={grid.T:g}; endpoint {traj.endpoint()}")])
 
 
 def _couple_dump(cfg, traj) -> _Result:
     grid, sched = traj.grid, traj.sched
     xs, ys = [f"x{i}" for i in range(cfg.d)], [f"y{i}" for i in range(cfg.d)]
-    res = _Result(["step", "t", *xs, *ys, "gap", "gamma", "phi_sq", "log_weight",
-                   "seed", "n", "h", "version"])
-    for k in range(grid.n_T + 1):
-        t = k * grid.h
-        x = traj.x_values[grid.m + k]
-        y = traj.y_values[grid.m + k]
-        row = {"step": k, "t": t, **dict(zip(xs, x)), **dict(zip(ys, y)),
-               "gap": float(np.linalg.norm(x - y)), "log_weight": traj.log_weight_cum[k]}
-        if t < sched.t0:
-            row["gamma"] = gamma(t, sched)
-        if k < grid.n_T:
-            row["phi_sq"] = (traj.phi_sq_cum[k + 1] - traj.phi_sq_cum[k]) / grid.h
-        res.rows.append(row)
-    res.lines.append((1, f"coupled pair dumped; merged={traj.merged}, "
-                         f"log R_T={traj.log_weight_cum[-1]:.6g}"))
-    return res
+
+    def rows():
+        for k in range(grid.n_T + 1):
+            t = k * grid.h
+            x = traj.x_values[grid.m + k]
+            y = traj.y_values[grid.m + k]
+            row = {"step": k, "t": t, **dict(zip(xs, x)), **dict(zip(ys, y)),
+                   "gap": float(np.linalg.norm(x - y)), "log_weight": traj.log_weight_cum[k]}
+            if t < sched.t0:
+                row["gamma"] = gamma(t, sched)
+            if k < grid.n_T:
+                row["phi_sq"] = (traj.phi_sq_cum[k + 1] - traj.phi_sq_cum[k]) / grid.h
+            yield row
+
+    return _Result(["step", "t", *xs, *ys, "gap", "gamma", "phi_sq", "log_weight",
+                    "seed", "n", "h", "version"], rows(),
+                   [(1, f"coupled pair dumped; merged={traj.merged}, "
+                        f"log R_T={traj.log_weight_cum[-1]:.6g}")])
 
 
 def _cmd_couple(cfg: ExperimentConfig, threads) -> _Result:
