@@ -135,6 +135,11 @@ class CoefficientSet:
     it through diffusion(), and z_drift and b_delay through z() and b(),
     which check their (B, d) shape. delay_free marks systems whose b
     vanishes identically (required by the stationary sampler).
+
+    All three act row by row: row q of z, sigma and b depends only on row
+    q of the batch, the state or segment of path q. Chunking relies on
+    this, and so does the coupled kernel's merged step, which steps one
+    copy of a pair whose X and Y agree bit for bit.
     """
     dim: int
     sigma: object

@@ -156,6 +156,11 @@ class _Coupled:
     |X-Y|^2 / gamma^2 h (None from t0 on) for observers to add up. Each
     state's diffusion is evaluated once per step, as a diagonal where the
     system declares one, and serves sigma, sigma^-1 and sigma_x - sigma_y.
+
+    The snap at step n0 - 1 makes X and Y of every merged path equal bit
+    for bit. When every path of the batch merged, one_copy is set, and
+    each later step evaluates z, sigma and the Euler step for one copy
+    (_merged_step); a batch with any unmerged path takes the full step.
     """
 
     def __init__(self, coeffs, grid, sched, measure, delta_merge, rings, n0):
@@ -167,18 +172,21 @@ class _Coupled:
         self.sign = 1.0 if measure == "Q" else -1.0
         b = rings[0].buf.shape[1]
         self.logw, self.merged = np.zeros(b), np.zeros(b, dtype=bool)
+        self.one_copy = False
         self.phi_sq = self.gap_gamma = None
 
     def step(self, k, dw):
         coeffs, h, (rx, ry) = self.coeffs, self.grid.h, self.rings
         t = k * h
         i = self.grid.m + k
+        bx = coeffs.b(t, rx.segment(i))
+        by = coeffs.b(t, ry.segment(i))
+        if self.one_copy:
+            return self._merged_step(t, rx.row(i), bx, by, dw)
+
         x, y = rx.row(i), ry.row(i)
         pre = k < self.n0
         merged = self.merged
-
-        bx = coeffs.b(t, rx.segment(i))
-        by = coeffs.b(t, ry.segment(i))
         zx = coeffs.z(t, x)
         zy = coeffs.z(t, y)
         sx = coeffs.diffusion(t, x)
@@ -206,7 +214,7 @@ class _Coupled:
                 xn = yn + self.alphas[k] * (xe - yn)
             else:
                 xn = xe
-                xn[merged] = yn[merged]
+                np.copyto(xn, yn, where=merged[:, None])
         else:
             # unforced copy X drives; Y carries the gap forcing
             xn = _euler_step(x, zx + bx, h, sx, dw)
@@ -216,18 +224,38 @@ class _Coupled:
                 yn = xn - self.alphas[k] * (xn - ye)
             else:
                 yn = _euler_step(y, zy + bx, h, sy, dw)
-                yn[merged] = xn[merged]
+                np.copyto(yn, xn, where=merged[:, None])
 
         if k == self.n0 - 1:
             gap = np.linalg.norm(xn - yn, axis=1)
             ref = 1.0 + np.linalg.norm(xn, axis=1)
             self.merged = merged = gap <= self.delta_merge * ref
+            # a NaN or inf gap fails the test, so one_copy implies finite states
+            self.one_copy = bool(merged.all())
             # the snap lands in both copies of the ring row
             if self.measure == "Q":
-                xn[merged] = yn[merged]
+                np.copyto(xn, yn, where=merged[:, None])
             else:
-                yn[merged] = xn[merged]
+                np.copyto(yn, xn, where=merged[:, None])
         return xn, yn
+
+    def _merged_step(self, t, x, bx, by, dw):
+        """A step from t0 on when every path merged: x is the state of both
+        copies, so z, sigma and the Euler step are evaluated once, driven
+        by the unforced copy's delay drift (b(Y) under Q, b(X) under P),
+        and the new state goes to both rings. Both b's still enter
+        phi = sigma^-1 (b(Y) - b(X)), since the segments differ until
+        t0 + r0. Bit for bit the full step, because z, sigma and b act row
+        by row (CoefficientSet)."""
+        coeffs, h = self.coeffs, self.grid.h
+        sig = coeffs.diffusion(t, x)
+        phi = sig.solve(by - bx)
+        self.gap_gamma = None
+        self.phi_sq = (phi * phi).sum(axis=1) * h
+        self.logw += (phi * dw).sum(axis=1) + self.sign * 0.5 * self.phi_sq
+        drive = by if self.measure == "Q" else bx
+        xn = _euler_step(x, coeffs.z(t, x) + drive, h, sig, dw)
+        return xn, xn
 
 
 class _Integrals:

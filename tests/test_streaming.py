@@ -114,6 +114,84 @@ def test_coupled_kernel_matches_full_history(case, measure, m, k_upper):
         want["full_x"], want["full_y"], m, grid.h, k_upper))
 
 
+def counted(co):
+    """co with its sigma, z_drift and b_delay counting their calls in the
+    returned dict."""
+    calls = dict.fromkeys(("sigma", "z_drift", "b_delay"), 0)
+
+    def wrap(name):
+        fn = getattr(co, name)
+
+        def call(t, x):
+            calls[name] += 1
+            return fn(t, x)
+        return call
+
+    return dataclasses.replace(co, **{name: wrap(name) for name in calls}), calls
+
+
+def nan_in_column(co, q):
+    """co whose drift is NaN for path q of every batch: that path never
+    merges, and the row-by-row rule keeps the NaN out of the others."""
+    def z_drift(t, x):
+        return np.where(np.arange(len(x))[:, None] == q, np.nan, co.z_drift(t, x))
+    return dataclasses.replace(co, z_drift=z_drift)
+
+
+def run_coupled(co, measure, m, delta_merge=1e-8):
+    # t0 = 1, so n0 = m of n_T = 2m + 3 steps
+    grid, xi, eta, stream = setup(m, co.dim)
+    b = 37
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+    rec = _Recorder(m + grid.n_T + 1)
+    sums = _Integrals(m, grid.n_T, b)
+    pair = _coupled_batch(co, xi, eta, grid, sched, NoiseBlocks(stream, 0, b, grid.n_T),
+                          measure, delta_merge, (rec, sums))
+    want = coupled_batch_full(co, xi, eta, grid, sched, stream.batch(0, b, grid.n_T),
+                              measure, delta_merge, grid.n_T)
+    got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
+           "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
+           "full_x": rec.full[0], "full_y": rec.full[1]}
+    return grid, got, want
+
+
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("measure", ["Q", "P"])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_merged_chunk_steps_one_copy_after_t0(case, measure, m):
+    # every path merges at t0, so each step from n0 on evaluates z and
+    # sigma once, and the result is the full step's bit for bit
+    co, calls = counted(system(*case))
+    grid, got, want = run_coupled(co, measure, m)
+    n0, n_t = grid.index_of(1.0), grid.n_T
+    assert want["merged"].all()
+    # the oracle's full step adds 2 n_T calls of each
+    assert calls["z_drift"] == calls["sigma"] == 2 * n0 + (n_t - n0) + 2 * n_t
+    assert calls["b_delay"] == 4 * n_t
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("unmerged", ["nan-column", "all"])
+@pytest.mark.parametrize("measure", ["Q", "P"])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_unmerged_chunk_keeps_the_full_step(case, measure, unmerged):
+    # one NaN path (or a merge tolerance no path meets) keeps the chunk on
+    # the full step after t0; every finite path equals the oracle bit for bit
+    co = system(*case)
+    keep = np.ones(37, dtype=bool)
+    if unmerged == "nan-column":
+        co, keep[3] = nan_in_column(co, 3), False
+    co, calls = counted(co)
+    with np.errstate(all="ignore"):
+        grid, got, want = run_coupled(co, measure, 7, -1.0 if unmerged == "all" else 1e-8)
+    assert calls["z_drift"] == calls["sigma"] == 4 * grid.n_T
+    assert np.array_equal(want["merged"], keep if unmerged == "nan-column" else ~keep)
+    paths = lambda a: a[keep] if a.ndim == 1 else a[:, keep]
+    for key in want:
+        assert np.array_equal(paths(got[key]), paths(want[key])), key
+
+
 @pytest.mark.parametrize("measure", ["Q", "P"])
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_one_path_dumps_match_full_history(case, measure):
@@ -173,6 +251,23 @@ def test_chunk_memory_does_not_grow_with_the_horizon(name):
         grid = GridSpec(1.0, t, m)
         peaks[t] = _peak(lambda: ESTIMATES[name](co, grid, xi, eta, sched))
     assert peaks[8.0] <= 1.1 * peaks[2.0], peaks
+
+
+@pytest.mark.parametrize("name", list(ESTIMATES))
+def test_estimates_call_each_coefficient_once_per_stepped_state(name):
+    # one 1024-path chunk, n0 = 15 of n_T = 30 steps, every path merged: a
+    # coupled step evaluates b, z and sigma for X and Y before t0, and from
+    # t0 on the two b's and one z and sigma; an uncoupled step one of each
+    co, calls = counted(builtin_system(*SINE[:2]))
+    grid = GridSpec(1.0, 3.0, 10)
+    xi, eta = constant_segment(1.0, 1.0, 10), constant_segment(0.0, 1.0, 10)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.5)
+    est = ESTIMATES[name](co, grid, xi, eta, sched)
+    if name == "PT_f":
+        assert sum(calls.values()) == 3 * 30
+    else:
+        assert est.diagnostics["unmerged"] == est.diagnostics["nonfinite"] == 0
+        assert sum(calls.values()) == 6 * 15 + 4 * 15
 
 
 def test_stationary_memory_does_not_grow_with_n():
