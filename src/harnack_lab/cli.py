@@ -26,8 +26,8 @@ import numpy as np
 
 from ._parallel import WorkerDied
 from ._version import __version__
-from .bounds import (GapPair, bound_H_T, bound_Phi_p, bound_entropy_prop21,
-                     bound_entropy_with_tail)
+from .bounds import (GapPair, _check_power_exponent, bound_H_T, bound_Phi_p,
+                     bound_entropy_prop21, bound_entropy_with_tail)
 from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet,
                            audit_assumptions, builtin_system, param_problems)
 from .coupling import GammaSchedule, gamma, simulate_coupled
@@ -312,6 +312,15 @@ def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
             "the inequality only makes sense past the delay window: need t > r0")
     if command == "power-harnack" and cfg.p is None:
         problems.append("power-harnack needs [coupling] p")
+    # the exponent threshold reads the system's constants, so it is checked
+    # only on an otherwise valid config; a system the catalog cannot build
+    # raises its own ValueError here
+    if command in ("bounds", "power-harnack") and cfg.p is not None and not problems:
+        consts = config_constants(cfg)
+        try:
+            _check_power_exponent(cfg.p, consts)
+        except ValueError as exc:
+            problems.append(f"[coupling] {exc}")
     # one path gives no standard error; only the couple dump takes n = 1
     if command in ("entropy", "log-harnack", "power-harnack", "stationary") and cfg.n < 2:
         problems.append(f"{command} needs [mc] n >= 2")

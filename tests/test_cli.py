@@ -502,13 +502,31 @@ def test_power_harnack_holds(tmp_path):
 
 
 def test_power_harnack_below_threshold_exits_1(tmp_path, capsys):
+    # p = 9 = (1 + K2 K3)^2 on this system: rejected before any path runs
     text = cfg_text(name="sine_multiplicative",
                     params={"a": -1.0, "c": 0.2, "s0": 0.1},
                     p=9.0, n=100, out=tmp_path / "res")
     assert launch(tmp_path, "power-harnack", text) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "9" in err
+    assert err.startswith("config error:")
+    assert "[coupling] p must exceed (1 + K2 K3)^2 = 9, got p=9" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_bounds_below_power_threshold_is_a_config_error(tmp_path, capsys):
+    # the threshold check runs before H_T and the entropy bounds
+    text = cfg_text(name="sine_multiplicative",
+                    params={"a": -1.0, "c": 0.2, "s0": 0.1},
+                    t0=1.0, p=9.0, out=tmp_path / "res")
+    assert launch(tmp_path, "bounds", text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "[coupling] p must exceed (1 + K2 K3)^2 = 9, got p=9" in err
+    assert not (tmp_path / "res").exists()
+    # one step above the threshold runs
+    assert launch(tmp_path, "bounds", cfg_text(
+        name="sine_multiplicative", params={"a": -1.0, "c": 0.2, "s0": 0.1},
+        t0=1.0, p=9.5, out=tmp_path / "res")) == 0
 
 
 def test_stationary_runs_on_markov_system(tmp_path):
