@@ -405,8 +405,8 @@ def lemma_rhs(kind: str, consts: AssumptionConstants, gaps: GapPair,
             raise ValueError("eps must lie in (0, 1)")
         if not (0.0 <= s <= sched.t0):
             raise ValueError("s must lie in [0, t0]")
-        if not lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < lam < math.inf:
+            raise ValueError("lam must be finite and positive")
         if k.k2 > 0.0:
             cap = (1.0 - eps) ** 4 / (2.0 * k.k2 ** 2 * (1.0 + eps))
             # hair of tolerance so a caller evaluating exactly at the cap,
@@ -421,20 +421,20 @@ def lemma_rhs(kind: str, consts: AssumptionConstants, gaps: GapPair,
                           inner_power=eps / (1.0 + 2.0 * eps), s=s)
 
     if kind == "seg_gap_at_time":
-        if not lam >= 0:
-            raise ValueError("lam must be nonnegative")
-        if s is not None and not s >= 0:
-            raise ValueError("s must be nonnegative")
+        if not 0 <= lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative")
+        if s is not None and not 0 <= s < math.inf:
+            raise ValueError("s must be finite and nonnegative")
         pre = 1.0 + lam * gaps.seg_gap ** 2
         coeff = 4.0 * lam * k.k2 * (2.0 * lam * k.k2 + k.k1)
         return LemmaBound(kind=kind, log_prefactor=pre, inner_coeff=coeff,
                           inner_power=0.5, s=s)
 
     if kind == "seg_gap_integral":
-        if s is None or not s > 0:
-            raise ValueError("seg_gap_integral needs s > 0")
-        if not lam > 0:
-            raise ValueError("lam must be positive")
+        if s is None or not 0 < s < math.inf:
+            raise ValueError("seg_gap_integral needs finite s > 0")
+        if not 0 < lam < math.inf:
+            raise ValueError("lam must be finite and positive")
         if k.k2 > 0.0:
             denom = 1.0 - 4.0 * k.k1 * k.k2 * s
             if denom <= 0:

@@ -71,7 +71,6 @@ class ExperimentConfig:
     theta: float = 1.0
     p: Optional[float] = None
     s_choice: Optional[float] = None
-    delta_merge: float = 1e-8
     measure: str = "Q"
     n: int = 10000
     seed: int = 0
@@ -103,7 +102,6 @@ _KEYS = (
     ("coupling", "theta", "theta", float),
     ("coupling", "p", "p", float),
     ("coupling", "s_choice", "s_choice", float),
-    ("coupling", "delta_merge", "delta_merge", float),
     ("coupling", "measure", "measure", str),
     ("mc", "n", "n", int),
     ("mc", "seed", "seed", int),
@@ -453,16 +451,15 @@ def _cmd_couple(cfg: ExperimentConfig, threads) -> _Result:
     coeffs, grid, xi, eta = _problem(cfg)
     if cfg.n == 1:
         return _couple_dump(cfg, simulate_coupled(coeffs, xi, eta, grid, cfg.t0, cfg.measure,
-                                                  theta=cfg.theta, seed=cfg.seed,
-                                                  delta_merge=cfg.delta_merge))
+                                                  theta=cfg.theta, seed=cfg.seed))
 
     sched = GammaSchedule(theta=cfg.theta, k4=coeffs.constants.k4, t0=cfg.t0)
     if cfg.measure == "P":
         est = estimate_martingale_mean(coeffs, xi, eta, sched, grid, cfg.n,
-                                       cfg.seed, cfg.delta_merge, threads)
+                                       cfg.seed, threads)
     else:
         est = estimate_entropy_Q(coeffs, xi, eta, sched, grid, cfg.n, cfg.seed,
-                                 delta_merge=cfg.delta_merge, threads=threads)
+                                 threads=threads)
     # unmerged plus non-finite paths
     failure_fraction = est.failures / cfg.n
     reports = []
@@ -491,7 +488,7 @@ def _cmd_entropy(cfg: ExperimentConfig, threads) -> _Result:
     coeffs, grid, xi, eta = _problem(cfg)
     sched = GammaSchedule(theta=cfg.theta, k4=coeffs.constants.k4, t0=cfg.t0)
     est = estimate_entropy_Q(coeffs, xi, eta, sched, grid, cfg.n, cfg.seed,
-                             delta_merge=cfg.delta_merge, threads=threads)
+                             threads=threads)
     gaps = GapPair.from_segments(xi, eta)
     bound = bound_entropy_with_tail(coeffs.constants, cfg.t0, cfg.r0, gaps,
                                     theta=cfg.theta)

@@ -271,6 +271,8 @@ class AuditBox:
     m: int = 8
 
     def __post_init__(self):
+        if not np.isfinite([self.t_min, self.t_max, self.x_min, self.x_max]).all():
+            raise ValueError("audit box bounds must be finite")
         if not (self.t_min <= self.t_max and self.x_min < self.x_max and self.m >= 1):
             raise ValueError("audit box is empty or malformed")
 

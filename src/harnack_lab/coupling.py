@@ -19,8 +19,9 @@ step would blow up as gamma -> 0, so each substep integrates that term
 exactly: the post-Euler difference is multiplied by
 exp(-int 1/gamma) over the substep. On the final substep before t0 that
 factor is exactly zero, so the copies land on the same floating point
-values, and the merge check below is a guardrail against paths that went
-non-finite on the way rather than a tolerance race.
+values. The merge check is therefore an equality, X == Y at t0, with no
+tolerance: only a path that went NaN or inf on the way fails it (zero
+times a non-finite difference is NaN).
 """
 
 from __future__ import annotations
@@ -127,9 +128,8 @@ class CoupledTrajectory:
     x_values / y_values follow the Trajectory layout: row grid.m is time 0.
     phi_sq_cum[k] is the accumulated integral of |phi|^2 up to time k h, and
     log_weight_cum[k] the accumulated log-weight, both of length n_T + 1.
-    merged records whether the copies were on top of each other at t0 to
-    within delta_merge (relative to 1 + |X|); a False here means the
-    discretization failed on this path, not that an exception occurred.
+    merged records whether the copies were equal at t0; a False here means
+    the path went NaN or inf by t0, not that an exception occurred.
     """
 
     grid: GridSpec
@@ -140,7 +140,6 @@ class CoupledTrajectory:
     phi_sq_cum: np.ndarray
     log_weight_cum: np.ndarray
     merged: bool
-    delta_merge: float
     seed: int = 0
     path_index: int = 0
 
@@ -157,15 +156,18 @@ class _Coupled:
     state's diffusion is evaluated once per step, as a diagonal where the
     system declares one, and serves sigma, sigma^-1 and sigma_x - sigma_y.
 
-    The snap at step n0 - 1 makes X and Y of every merged path equal bit
-    for bit. When every path of the batch merged, one_copy is set, and
-    each later step evaluates z, sigma and the Euler step for one copy
-    (_merged_step); a batch with any unmerged path takes the full step.
+    The last contraction factor is 0, so at step n0 - 1 the copies of
+    every finite path are equal, and a path merges when they are. The snap
+    then copies one into the other, which makes them equal bit for bit,
+    signed zeros included. When every path of the batch merged, one_copy
+    is set, and each later step evaluates z, sigma and the Euler step for
+    one copy (_merged_step); a batch with any unmerged path takes the full
+    step.
     """
 
-    def __init__(self, coeffs, grid, sched, measure, delta_merge, rings, n0):
+    def __init__(self, coeffs, grid, sched, measure, rings, n0):
         self.coeffs, self.grid, self.rings = coeffs, grid, rings
-        self.measure, self.delta_merge, self.n0 = measure, delta_merge, n0
+        self.measure, self.n0 = measure, n0
         self.alphas = contraction_factors(sched, grid.h, n0)
         self.gammas = gamma(np.arange(n0) * grid.h, sched)
         # sign of the 1/2 |phi|^2 h term in log R
@@ -227,10 +229,9 @@ class _Coupled:
                 np.copyto(yn, xn, where=merged[:, None])
 
         if k == self.n0 - 1:
-            gap = np.linalg.norm(xn - yn, axis=1)
-            ref = 1.0 + np.linalg.norm(xn, axis=1)
-            self.merged = merged = gap <= self.delta_merge * ref
-            # a NaN or inf gap fails the test, so one_copy implies finite states
+            self.merged = merged = (xn == yn).all(axis=1)
+            # a non-finite path is NaN here in one copy (0 * inf), which fails
+            # the test, so one_copy implies finite states
             self.one_copy = bool(merged.all())
             # the snap lands in both copies of the ring row
             if self.measure == "Q":
@@ -278,8 +279,7 @@ class _Integrals:
 
 def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
                    eta_values: np.ndarray, grid: GridSpec, sched: GammaSchedule,
-                   noise: NoiseBlocks, measure: str, delta_merge: float,
-                   observers=()) -> _Coupled:
+                   noise: NoiseBlocks, measure: str, observers=()) -> _Coupled:
     """Advance a batch of coupled pairs from the shared histories (m+1, d)
     by one step per noise row; returns the finished _Coupled, whose rings
     hold the last m + 1 rows of each copy. noise has the shape (k, B, d),
@@ -296,7 +296,7 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
     if n0 < 1 or n0 > grid.n_T:
         raise ValueError("t0 must lie in (0, T] on the grid")
     b = noise.shape[1]
-    pair = _Coupled(coeffs, grid, sched, measure, delta_merge,
+    pair = _Coupled(coeffs, grid, sched, measure,
                     (_Ring(xi_values, b), _Ring(eta_values, b)), n0)
     _run(pair, noise, observers)
     return pair
@@ -304,8 +304,7 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
 
 def simulate_coupled(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
                      grid: GridSpec, t0: float, measure: str, theta: float = 1.0,
-                     seed: int = 0, path_index: int = 0,
-                     delta_merge: float = 1e-8) -> CoupledTrajectory:
+                     seed: int = 0, path_index: int = 0) -> CoupledTrajectory:
     """One coupled pair, path path_index of seed, with its whole history.
     X starts from xi, Y from eta, and the copies merge by the deadline t0.
     measure "Q": X is forced onto Y, which solves the original equation.
@@ -326,10 +325,9 @@ def simulate_coupled(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
             logw_cum[i - m] = pair.logw[0]
 
     pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched, noise,
-                          measure, delta_merge, (rec, weights))
+                          measure, (rec, weights))
     return CoupledTrajectory(
         grid=grid, sched=sched, measure=measure,
         x_values=rec.full[0][:, 0, :], y_values=rec.full[1][:, 0, :],
         phi_sq_cum=phi_cum, log_weight_cum=logw_cum,
-        merged=bool(pair.merged[0]), delta_merge=delta_merge,
-        seed=seed, path_index=path_index)
+        merged=bool(pair.merged[0]), seed=seed, path_index=path_index)

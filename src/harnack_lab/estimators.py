@@ -42,8 +42,10 @@ class MCEstimate:
 
     diagnostics, each merged across chunks as follows: min and max, the
     range of the values (nan if any is NaN); for coupled estimates the
-    failed paths, summed: unmerged (finite but apart at t0) and nonfinite
-    (NaN or inf state or weight); max_exponent (exp functional) or
+    failed paths, summed: unmerged (copies unequal at t0, which only a path
+    that went NaN or inf by t0 produces, counted here when it is finite
+    where the chunk stops) and nonfinite (NaN or inf state or weight
+    there); max_exponent (exp functional) or
     max_log_weight (weight mean), the largest non-NaN one (nan if none);
     failures, unmerged + nonfinite. raw_mean, bound and ess are set on the
     merged estimate. No diagnostic depends on the chunk split.
@@ -349,8 +351,8 @@ def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
     return _PT_f(coeffs, ((xi, f),), grid, n, seed, threads)
 
 
-def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, delta_merge,
-                      measure, value_of, observer=None, worst=None) -> MCEstimate:
+def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, measure,
+                      value_of, observer=None, worst=None) -> MCEstimate:
     """Coupled chunks reduced to one estimate. observer(B), if given, builds
     each chunk's observer; value_of(pair, observer, first path) gives the
     per-path values and worst case of a finished chunk; worst names it.
@@ -371,7 +373,7 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, delta_merg
         ob = observer(b - a) if observer is not None else None
         k_stop = grid.n_T if ob is None else max(ob.k_upper, n0)
         pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched,
-                              NoiseBlocks(stream, a, b - a, k_stop), measure, delta_merge,
+                              NoiseBlocks(stream, a, b - a, k_stop), measure,
                               () if ob is None else (ob,))
         v, top = value_of(pair, ob, a)
         # a path that went NaN or inf never merges; count it apart
@@ -389,7 +391,6 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, delta_merg
 def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
                        sched: GammaSchedule, grid: GridSpec, n: int, seed: int,
                        t_upper: Optional[float] = None,
-                       delta_merge: float = 1e-8,
                        threads: Optional[int] = None) -> MCEstimate:
     """Relative entropy estimate: half the mean of int |phi|^2 over
     [0, t_upper] (default the full horizon) along coupled paths run under
@@ -402,9 +403,8 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
     def value_of(pair, sums, a):
         return 0.5 * sums.phi_sq, math.nan
 
-    return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "Q", value_of,
-                             lambda b: _Integrals(grid.m, k_upper, b))
+    return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "Q",
+                             value_of, lambda b: _Integrals(grid.m, k_upper, b))
 
 
 _INTEGRANDS = ("phi_sq", "gap_over_gamma_sq", "seg_gap_sq")
@@ -425,7 +425,6 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
                             grid: GridSpec, lam: float, n: int, seed: int,
                             integrand: str = "phi_sq",
                             t_upper: Optional[float] = None,
-                            delta_merge: float = 1e-8,
                             threads: Optional[int] = None) -> MCEstimate:
     """Mean of exp(lam * I) under the coupled measure, where I is one of
     three path integrals up to t_upper (default the full horizon):
@@ -457,8 +456,8 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
             lam * getattr(ob, integrand), a,
             f"exponent overflow in exp-functional estimate: lam={lam}, ", "exponent")
 
-    return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                             delta_merge, "Q", value_of, observer, "max_exponent")
+    return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "Q",
+                             value_of, observer, "max_exponent")
 
 
 def _effective_sample_size(est: MCEstimate) -> float:
@@ -472,7 +471,6 @@ def _effective_sample_size(est: MCEstimate) -> float:
 def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
                              eta: SegmentPath, sched: GammaSchedule,
                              grid: GridSpec, n: int, seed: int,
-                             delta_merge: float = 1e-8,
                              threads: Optional[int] = None) -> MCEstimate:
     """Mean of the exponential weight R_T along coupled paths run under the
     unforced law. Exactly 1 in expectation, step by step, so the estimate
@@ -485,8 +483,8 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
     def value_of(pair, ob, a):
         return _checked_exp(pair.logw, a, "weight overflow: ", "log-weight")
 
-    est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads,
-                            delta_merge, "P", value_of, worst="max_log_weight")
+    est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "P",
+                            value_of, worst="max_log_weight")
     return replace(est, diagnostics=dict(est.diagnostics, ess=_effective_sample_size(est)))
 
 

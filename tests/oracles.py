@@ -5,7 +5,8 @@ window maxima, a wrapper that turns single-point coefficient callables
 into batch callables, dense and rescaled diffusions, the assumption audit
 on dense matrices, the stepping kernels with their full path histories, the stationary sampler that tiles them, the two branches of
 K4 / (1 - e^{-K4 s}), the chunk reduction over dicts merged by key name,
-and accessors of a recorded path that the package does not need."""
+accessors of a recorded path that the package does not need, and a patch
+of the contraction factors that keeps coupled copies apart at t0."""
 
 import dataclasses
 import math
@@ -224,11 +225,28 @@ def simulate_batch_full(coeffs, xi_values, grid, noise):
     return full
 
 
+def keep_apart_at_t0(monkeypatch, last=0.5):
+    """Make the last contraction factor `last` instead of 0, so that a
+    finite pair that starts apart is still apart at t0 and reports
+    unmerged. Forked workers inherit the patch, and the kernel and
+    coupled_batch_full look the factors up at call time."""
+    from harnack_lab import coupling
+
+    exact = coupling.contraction_factors
+
+    def factors(sched, h, n0):
+        out = exact(sched, h, n0)
+        out[-1] = last
+        return out
+
+    monkeypatch.setattr(coupling, "contraction_factors", factors)
+
+
 def coupled_batch_full(coeffs, xi_values, eta_values, grid, sched, noise,
-                       measure, delta_merge, k_upper):
+                       measure, k_upper):
     """Per-path outputs of a batch of coupled pairs: log_weight, phi_sq
-    and gap_gamma_sq over the first k_upper steps, merged, and the full
-    histories full_x / full_y."""
+    and gap_gamma_sq over the first k_upper steps, merged (no gap left at
+    t0), and the full histories full_x / full_y."""
     from harnack_lab.coupling import contraction_factors
 
     m, n_t, h = grid.m, grid.n_T, grid.h
@@ -281,8 +299,7 @@ def coupled_batch_full(coeffs, xi_values, eta_values, grid, sched, noise,
         full_x[m + k + 1] = xn
         full_y[m + k + 1] = yn
         if k == n0 - 1:
-            merged = (np.linalg.norm(xn - yn, axis=1)
-                      <= delta_merge * (1.0 + np.linalg.norm(xn, axis=1)))
+            merged = np.linalg.norm(xn - yn, axis=1) == 0
             if measure == "Q":
                 full_x[m + k + 1][merged] = yn[merged]
             else:

@@ -56,13 +56,13 @@ def test_criterion_01_girsanov_martingale():
 
 def test_criterion_02_coupling_success():
     coarse = estimate_entropy_Q(LINEAR, XI, ETA, sched(LINEAR), GRID,
-                                n=N_FULL, seed=0, delta_merge=1e-8)
+                                n=N_FULL, seed=0)
     fine_grid = GridSpec(1.0, 2.0, 2 * M_FULL)
     fine = estimate_entropy_Q(LINEAR,
                               constant_segment(1.0, 1.0, 2 * M_FULL),
                               constant_segment(0.0, 1.0, 2 * M_FULL),
                               sched(LINEAR), fine_grid,
-                              n=N_FULL, seed=0, delta_merge=1e-8)
+                              n=N_FULL, seed=0)
     frac_coarse = coarse.failures / N_FULL
     frac_fine = fine.failures / N_FULL
     ok = frac_coarse <= 1e-3 and frac_fine <= frac_coarse

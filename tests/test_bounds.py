@@ -357,12 +357,25 @@ def test_nan_arguments_are_rejected():
         bound_H_T_at(K_SINE, UNIT_GAPS, nan, 0.5)
     with pytest.raises(ValueError, match="r0"):
         bound_entropy_with_tail(K_LINEAR, 1.0, nan, UNIT_GAPS)
-    with pytest.raises(ValueError, match="lam"):
-        lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=nan, s=0.5)
-    with pytest.raises(ValueError, match="s must"):
-        lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.5, s=nan)
     with pytest.raises(ValueError, match="inner"):
         lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.5).compose(nan)
+    # lemma_rhs also returned nan or inf for an infinite lam or s; with
+    # K2 = 0 no cap on lam stands in the way
+    no_k2 = AssumptionConstants(0.5, 0.0, 1.0, -2.0)
+    zero_gaps = GapPair(0.0, 0.0)
+    sched = GammaSchedule(theta=1.0, k4=-2.0, t0=1.0)
+    for bad in (nan, math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=bad, s=0.5)
+        with pytest.raises(ValueError, match="s must"):
+            lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.5, s=bad)
+        with pytest.raises(ValueError, match="lam"):
+            lemma_rhs("seg_gap_integral", no_k2, zero_gaps, lam=bad, s=1.0)
+        with pytest.raises(ValueError, match="needs finite s"):
+            lemma_rhs("seg_gap_integral", no_k2, zero_gaps, lam=0.5, s=bad)
+        with pytest.raises(ValueError, match="lam"):
+            lemma_rhs("gap_over_gamma", no_k2, zero_gaps, lam=bad, eps=0.3,
+                      s=0.5, sched=sched)
 
 
 @pytest.mark.parametrize("call", [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from harnack_lab.cli import (ConfigError, ExperimentConfig, VERDICT_HEADER,
                              VERSION_TAG, _KEYS, parse_config, render_config,
                              run_command, validate_for_command)
+from oracles import keep_apart_at_t0
 
 
 def cfg_text(**kw):
@@ -20,8 +21,8 @@ def cfg_text(**kw):
         "d": 1, "r0": 1.0, "t": 2.0, "m": 50, "t0": None,
         "xi": "const:1.0", "eta": "zero",
         "name": "linear_additive", "params": {"a": -1.0, "c": 0.5, "s0": 1.0},
-        "theta": 1.0, "p": None, "s_choice": None, "delta_merge": 1e-8,
-        "measure": "Q", "n": 500, "seed": 0, "burn_in": 2.0,
+        "theta": 1.0, "p": None, "s_choice": None, "measure": "Q",
+        "n": 500, "seed": 0, "burn_in": 2.0,
         "f": "quad_cap", "cap": 100.0, "out": "out", "verbosity": 0,
     }
     base.update(kw)
@@ -38,8 +39,7 @@ def cfg_text(**kw):
         lines.append(f"p = {base['p']}")
     if base["s_choice"] is not None:
         lines.append(f"s_choice = {base['s_choice']}")
-    lines += [f"delta_merge = {base['delta_merge']}",
-              f"measure = {base['measure']}",
+    lines += [f"measure = {base['measure']}",
               "", "[mc]", f"n = {base['n']}", f"seed = {base['seed']}",
               f"burn_in = {base['burn_in']}",
               "", "[functions]", f"f = {base['f']}", f"cap = {base['cap']}",
@@ -71,7 +71,7 @@ def test_round_trip_loaded_config():
         d=1, r0=0.5, T=1.5, m=200, t0=0.5, xi="zero", eta="const:0.25",
         system_name="sine_multiplicative",
         system_params={"a": -1.0, "c": 0.2, "s0": 0.1},
-        theta=0.75, p=16.0, s_choice=0.25, delta_merge=1e-10, measure="P",
+        theta=0.75, p=16.0, s_choice=0.25, measure="P",
         n=5000, seed=42, k_tol=2.5, k_viol=7.0, burn_in=3.0,
         f_name="exp_cap", cap=10.0, out_dir="results", verbosity=2)
     assert parse_config(render_config(cfg)) == cfg
@@ -139,7 +139,7 @@ def test_render_config_exact_text():
     cfg = ExperimentConfig(
         d=2, r0=0.5, T=1.5, m=200, t0=0.5, xi="zero", eta="const:0.25",
         system_name="ou_nodelay", system_params={"s0": 0.1, "a": 2.0},
-        theta=0.75, p=16.0, s_choice=0.25, delta_merge=1e-10, measure="P",
+        theta=0.75, p=16.0, s_choice=0.25, measure="P",
         n=5000, seed=42, k_tol=2.5, k_viol=7.0, burn_in=3.0,
         f_name="exp_cap", cap=10.0, out_dir="results", verbosity=2)
     assert render_config(cfg) == "\n".join([
@@ -147,7 +147,7 @@ def test_render_config_exact_text():
         "xi = zero", "eta = const:0.25", "",
         "[system]", "name = ou_nodelay", "a = 2.0", "s0 = 0.1", "",
         "[coupling]", "theta = 0.75", "p = 16.0", "s_choice = 0.25",
-        "delta_merge = 1e-10", "measure = P", "",
+        "measure = P", "",
         "[mc]", "n = 5000", "seed = 42", "k_tol = 2.5", "k_viol = 7.0",
         "burn_in = 3.0", "",
         "[functions]", "f = exp_cap", "cap = 10.0", "",
@@ -164,7 +164,7 @@ def test_violations_listed_in_order():
         "[extra]", "x = 1",
         "[system]", "name = ou_nodelay", "a = fast", "s0 = 1.0",
         "[mc]", "n = lots", "chains = 4",
-        "[coupling]", "theta = 2.5", "delta_merge = tiny",
+        "[coupling]", "theta = 2.5", "p = tiny",
         "[functions]", "cap = big", "f = cube",
     ])
     with pytest.raises(ConfigError) as exc:
@@ -174,7 +174,7 @@ def test_violations_listed_in_order():
         "unknown key 'chains' in [mc]",
         "[problem] m: cannot parse 'many'",
         "[system] a: cannot parse 'fast'",
-        "[coupling] delta_merge: cannot parse 'tiny'",
+        "[coupling] p: cannot parse 'tiny'",
         "[mc] n: cannot parse 'lots'",
         "[functions] cap: cannot parse 'big'",
         "[output] verbosity: cannot parse 'loud'",
@@ -190,6 +190,29 @@ def test_readme_config_example_round_trips():
     cfg = parse_config(text)
     assert cfg.t0 == 1.0 and cfg.p == 16.0 and cfg.n == 10000
     assert parse_config(render_config(cfg)) == cfg
+
+
+def test_readme_config_example_lists_every_key():
+    # [system] is free-form past its name: the rest are catalog parameters
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    listed = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            sec = line.strip("[]")
+        elif line and (sec != "system" or line.startswith("name ")):
+            listed.append((sec, line.split("=", 1)[0].strip()))
+    assert listed == [(sec, key) for sec, key, _, _ in _KEYS]
+
+
+def test_removed_merge_tolerance_is_an_unknown_key(tmp_path, capsys):
+    text = cfg_text(t0=1.0, n=100, out=tmp_path / "res")
+    text = text.replace("[coupling]\n", "[coupling]\ndelta_merge = 1e-8\n")
+    assert launch(tmp_path, "couple", text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "unknown key 'delta_merge' in [coupling]" in err
 
 
 def test_t0_grid_checks():
@@ -418,9 +441,10 @@ def test_couple_p_prints_ess_at_verbosity_2(tmp_path, capsys):
     assert 0.0 < ess <= 300.0
 
 
-def test_couple_exit_2_when_merge_fails(tmp_path):
+def test_couple_exit_2_when_merge_fails(tmp_path, monkeypatch):
+    keep_apart_at_t0(monkeypatch)
     out = tmp_path / "res"
-    text = cfg_text(t0=1.0, n=100, delta_merge=-1.0, out=out)
+    text = cfg_text(t0=1.0, n=100, out=out)
     assert launch(tmp_path, "couple", text) == 2
     _, rows = read_csv(out / "couple.csv")
     claims = {r[0]: r for r in rows}
@@ -455,8 +479,9 @@ def test_deadline_one_step_past_t_minus_r0_is_a_config_error(tmp_path, capsys, c
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_entropy_exit_3_when_failures_dominate(tmp_path):
-    text = cfg_text(t0=1.0, n=100, delta_merge=-1.0, out=tmp_path / "res")
+def test_entropy_exit_3_when_failures_dominate(tmp_path, monkeypatch):
+    keep_apart_at_t0(monkeypatch)
+    text = cfg_text(t0=1.0, n=100, out=tmp_path / "res")
     assert launch(tmp_path, "entropy", text) == 3
 
 

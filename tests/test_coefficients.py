@@ -257,6 +257,11 @@ def test_audit_box_validation():
         AuditBox(t_min=1.0, t_max=0.0)
     with pytest.raises(ValueError):
         AuditBox(x_min=2.0, x_max=2.0)
+    # an infinite bound failed deep inside numpy's sampler instead
+    for bound in ("t_min", "t_max", "x_min", "x_max"):
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                AuditBox(**{bound: bad})
     with pytest.raises(ValueError):
         audit_assumptions(
             builtin_system("ou_nodelay", {"a": 1.0, "s0": 1.0}), n=0)

@@ -14,8 +14,8 @@ from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (coupling_drift_phi, coupling_time, dense_sigma, point_gaps,
-                     segment_at, with_scaled_sigma)
+from oracles import (coupling_drift_phi, coupling_time, dense_sigma, keep_apart_at_t0,
+                     point_gaps, segment_at, with_scaled_sigma)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -288,15 +288,18 @@ def test_gap_over_gamma_integral_finite_and_h_stable():
     assert vals[100] == pytest.approx(vals[200], rel=0.05)
 
 
-def test_unmergeable_tolerance_counts_paths():
-    # negative tolerance can never be met, so the pair reports unmerged
+def test_unmergeable_tolerance_counts_paths(monkeypatch):
+    # a last contraction factor of 1e-12 instead of 0 leaves the copies a
+    # hair apart at the deadline; the merge check is an equality, so no
+    # gap is small enough and the pair reports unmerged
+    keep_apart_at_t0(monkeypatch, last=1e-12)
     co = linear()
     grid, xi, eta = std_setup(m=50)
-    traj = simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=4, delta_merge=-1.0)
+    traj = simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=4)
     assert not traj.merged
-    # the states still meet to rounding at the deadline (alpha = 0 there)
+    # the states still meet to rounding at the deadline
     k0 = grid.m + grid.index_of(1.0)
-    assert point_gaps(traj)[k0] <= 1e-12
+    assert 0 < point_gaps(traj)[k0] <= 1e-12
 
 
 def test_weight_mean_small_sample():
@@ -357,7 +360,7 @@ def kernel_outputs(co, m=20, b=37):
                 cum["phi_sq_cum"][i - m] = cum["phi_sq_cum"][i - m - 1] + pair.phi_sq
                 cum["logw_cum"][i - m] = pair.logw
 
-        pair = _coupled_batch(co, xi, eta, grid, sched, noise, measure, 1e-8,
+        pair = _coupled_batch(co, xi, eta, grid, sched, noise, measure,
                               (rec, sums, running))
         res = {"log_weight": pair.logw, "phi_sq_upper": sums.phi_sq,
                "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
@@ -417,4 +420,4 @@ def test_zero_diffusion_steps_without_inverse(monkeypatch):
     for c in (co, dense):
         with pytest.raises(ValueError, match="singular"):
             _coupled_batch(c, xi.values, np.zeros_like(xi.values), grid, sched,
-                           noise, "Q", 1e-8)
+                           noise, "Q")

@@ -24,9 +24,9 @@ from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import NoiseStream, _Ring, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (chunk_moments_dict, merged_fraction, reduce_moments_dict,
-                     seg_gap_integral_window_max, stationary_segments_tiled,
-                     with_scaled_sigma)
+from oracles import (chunk_moments_dict, keep_apart_at_t0, merged_fraction,
+                     reduce_moments_dict, seg_gap_integral_window_max,
+                     stationary_segments_tiled, with_scaled_sigma)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -508,24 +508,29 @@ def blow_up_system():
         constants=AssumptionConstants(k1=0.0, k2=0.0, k3=1.0, k4=0.0))
 
 
-@pytest.mark.parametrize("delta_merge", [1e-8, -1.0])
-def test_failures_split_unmerged_and_nonfinite(monkeypatch, delta_merge):
+@pytest.mark.parametrize("contraction", ["exact", "apart"])
+def test_failures_split_unmerged_and_nonfinite(monkeypatch, contraction):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     co = blow_up_system()
     grid = GridSpec(1.0, 2.0, 4)
-    zero = constant_segment(0.0, 1.0, 4)
+    below, zero = constant_segment(-1.0, 1.0, 4), constant_segment(0.0, 1.0, 4)
     n = CHUNK + 100
-    # X and Y start equal, so they move together; both blow up when a noise
-    # sum before the last step is positive
+    # Y starts at 0 and walks with the noise; X starts below it, and shares
+    # its noise and its zero drift, so it stays at or below Y. A pair blows
+    # up exactly when Y does: when a noise sum before the last step is
+    # positive
     walk = np.cumsum(NoiseStream(seed=5, h=grid.h, dim=1).batch(0, n, grid.n_T)[:, :, 0],
                      axis=0)
     blown = int((walk[:-1] > 0).any(axis=0).sum())
     assert 0 < blown < n
-    # a negative tolerance leaves every finite pair unmerged
-    unmerged = n - blown if delta_merge < 0 else 0
+    # a nonzero last contraction factor leaves every finite pair unmerged
+    unmerged = 0
+    if contraction == "apart":
+        keep_apart_at_t0(monkeypatch)
+        unmerged = n - blown
     with np.errstate(all="ignore"):
-        ests = [estimate_entropy_Q(co, zero, zero, sched_for(co), grid, n=n, seed=5,
-                                   delta_merge=delta_merge, threads=threads)
+        ests = [estimate_entropy_Q(co, below, zero, sched_for(co), grid, n=n, seed=5,
+                                   threads=threads)
                 for threads in (1, 2)]
     for est in ests:
         assert est.diagnostics["nonfinite"] == blown

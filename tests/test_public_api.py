@@ -42,10 +42,10 @@ SIGNATURES = {
     "simulate_path": "coeffs xi grid seed path_index",
     "GammaSchedule": "theta k4 t0",
     "CoupledTrajectory": ("grid sched measure x_values y_values phi_sq_cum "
-                          "log_weight_cum merged delta_merge seed path_index"),
+                          "log_weight_cum merged seed path_index"),
     "gamma": "t sched",
     "inv_gamma_integral": "t_a t_b sched",
-    "simulate_coupled": "coeffs xi eta grid t0 measure theta seed path_index delta_merge",
+    "simulate_coupled": "coeffs xi eta grid t0 measure theta seed path_index",
     "GapPair": "point_gap seg_gap",
     "BoundReport": "value s_star eps_star terms at_boundary meta",
     "LemmaBound": "kind log_prefactor inner_coeff inner_power s",
@@ -61,16 +61,16 @@ SIGNATURES = {
     "StationarySample": "endpoint_mean endpoint_var lag_r0_autocov n seed burn_in",
     "test_function": "name cap",
     "estimate_PT_f": "coeffs xi f grid n seed threads",
-    "estimate_entropy_Q": "coeffs xi eta sched grid n seed t_upper delta_merge threads",
+    "estimate_entropy_Q": "coeffs xi eta sched grid n seed t_upper threads",
     "estimate_exp_functional": ("coeffs xi eta sched grid lam n seed integrand t_upper "
-                                "delta_merge threads"),
-    "estimate_martingale_mean": "coeffs xi eta sched grid n seed delta_merge threads",
+                                "threads"),
+    "estimate_martingale_mean": "coeffs xi eta sched grid n seed threads",
     "make_verdict": "claim lhs bound k_tol k_viol failure_fraction two_sided meta",
     "check_log_harnack": "coeffs xi eta f grid n seed s_choice k_tol k_viol threads",
     "check_power_harnack": "coeffs xi eta f p grid n seed k_tol k_viol threads",
     "sample_stationary_segments": "coeffs grid n burn_in seed",
     "ExperimentConfig": ("d r0 T m t0 xi eta system_name system_params theta p "
-                         "s_choice delta_merge measure n seed k_tol k_viol burn_in "
+                         "s_choice measure n seed k_tol k_viol burn_in "
                          "f_name cap out_dir verbosity"),
     "parse_config": "text",
     "render_config": "cfg",
@@ -98,4 +98,4 @@ def test_public_parameter_count():
     # an input a caller must know about
     total = sum(len(inspect.signature(getattr(harnack_lab, name)).parameters)
                 for name in PUBLIC if callable(getattr(harnack_lab, name)))
-    assert total == 247
+    assert total == 241

@@ -23,7 +23,7 @@ from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, SegmentPath, constant_segment
-from oracles import (coupled_batch_full, dense_sigma, increments,
+from oracles import (coupled_batch_full, dense_sigma, increments, keep_apart_at_t0,
                      seg_gap_integral_window_max, simulate_batch_full)
 
 SINE = ("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1}, 1)
@@ -98,9 +98,9 @@ def test_coupled_kernel_matches_full_history(case, measure, m, k_upper):
     sums = _Integrals(m, k_upper, b)
     seg_gap = _SegGapIntegral(m, grid.h, k_upper, b)
     pair = _coupled_batch(co, xi, eta, grid, sched, NoiseBlocks(stream, 0, b, grid.n_T),
-                          measure, 1e-8, (rec, sums, seg_gap))
+                          measure, (rec, sums, seg_gap))
     want = coupled_batch_full(co, xi, eta, grid, sched, stream.batch(0, b, grid.n_T),
-                              measure, 1e-8, k_upper)
+                              measure, k_upper)
     assert want["merged"].any()
     got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
            "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
@@ -138,7 +138,7 @@ def nan_in_column(co, q):
     return dataclasses.replace(co, z_drift=z_drift)
 
 
-def run_coupled(co, measure, m, delta_merge=1e-8):
+def run_coupled(co, measure, m):
     # t0 = 1, so n0 = m of n_T = 2m + 3 steps
     grid, xi, eta, stream = setup(m, co.dim)
     b = 37
@@ -146,9 +146,9 @@ def run_coupled(co, measure, m, delta_merge=1e-8):
     rec = _Recorder(m + grid.n_T + 1)
     sums = _Integrals(m, grid.n_T, b)
     pair = _coupled_batch(co, xi, eta, grid, sched, NoiseBlocks(stream, 0, b, grid.n_T),
-                          measure, delta_merge, (rec, sums))
+                          measure, (rec, sums))
     want = coupled_batch_full(co, xi, eta, grid, sched, stream.batch(0, b, grid.n_T),
-                              measure, delta_merge, grid.n_T)
+                              measure, grid.n_T)
     got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
            "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
            "full_x": rec.full[0], "full_y": rec.full[1]}
@@ -172,19 +172,41 @@ def test_merged_chunk_steps_one_copy_after_t0(case, measure, m):
         assert np.array_equal(got[key], want[key]), key
 
 
+@pytest.mark.parametrize("wrap", ["none", "nan-column"])
+@pytest.mark.parametrize("measure", ["Q", "P"])
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_snap_rows_equal_and_merged(case, measure, wrap):
+    # the last contraction factor is 0, so every finite pair is equal at
+    # t0 and merges with no tolerance; the snap makes the rows equal bit
+    # for bit, signed zeros included
+    co = system(*case)
+    keep = np.ones(37, dtype=bool)
+    if wrap == "nan-column":
+        co, keep[3] = nan_in_column(co, 3), False
+    with np.errstate(all="ignore"):
+        grid, got, _ = run_coupled(co, measure, 7)
+    snap = grid.m + grid.index_of(1.0)
+    x, y = got["full_x"][snap][keep], got["full_y"][snap][keep]
+    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    assert np.array_equal(got["merged"], keep)
+
+
 @pytest.mark.parametrize("unmerged", ["nan-column", "all"])
 @pytest.mark.parametrize("measure", ["Q", "P"])
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-def test_unmerged_chunk_keeps_the_full_step(case, measure, unmerged):
-    # one NaN path (or a merge tolerance no path meets) keeps the chunk on
-    # the full step after t0; every finite path equals the oracle bit for bit
+def test_unmerged_chunk_keeps_the_full_step(monkeypatch, case, measure, unmerged):
+    # one NaN path (or a last contraction factor that leaves every pair
+    # apart at t0) keeps the chunk on the full step after t0; every finite
+    # path equals the oracle bit for bit
     co = system(*case)
     keep = np.ones(37, dtype=bool)
     if unmerged == "nan-column":
         co, keep[3] = nan_in_column(co, 3), False
+    else:
+        keep_apart_at_t0(monkeypatch)
     co, calls = counted(co)
     with np.errstate(all="ignore"):
-        grid, got, want = run_coupled(co, measure, 7, -1.0 if unmerged == "all" else 1e-8)
+        grid, got, want = run_coupled(co, measure, 7)
     assert calls["z_drift"] == calls["sigma"] == 4 * grid.n_T
     assert np.array_equal(want["merged"], keep if unmerged == "nan-column" else ~keep)
     paths = lambda a: a[keep] if a.ndim == 1 else a[:, keep]
@@ -206,7 +228,7 @@ def test_one_path_dumps_match_full_history(case, measure):
     pair = simulate_coupled(co, SegmentPath(grid.r0, xi), SegmentPath(grid.r0, eta), grid,
                             1.0, measure, seed=9, path_index=5)
     sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
-    want = coupled_batch_full(co, xi, eta, grid, sched, noise, measure, 1e-8, grid.n_T)
+    want = coupled_batch_full(co, xi, eta, grid, sched, noise, measure, grid.n_T)
     assert np.array_equal(pair.x_values, want["full_x"][:, 0, :])
     assert np.array_equal(pair.y_values, want["full_y"][:, 0, :])
     assert pair.log_weight_cum[-1] == want["log_weight"][0]
@@ -313,7 +335,7 @@ def full_horizon_estimate(co, kind, t_upper, xi, eta, sched, n=40, seed=11):
     k_upper = grid.index_of(t_upper)
     stream = NoiseStream(seed=seed, h=grid.h, dim=co.dim)
     want = coupled_batch_full(co, xi.values, eta.values, grid, sched,
-                              stream.batch(0, n, grid.n_T), "Q", 1e-8, k_upper)
+                              stream.batch(0, n, grid.n_T), "Q", k_upper)
     worst = None
     if kind == "entropy":
         v, top = 0.5 * want["phi_sq"], math.nan
@@ -395,14 +417,17 @@ def test_chunk_steps_to_max_of_t_upper_and_t0(monkeypatch, name):
 
 
 @pytest.mark.parametrize("kind", ["entropy", "phi_sq"])
-def test_stop_before_t0_still_counts_unmerged(kind):
+def test_stop_before_t0_still_counts_unmerged(monkeypatch, kind):
     # t_upper = h < t0: the chunk must still run through the merge check
+    keep_apart_at_t0(monkeypatch)
     co = system(LINEAR, False)
     m = STOP_GRID.m
-    xi = constant_segment(np.ones(3), 1.0, m)
+    # only the first component starts apart, and the system acts component
+    # by component: the other two stay equal, yet no pair is merged
+    xi = constant_segment(np.array([1.0, 0.0, 0.0]), 1.0, m)
     eta = constant_segment(np.zeros(3), 1.0, m)
     sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=STOP_T0)
-    kw = dict(n=20, seed=3, t_upper=STOP_GRID.h, delta_merge=-1.0, threads=1)
+    kw = dict(n=20, seed=3, t_upper=STOP_GRID.h, threads=1)
     if kind == "entropy":
         est = estimate_entropy_Q(co, xi, eta, sched, STOP_GRID, **kw)
     else:
