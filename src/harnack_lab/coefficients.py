@@ -138,8 +138,8 @@ class CoefficientSet:
 
     All three act row by row: row q of z, sigma and b depends only on row
     q of the batch, the state or segment of path q. Chunking relies on
-    this, and so does the coupled kernel's merged step, which steps one
-    copy of a pair whose X and Y agree bit for bit.
+    this, and so does the coupled kernel from t0 on, which steps only the
+    unforced copy of a chunk whose pairs all agree bit for bit.
     """
     dim: int
     sigma: object

@@ -8,20 +8,28 @@ together by t0. The extra drift is paid for with an exponential weight
 the forced simulation and vice versa.
 
 One coupling is read under two measures, and simulate_coupled takes the
-measure as an input. Under Q the forced copy solves the original equation
-(the direction used by the entropy and exponential-moment estimates);
-under P the unforced copy does, and the weight has expectation one
-exactly, step by step, which makes a sharp Monte Carlo sanity check
-possible.
+measure as an input. Each step moves the unforced copy u by one Euler
+step of the original equation, and the forced copy f by one Euler step
+with drift z(f) + b(u) + corr, whose gap is then contracted (below).
+Under Q, u = Y and the forced copy X solves the original equation (the
+direction used by the entropy and exponential-moment estimates);
+corr = (sigma_X - sigma_Y) sigma_Y^-1 (b(Y) - b(X)). Under P, u = X;
+corr = (sigma_Y - sigma_X) sigma_X^-1 (X - Y) / gamma before t0 and 0
+after, and the weight has expectation one exactly, step by step, which
+makes a sharp Monte Carlo sanity check possible. Apart from that the
+measure sets only the sign of the |phi|^2 h / 2 term in log R, with
+phi = sigma_Y^-1 (b(Y) - b(X)) - sigma_X^-1 (X - Y) / gamma under both
+(the gap term before t0 only).
 
 The gap dynamics contain the stiff term -(X - Y)/gamma. An explicit Euler
 step would blow up as gamma -> 0, so each substep integrates that term
 exactly: the post-Euler difference is multiplied by
 exp(-int 1/gamma) over the substep. On the final substep before t0 that
 factor is exactly zero, so the copies land on the same floating point
-values. The merge check is therefore an equality, X == Y at t0, with no
-tolerance: only a path that went NaN or inf on the way fails it (zero
-times a non-finite difference is NaN).
+values, and from then on a merged pair's forced copy is set to the
+unforced one. The merge check is therefore an equality, X == Y at t0,
+with no tolerance: only a path that went NaN or inf on the way fails it
+(zero times a non-finite difference is NaN).
 """
 
 from __future__ import annotations
@@ -156,13 +164,13 @@ class _Coupled:
     state's diffusion is evaluated once per step, as a diagonal where the
     system declares one, and serves sigma, sigma^-1 and sigma_x - sigma_y.
 
-    The last contraction factor is 0, so at step n0 - 1 the copies of
-    every finite path are equal, and a path merges when they are. The snap
-    then copies one into the other, which makes them equal bit for bit,
-    signed zeros included. When every path of the batch merged, one_copy
-    is set, and each later step evaluates z, sigma and the Euler step for
-    one copy (_merged_step); a batch with any unmerged path takes the full
-    step.
+    A step is one unforced and one forced Euler step (module docstring).
+    At step n0 - 1 a path merges when its copies are equal, and the snap
+    copies the unforced copy into the forced one, signed zeros included,
+    as every later step does for the merged paths. When every path of the
+    batch merged, one_copy is set, and each later step evaluates z, sigma
+    and the Euler step of the unforced copy only and writes it to both
+    rings; a batch with any unmerged path keeps stepping both copies.
     """
 
     def __init__(self, coeffs, grid, sched, measure, rings, n0):
@@ -183,80 +191,47 @@ class _Coupled:
         i = self.grid.m + k
         bx = coeffs.b(t, rx.segment(i))
         by = coeffs.b(t, ry.segment(i))
-        if self.one_copy:
-            return self._merged_step(t, rx.row(i), bx, by, dw)
-
         x, y = rx.row(i), ry.row(i)
-        pre = k < self.n0
-        merged = self.merged
-        zx = coeffs.z(t, x)
-        zy = coeffs.z(t, y)
-        sx = coeffs.diffusion(t, x)
-        sy = coeffs.diffusion(t, y)
+        q = self.measure == "Q"
+        # unforced copy u and forced copy f, and u's delay drift
+        u, f, bu = (y, x, by) if q else (x, y, bx)
+        su = coeffs.diffusion(t, u)
+        un = _euler_step(u, coeffs.z(t, u) + bu, h, su, dw)
+        # once every pair merged, u is the state of both copies
+        sf = su if self.one_copy else coeffs.diffusion(t, f)
+        sx, sy = (sf, su) if q else (su, sf)
         siginv_y_bdiff = sy.solve(by - bx)
-
         phi = siginv_y_bdiff
         self.gap_gamma = None
+        pre = k < self.n0
         if pre:
             g = float(self.gammas[k])
             e = x - y
             siginv_x_e = sx.solve(e)
             phi = phi - siginv_x_e / g
             self.gap_gamma = (e * e).sum(axis=1) / (g * g) * h
-
         self.phi_sq = (phi * phi).sum(axis=1) * h
         self.logw += (phi * dw).sum(axis=1) + self.sign * 0.5 * self.phi_sq
+        if self.one_copy:
+            return un, un
 
-        if self.measure == "Q":
-            # unforced copy Y solves the original equation
-            yn = _euler_step(y, zy + by, h, sy, dw)
-            drift_x = zx + by + sx.apply_diff(sy, siginv_y_bdiff)
-            xe = _euler_step(x, drift_x, h, sx, dw)
-            if pre:
-                xn = yn + self.alphas[k] * (xe - yn)
-            else:
-                xn = xe
-                np.copyto(xn, yn, where=merged[:, None])
-        else:
-            # unforced copy X drives; Y carries the gap forcing
-            xn = _euler_step(x, zx + bx, h, sx, dw)
-            if pre:
-                corr = sy.apply_diff(sx, siginv_x_e) / g
-                ye = _euler_step(y, zy + bx + corr, h, sy, dw)
-                yn = xn - self.alphas[k] * (xn - ye)
-            else:
-                yn = _euler_step(y, zy + bx, h, sy, dw)
-                np.copyto(yn, xn, where=merged[:, None])
-
+        drift_f = coeffs.z(t, f) + bu
+        if q:
+            drift_f = drift_f + sf.apply_diff(su, siginv_y_bdiff)
+        elif pre:
+            drift_f = drift_f + sf.apply_diff(su, siginv_x_e) / g
+        fn = _euler_step(f, drift_f, h, sf, dw)
+        if pre:
+            a = self.alphas[k]
+            fn = un + a * (fn - un) if q else un - a * (un - fn)
         if k == self.n0 - 1:
-            self.merged = merged = (xn == yn).all(axis=1)
+            self.merged = (fn == un).all(axis=1)
             # a non-finite path is NaN here in one copy (0 * inf), which fails
             # the test, so one_copy implies finite states
-            self.one_copy = bool(merged.all())
-            # the snap lands in both copies of the ring row
-            if self.measure == "Q":
-                np.copyto(xn, yn, where=merged[:, None])
-            else:
-                np.copyto(yn, xn, where=merged[:, None])
-        return xn, yn
-
-    def _merged_step(self, t, x, bx, by, dw):
-        """A step from t0 on when every path merged: x is the state of both
-        copies, so z, sigma and the Euler step are evaluated once, driven
-        by the unforced copy's delay drift (b(Y) under Q, b(X) under P),
-        and the new state goes to both rings. Both b's still enter
-        phi = sigma^-1 (b(Y) - b(X)), since the segments differ until
-        t0 + r0. Bit for bit the full step, because z, sigma and b act row
-        by row (CoefficientSet)."""
-        coeffs, h = self.coeffs, self.grid.h
-        sig = coeffs.diffusion(t, x)
-        phi = sig.solve(by - bx)
-        self.gap_gamma = None
-        self.phi_sq = (phi * phi).sum(axis=1) * h
-        self.logw += (phi * dw).sum(axis=1) + self.sign * 0.5 * self.phi_sq
-        drive = by if self.measure == "Q" else bx
-        xn = _euler_step(x, coeffs.z(t, x) + drive, h, sig, dw)
-        return xn, xn
+            self.one_copy = bool(self.merged.all())
+        # merged is all False before the snap
+        np.copyto(fn, un, where=self.merged[:, None])
+        return (fn, un) if q else (un, fn)
 
 
 class _Integrals:

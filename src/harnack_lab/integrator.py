@@ -11,8 +11,8 @@ after each grid row. Only the one-path dumps record whole paths. Both
 kernels step one ring per copy with one noise draw: the coupled step its
 X and Y, the Euler step one copy per starting history (the Harnack checks
 pair xi and eta on common noise). From t0 on, a coupled batch in which
-every pair merged evaluates one copy's Euler step and writes it to both
-rings.
+every pair merged evaluates only the unforced copy's Euler step and
+writes it to both rings.
 
 Noise is counter-based. Path `j` of a run with seed `s` always sees the
 increments of `Philox(key=[s, j])`, however paths are grouped into chunks

@@ -84,15 +84,20 @@ def test_paired_kernel_steps_each_history_on_the_same_noise(case, m):
 
 
 @pytest.mark.parametrize("k_upper", ["0", "1", "n0", "nT"])
-@pytest.mark.parametrize("m", [1, 2, 7, 20])
+# the deadline t0 is 1 unless named: at T the snap is the last step, at h
+# the first
+@pytest.mark.parametrize("m, t0", [(1, "1"), (2, "1"), (7, "1"), (20, "1"),
+                                   (7, "T"), (7, "h")],
+                         ids=["1", "2", "7", "20", "7-T", "7-h"])
 @pytest.mark.parametrize("measure", ["Q", "P"])
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-def test_coupled_kernel_matches_full_history(case, measure, m, k_upper):
+def test_coupled_kernel_matches_full_history(case, measure, m, t0, k_upper):
     co = system(*case)
     grid, xi, eta, stream = setup(m, co.dim)
     b = 37
-    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
-    n0 = grid.index_of(1.0)
+    t0 = {"1": 1.0, "T": grid.T, "h": grid.h}[t0]
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=t0)
+    n0 = grid.index_of(t0)
     k_upper = {"0": 0, "1": 1, "n0": n0, "nT": grid.n_T}[k_upper]
     rec = _Recorder(m + grid.n_T + 1)
     sums = _Integrals(m, k_upper, b)
