@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ._parallel import WorkerDied
+from ._parallel import WorkerDied, resolve_threads
 from ._version import __version__
 from .bounds import (GapPair, _check_power_exponent, bound_H_T, bound_Phi_p,
                      bound_entropy_prop21, bound_entropy_with_tail)
@@ -426,6 +426,7 @@ def _cmd_simulate(cfg: ExperimentConfig, threads) -> _Result:
 
 def _couple_dump(cfg, traj) -> _Result:
     grid, sched = traj.grid, traj.sched
+    n0 = grid.index_of(sched.t0)
     xs, ys = [f"x{i}" for i in range(cfg.d)], [f"y{i}" for i in range(cfg.d)]
 
     def rows():
@@ -435,7 +436,8 @@ def _couple_dump(cfg, traj) -> _Result:
             y = traj.y_values[grid.m + k]
             row = {"step": k, "t": t, **dict(zip(xs, x)), **dict(zip(ys, y)),
                    "gap": float(np.linalg.norm(x - y)), "log_weight": traj.log_weight_cum[k]}
-            if t < sched.t0:
+            # by grid index, as the kernel decides: k h may round below t0 at k = n0
+            if k < n0:
                 row["gamma"] = gamma(t, sched)
             if k < grid.n_T:
                 row["phi_sq"] = (traj.phi_sq_cum[k + 1] - traj.phi_sq_cum[k]) / grid.h
@@ -601,7 +603,8 @@ def run_command(argv) -> int:
                                             ("out_dir", args.out)) if v is not None}
         cfg = dataclasses.replace(cfg, **overrides)
         validate_for_command(cfg, args.command)
-        return _emit(cfg, args.command, _DISPATCH[args.command](cfg, args.threads))
+        threads = resolve_threads(args.threads)
+        return _emit(cfg, args.command, _DISPATCH[args.command](cfg, threads))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnack_lab.cli import (ConfigError, ExperimentConfig, VERDICT_HEADER,
+from harnack_lab.cli import (COMMANDS, ConfigError, ExperimentConfig, VERDICT_HEADER,
                              VERSION_TAG, _KEYS, parse_config, render_config,
                              run_command, validate_for_command)
 from oracles import keep_apart_at_t0
@@ -406,6 +406,17 @@ def test_couple_single_path_dump(tmp_path):
     assert rows[0][-1] == VERSION_TAG
 
 
+def test_couple_dump_gamma_stops_at_the_deadline_index(tmp_path):
+    # t0 = 5/7 is grid row 5, but 5 h rounds to just below t0; the kernel
+    # steps row 5 as after t0, so the dump gives it no gamma
+    out = tmp_path / "res"
+    text = cfg_text(m=7, t0=repr(5 / 7), n=1, out=out)
+    assert launch(tmp_path, "couple", text) == 0
+    header, rows = read_csv(out / "couple.csv")
+    assert float(rows[5][1]) < 5 / 7
+    assert [r[header.index("gamma")] != "" for r in rows] == [k < 5 for k in range(15)]
+
+
 def test_couple_verdict_q_measure(tmp_path):
     out = tmp_path / "res"
     text = cfg_text(t0=1.0, n=400, out=out)
@@ -736,6 +747,21 @@ def test_overrides_are_validated(tmp_path, capsys, command, flag, value, message
     assert err.startswith("config error:")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bad_worker_count_exits_1_for_every_command(tmp_path, capsys, monkeypatch,
+                                                    command):
+    # checked before the command runs, also by commands that never fork
+    base = next(kw for cmd, kw, _ in RUNS.values() if cmd == command)
+    text = cfg_text(m=10, out=tmp_path / "res", **base)
+    for extra, env in (("0", None), ("-3", None), (None, "abc")):
+        if env is not None:
+            monkeypatch.setenv("HARNACK_LAB_THREADS", env)
+        assert launch(tmp_path, command, text, *(["--threads", extra] if extra else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "res").exists()
 
 
 @pytest.mark.parametrize("command, kw", [
