@@ -229,8 +229,9 @@ class _Coupled:
             # a non-finite path is NaN here in one copy (0 * inf), which fails
             # the test, so one_copy implies finite states
             self.one_copy = bool(self.merged.all())
-        # merged is all False before the snap
-        np.copyto(fn, un, where=self.merged[:, None])
+        if k >= self.n0 - 1:
+            # the snap and every later step; no path is merged before
+            np.copyto(fn, un, where=self.merged[:, None])
         return (fn, un) if q else (un, fn)
 
 
