@@ -258,20 +258,21 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
                    noise: NoiseBlocks, measure: str, observers=()) -> _Coupled:
     """Advance a batch of coupled pairs from the shared histories (m+1, d)
     by one step per noise row; returns the finished _Coupled, whose rings
-    hold the last m + 1 rows of each copy. noise has the shape (k, B, d),
-    k = n_T for the whole horizon, and k >= n0 for the merge flags to be
-    set (t0 = n0 h). measure: "Q" (forced
-    copy X solves the original equation under the simulated law) or "P"
+    hold the last m + 1 rows of each copy. noise has the shape (k, B, d)
+    with n0 <= k <= n_T (t0 = n0 h), so that the merge flags are set; k =
+    n_T for the whole horizon. measure: "Q" (forced copy X solves the original equation under the simulated law) or "P"
     (unforced copy X drives, weight is a martingale). observers see every
-    grid row, merge snap included (integrator._run), so memory is O(m B d)
-    unless an observer keeps more.
+    grid row, merge snap included (integrator._run), so memory is the two
+    rings, O(m B d), unless an observer keeps more.
     """
     if measure not in ("Q", "P"):
         raise ValueError("measure must be 'Q' or 'P'")
     n0 = grid.index_of(sched.t0, "t0")
     if n0 < 1 or n0 > grid.n_T:
         raise ValueError("t0 must lie in (0, T] on the grid")
-    b = noise.shape[1]
+    k, b, d = noise.shape
+    if d != coeffs.dim or not n0 <= k <= grid.n_T:
+        raise ValueError("noise must have shape (k, B, d) with n0 <= k <= n_T")
     pair = _Coupled(coeffs, grid, sched, measure,
                     (_Ring(xi_values, b), _Ring(eta_values, b)), n0)
     _run(pair, noise, observers)

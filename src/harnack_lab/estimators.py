@@ -644,7 +644,8 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
     point, so samples from one path are correlated at lag r0; the estimators
     downstream only need ergodic averages. The moments need only the
     windows' first and last rows, so the run streams: it keeps its ring,
-    one noise block and the (n, d) window edges, not the paths.
+    which holds its noise block too, and the (n, d) window edges, not the
+    paths.
     """
     if not coeffs.delay_free:
         raise ValueError("stationary sampling needs a delay-free system")

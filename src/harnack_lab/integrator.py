@@ -3,7 +3,8 @@
 The stepping core streams: the drift at step k needs only the segment
 over [t - r0, t], the last m + 1 grid rows, so a batch keeps its states in
 a mirrored ring of 2(m + 1) rows and draws its noise in blocks of m + 1
-steps. Memory per batch is O(m B d) whatever the horizon. One loop (_run)
+steps into the spare mirror half of its first ring (see _run). Memory per
+batch is its rings, O(m B d) whatever the horizon. One loop (_run)
 drives both kernels, the Euler step here and the coupled step, and takes
 its noise only as a NoiseBlocks; whatever else a caller wants (running
 integrals, a window max, selected rows) it gets from observers called
@@ -18,9 +19,11 @@ Noise is counter-based. Path `j` of a run with seed `s` always sees the
 increments of `Philox(key=[s, j])`, however paths are grouped into chunks
 or worker processes and steps into blocks, which makes reruns
 bit-identical. A batch re-keys one Philox for each path (key, counter and
-buffer reset together, or restored from where the path's previous block
-stopped), path by path bit-identical to one standard-normal draw of
-shape (n_steps, dim) from that path's own generator, scaled by sqrt(h).
+buffer reset together, or restored from the position where the path's
+previous block stopped), path by path bit-identical to one standard-normal
+draw of shape (n_steps, dim) from that path's own generator, scaled by
+sqrt(h). Between blocks a path's position waits as six Python ints,
+about 0.35 KB, not as the generator's state dict.
 """
 
 from __future__ import annotations
@@ -61,62 +64,77 @@ class NoiseStream:
 
         One Philox per call, re-keyed to [seed, path] before each path with
         a fresh counter and buffer, so every path is bit-identical to its
-        own Philox(key=[seed, path]) draw; or, from resume (one saved Philox state
-        per path), continuing where an earlier call stopped. keep (n_paths
-        slots, resume itself allowed) receives each path's end state. The
-        lists and the generator belong to the caller, so threads may share
-        one stream, and each forked worker process holds its own copy.
+        own Philox(key=[seed, path]) draw; or, from resume (one saved
+        position per path), continuing where an earlier call stopped. keep
+        (n_paths slots, resume itself allowed) receives each path's end
+        position: (first counter word, buffer position, [the four buffered
+        words]), all Python ints. The lists and the generator belong
+        to the caller, so threads may share one stream, and each forked
+        worker process holds its own copy.
         """
+        out = np.empty((n_steps, n_paths, self.dim))
+        self._draw(out, first_path, resume, keep)
+        return out
+
+    def _draw(self, out: np.ndarray, first_path: int, resume: Optional[list],
+              keep: Optional[list]) -> None:
+        """batch(first_path, *out.shape[:2], resume, keep), written into out."""
         if first_path < 0:
             raise ValueError("path_index must be >= 0")
-        out = np.empty((n_steps, n_paths, self.dim))
+        n_steps, n_paths, _ = out.shape
         bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
         gen = np.random.Generator(bitgen)
         fresh = bitgen.state
-        # the state setter reads Python ints faster than uint64 array items
+        # the state setter reads Python ints faster than uint64 array items;
+        # counter words 1-3 stay 0 (word 0 would have to wrap past 2**64)
         fresh["state"] = {k: v.tolist() for k, v in fresh["state"].items()}
         fresh["buffer"] = fresh["buffer"].tolist()
-        key = fresh["state"]["key"]
+        counter, key = fresh["state"]["counter"], fresh["state"]["key"]
         scale = np.sqrt(self.h)
         block = np.empty((min(_BLOCK, n_paths), n_steps, self.dim))
         for b0 in range(0, n_paths, _BLOCK):
             nb = min(_BLOCK, n_paths - b0)
             for i in range(nb):
-                if resume is None:
-                    key[1] = first_path + b0 + i
-                    bitgen.state = fresh
-                else:
-                    bitgen.state = resume[b0 + i]
+                key[1] = first_path + b0 + i
+                if resume is not None:
+                    counter[0], fresh["buffer_pos"], fresh["buffer"] = resume[b0 + i]
+                bitgen.state = fresh
                 gen.standard_normal(out=block[i])
                 if keep is not None:
-                    keep[b0 + i] = bitgen.state
+                    end = bitgen.state
+                    keep[b0 + i] = (int(end["state"]["counter"][0]), end["buffer_pos"],
+                                    end["buffer"].tolist())
             # scaled while the block is in cache, then copied time-major
             paths = block[:nb]
             paths *= scale
             out[:, b0: b0 + nb, :] = paths.transpose(1, 0, 2)
-        return out
 
 
 class NoiseBlocks:
     """stream.batch(first_path, n_paths, n_steps), time-major with that
     shape, drawn lazily: blocks(size) yields consecutive (size, n_paths,
     dim) blocks of steps, the last one shorter, that concatenate to the
-    batch bit for bit. Between blocks each path's Philox state waits in
-    the generator's frame, never on the stream."""
+    batch bit for bit. Each block is a fresh array, or, given out of shape
+    (size, n_paths, dim), the leading rows of out, overwritten by the next
+    block (_run passes the first ring's mirror half). Between blocks each
+    path's saved position waits in the generator's frame, never on the
+    stream."""
 
     def __init__(self, stream: NoiseStream, first_path: int, n_paths: int, n_steps: int):
         self.stream, self.first_path = stream, first_path
         self.shape = (n_steps, n_paths, stream.dim)
 
-    def blocks(self, size: int):
-        n_steps, n_paths, _ = self.shape
+    def blocks(self, size: int, out: Optional[np.ndarray] = None):
+        n_steps, n_paths, dim = self.shape
         # entries are replaced as their paths resume; the last block's end
-        # states are never read, so they are not saved
+        # positions are never read, so they are not saved
         states = [None] * n_paths
         for k0 in range(0, n_steps, size):
-            yield self.stream.batch(self.first_path, n_paths, min(size, n_steps - k0),
-                                    states if k0 else None,
-                                    states if k0 + size < n_steps else None)
+            n = min(size, n_steps - k0)
+            block = np.empty((n, n_paths, dim)) if out is None else out[:n]
+            self.stream._draw(block, self.first_path, states if k0 else None,
+                              states if k0 + size < n_steps else None)
+            yield block
 
 
 @dataclass(frozen=True)
@@ -160,7 +178,8 @@ class _Ring:
     w = m + 1, so the m + 1 rows ending at row i are one contiguous slice:
     segment(i) is a (B, m + 1, d) view, oldest first, with the strides of
     a full time-major history. The ring starts from one shared (m + 1, d)
-    history.
+    history in its first half only; _run says why no segment reads the
+    mirror half before the puts have filled it.
     """
 
     __slots__ = ("buf", "w")
@@ -168,7 +187,7 @@ class _Ring:
     def __init__(self, history: np.ndarray, b: int):
         self.w = len(history)
         self.buf = np.empty((2 * self.w, b, history.shape[1]))
-        self.buf[:] = np.concatenate([history, history])[:, None, :]
+        self.buf[: self.w] = history[:, None, :]
 
     def put(self, i: int, x: np.ndarray) -> None:
         # both copies, slots i % w and i % w + w, in one strided write
@@ -185,16 +204,27 @@ class _Ring:
 def _run(kernel, noise: NoiseBlocks, observers=()) -> None:
     """The stepping loop of every kernel. kernel.step(k, dw) returns the
     new state of each of kernel.rings, written to grid row m + k + 1; noise
-    (n_T, B, d) is drawn in blocks of m + 1 steps, each released before the
-    next is drawn. Each observer is called as observer(row, kernel) once the
-    row is in the rings, from the history rows 0..m on.
+    (n_T, B, d) is drawn in blocks of w = m + 1 steps. Each observer is
+    called as observer(row, kernel) once the row is in the rings, from the
+    history rows 0..m on.
+
+    Each block is drawn into the mirror half of the first ring, slots
+    w .. 2w - 1, so a batch holds no noise array of its own. At step
+    k = q w + r the segment the kernel reads covers slots r .. r + m: the
+    mirror slots below w + r, which this block's puts have filled, and
+    none at or past w + r. So mirror slot w + r, which holds step k's dw,
+    goes unread from the block boundary until step k, and the put after
+    that step overwrites it. For the same reason no ring's mirror half is
+    read before the puts fill it, so the history is written once. The one
+    rule this puts on kernels and observers: dw is valid only inside
+    step, and none of them keeps it.
     """
     w = kernel.rings[0].w
     for i in range(w):
         for ob in observers:
             ob(i, kernel)
     k = 0
-    for block in noise.blocks(w):
+    for block in noise.blocks(w, kernel.rings[0].buf[w:]):
         for dw in block:
             new = kernel.step(k, dw)
             k += 1
@@ -202,8 +232,6 @@ def _run(kernel, noise: NoiseBlocks, observers=()) -> None:
                 ring.put(w - 1 + k, x)
             for ob in observers:
                 ob(w - 1 + k, kernel)
-        # let this block go before the next one is drawn
-        del block, dw
 
 
 class _Recorder:

@@ -332,6 +332,23 @@ def test_coupled_input_validation():
         simulate_coupled(co, xi, eta, grid, 1.0, "R")
 
 
+@pytest.mark.parametrize("bad", ["dim", "past-T", "before-t0"])
+def test_coupled_batch_checks_its_noise_shape(bad):
+    # dim-1 noise would broadcast over both coordinates of a 2-d pair, and
+    # noise past T would step past the horizon; fewer than n0 steps would
+    # leave the merge flags unset
+    co = builtin_system("linear_additive", {"a": -1.0, "c": 0.5, "s0": 1.0}, dim=2)
+    grid = GridSpec(1.0, 2.0, 10)
+    xi, eta = np.ones((11, 2)), np.zeros((11, 2))
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+    dim, k = {"dim": (1, grid.n_T), "past-T": (2, grid.n_T + 7),
+              "before-t0": (2, grid.index_of(1.0) - 1)}[bad]
+    noise = NoiseBlocks(NoiseStream(seed=0, h=grid.h, dim=dim), 0, 4, k)
+    for measure in ("Q", "P"):
+        with pytest.raises(ValueError, match=r"noise must have shape \(k, B, d\)"):
+            _coupled_batch(co, xi, eta, grid, sched, noise, measure)
+
+
 # ------------------------------------------------------- diagonal diffusion
 
 def dense_twin(co):

@@ -81,6 +81,20 @@ def test_noise_stream_batch_resume_and_keep():
     assert all(s is not None for s in states)
     tail = ns.batch(5, 70, 9, resume=states)
     np.testing.assert_array_equal(np.concatenate([head, tail]), ns.batch(5, 70, 20))
+    # a chain of four resumes, each saving into the list it resumed from; a
+    # saved position is (counter word 0, buffer position, [4 buffered
+    # words]), and the positions cover every buffer position 1-4, so each
+    # restore case runs
+    states, parts, seen = [None] * 70, [], set()
+    for n_steps in (11, 9, 5, 1, 6):
+        parts.append(ns.batch(5, 70, n_steps, resume=states if parts else None,
+                              keep=states))
+        for counter, pos, buffered in states:
+            assert all(type(v) is int for v in (counter, pos, *buffered))
+            assert len(buffered) == 4
+            seen.add(pos)
+    assert seen == {1, 2, 3, 4}
+    np.testing.assert_array_equal(np.concatenate(parts), ns.batch(5, 70, 32))
 
 
 def test_noise_stream_batch_shared_across_threads():

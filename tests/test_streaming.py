@@ -241,6 +241,46 @@ def test_one_path_dumps_match_full_history(case, measure):
     assert pair.merged == want["merged"][0]
 
 
+# d = 1 with a diagonal sigma, d = 2 with a dense one
+IN_RING_CASES = [(SINE, False), (("linear_additive", LINEAR[1], 2), True)]
+
+
+@pytest.mark.parametrize("kernel", ["two-histories", "Q", "P"])
+@pytest.mark.parametrize("case", IN_RING_CASES, ids=["sine-d1", "linear-d2-dense"])
+def test_in_ring_noise_over_three_blocks_matches_full_history(case, kernel):
+    # n_T = 2(m + 1) + 3: each noise block is drawn into the first ring's
+    # mirror half, and the short last block leaves the tail of the one
+    # before it there, which no segment may read
+    co = system(*case)
+    m, b = 7, 37
+    d = co.dim
+    grid = GridSpec(1.0, (2 * (m + 1) + 3) / m, m)
+    assert grid.n_T == 2 * (m + 1) + 3
+    xi = np.linspace(1.0, -0.5, (m + 1) * d).reshape(m + 1, d)
+    eta = np.zeros((m + 1, d))
+    stream = NoiseStream(seed=9, h=grid.h, dim=d)
+    noise = stream.batch(0, b, grid.n_T)
+    blocks = NoiseBlocks(stream, 0, b, grid.n_T)
+    rec = _Recorder(m + grid.n_T + 1)
+    if kernel == "two-histories":
+        rings = _simulate_batch(co, (eta, xi), grid, blocks, (rec,))
+        want = [simulate_batch_full(co, hist, grid, noise) for hist in (eta, xi)]
+    else:
+        sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+        sums = _Integrals(m, grid.n_T, b)
+        pair = _coupled_batch(co, xi, eta, grid, sched, blocks, kernel, (rec, sums))
+        full = coupled_batch_full(co, xi, eta, grid, sched, noise, kernel, grid.n_T)
+        got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
+               "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged}
+        for key in got:
+            assert np.array_equal(got[key], full[key]), key
+        rings, want = pair.rings, [full["full_x"], full["full_y"]]
+    last = m + grid.n_T
+    for ring, path, full_path in zip(rings, rec.full, want):
+        assert np.array_equal(path, full_path)
+        assert np.array_equal(ring.segment(last), np.moveaxis(full_path[grid.n_T:], 0, 1))
+
+
 # ------------------------------------------------------ memory vs horizon
 
 def _peak(call):
@@ -278,6 +318,35 @@ def test_chunk_memory_does_not_grow_with_the_horizon(name):
         grid = GridSpec(1.0, t, m)
         peaks[t] = _peak(lambda: ESTIMATES[name](co, grid, xi, eta, sched))
     assert peaks[8.0] <= 1.1 * peaks[2.0], peaks
+
+
+CHUNK_RUNS = {
+    "coupled": lambda co, grid, xi, eta, noise: _coupled_batch(
+        co, xi, eta, grid, GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0), noise, "Q"),
+    "two-histories": lambda co, grid, xi, eta, noise: _simulate_batch(
+        co, (xi, eta), grid, noise),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNK_RUNS))
+def test_chunk_holds_its_rings_and_a_small_allowance_per_path(name):
+    # m = 200, B = 512, T = 3 r0: two mirrored rings of 2(m + 1) B floats
+    # each (3.3 MB) dominate, and the paths resume between noise blocks.
+    # The noise is drawn into a ring, so the rest fits in 1 KB per path:
+    # the saved Philox position (about 0.35 KB), the step's (B, d)
+    # temporaries and the 64-path staging block of each draw. A separate
+    # (m + 1, B, d) noise block and the generator's state dict per path
+    # would add about 2.4 KB per path
+    co = builtin_system(*LINEAR[:2])
+    m, b = 200, 512
+    grid = GridSpec(1.0, 3.0, m)
+    xi, eta = np.ones((m + 1, 1)), np.zeros((m + 1, 1))
+    stream = NoiseStream(seed=1, h=grid.h, dim=1)
+    run = lambda: CHUNK_RUNS[name](co, grid, xi, eta, NoiseBlocks(stream, 0, b, grid.n_T))
+    # the first call imports lazily
+    run()
+    rings = 2 * 2 * (m + 1) * b * 8
+    assert _peak(run) <= rings + 1024 * b
 
 
 @pytest.mark.parametrize("name", list(ESTIMATES))
