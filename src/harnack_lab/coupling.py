@@ -260,10 +260,11 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
     by one step per noise row; returns the finished _Coupled, whose rings
     hold the last m + 1 rows of each copy. noise has the shape (k, B, d)
     with n0 <= k <= n_T (t0 = n0 h), so that the merge flags are set; k =
-    n_T for the whole horizon. measure: "Q" (forced copy X solves the original equation under the simulated law) or "P"
-    (unforced copy X drives, weight is a martingale). observers see every
-    grid row, merge snap included (integrator._run), so memory is the two
-    rings, O(m B d), unless an observer keeps more.
+    n_T for the whole horizon. measure: "Q" (forced copy X solves the
+    original equation under the simulated law) or "P" (unforced copy X
+    drives, weight is a martingale). observers see every grid row, merge
+    snap included (integrator._run), so memory is the two rings, O(m B d),
+    unless an observer keeps more.
     """
     if measure not in ("Q", "P"):
         raise ValueError("measure must be 'Q' or 'P'")

@@ -215,9 +215,9 @@ def _run(kernel, noise: NoiseBlocks, observers=()) -> None:
     none at or past w + r. So mirror slot w + r, which holds step k's dw,
     goes unread from the block boundary until step k, and the put after
     that step overwrites it. For the same reason no ring's mirror half is
-    read before the puts fill it, so the history is written once. The one
-    rule this puts on kernels and observers: dw is valid only inside
-    step, and none of them keeps it.
+    read before the puts fill it, so a ring writes its history into its
+    first half only. The one rule this puts on kernels and observers: dw
+    is valid only inside step, and none of them keeps it.
     """
     w = kernel.rings[0].w
     for i in range(w):
