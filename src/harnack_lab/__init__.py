@@ -33,13 +33,12 @@ from .coupling import (
 from .bounds import (
     GapPair,
     BoundReport,
-    LemmaBound,
     bound_H_T,
     bound_H_T_at,
     bound_entropy_prop21,
     bound_entropy_with_tail,
     bound_Phi_p,
-    lemma_rhs,
+    bound_seg_gap_moment,
 )
 from .estimators import (
     MCEstimate,
@@ -66,9 +65,9 @@ __all__ = [
     "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
     "simulate_coupled",
-    "GapPair", "BoundReport", "LemmaBound",
+    "GapPair", "BoundReport",
     "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
-    "bound_Phi_p", "lemma_rhs",
+    "bound_Phi_p", "bound_seg_gap_moment",
     "MCEstimate", "VerdictReport", "TestFunction", "StationarySample",
     "test_function", "estimate_PT_f", "estimate_entropy_Q", "estimate_exp_functional",
     "estimate_martingale_mean", "make_verdict",

@@ -17,7 +17,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .coefficients import AssumptionConstants
-from .coupling import GammaSchedule
 from .segment_paths import SegmentPath, sup_distance
 
 # switch to the series branch of K4/(1 - e^{-K4 s}) below this |K4 s|
@@ -70,36 +69,6 @@ class BoundReport:
     terms: Dict[str, float] = field(default_factory=dict)
     at_boundary: bool = False
     meta: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class LemmaBound:
-    """Right-hand side of an exponential-moment estimate.
-
-    The general shape is  exp(log_prefactor) * (E_Q exp[inner_coeff * I])^inner_power
-    where I is the indicated path functional up to time s. Estimates whose
-    right side is fully explicit have inner_power == 0 and a direct value.
-    """
-
-    kind: str
-    log_prefactor: float
-    inner_coeff: float
-    inner_power: float
-    s: Optional[float] = None
-
-    @property
-    def value(self) -> float:
-        if self.inner_power != 0.0:
-            raise ValueError(
-                "this bound contains an inner expectation; use compose()")
-        return math.exp(self.log_prefactor)
-
-    def compose(self, inner_mean: float) -> float:
-        """Evaluate the bound given a Monte Carlo value of the inner
-        expectation E_Q exp[inner_coeff * I]."""
-        if not inner_mean > 0:
-            raise ValueError("inner expectation must be positive")
-        return math.exp(self.log_prefactor) * inner_mean ** self.inner_power
 
 
 def _require_finite_positive(**values: float) -> None:
@@ -382,72 +351,33 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
               "w_eps": w_b, "prefactor": pref})
 
 
-def lemma_rhs(kind: str, consts: AssumptionConstants, gaps: GapPair,
-              lam: float, eps: Optional[float] = None,
-              s: Optional[float] = None,
-              sched: Optional[GammaSchedule] = None) -> LemmaBound:
-    """Right-hand side of one of the three exponential-moment estimates.
+def bound_seg_gap_moment(consts: AssumptionConstants, gaps: GapPair,
+                         lam: float, s: float) -> float:
+    """Explicit bound on the exponential moment of the segment gap,
 
-    kind selects which functional is being bounded:
-      "gap_over_gamma"   int |X-Y|^2/gamma^2 up to s; needs eps and sched,
-                         lam capped at (1-eps)^4/(2 K2^2 (1+eps))
-      "seg_gap_at_time"  the segment gap at one time s; lam >= 0
-      "seg_gap_integral" int of the squared segment gap up to s; lam capped
-                         at (1 - 4 K1 K2 s)/(8 K2^2 s^2)
-    The first two keep an inner Q-expectation on the right side; compose()
-    it with a Monte Carlo estimate. The third is fully explicit.
+        E_Q exp(lam int_0^s |X_t - Y_t|_inf^2 dt)
+            <= exp(16 K2^2 s^2 lam / (1 - 4 K1 K2 s) + 2 s lam sg^2),
+
+    where |.|_inf is the sup distance over the history window and sg the
+    initial segment gap. Needs 1 - 4 K1 K2 s > 0 and lam at most
+    (1 - 4 K1 K2 s)/(8 K2^2 s^2); with K2 = 0 the quadratic term vanishes
+    and lam is uncapped.
     """
     k = consts
-    if kind == "gap_over_gamma":
-        if eps is None or sched is None or s is None:
-            raise ValueError("gap_over_gamma needs eps, s and sched")
-        if not (0.0 < eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
-        if not (0.0 <= s <= sched.t0):
-            raise ValueError("s must lie in [0, t0]")
-        if not 0 < lam < math.inf:
-            raise ValueError("lam must be finite and positive")
-        if k.k2 > 0.0:
-            cap = (1.0 - eps) ** 4 / (2.0 * k.k2 ** 2 * (1.0 + eps))
-            # hair of tolerance so a caller evaluating exactly at the cap,
-            # computed in its own rounding order, is not rejected
-            if lam > cap * (1.0 + 1e-9):
-                raise ValueError(f"lam exceeds the admissible cap {cap:.6g}")
-        pre = (lam * (1.0 + eps) * gaps.point_gap ** 2
-               / ((1.0 + 2.0 * eps) * (1.0 - eps) ** 2 * sched.gamma0))
-        coeff = k.k1 ** 2 * k.k2 ** 2 * (1.0 + eps) * lam \
-            / (8.0 * eps ** 2 * (1.0 - eps) ** 3)
-        return LemmaBound(kind=kind, log_prefactor=pre, inner_coeff=coeff,
-                          inner_power=eps / (1.0 + 2.0 * eps), s=s)
-
-    if kind == "seg_gap_at_time":
-        if not 0 <= lam < math.inf:
-            raise ValueError("lam must be finite and nonnegative")
-        if s is not None and not 0 <= s < math.inf:
-            raise ValueError("s must be finite and nonnegative")
-        pre = 1.0 + lam * gaps.seg_gap ** 2
-        coeff = 4.0 * lam * k.k2 * (2.0 * lam * k.k2 + k.k1)
-        return LemmaBound(kind=kind, log_prefactor=pre, inner_coeff=coeff,
-                          inner_power=0.5, s=s)
-
-    if kind == "seg_gap_integral":
-        if s is None or not 0 < s < math.inf:
-            raise ValueError("seg_gap_integral needs finite s > 0")
-        if not 0 < lam < math.inf:
-            raise ValueError("lam must be finite and positive")
-        if k.k2 > 0.0:
-            denom = 1.0 - 4.0 * k.k1 * k.k2 * s
-            if denom <= 0:
-                raise ValueError("need 1 - 4 K1 K2 s > 0")
-            cap = denom / (8.0 * k.k2 ** 2 * s * s)
-            if lam > cap * (1.0 + 1e-9):
-                raise ValueError(f"lam exceeds the admissible cap {cap:.6g}")
-            quad = 16.0 * k.k2 ** 2 * s * s * lam / denom
-        else:
-            quad = 0.0
-        pre = quad + 2.0 * s * lam * gaps.seg_gap ** 2
-        return LemmaBound(kind=kind, log_prefactor=pre, inner_coeff=0.0,
-                          inner_power=0.0, s=s)
-
-    raise ValueError(f"unknown lemma kind {kind!r}; expected gap_over_gamma, "
-                     "seg_gap_at_time or seg_gap_integral")
+    if not 0 < s < math.inf:
+        raise ValueError("the segment-gap moment needs finite s > 0")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be finite and positive")
+    if k.k2 > 0.0:
+        denom = 1.0 - 4.0 * k.k1 * k.k2 * s
+        if denom <= 0:
+            raise ValueError("need 1 - 4 K1 K2 s > 0")
+        cap = denom / (8.0 * k.k2 ** 2 * s * s)
+        # hair of tolerance so a caller evaluating exactly at the cap,
+        # computed in its own rounding order, is not rejected
+        if lam > cap * (1.0 + 1e-9):
+            raise ValueError(f"lam exceeds the admissible cap {cap:.6g}")
+        quad = 16.0 * k.k2 ** 2 * s * s * lam / denom
+    else:
+        quad = 0.0
+    return math.exp(quad + 2.0 * s * lam * gaps.seg_gap ** 2)

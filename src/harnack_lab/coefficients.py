@@ -310,6 +310,8 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0):
 
     Passing uses an additive-relative tolerance, max <= declared +
     _AUDIT_SLACK*max(1, |declared|), which stays meaningful for negative k4.
+    A NaN ratio fails its condition: the maximum reads NaN and the worst
+    point is the first NaN sample.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
@@ -341,8 +343,12 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0):
             gxi, geta = seg_xi[sl], seg_eta[sl]
 
             def update(cond, ratios, pts):
+                # argmax picks the first NaN, if any; a NaN ratio fails its
+                # condition, so the first one seen is kept as the worst
+                if np.isnan(maxima[cond]):
+                    return
                 i = int(np.argmax(ratios))
-                if ratios[i] > maxima[cond]:
+                if not ratios[i] <= maxima[cond]:
                     maxima[cond] = float(ratios[i])
                     worst[cond] = (t, tuple(map(float, np.atleast_1d(pts[i]))))
 

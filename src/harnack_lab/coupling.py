@@ -73,10 +73,6 @@ class GammaSchedule:
     def near_limit(self) -> bool:
         return abs(self.k4) * self.t0 < _K4_LIMIT
 
-    @property
-    def gamma0(self) -> float:
-        return float(gamma(0.0, self))
-
 
 def gamma(t, sched: GammaSchedule):
     """Schedule value gamma(t) for t in [0, t0). Scalar or array t."""

@@ -146,9 +146,12 @@ def _log_of(f: TestFunction) -> TestFunction:
 
 
 def _power_of(f: TestFunction, p: float) -> TestFunction:
-    up = f.upper ** p
+    try:
+        up = f.upper ** p
+    except OverflowError:  # a Python float raises where numpy gives inf
+        up = math.inf
     if not math.isfinite(up):
-        raise ValueError(f"f^p overflows for {f.name} with p={p}; lower the cap")
+        raise ValueError(f"f^p overflows for {f.name} with p={p:g}; lower the cap")
     return TestFunction(name=f"{f.name}^{p:g}",
                         fn=lambda segs: f(segs) ** p,
                         lower=f.lower ** p, upper=up)

@@ -57,28 +57,28 @@ class NoiseStream:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def batch(self, first_path: int, n_paths: int, n_steps: int,
-              resume: Optional[list] = None, keep: Optional[list] = None) -> np.ndarray:
+    def batch(self, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
         """Increments for paths first_path..first_path+n_paths-1, time-major
         (n_steps, n_paths, dim).
 
         One Philox per call, re-keyed to [seed, path] before each path with
         a fresh counter and buffer, so every path is bit-identical to its
-        own Philox(key=[seed, path]) draw; or, from resume (one saved
-        position per path), continuing where an earlier call stopped. keep
-        (n_paths slots, resume itself allowed) receives each path's end
-        position: (first counter word, buffer position, [the four buffered
-        words]), all Python ints. The lists and the generator belong
-        to the caller, so threads may share one stream, and each forked
-        worker process holds its own copy.
+        own Philox(key=[seed, path]) draw. The generator belongs to the
+        call, so threads may share one stream, and each forked worker
+        process holds its own copy.
         """
         out = np.empty((n_steps, n_paths, self.dim))
-        self._draw(out, first_path, resume, keep)
+        self._draw(out, first_path, None, None)
         return out
 
     def _draw(self, out: np.ndarray, first_path: int, resume: Optional[list],
               keep: Optional[list]) -> None:
-        """batch(first_path, *out.shape[:2], resume, keep), written into out."""
+        """batch(first_path, n_paths, n_steps), written into out of shape
+        (n_steps, n_paths, dim); or, from resume (one saved position per
+        path), continuing where an earlier call stopped. keep (n_paths
+        slots, resume itself allowed) receives each path's end position:
+        (first counter word, buffer position, [the four buffered words]),
+        all Python ints. The lists belong to the caller."""
         if first_path < 0:
             raise ValueError("path_index must be >= 0")
         n_steps, n_paths, _ = out.shape

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from harnack_lab.bounds import (GapPair, _k4_ratio, bound_H_T, bound_entropy_prop21,
-                                bound_entropy_with_tail, lemma_rhs)
+                                bound_entropy_with_tail, bound_seg_gap_moment)
 from harnack_lab.coefficients import builtin_system
 from harnack_lab.coupling import GammaSchedule, inv_gamma_integral, simulate_coupled
 from harnack_lab.estimators import (check_log_harnack, check_power_harnack,
@@ -129,7 +129,7 @@ def test_criterion_07_exponential_moment_lemma():
         est = estimate_exp_functional(SINE, XI, ETA, sched(SINE), GRID,
                                       lam=lam, n=N_FULL, seed=0,
                                       integrand="seg_gap_sq", t_upper=s)
-        rhs = lemma_rhs("seg_gap_integral", k, GAPS, lam=lam, s=s).value
+        rhs = bound_seg_gap_moment(k, GAPS, lam=lam, s=s)
         ok = ok and est.mean + 3 * est.std_error <= rhs
         details.append(f"lam={lam:.3g}: {est.mean:.3f}+3se <= {rhs:.3f}")
     report(7, "exponential segment-gap moments", ok, "; ".join(details))

@@ -10,9 +10,9 @@ from harnack_lab.bounds import (GapPair, _k4_ratio, _lambda_p, _s_eps,
                                 _theta_set_contains, _w_eps, bound_H_T,
                                 bound_H_T_at, bound_Phi_p,
                                 bound_entropy_prop21,
-                                bound_entropy_with_tail, lemma_rhs)
+                                bound_entropy_with_tail,
+                                bound_seg_gap_moment)
 from harnack_lab.coefficients import AssumptionConstants
-from harnack_lab.coupling import GammaSchedule
 from harnack_lab.segment_paths import constant_segment
 from oracles import HarnackParameters, k4_ratio_direct, k4_ratio_series
 
@@ -310,42 +310,21 @@ def test_phi_p_validation():
 
 def test_lemma_seg_gap_integral_at_cap():
     k = AssumptionConstants(k1=1.0, k2=0.1, k3=1.0, k4=0.0)
-    lb = lemma_rhs("seg_gap_integral", k, UNIT_GAPS, lam=40.0, s=0.5)
-    assert lb.inner_power == 0.0
-    assert lb.value == pytest.approx(math.exp(2.0 + 40.0), rel=1e-9)
-    zero = lemma_rhs("seg_gap_integral", k, GapPair(0.0, 0.0), lam=40.0, s=0.5)
-    assert zero.value == pytest.approx(math.exp(2.0), rel=1e-9)
+    value = bound_seg_gap_moment(k, UNIT_GAPS, lam=40.0, s=0.5)
+    assert value == pytest.approx(math.exp(2.0 + 40.0), rel=1e-9)
+    zero = bound_seg_gap_moment(k, GapPair(0.0, 0.0), lam=40.0, s=0.5)
+    assert zero == pytest.approx(math.exp(2.0), rel=1e-9)
 
 
 def test_lemma_seg_gap_integral_validation():
     k = AssumptionConstants(k1=1.0, k2=0.1, k3=1.0, k4=0.0)
     with pytest.raises(ValueError, match="cap"):
-        lemma_rhs("seg_gap_integral", k, UNIT_GAPS, lam=41.0, s=0.5)
+        bound_seg_gap_moment(k, UNIT_GAPS, lam=41.0, s=0.5)
     with pytest.raises(ValueError):
-        lemma_rhs("seg_gap_integral", k, UNIT_GAPS, lam=1.0, s=0.0)
+        bound_seg_gap_moment(k, UNIT_GAPS, lam=1.0, s=0.0)
     k_big = AssumptionConstants(k1=2.0, k2=0.2, k3=10.0, k4=0.0)
     with pytest.raises(ValueError):
-        lemma_rhs("seg_gap_integral", k_big, UNIT_GAPS, lam=0.1, s=1.0)
-
-
-def test_lemma_seg_gap_at_time_collapses_at_lambda_zero():
-    lb = lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.0, s=0.5)
-    assert math.exp(lb.log_prefactor) == pytest.approx(math.e)
-    assert lb.inner_coeff == 0.0
-    assert lb.compose(1.0) == pytest.approx(math.e)
-
-
-def test_lemma_gap_over_gamma_shape():
-    sched = GammaSchedule(theta=1.0, k4=-1.99, t0=1.0)
-    lb = lemma_rhs("gap_over_gamma", K_SINE, UNIT_GAPS, lam=0.05, eps=0.3,
-                   s=0.5, sched=sched)
-    assert lb.inner_power == pytest.approx(0.3 / 1.6)
-    assert lb.compose(1.0) == pytest.approx(math.exp(lb.log_prefactor))
-    with pytest.raises(ValueError, match="cap"):
-        lemma_rhs("gap_over_gamma", K_SINE, UNIT_GAPS, lam=100.0, eps=0.3,
-                  s=0.5, sched=sched)
-    with pytest.raises(ValueError):
-        lemma_rhs("gap_over_gamma", K_SINE, UNIT_GAPS, lam=0.05, eps=0.3)
+        bound_seg_gap_moment(k_big, UNIT_GAPS, lam=0.1, s=1.0)
 
 
 def test_nan_arguments_are_rejected():
@@ -357,25 +336,15 @@ def test_nan_arguments_are_rejected():
         bound_H_T_at(K_SINE, UNIT_GAPS, nan, 0.5)
     with pytest.raises(ValueError, match="r0"):
         bound_entropy_with_tail(K_LINEAR, 1.0, nan, UNIT_GAPS)
-    with pytest.raises(ValueError, match="inner"):
-        lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.5).compose(nan)
-    # lemma_rhs also returned nan or inf for an infinite lam or s; with
-    # K2 = 0 no cap on lam stands in the way
+    # bound_seg_gap_moment must not return nan or inf for an infinite lam
+    # or s; with K2 = 0 no cap on lam stands in the way
     no_k2 = AssumptionConstants(0.5, 0.0, 1.0, -2.0)
     zero_gaps = GapPair(0.0, 0.0)
-    sched = GammaSchedule(theta=1.0, k4=-2.0, t0=1.0)
     for bad in (nan, math.inf):
         with pytest.raises(ValueError, match="lam"):
-            lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=bad, s=0.5)
-        with pytest.raises(ValueError, match="s must"):
-            lemma_rhs("seg_gap_at_time", K_SINE, UNIT_GAPS, lam=0.5, s=bad)
-        with pytest.raises(ValueError, match="lam"):
-            lemma_rhs("seg_gap_integral", no_k2, zero_gaps, lam=bad, s=1.0)
+            bound_seg_gap_moment(no_k2, zero_gaps, lam=bad, s=1.0)
         with pytest.raises(ValueError, match="needs finite s"):
-            lemma_rhs("seg_gap_integral", no_k2, zero_gaps, lam=0.5, s=bad)
-        with pytest.raises(ValueError, match="lam"):
-            lemma_rhs("gap_over_gamma", no_k2, zero_gaps, lam=bad, eps=0.3,
-                      s=0.5, sched=sched)
+            bound_seg_gap_moment(no_k2, zero_gaps, lam=0.5, s=bad)
 
 
 @pytest.mark.parametrize("call", [
@@ -390,8 +359,3 @@ def test_infinite_arguments_are_rejected(call):
     # bound_H_T warned, then blamed s; the others returned a number or inf
     with pytest.raises(ValueError, match="must be finite and positive"):
         call()
-
-
-def test_lemma_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        lemma_rhs("lemma_4_3", K_SINE, UNIT_GAPS, lam=1.0, s=0.5)

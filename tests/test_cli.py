@@ -549,6 +549,16 @@ def test_power_harnack_below_threshold_exits_1(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
+def test_power_harnack_overflowing_f_p_exits_1(tmp_path, capsys):
+    # exp_cap at cap 100 raised to p = 16 leaves the float range
+    text = cfg_text(name="sine_multiplicative",
+                    params={"a": -1.0, "c": 0.2, "s0": 0.1},
+                    p=16.0, n=100, f="exp_cap", cap=100.0, out=tmp_path / "res")
+    assert launch(tmp_path, "power-harnack", text) == 1
+    err = capsys.readouterr().err
+    assert err == "error: f^p overflows for exp_cap with p=16; lower the cap\n"
+
+
 def test_bounds_below_power_threshold_is_a_config_error(tmp_path, capsys):
     # the threshold check runs before H_T and the entropy bounds
     text = cfg_text(name="sine_multiplicative",

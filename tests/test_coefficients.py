@@ -243,6 +243,30 @@ def test_audit_reports_singular_sigma():
     assert a3.empirical_max == math.inf
 
 
+def test_audit_fails_a_nan_ratio():
+    # a NaN ratio fails its condition, whether every ratio is NaN or a few
+    good = builtin_system("linear_additive", {"a": -1.0, "c": 0.0, "s0": 1.0})
+    z_nan = dataclasses.replace(
+        good, z_drift=lambda t, x: np.where(abs(x) > 4, np.nan, -x))
+    report = audit_assumptions(z_nan, AuditBox(t_max=2), n=20000)
+    a4 = report.conditions["A4"]
+    assert math.isnan(a4.empirical_max) and not a4.passed
+    assert 0.0 <= a4.worst_t <= 2.0 and len(a4.worst_point) == 1
+    assert all(report.conditions[c].passed for c in ("A1", "A2", "A3"))
+    # NaN on a few samples only: finite maxima come first, the NaN still wins
+    rare = dataclasses.replace(
+        good, z_drift=lambda t, x: np.where(x > 4.99, np.nan, -x))
+    a4 = audit_assumptions(rare, n=20000, seed=1).conditions["A4"]
+    assert math.isnan(a4.empirical_max) and not a4.passed
+    b_nan = dataclasses.replace(
+        good, b_delay=lambda t, seg: np.full(seg[:, -1, :].shape, np.nan))
+    report = audit_assumptions(b_nan, n=2000)
+    a1 = report.conditions["A1"]
+    assert math.isnan(a1.empirical_max) and not a1.passed
+    assert len(a1.worst_point) == 1
+    assert all(report.conditions[c].passed for c in ("A2", "A3", "A4"))
+
+
 def test_audit_deterministic():
     co = builtin_system("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1})
     r1 = audit_assumptions(co, n=3000, seed=11)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harnack_lab.bounds import GapPair, bound_entropy_with_tail, lemma_rhs
+from harnack_lab.bounds import GapPair, bound_entropy_with_tail, bound_seg_gap_moment
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule
@@ -322,9 +322,9 @@ def test_exp_functional_seg_gap_vs_lemma_on_linear():
     est = estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=lam,
                                   n=64, seed=2, integrand="seg_gap_sq",
                                   t_upper=1.0)
-    rhs = lemma_rhs("seg_gap_integral", co.constants,
-                    GapPair.from_segments(xi, eta), lam=lam, s=1.0)
-    assert est.mean + 3 * est.std_error <= rhs.value
+    rhs = bound_seg_gap_moment(co.constants, GapPair.from_segments(xi, eta),
+                               lam=lam, s=1.0)
+    assert est.mean + 3 * est.std_error <= rhs
 
 
 class _Pair:
@@ -781,6 +781,20 @@ def test_power_harnack_threshold_enforced():
     f = catalog_fn("quad_cap", 100.0)
     with pytest.raises(ValueError, match="9"):
         check_power_harnack(co, xi, eta, f, 9.0, grid, n=16, seed=0)
+
+
+def test_power_of_overflow_names_the_cap():
+    # a Python float's ** raises OverflowError where numpy gives inf; both
+    # must end in the message that names the cap
+    f = catalog_fn("exp_cap", 100.0)
+    with pytest.raises(ValueError, match="f\\^p overflows for exp_cap with p=16; lower the cap"):
+        _power_of(f, 16.0)
+    co = sine()
+    grid, xi, eta = setup(m=50)
+    with pytest.raises(ValueError, match="lower the cap"):
+        check_power_harnack(co, xi, eta, f, 16.0, grid, n=16, seed=0)
+    # a finite power keeps the plain ** result
+    assert _power_of(catalog_fn("exp_cap", 10.0), 16.0).upper == math.exp(10.0) ** 16.0
 
 
 # -------------------------------------------------------------- stationary

@@ -76,10 +76,16 @@ def test_noise_stream_batch_resume_and_keep():
     # a keep list collects one state per path; resuming from it continues
     # every path where the first call stopped
     ns = NoiseStream(seed=9, h=0.01, dim=3)
+
+    def draw(n_steps, resume=None, keep=None):
+        out = np.empty((n_steps, 70, 3))
+        ns._draw(out, 5, resume, keep)
+        return out
+
     states = [None] * 70
-    head = ns.batch(5, 70, 11, keep=states)
+    head = draw(11, keep=states)
     assert all(s is not None for s in states)
-    tail = ns.batch(5, 70, 9, resume=states)
+    tail = draw(9, resume=states)
     np.testing.assert_array_equal(np.concatenate([head, tail]), ns.batch(5, 70, 20))
     # a chain of four resumes, each saving into the list it resumed from; a
     # saved position is (counter word 0, buffer position, [4 buffered
@@ -87,8 +93,7 @@ def test_noise_stream_batch_resume_and_keep():
     # restore case runs
     states, parts, seen = [None] * 70, [], set()
     for n_steps in (11, 9, 5, 1, 6):
-        parts.append(ns.batch(5, 70, n_steps, resume=states if parts else None,
-                              keep=states))
+        parts.append(draw(n_steps, resume=states if parts else None, keep=states))
         for counter, pos, buffered in states:
             assert all(type(v) is int for v in (counter, pos, *buffered))
             assert len(buffered) == 4

@@ -15,9 +15,9 @@ PUBLIC = [
     "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
     "simulate_coupled",
-    "GapPair", "BoundReport", "LemmaBound",
+    "GapPair", "BoundReport",
     "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
-    "bound_Phi_p", "lemma_rhs",
+    "bound_Phi_p", "bound_seg_gap_moment",
     "MCEstimate", "VerdictReport", "TestFunction", "StationarySample",
     "test_function", "estimate_PT_f", "estimate_entropy_Q", "estimate_exp_functional",
     "estimate_martingale_mean", "make_verdict",
@@ -48,13 +48,12 @@ SIGNATURES = {
     "simulate_coupled": "coeffs xi eta grid t0 measure theta seed path_index",
     "GapPair": "point_gap seg_gap",
     "BoundReport": "value s_star eps_star terms at_boundary meta",
-    "LemmaBound": "kind log_prefactor inner_coeff inner_power s",
     "bound_H_T": "consts gaps T r0",
     "bound_H_T_at": "consts gaps r0 s",
     "bound_entropy_prop21": "consts theta t gaps t0",
     "bound_entropy_with_tail": "consts t0 r0 gaps theta",
     "bound_Phi_p": "p T consts gaps r0",
-    "lemma_rhs": "kind consts gaps lam eps s sched",
+    "bound_seg_gap_moment": "consts gaps lam s",
     "MCEstimate": "mean std_error n seed diagnostics",
     "VerdictReport": "claim lhs rhs bound margin_se verdict k_tol k_viol meta",
     "TestFunction": "name fn lower upper",
@@ -98,4 +97,4 @@ def test_public_parameter_count():
     # an input a caller must know about
     total = sum(len(inspect.signature(getattr(harnack_lab, name)).parameters)
                 for name in PUBLIC if callable(getattr(harnack_lab, name)))
-    assert total == 241
+    assert total == 233
