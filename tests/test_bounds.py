@@ -311,7 +311,8 @@ def test_phi_p_validation():
 def test_lemma_seg_gap_integral_at_cap():
     k = AssumptionConstants(k1=1.0, k2=0.1, k3=1.0, k4=0.0)
     value = bound_seg_gap_moment(k, UNIT_GAPS, lam=40.0, s=0.5)
-    assert value == pytest.approx(math.exp(2.0 + 40.0), rel=1e-9)
+    assert type(value) is float  # explicit: no inner expectation is left
+    assert value ==pytest.approx(math.exp(2.0 + 40.0), rel=1e-9)
     zero = bound_seg_gap_moment(k, GapPair(0.0, 0.0), lam=40.0, s=0.5)
     assert zero == pytest.approx(math.exp(2.0), rel=1e-9)
 
