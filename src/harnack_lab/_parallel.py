@@ -1,10 +1,9 @@
 """Deterministic work splitting for Monte Carlo loops.
 
-Chunk boundaries are fixed and never depend on the worker count: 8192
-paths, or 4096 pairs in the Harnack checks, which step two copies of each
-path (from xi and from eta) in one batch. Per-chunk work is a pure
-function of the chunk's global path range, and partial results are
-reduced in chunk order. Running with 1 worker or 8 therefore produces
+map_chunks applies a chunk function to fixed path ranges and returns the
+results in chunk order, whatever the worker count; the chunk plan itself
+(widths, seeding, reduction order) is stated once, in
+estimators._run_chunks. Running with 1 worker or 8 therefore produces
 bit-identical numbers.
 
 With more than one worker, chunks run in processes forked from the caller,
@@ -18,9 +17,8 @@ platform without fork, the chunks run in the calling process.
 
 from __future__ import annotations
 
-import math
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 CHUNK = 8192
 
@@ -52,18 +50,14 @@ def resolve_threads(explicit: Optional[int] = None) -> int:
     return n
 
 
-def chunk_ranges(n_total: int, chunk: int = CHUNK) -> List[Tuple[int, int]]:
-    if n_total < 1:
-        raise ValueError("need at least one path")
-    return [(a, min(a + chunk, n_total)) for a in range(0, n_total, chunk)]
-
-
 def map_chunks(fn: Callable[[int, int], object], n_total: int,
                threads: Optional[int] = None, chunk: int = CHUNK) -> list:
     """Apply fn(start, stop) to each chunk; results come back in chunk order
     regardless of which worker ran what. When chunks raise, the first
     exception in chunk order is raised."""
-    ranges = chunk_ranges(n_total, chunk)
+    if n_total < 1:
+        raise ValueError("need at least one path")
+    ranges = [(a, min(a + chunk, n_total)) for a in range(0, n_total, chunk)]
     workers = min(resolve_threads(threads), len(ranges), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
@@ -99,7 +93,3 @@ def _map_forked(fn, ranges, workers, context) -> list:
     finally:
         pool.shutdown(cancel_futures=True)
 
-
-def ordered_sum(parts: Sequence[float]) -> float:
-    """Exact-order float sum of per-chunk partials."""
-    return math.fsum(parts)

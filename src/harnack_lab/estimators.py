@@ -1,12 +1,11 @@
 """Monte Carlo estimators and inequality verdicts.
 
-Estimates are assembled from fixed 8192-path chunks (4096 pairs in the
-Harnack checks) whose partial sums (through math.fsum) and squared
-deviations are reduced in chunk order, so a given (seed, n, grid) always
-produces the same bits regardless of worker count. Inequality checks are one-sided statistical tests: a claim "holds"
-when the estimated margin is not significantly negative, and is only called
-"violated" at a stronger significance (6 standard errors by default) to keep
-discretization bias from raising false alarms.
+Estimates are reduced from fixed chunks of paths, in the plan _run_chunks
+states, so a given (seed, n, grid) always produces the same bits whatever
+the worker count. Inequality checks are one-sided statistical tests: a
+claim "holds" when the estimated margin is not significantly negative, and
+is only called "violated" at a stronger significance (6 standard errors by
+default) to keep discretization bias from raising false alarms.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ._parallel import CHUNK, map_chunks, ordered_sum
+from ._parallel import CHUNK, map_chunks
 from .bounds import GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _check_power_exponent
 from .coefficients import CoefficientSet
 from .coupling import GammaSchedule, _coupled_batch, _Integrals
@@ -253,7 +252,7 @@ def _reduce(parts: List[_Chunk], seed: int, worst: Optional[str] = None) -> MCEs
         # skipping NaN, as _checked_exp does within a chunk
         diag[worst] = float(np.fmax.reduce([p.worst for p in parts]))
     diag["failures"] = diag.get("unmerged", 0) + diag.get("nonfinite", 0)
-    return MCEstimate(mean=ordered_sum([p.sum for p in parts]) / count,
+    return MCEstimate(mean=math.fsum([p.sum for p in parts]) / count,
                       std_error=math.sqrt(var / count), n=count, seed=seed, diagnostics=diag)
 
 
@@ -322,28 +321,40 @@ class _SegGapIntegral:
             self.seg_gap_sq += win
 
 
+def _run_chunks(coeffs, segments, grid, n, seed, threads, width, chunk) -> List[_Chunk]:
+    """The chunk plan of every Monte Carlo estimate: paths 0..n-1 from the
+    starting segments, in chunks of width paths (CHUNK, or CHUNK // 2 pairs
+    in the Harnack checks, which step two copies of each path in one
+    batch), the last one shorter. Path j is driven by the noise of path j
+    of the one NoiseStream of seed, wherever its chunk runs, so each chunk
+    is a pure function of its range: chunk(stream, a, b) steps paths
+    a..b-1 and returns their _Chunk. The chunks come back in chunk order,
+    whatever the worker count, and are reduced in that order."""
+    if n < 2:
+        raise ValueError("need n >= 2 paths")
+    grid.check_segments(coeffs.dim, *segments)
+    stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
+    return map_chunks(lambda a, b: chunk(stream, a, b), n, threads, width)
+
+
 def _PT_f(coeffs, starts, grid, n, seed, threads):
     """f(X^seg) at T over n paths for each start (seg, f) in starts, one
     start or two. The copies of path j from every start are driven by the
-    same noise, that of path j of seed, and a chunk steps CHUNK // len(starts)
-    paths from each start, so that a batch stays CHUNK columns wide. One
-    start gives its estimate; two give both estimates and the covariance of
-    their means."""
-    if n < 2:
-        raise ValueError("need n >= 2 paths")
-    grid.check_segments(coeffs.dim, *(seg for seg, _ in starts))
-    stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
+    same noise, and a chunk steps CHUNK // len(starts) paths from each
+    start, so that a batch stays CHUNK columns wide. One start gives its
+    estimate; two give both estimates and the covariance of their means."""
     histories = tuple(seg.values for seg, _ in starts)
     last = grid.m + grid.n_T
     one = len(starts) == 1
 
-    def chunk(a, b):
+    def chunk(stream, a, b):
         noise = NoiseBlocks(stream, a, b - a, grid.n_T)
         rings = _simulate_batch(coeffs, histories, grid, noise)
         values = [f(ring.segment(last)) for (_, f), ring in zip(starts, rings)]
         return _Chunk.of(*values) if one else _Chunk.paired(*values)
 
-    parts = map_chunks(chunk, n, threads, CHUNK // len(starts))
+    parts = _run_chunks(coeffs, [seg for seg, _ in starts], grid, n, seed, threads,
+                        CHUNK // len(starts), chunk)
     return _reduce(parts, seed) if one else _reduce_paired(parts, seed)
 
 
@@ -366,13 +377,9 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, measure,
     draw; without one the values come from the final state, and chunks run
     to T. nonfinite counts the paths NaN or inf where the chunk stops.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 paths")
-    grid.check_segments(coeffs.dim, xi, eta)
     n0 = grid.deadline_index(sched.t0)
-    stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
 
-    def chunk(a, b):
+    def chunk(stream, a, b):
         ob = observer(b - a) if observer is not None else None
         k_stop = grid.n_T if ob is None else max(ob.k_upper, n0)
         pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched,
@@ -388,7 +395,8 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, measure,
         return _Chunk.of(v, unmerged=int((finite & ~pair.merged).sum()),
                          nonfinite=int((~finite).sum()), worst=top)
 
-    return _reduce(map_chunks(chunk, n, threads), seed, worst)
+    return _reduce(_run_chunks(coeffs, (xi, eta), grid, n, seed, threads, CHUNK, chunk),
+                   seed, worst)
 
 
 def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from harnack_lab._parallel import ordered_sum
 from harnack_lab.bounds import _lambda_p, _s_eps, _theta_set_contains, _w_eps
 from harnack_lab.coefficients import AuditReport, CoefficientSet, ConditionAudit
 from harnack_lab.coupling import gamma
@@ -433,7 +432,7 @@ def reduce_moments_dict(parts, n, seed):
         run_mean += delta * p["n"] / n_ab
         m2 += p["m2"] + delta * delta * count * p["n"] / n_ab
         count = n_ab
-    mean = ordered_sum([p["sum"] for p in parts]) / n
+    mean = math.fsum([p["sum"] for p in parts]) / n
     var = m2 / (n - 1) if n > 1 else 0.0
     diag = {"min": min(p["min"] for p in parts), "max": max(p["max"] for p in parts)}
     failure_keys = ("unmerged", "nonfinite")
