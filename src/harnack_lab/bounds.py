@@ -87,7 +87,21 @@ def _k4_ratio(k4: float, s: float) -> float:
     u = k4 * s
     if abs(u) < _SERIES_CUT:
         return (1.0 + 0.5 * u + u * u / 12.0) / s
-    return k4 / (-math.expm1(-u))
+    try:
+        return k4 / (-math.expm1(-u))
+    except OverflowError:
+        # u far below 0: the same ratio as K4 e^u / (e^u - 1), which tends to 0
+        return k4 * math.exp(u) / math.expm1(u)
+
+
+def _growth(k: AssumptionConstants, s: float, seg_gap: float) -> float:
+    """e^{K2^2 (K1^2 s + 8) s}, the growth over s of a history term
+    K1^2 sg^2 c, c > 0; +inf past the float range, or 0 there when the term
+    is 0 (K1 = 0 or sg = 0), so that the term stays 0 and not NaN."""
+    try:
+        return math.exp(k.k2 ** 2 * (k.k1 ** 2 * s + 8.0) * s)
+    except OverflowError:
+        return math.inf if k.k1 and seg_gap else 0.0
 
 
 def _golden_min(f: Callable[[float], float], a: float, b: float,
@@ -136,7 +150,7 @@ def _h_terms(consts: AssumptionConstants, gaps: GapPair, r0: float,
              s: float) -> Tuple[float, float]:
     k = consts
     gap = 2.0 * k.k3 ** 2 * _k4_ratio(k.k4, s) * gaps.point_gap ** 2
-    grow = math.exp(k.k2 ** 2 * (k.k1 ** 2 * s + 8.0) * s)
+    grow = _growth(k, s, gaps.seg_gap)
     seg = (k.k1 ** 2 * (r0 / 2.0 + s * (1.0 + k.k2 ** 2 * k.k3 ** 2)) * grow
            * gaps.seg_gap ** 2)
     return gap, seg
@@ -188,7 +202,7 @@ def bound_entropy_prop21(consts: AssumptionConstants, theta: float, t: float,
     k = consts
     gap = (2.0 * k.k3 ** 2 * _k4_ratio(k.k4, t0) * gaps.point_gap ** 2
            / (theta * (2.0 - theta)))
-    grow = math.exp(k.k2 ** 2 * (k.k1 ** 2 * t + 8.0) * t)
+    grow = _growth(k, t, gaps.seg_gap)
     seg = (t * k.k1 ** 2 * (1.0 + k.k2 ** 2 * k.k3 ** 2) * grow / theta ** 2
            * gaps.seg_gap ** 2)
     return gap + seg
@@ -201,7 +215,7 @@ def bound_entropy_with_tail(consts: AssumptionConstants, t0: float, r0: float,
     _require_finite_positive(r0=r0)
     k = consts
     tail = (k.k1 ** 2 * r0 / 2.0
-            * math.exp(k.k2 ** 2 * (k.k1 ** 2 * t0 + 8.0) * t0)
+            * _growth(k, t0, gaps.seg_gap)
             * gaps.seg_gap ** 2)
     return bound_entropy_prop21(consts, theta, t0, gaps, t0=t0) + tail
 
@@ -380,4 +394,7 @@ def bound_seg_gap_moment(consts: AssumptionConstants, gaps: GapPair,
         quad = 16.0 * k.k2 ** 2 * s * s * lam / denom
     else:
         quad = 0.0
-    return math.exp(quad + 2.0 * s * lam * gaps.seg_gap ** 2)
+    try:
+        return math.exp(quad + 2.0 * s * lam * gaps.seg_gap ** 2)
+    except OverflowError:  # past the float range: the vacuous bound
+        return math.inf

@@ -83,8 +83,10 @@ def gamma(t, sched: GammaSchedule):
     if sched.near_limit:
         out = c * (sched.t0 - t)
     else:
-        # ((2-theta)/k4) (1 - e^{(t-t0) k4}), positive for either sign of k4
-        out = (c / sched.k4) * (-np.expm1((t - sched.t0) * sched.k4))
+        # ((2-theta)/k4) (1 - e^{(t-t0) k4}), positive for either sign of k4;
+        # inf where it exceeds the float range (k4 < 0, |k4| (t0 - t) large)
+        with np.errstate(over="ignore"):
+            out = (c / sched.k4) * (-np.expm1((t - sched.t0) * sched.k4))
     return float(out) if out.ndim == 0 else out
 
 
@@ -108,7 +110,11 @@ def inv_gamma_integral(t_a: float, t_b: float, sched: GammaSchedule) -> float:
     #   F(u) = (u - log|expm1(u)|) / (2 - theta)
     def anti(t):
         u = sched.k4 * (t - sched.t0)
-        return (u - math.log(abs(math.expm1(u)))) / c
+        try:
+            return (u - math.log(abs(math.expm1(u)))) / c
+        except OverflowError:
+            # u far above 0 (k4 < 0): log expm1(u) = u + log1p(-e^{-u})
+            return -math.log1p(-math.exp(-u)) / c
 
     return anti(t_b) - anti(t_a)
 

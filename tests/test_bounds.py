@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,38 @@ def test_k4_ratio_validation():
         _k4_ratio(1.0, 0.0)
     with pytest.raises(ValueError):
         _k4_ratio(1.0, -1.0)
+
+
+def test_k4_ratio_past_the_float_range_of_its_denominator():
+    # K4 s < -709.78 overflows 1 - e^{-K4 s}; the ratio carries on to 0
+    assert _k4_ratio(-1.0, 710.0) == pytest.approx(_k4_ratio(-1.0, 709.0) / math.e, rel=1e-12)
+    assert _k4_ratio(-10.0, 100.0) == 0.0
+
+
+def test_long_horizon_bounds_keep_their_short_horizon_values():
+    # K4 s and the history growth e^{K2^2 (K1^2 s + 8) s} leave the float
+    # range on the long s-grids; the minimizers pass over those s
+    k = AssumptionConstants(k1=0.5, k2=0.0, k3=1.0, k4=-10.0)
+    for bound in (lambda T: bound_H_T(k, UNIT_GAPS, T, 1.0).value,
+                  lambda T: bound_Phi_p(16.0, T, k, UNIT_GAPS, 1.0).value):
+        assert bound(200.0) == pytest.approx(bound(20.0), rel=1e-12)
+    grows = AssumptionConstants(k1=1.0, k2=3.0, k3=1.0, k4=-1.0)
+    assert bound_H_T(grows, UNIT_GAPS, 20.0, 1.0).value == pytest.approx(
+        bound_H_T(grows, UNIT_GAPS, 1.5, 1.0).value, rel=1e-12)
+
+
+def test_entropy_bounds_past_the_float_range():
+    k = AssumptionConstants(k1=0.5, k2=0.0, k3=1.0, k4=-10.0)
+    assert bound_entropy_with_tail(k, 19.0, 1.0, UNIT_GAPS) == 4.875
+    assert bound_entropy_with_tail(k, 199.0, 1.0, UNIT_GAPS) == 49.875
+    grows = AssumptionConstants(k1=1.0, k2=3.0, k3=1.0, k4=-1.0)
+    assert bound_entropy_prop21(grows, 1.0, 19.0, UNIT_GAPS) == math.inf
+    assert bound_entropy_with_tail(grows, 19.0, 1.0, UNIT_GAPS) == math.inf
+    # a history term that is 0 stays 0 where its growth overflows, not NaN
+    assert bound_entropy_with_tail(grows, 19.0, 1.0, GapPair(0.0, 0.0)) == 0.0
+    no_k1 = AssumptionConstants(k1=0.0, k2=3.0, k3=1.0, k4=-1.0)
+    assert bound_entropy_prop21(no_k1, 1.0, 19.0, UNIT_GAPS) == bound_entropy_prop21(
+        dataclasses.replace(no_k1, k2=0.0), 1.0, 19.0, UNIT_GAPS)
 
 
 # ---------------------------------------------------------------- GapPair
@@ -315,6 +348,11 @@ def test_lemma_seg_gap_integral_at_cap():
     assert value ==pytest.approx(math.exp(2.0 + 40.0), rel=1e-9)
     zero = bound_seg_gap_moment(k, GapPair(0.0, 0.0), lam=40.0, s=0.5)
     assert zero == pytest.approx(math.exp(2.0), rel=1e-9)
+
+
+def test_lemma_seg_gap_integral_past_the_float_range_is_inf():
+    k = AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=-1.0)
+    assert bound_seg_gap_moment(k, UNIT_GAPS, lam=200.0, s=2.0) == math.inf
 
 
 def test_lemma_seg_gap_integral_validation():

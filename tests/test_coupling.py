@@ -112,6 +112,20 @@ def test_inv_gamma_integral_errors():
         inv_gamma_integral(0.0, 1.0, s)  # diverges at the deadline
 
 
+def test_long_deadline_on_a_contracting_system():
+    # K4 = -2 and t0 = 360: gamma and e^{K4 (t - t0)} - 1 exceed the float
+    # range far before t0, where gamma is inf and the forcing vanishes
+    sched = GammaSchedule(theta=1.0, k4=-2.0, t0=360.0)
+    assert gamma(0.0, sched) == math.inf
+    assert 0.0 <= inv_gamma_integral(0.0, 1.0, sched) < 1e-300
+    grid = GridSpec(1.0, 402.0, 10)
+    xi, eta = constant_segment(1.0, 1.0, 10), constant_segment(0.0, 1.0, 10)
+    for measure in ("Q", "P"):
+        traj = simulate_coupled(linear(), xi, eta, grid, 360.0, measure)
+        assert traj.merged
+        assert np.isfinite(traj.log_weight_cum).all()
+
+
 def test_contraction_factors_structure():
     s = GammaSchedule(theta=1.0, k4=-2.0, t0=1.0)
     h = 0.125
