@@ -12,7 +12,6 @@ from .segment_paths import (
     SegmentPath,
     GridSpec,
     constant_segment,
-    sup_distance,
 )
 from .coefficients import (
     AssumptionConstants,
@@ -27,7 +26,6 @@ from .coupling import (
     GammaSchedule,
     CoupledTrajectory,
     gamma,
-    inv_gamma_integral,
     simulate_coupled,
 )
 from .bounds import (
@@ -59,12 +57,11 @@ from .cli import ExperimentConfig, parse_config, render_config, run_command
 
 __all__ = [
     "__version__",
-    "SegmentPath", "GridSpec", "constant_segment", "sup_distance",
+    "SegmentPath", "GridSpec", "constant_segment",
     "AssumptionConstants", "CoefficientSet", "AuditBox", "AuditReport",
     "builtin_system", "audit_assumptions",
     "Trajectory", "NoiseStream", "simulate_path",
-    "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
-    "simulate_coupled",
+    "GammaSchedule", "CoupledTrajectory", "gamma", "simulate_coupled",
     "GapPair", "BoundReport",
     "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
     "bound_Phi_p", "bound_seg_gap_moment",

@@ -289,12 +289,13 @@ class ConditionAudit:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """The audit's result per condition. Sampling can only falsify the
+    declared constants, never prove them: a pass means no counterexample
+    was found."""
+
     conditions: dict
     n: int
     seed: int
-    slack: float
-    note: str = ("sampling can only falsify the declared constants, never prove them; "
-                 "a pass means no counterexample was found")
 
     @property
     def all_passed(self):
@@ -405,4 +406,4 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0):
         conditions[cond] = ConditionAudit(cond, float(emp), float(dec), passed, *worst[cond])
     if singular is not None:
         conditions["A3"] = ConditionAudit("A3", np.inf, k.k3, False, *singular)
-    return AuditReport(conditions=conditions, n=n, seed=seed, slack=_AUDIT_SLACK)
+    return AuditReport(conditions=conditions, n=n, seed=seed)

@@ -146,7 +146,7 @@ def audit_dense(coeffs, box, n, seed, slack=1e-6):
         else:
             passed = bool(np.isfinite(emp) and emp <= dec + slack * max(1.0, abs(dec)))
         conditions[cond] = ConditionAudit(cond, float(emp), float(dec), passed, *worst[cond])
-    return AuditReport(conditions=conditions, n=n, seed=seed, slack=slack)
+    return AuditReport(conditions=conditions, n=n, seed=seed)
 
 
 def step_euler(t, x, seg, dw, h, coeffs):

@@ -9,12 +9,11 @@ import harnack_lab
 
 PUBLIC = [
     "__version__",
-    "SegmentPath", "GridSpec", "constant_segment", "sup_distance",
+    "SegmentPath", "GridSpec", "constant_segment",
     "AssumptionConstants", "CoefficientSet", "AuditBox", "AuditReport",
     "builtin_system", "audit_assumptions",
     "Trajectory", "NoiseStream", "simulate_path",
-    "GammaSchedule", "CoupledTrajectory", "gamma", "inv_gamma_integral",
-    "simulate_coupled",
+    "GammaSchedule", "CoupledTrajectory", "gamma", "simulate_coupled",
     "GapPair", "BoundReport",
     "bound_H_T", "bound_H_T_at", "bound_entropy_prop21", "bound_entropy_with_tail",
     "bound_Phi_p", "bound_seg_gap_moment",
@@ -30,11 +29,10 @@ SIGNATURES = {
     "SegmentPath": "r0 values",
     "GridSpec": "r0 T m",
     "constant_segment": "x r0 m",
-    "sup_distance": "a b",
     "AssumptionConstants": "k1 k2 k3 k4",
     "CoefficientSet": "dim sigma z_drift b_delay constants delay_free name",
     "AuditBox": "t_min t_max x_min x_max m",
-    "AuditReport": "conditions n seed slack note",
+    "AuditReport": "conditions n seed",
     "builtin_system": "name params dim",
     "audit_assumptions": "coeffs box n seed",
     "Trajectory": "grid values path_index seed",
@@ -44,7 +42,6 @@ SIGNATURES = {
     "CoupledTrajectory": ("grid sched measure x_values y_values phi_sq_cum "
                           "log_weight_cum merged seed path_index"),
     "gamma": "t sched",
-    "inv_gamma_integral": "t_a t_b sched",
     "simulate_coupled": "coeffs xi eta grid t0 measure theta seed path_index",
     "GapPair": "point_gap seg_gap",
     "BoundReport": "value s_star eps_star terms at_boundary meta",
@@ -97,4 +94,4 @@ def test_public_parameter_count():
     # an input a caller must know about
     total = sum(len(inspect.signature(getattr(harnack_lab, name)).parameters)
                 for name in PUBLIC if callable(getattr(harnack_lab, name)))
-    assert total == 233
+    assert total == 226
