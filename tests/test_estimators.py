@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harnack_lab import estimators
 from harnack_lab.bounds import GapPair, bound_entropy_with_tail, bound_seg_gap_moment
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
@@ -162,6 +163,51 @@ def test_pt_f_rejects_segment_on_another_delay_window():
     grid = GridSpec(1.0, 1.0, 20)
     with pytest.raises(ValueError, match="time grid"):
         estimate_PT_f(co, constant_segment(1.0, 0.5, 20), ONE, grid, n=4, seed=0)
+
+
+QUAD = catalog_fn("quad_cap", 100.0)
+
+# every chunked entry point, called as (coeffs, xi, eta, grid, n), with the
+# chunk width of its plan
+ENTRY_POINTS = {
+    "estimate_PT_f": (CHUNK, lambda co, xi, eta, grid, n: estimate_PT_f(
+        co, xi, QUAD, grid, n, seed=3)),
+    "estimate_entropy_Q": (CHUNK, lambda co, xi, eta, grid, n: estimate_entropy_Q(
+        co, xi, eta, sched_for(co), grid, n, seed=3)),
+    "estimate_exp_functional": (CHUNK, lambda co, xi, eta, grid, n: estimate_exp_functional(
+        co, xi, eta, sched_for(co), grid, 0.1, n, seed=3, integrand="seg_gap_sq")),
+    "estimate_martingale_mean": (CHUNK, lambda co, xi, eta, grid, n: estimate_martingale_mean(
+        co, xi, eta, sched_for(co), grid, n, seed=3)),
+    "check_log_harnack": (CHUNK // 2, lambda co, xi, eta, grid, n: check_log_harnack(
+        co, xi, eta, QUAD, grid, n, seed=3)),
+    "check_power_harnack": (CHUNK // 2, lambda co, xi, eta, grid, n: check_power_harnack(
+        co, xi, eta, QUAD, 2.0, grid, n, seed=3)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_share_one_chunk_plan(entry, monkeypatch):
+    width, run = ENTRY_POINTS[entry]
+    co = linear()
+    grid, xi, eta = setup(m=5)
+    with pytest.raises(ValueError, match=r"^need n >= 2 paths$"):
+        run(co, xi, eta, grid, 1)
+    with pytest.raises(ValueError, match="time grid"):
+        run(co, constant_segment(1.0, 0.5, 5), constant_segment(0.0, 0.5, 5), grid, 4)
+
+    # n spans two chunks of the Harnack checks' pairs
+    n = CHUNK // 2 + 100
+    plain = run(co, xi, eta, grid, n)
+    real, calls = estimators.map_chunks, []
+
+    def recorder(fn, n_total, threads=None, chunk=CHUNK):
+        calls.append((n_total, chunk))
+        return real(fn, n_total, threads, chunk)
+
+    monkeypatch.setattr(estimators, "map_chunks", recorder)
+    # repr, so that NaN diagnostics compare equal
+    assert repr(run(co, xi, eta, grid, n)) == repr(plain)
+    assert calls == [(n, width)]
 
 
 # -------------------------------------------------------------- reduction
