@@ -29,7 +29,7 @@ from ._version import __version__
 from .bounds import (GapPair, _check_power_exponent, bound_H_T, bound_Phi_p,
                      bound_entropy_prop21, bound_entropy_with_tail)
 from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet,
-                           audit_assumptions, builtin_system, param_problems)
+                           audit_assumptions, builtin_system, system_constants)
 from .coupling import GammaSchedule, gamma, simulate_coupled
 from .estimators import (FAILURE_TOLERANCE, TEST_FUNCTIONS, MCEstimate,
                          VerdictReport, estimate_entropy_Q, estimate_martingale_mean,
@@ -119,6 +119,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config, collecting all violations before
     raising. Unknown sections and keys are errors, not warnings."""
     violations: List[str] = []
+    unparsed = set()
     # no section header holds a newline, so [DEFAULT] is a section like any other
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
                                    default_section="\n")
@@ -145,6 +146,7 @@ def parse_config(text: str) -> ExperimentConfig:
             return conv(raw)
         except (TypeError, ValueError):
             violations.append(f"[{sec}] {key}: cannot parse {raw!r}")
+            unparsed.add(sec)
             return default
 
     dft = ExperimentConfig()
@@ -159,16 +161,20 @@ def parse_config(text: str) -> ExperimentConfig:
                 params = dft.system_params
             values["system_params"] = params
     cfg = ExperimentConfig(**values)
-    violations += _config_problems(cfg)
+    violations += _config_problems(cfg, unparsed)
     if violations:
         raise ConfigError(violations)
     return cfg
 
 
-def _config_problems(cfg: ExperimentConfig) -> List[str]:
+def _config_problems(cfg: ExperimentConfig, unparsed=(), dynamics=False) -> List[str]:
     """Every semantic violation of a config, collected rather than stopping
     at the first. parse_config runs it on the file, validate_for_command
-    again once command-line overrides are applied."""
+    again once command-line overrides are applied. The system (its dynamics
+    too if dynamics is set) and the test function are built as a run builds
+    them, unless their section holds a placeholder for a value already
+    reported: one that did not parse (its section is in unparsed) or is not
+    finite."""
     # NaN passes every "x <= 0" rule below, and inf breaks the grid
     # arithmetic, so every float is checked to be finite first
     nonfinite = {fld for _, _, fld, conv in _KEYS if conv is float
@@ -177,6 +183,8 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
                   if fld in nonfinite]
     violations += [f"[system] {k} must be finite"
                    for k, v in cfg.system_params.items() if not math.isfinite(v)]
+    unbuilt = {*unparsed, *(sec for sec, _, fld, _ in _KEYS if fld in nonfinite),
+               *("system" for v in cfg.system_params.values() if not math.isfinite(v))}
     if cfg.d < 1:
         violations.append("[problem] d must be >= 1")
     if cfg.r0 <= 0:
@@ -218,8 +226,8 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
         violations.append(
             f"[problem] {label}={spec!r}: expected 'zero', 'const:<value>' or 'file:<path>'")
 
-    violations += [f"[system] {problem}"
-                   for problem in param_problems(cfg.system_name, cfg.system_params)]
+    if "system" not in unbuilt:
+        violations += _raised("system", config_coeffs if dynamics else config_constants, cfg)
 
     if not (0.0 < cfg.theta < 2.0):
         violations.append("[coupling] theta must lie in (0, 2)")
@@ -239,11 +247,20 @@ def _config_problems(cfg: ExperimentConfig) -> List[str]:
         violations.append("[mc] burn_in must be nonnegative")
     if cfg.f_name not in TEST_FUNCTIONS:
         violations.append(f"[functions] f must be one of {TEST_FUNCTIONS}")
-    if cfg.cap <= 0:
-        violations.append("[functions] cap must be positive")
+    elif "functions" not in unbuilt:
+        violations += _raised("functions", test_function, cfg.f_name, cfg.cap)
     if cfg.verbosity not in (0, 1, 2):
         violations.append("[output] verbosity must be 0, 1 or 2")
     return violations
+
+
+def _raised(sec, fn, *args) -> List[str]:
+    """The ValueError fn(*args) raises as a violation of [sec], if any."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return [f"[{sec}] {exc}"]
+    return []
 
 
 def render_config(cfg: ExperimentConfig) -> str:
@@ -272,10 +289,7 @@ def config_coeffs(cfg: ExperimentConfig) -> CoefficientSet:
 
 
 def config_constants(cfg: ExperimentConfig) -> AssumptionConstants:
-    if cfg.system_name == "constants":
-        p = cfg.system_params
-        return AssumptionConstants(k1=p["k1"], k2=p["k2"], k3=p["k3"], k4=p["k4"])
-    return config_coeffs(cfg).constants
+    return system_constants(cfg.system_name, cfg.system_params, dim=cfg.d)
 
 
 def config_segment(cfg: ExperimentConfig, spec: str) -> SegmentPath:
@@ -302,7 +316,7 @@ def _problem(cfg: ExperimentConfig):
 def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
     """Raise ConfigError unless cfg is valid, as parse_config checks it,
     and complete for command."""
-    problems = _config_problems(cfg)
+    problems = _config_problems(cfg, dynamics=command != "bounds")
     if command in ("couple", "entropy") and cfg.t0 is None:
         problems.append(f"{command} needs [problem] t0")
     if command in ("log-harnack", "power-harnack", "bounds") and cfg.T <= cfg.r0:
@@ -311,14 +325,9 @@ def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
     if command == "power-harnack" and cfg.p is None:
         problems.append("power-harnack needs [coupling] p")
     # the exponent threshold reads the system's constants, so it is checked
-    # only on an otherwise valid config; a system the catalog cannot build
-    # raises its own ValueError here
+    # only on an otherwise valid config
     if command in ("bounds", "power-harnack") and cfg.p is not None and not problems:
-        consts = config_constants(cfg)
-        try:
-            _check_power_exponent(cfg.p, consts)
-        except ValueError as exc:
-            problems.append(f"[coupling] {exc}")
+        problems += _raised("coupling", _check_power_exponent, cfg.p, config_constants(cfg))
     # one path gives no standard error; only the couple dump takes n = 1
     if command in ("entropy", "log-harnack", "power-harnack", "stationary") and cfg.n < 2:
         problems.append(f"{command} needs [mc] n >= 2")

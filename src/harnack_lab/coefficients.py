@@ -147,7 +147,6 @@ class CoefficientSet:
     b_delay: object
     constants: AssumptionConstants
     delay_free: bool = False
-    name: str = "custom"
 
     def diffusion(self, t, x):
         """sigma(t, x) for a batch of states x (B, d), evaluated once; its
@@ -179,29 +178,62 @@ def _drift_out(name, t, out, shape):
     return out
 
 
-# The system catalog: each name with the parameters it takes. "constants"
-# is a pseudo-system that carries bare k1..k4 into the bound calculators.
-SYSTEM_PARAMS = {
-    "linear_additive": ("a", "c", "s0"),
-    "sine_multiplicative": ("a", "c", "s0"),
-    "ou_nodelay": ("a", "s0"),
-    "constants": ("k1", "k2", "k3", "k4"),
+def _delay_linear(p, d, sine):
+    a, c, s0 = p["a"], p["c"], p["s0"]
+    if not sine:
+        consts = AssumptionConstants(k1=abs(c) / s0, k2=0.0, k3=1.0 / s0, k4=2.0 * a)
+        sigma = lambda t, x: np.full(x.shape, s0)
+    elif d != 1:
+        raise ValueError("sine_multiplicative is one-dimensional")
+    else:
+        # worst case of 1/(2+sin) is 1, so the delay constant uses the k3 bound
+        consts = AssumptionConstants(k1=abs(c) / s0, k2=2.0 * s0, k3=1.0 / s0,
+                                     k4=s0 * s0 + 2.0 * a)
+        sigma = lambda t, x: s0 * (2.0 + np.sin(x))
+    return consts, dict(z_drift=lambda t, x: a * x, b_delay=lambda t, seg: c * seg[:, 0, :],
+                        sigma=sigma, delay_free=(c == 0.0))
+
+
+def _ou_nodelay(p, d):
+    a, s0 = p["a"], p["s0"]
+    return (AssumptionConstants(k1=0.0, k2=0.0, k3=1.0 / s0, k4=-2.0 * a),
+            dict(z_drift=lambda t, x: -a * x,
+                 b_delay=lambda t, seg: np.zeros((seg.shape[0], seg.shape[2])),
+                 sigma=lambda t, x: np.full(x.shape, s0), delay_free=True))
+
+
+# The system catalog: each name with its parameters and its builder, which
+# takes them as floats and the dimension d, checks them, and returns the
+# declared constants and the other CoefficientSet fields, or None for the
+# "constants" pseudo-system: bare k1..k4 for the bound calculators.
+_CATALOG = {
+    "linear_additive": (("a", "c", "s0"), lambda p, d: _delay_linear(p, d, False)),
+    "sine_multiplicative": (("a", "c", "s0"), lambda p, d: _delay_linear(p, d, True)),
+    "ou_nodelay": (("a", "s0"), _ou_nodelay),
+    "constants": (("k1", "k2", "k3", "k4"), lambda p, d: (AssumptionConstants(**p), None)),
 }
 
 
-def param_problems(name, params):
-    """Every way params fails the catalog entry of system name, as messages."""
-    if name not in SYSTEM_PARAMS:
-        return [f"unknown system {name!r} (catalog: {', '.join(SYSTEM_PARAMS)})"]
-    want = set(SYSTEM_PARAMS[name])
-    missing = sorted(want - set(params))
-    extra = sorted(set(params) - want)
-    problems = []
-    if missing:
-        problems.append(f"system {name!r} is missing parameters {missing}")
-    if extra:
-        problems.append(f"system {name!r} got unknown parameters {extra}")
-    return problems
+def _build(name, params, dim):
+    """The catalog row of name built from params. Raises ValueError on the name,
+    else on the parameter names, else on the values (s0 > 0 where a row has it)."""
+    if name not in _CATALOG:
+        raise ValueError(f"unknown system {name!r} (catalog: {', '.join(_CATALOG)})")
+    want, build = _CATALOG[name]
+    problems = [f"system {name!r} {what} {keys}" for what, keys in (
+        ("is missing parameters", sorted(set(want) - set(params))),
+        ("got unknown parameters", sorted(set(params) - set(want)))) if keys]
+    if problems:
+        raise ValueError("; ".join(problems))
+    p = {k: float(params[k]) for k in want}
+    if "s0" in p and p["s0"] <= 0:
+        raise ValueError("s0 must be positive")
+    return build(p, int(dim))
+
+
+def system_constants(name, params, dim=1):
+    """The declared constants of catalog system name, "constants" included."""
+    return _build(name, params, dim)[0]
 
 
 def builtin_system(name, params, dim=1):
@@ -213,52 +245,11 @@ def builtin_system(name, params, dim=1):
 
     All three diffusions are diagonal: sigma returns their (B, d) entries.
     """
-    d = int(dim)
-    problems = param_problems(name, params)
-    if problems:
-        raise ValueError("; ".join(problems))
-
-    if name in ("linear_additive", "sine_multiplicative"):
-        a, c, s0 = (float(params[k]) for k in ("a", "c", "s0"))
-        if s0 <= 0:
-            raise ValueError("s0 must be positive")
-        if name == "linear_additive":
-            consts = AssumptionConstants(k1=abs(c) / s0, k2=0.0, k3=1.0 / s0, k4=2.0 * a)
-            diag = lambda t, x: np.full(x.shape, s0)
-        else:
-            if d != 1:
-                raise ValueError("sine_multiplicative is one-dimensional")
-            # worst case of 1/(2+sin) is 1, so the delay constant uses the k3 bound
-            consts = AssumptionConstants(k1=abs(c) / s0, k2=2.0 * s0, k3=1.0 / s0,
-                                         k4=s0 * s0 + 2.0 * a)
-            diag = lambda t, x: s0 * (2.0 + np.sin(x))
-        return CoefficientSet(
-            dim=d,
-            z_drift=lambda t, x: a * x,
-            b_delay=lambda t, seg: c * seg[:, 0, :],
-            constants=consts,
-            sigma=diag,
-            delay_free=(c == 0.0),
-            name=name,
-        )
-
-    if name == "ou_nodelay":
-        a, s0 = float(params["a"]), float(params["s0"])
-        if s0 <= 0:
-            raise ValueError("s0 must be positive")
-        consts = AssumptionConstants(k1=0.0, k2=0.0, k3=1.0 / s0, k4=-2.0 * a)
-        return CoefficientSet(
-            dim=d,
-            z_drift=lambda t, x: -a * x,
-            b_delay=lambda t, seg: np.zeros((seg.shape[0], seg.shape[2])),
-            constants=consts,
-            sigma=lambda t, x: np.full(x.shape, s0),
-            delay_free=True,
-            name=name,
-        )
-
-    raise ValueError("the 'constants' pseudo-system carries no dynamics; "
-                     "it only feeds the bound calculators")
+    consts, dynamics = _build(name, params, dim)
+    if dynamics is None:
+        raise ValueError("the 'constants' pseudo-system carries no dynamics; "
+                         "it only feeds the bound calculators")
+    return CoefficientSet(dim=int(dim), constants=consts, **dynamics)
 
 
 @dataclass(frozen=True)

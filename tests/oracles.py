@@ -75,8 +75,7 @@ def with_scaled_sigma(coeffs, scale):
     is for integrator checks only."""
     scale = float(scale)
     sig = coeffs.sigma
-    return dataclasses.replace(coeffs, sigma=lambda t, x: sig(t, x) * scale,
-                               name=f"{coeffs.name}*sigma_scale={scale}")
+    return dataclasses.replace(coeffs, sigma=lambda t, x: sig(t, x) * scale)
 
 
 def _op_norm(mats):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack_lab.coefficients import _CATALOG
 from harnack_lab.cli import (COMMANDS, ConfigError, ExperimentConfig, VERDICT_HEADER,
                              VERSION_TAG, _KEYS, parse_config, render_config,
                              run_command, validate_for_command)
@@ -184,6 +185,41 @@ def test_violations_listed_in_order():
     ]
 
 
+def test_catalog_and_test_function_rules_are_config_errors():
+    # each of these failed only at run time, one run per problem
+    text = "\n".join([
+        "[system]", "name = sine_multiplicative", "a = -1.0", "c = 0.2", "s0 = 0",
+        "[coupling]", "theta = 3",
+        "[functions]", "f = exp_cap", "cap = 800",
+    ])
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.violations == [
+        "[system] s0 must be positive",
+        "[coupling] theta must lie in (0, 2)",
+        "[functions] cap too large: exp would overflow",
+    ]
+
+
+@pytest.mark.parametrize("values, message", [
+    ({("system", "s0"): "fast"}, "[system] s0: cannot parse 'fast'"),
+    ({("system", "s0"): "inf"}, "[system] s0 must be finite"),
+    ({("system", "a"): "nan"}, "[system] a must be finite"),
+    ({("functions", "f"): "exp_cap", ("functions", "cap"): "big"},
+     "[functions] cap: cannot parse 'big'"),
+    ({("functions", "f"): "exp_cap", ("functions", "cap"): "inf"},
+     "[functions] cap must be finite"),
+    ({("functions", "cap"): "nan"}, "[functions] cap must be finite"),
+], ids=["s0-fast", "s0-inf", "a-nan", "cap-big", "exp-cap-inf", "cap-nan"])
+def test_placeholders_add_no_message(values, message):
+    # a value that does not parse or is not finite is reported once; the
+    # placeholder standing in for it (0.0 for s0) builds no system or test
+    # function, so it adds no "s0 must be positive" or "cap too large"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(config_with(values))
+    assert exc.value.violations == [message]
+
+
 def test_readme_config_example_round_trips():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -204,6 +240,13 @@ def test_readme_config_example_lists_every_key():
         elif line and (sec != "system" or line.startswith("name ")):
             listed.append((sec, line.split("=", 1)[0].strip()))
     assert listed == [(sec, key) for sec, key, _, _ in _KEYS]
+
+
+def test_readme_systems_table_lists_the_catalog():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Built-in systems\n", 1)[1].strip().split("\n\n", 1)[0]
+    names = [row.split("|")[1].strip().strip("`") for row in table.splitlines()[2:]]
+    assert names == list(_CATALOG)
 
 
 def test_removed_merge_tolerance_is_an_unknown_key(tmp_path, capsys):
@@ -360,6 +403,40 @@ def test_simulate_rejects_constants_pseudo_system(tmp_path, capsys):
                     out=tmp_path / "res")
     assert launch(tmp_path, "simulate", text) == 1
     assert "pseudo-system" in capsys.readouterr().err
+
+
+CONSTANTS = {"name": "constants", "params": {"k1": 1.0, "k2": 0.0, "k3": 1.0, "k4": 1.0}}
+SINE = {"name": "sine_multiplicative", "params": {"a": -1.0, "c": 0.2, "s0": 0.1}}
+PSEUDO = "[system] the 'constants' pseudo-system carries no dynamics"
+
+
+@pytest.mark.parametrize("command, kw, message", [
+    ("simulate", {"params": {"a": -1.0, "c": 0.5, "s0": 0.0}}, "[system] s0 must be positive"),
+    ("audit", {**SINE, "params": {"a": -1.0, "c": 0.2, "s0": -0.1}},
+     "[system] s0 must be positive"),
+    ("bounds", {"name": "ou_nodelay", "params": {"a": 1.0, "s0": 0.0}},
+     "[system] s0 must be positive"),
+    ("simulate", {**SINE, "d": 2}, "[system] sine_multiplicative is one-dimensional"),
+    ("bounds", {**CONSTANTS, "params": {"k1": 1.0, "k2": 0.0, "k3": 0.0, "k4": 1.0}},
+     "[system] k3 must be positive"),
+    ("bounds", {**CONSTANTS, "params": {"k1": -1.0, "k2": 0.0, "k3": 1.0, "k4": 1.0}},
+     "[system] k1 and k2 must be nonnegative"),
+    ("simulate", CONSTANTS, PSEUDO),
+    ("audit", CONSTANTS, PSEUDO),
+    ("entropy", CONSTANTS, PSEUDO),
+    ("log-harnack", {"f": "exp_cap", "cap": 800.0},
+     "[functions] cap too large: exp would overflow"),
+], ids=["linear-s0", "sine-s0", "ou-s0", "sine-d2", "k3-zero", "k1-negative",
+        "constants-simulate", "constants-audit", "constants-entropy", "exp-cap-800"])
+def test_catalog_rules_are_config_errors(tmp_path, capsys, command, kw, message):
+    # the catalog's value rules and the test function's cap rule are
+    # checked with the config, before anything runs
+    out = tmp_path / "res"
+    assert launch(tmp_path, command, cfg_text(t0=1.0, n=100, out=out, **kw)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+    assert not out.exists()
 
 
 def test_simulate_writes_path(tmp_path):
@@ -607,7 +684,6 @@ def test_audit_passes_catalog_system(tmp_path):
 
 # ------------------------------------------------------------ output
 
-SINE = {"name": "sine_multiplicative", "params": {"a": -1.0, "c": 0.2, "s0": 0.1}}
 OU = {"name": "ou_nodelay", "params": {"a": 1.0, "s0": 1.0}}
 # every command, with its lines at verbosity 2 that carry a report's meta
 RUNS = {

@@ -148,23 +148,6 @@ def test_pt_f_se_unchanged_by_a_large_shift_of_f(shift, seed):
     assert b.std_error == pytest.approx(a.std_error, rel=1e-5)
 
 
-def test_pt_f_validation():
-    co = linear()
-    grid, xi, _ = setup(m=20, T=1.0)
-    with pytest.raises(ValueError):
-        estimate_PT_f(co, xi, ONE, grid, n=1, seed=0)
-    with pytest.raises(ValueError):
-        estimate_PT_f(co, constant_segment(1.0, 1.0, 19), ONE, grid, n=4, seed=0)
-
-
-def test_pt_f_rejects_segment_on_another_delay_window():
-    # same m, different r0: the history would be read at the wrong times
-    co = linear()
-    grid = GridSpec(1.0, 1.0, 20)
-    with pytest.raises(ValueError, match="time grid"):
-        estimate_PT_f(co, constant_segment(1.0, 0.5, 20), ONE, grid, n=4, seed=0)
-
-
 QUAD = catalog_fn("quad_cap", 100.0)
 
 # every chunked entry point, called as (coeffs, xi, eta, grid, n), with the
@@ -192,8 +175,13 @@ def test_entry_points_share_one_chunk_plan(entry, monkeypatch):
     grid, xi, eta = setup(m=5)
     with pytest.raises(ValueError, match=r"^need n >= 2 paths$"):
         run(co, xi, eta, grid, 1)
+    # same m, another r0: the history would be read at the wrong times
     with pytest.raises(ValueError, match="time grid"):
         run(co, constant_segment(1.0, 0.5, 5), constant_segment(0.0, 0.5, 5), grid, 4)
+    # same r0, another m: 19 steps per delay window on a grid of 20
+    with pytest.raises(ValueError, match="time grid"):
+        run(co, constant_segment(1.0, 1.0, 19), constant_segment(0.0, 1.0, 19),
+            setup(m=20)[0], 4)
 
     # n spans two chunks of the Harnack checks' pairs
     n = CHUNK // 2 + 100
@@ -300,13 +288,6 @@ def test_chunk_rejects_an_unknown_field():
 
 
 # -------------------------------------------------------------- entropy
-
-def test_entropy_needs_two_paths():
-    co = linear()
-    grid, xi, eta = setup(m=20)
-    with pytest.raises(ValueError, match="n >= 2"):
-        estimate_entropy_Q(co, xi, eta, sched_for(co), grid, n=1, seed=0)
-
 
 def test_entropy_zero_for_equal_starts():
     co = sine()

@@ -30,7 +30,7 @@ SIGNATURES = {
     "GridSpec": "r0 T m",
     "constant_segment": "x r0 m",
     "AssumptionConstants": "k1 k2 k3 k4",
-    "CoefficientSet": "dim sigma z_drift b_delay constants delay_free name",
+    "CoefficientSet": "dim sigma z_drift b_delay constants delay_free",
     "AuditBox": "t_min t_max x_min x_max m",
     "AuditReport": "conditions n seed",
     "builtin_system": "name params dim",
@@ -94,4 +94,4 @@ def test_public_parameter_count():
     # an input a caller must know about
     total = sum(len(inspect.signature(getattr(harnack_lab, name)).parameters)
                 for name in PUBLIC if callable(getattr(harnack_lab, name)))
-    assert total == 226
+    assert total == 225
