@@ -53,7 +53,6 @@ from .estimators import (
     check_power_harnack,
     sample_stationary_segments,
 )
-from .cli import ExperimentConfig, parse_config, render_config, run_command
 
 __all__ = [
     "__version__",
@@ -71,3 +70,11 @@ __all__ = [
     "check_log_harnack", "check_power_harnack", "sample_stationary_segments",
     "ExperimentConfig", "parse_config", "render_config", "run_command",
 ]
+
+
+def __getattr__(name):
+    # the CLI loads on first use, so that python -m harnack_lab.cli runs it once
+    if name not in ("ExperimentConfig", "parse_config", "render_config", "run_command"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli
+    return getattr(cli, name)

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .coefficients import AssumptionConstants
+from .coupling import _check_theta
 from .segment_paths import SegmentPath, sup_distance
 
 # switch to the series branch of K4/(1 - e^{-K4 s}) below this |K4 s|
@@ -165,6 +166,12 @@ def bound_H_T_at(consts: AssumptionConstants, gaps: GapPair, r0: float,
     return sum(_h_terms(consts, gaps, r0, s))
 
 
+def _check_horizon(T: float, r0: float) -> None:
+    if not T > r0:
+        raise ValueError("the horizon must exceed the delay window: T > r0 is required")
+    _require_finite_positive(r0=r0, T=T)
+
+
 def bound_H_T(consts: AssumptionConstants, gaps: GapPair, T: float,
               r0: float) -> BoundReport:
     """Additive constant of the log-Harnack inequality at horizon T > r0.
@@ -173,9 +180,7 @@ def bound_H_T(consts: AssumptionConstants, gaps: GapPair, T: float,
     a gap term 2 K3^2 K4 pg^2 / (1 - e^{-K4 s}) and a history term
     K1^2 (r0/2 + s (1 + K2^2 K3^2)) e^{K2^2 (K1^2 s + 8) s} sg^2.
     """
-    if not T > r0:
-        raise ValueError("the horizon must exceed the delay: T > r0 is required")
-    _require_finite_positive(r0=r0, T=T)
+    _check_horizon(T, r0)
 
     s_star, value, edge = _grid_refine(
         lambda s: sum(_h_terms(consts, gaps, r0, s)),
@@ -192,8 +197,7 @@ def bound_entropy_prop21(consts: AssumptionConstants, theta: float, t: float,
     """Closed-form bound on the relative entropy E[R_t log R_t] of the
     coupled measure up to time t <= t0, for a coupling with deadline t0
     (defaults to t) and schedule parameter theta."""
-    if not (0.0 < theta < 2.0):
-        raise ValueError("theta must lie in (0, 2)")
+    _check_theta(theta)
     if t0 is None:
         t0 = t
     _require_finite_positive(t=t, t0=t0)
@@ -287,9 +291,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
     golden-section refinement in s at the winning eps. The reported terms
     are scaled by the (sqrt(p)-1)/sqrt(p) prefactor so they sum to value.
     """
-    if not T > r0:
-        raise ValueError("the horizon must exceed the delay: T > r0 is required")
-    _require_finite_positive(r0=r0, T=T)
+    _check_horizon(T, r0)
     _check_power_exponent(p, consts)
     lam = _lambda_p(p)
     k = consts

@@ -26,17 +26,17 @@ import numpy as np
 
 from ._parallel import WorkerDied, resolve_threads
 from ._version import __version__
-from .bounds import (GapPair, _check_power_exponent, bound_H_T, bound_Phi_p,
-                     bound_entropy_prop21, bound_entropy_with_tail)
-from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet,
+from .bounds import (GapPair, _check_horizon, _check_power_exponent, _lambda_p, bound_H_T,
+                     bound_Phi_p, bound_entropy_prop21, bound_entropy_with_tail)
+from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet, _catalog_row,
                            audit_assumptions, builtin_system, system_constants)
-from .coupling import GammaSchedule, gamma, simulate_coupled
-from .estimators import (FAILURE_TOLERANCE, TEST_FUNCTIONS, MCEstimate,
-                         VerdictReport, estimate_entropy_Q, estimate_martingale_mean,
-                         check_log_harnack, check_power_harnack, make_verdict,
-                         sample_stationary_segments, test_function)
-from .integrator import simulate_path
-from .segment_paths import GridSpec, SegmentPath, constant_segment, grid_index
+from .coupling import GammaSchedule, _check_measure, _check_theta, gamma, simulate_coupled
+from .estimators import (FAILURE_TOLERANCE, MCEstimate, VerdictReport, _check_burn_in,
+                         _check_levels, _check_s_choice, check_log_harnack,
+                         check_power_harnack, estimate_entropy_Q, estimate_martingale_mean,
+                         make_verdict, sample_stationary_segments, test_function)
+from .integrator import _check_dim, _check_seed, simulate_path
+from .segment_paths import GridSpec, SegmentPath, _deadline_index, constant_segment
 
 VERSION_TAG = f"harnack-lab-v{__version__}"
 
@@ -119,7 +119,6 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config, collecting all violations before
     raising. Unknown sections and keys are errors, not warnings."""
     violations: List[str] = []
-    unparsed = set()
     # no section header holds a newline, so [DEFAULT] is a section like any other
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
                                    default_section="\n")
@@ -139,128 +138,98 @@ def parse_config(text: str) -> ExperimentConfig:
                            for key in cp[sec] if key not in known[sec]]
 
     def get(sec, key, conv, default):
+        # a float that does not parse or is not finite (inf passes the range
+        # checks of p and s_choice) is reported here once, and None stands in
+        # for it; an int that does not parse stands at its default
         if sec not in cp or key not in cp[sec]:
             return default
         raw = cp[sec][key].strip()
         try:
-            return conv(raw)
+            value = conv(raw)
         except (TypeError, ValueError):
             violations.append(f"[{sec}] {key}: cannot parse {raw!r}")
-            unparsed.add(sec)
-            return default
+            return None if conv is float else default
+        if conv is float and not math.isfinite(value):
+            violations.append(f"[{sec}] {key} must be finite")
+            return None
+        return value
 
     dft = ExperimentConfig()
     values = {}
     for sec, key, fld, conv in _KEYS:
         values[fld] = get(sec, key, conv, getattr(dft, fld))
         if sec == "system":
-            # a placeholder for a value that does not parse, reported once
-            params = {k: get(sec, k, float, 0.0)
+            params = {k: get(sec, k, float, None)
                       for k in (cp[sec] if sec in cp else ()) if k != key}
             if not params and values[fld] == dft.system_name:
                 params = dft.system_params
             values["system_params"] = params
     cfg = ExperimentConfig(**values)
-    violations += _config_problems(cfg, unparsed)
+    violations += _config_problems(cfg)
     if violations:
         raise ConfigError(violations)
     return cfg
 
 
-def _config_problems(cfg: ExperimentConfig, unparsed=(), dynamics=False) -> List[str]:
-    """Every semantic violation of a config, collected rather than stopping
-    at the first. parse_config runs it on the file, validate_for_command
-    again once command-line overrides are applied. The system (its dynamics
-    too if dynamics is set) and the test function are built as a run builds
-    them, unless their section holds a placeholder for a value already
-    reported: one that did not parse (its section is in unparsed) or is not
-    finite."""
-    # NaN passes every "x <= 0" rule below, and inf breaks the grid
-    # arithmetic, so every float is checked to be finite first
-    nonfinite = {fld for _, _, fld, conv in _KEYS if conv is float
-                 and getattr(cfg, fld) is not None and not math.isfinite(getattr(cfg, fld))}
-    violations = [f"[{sec}] {key} must be finite" for sec, key, fld, _ in _KEYS
-                  if fld in nonfinite]
-    violations += [f"[system] {k} must be finite"
-                   for k, v in cfg.system_params.items() if not math.isfinite(v)]
-    unbuilt = {*unparsed, *(sec for sec, _, fld, _ in _KEYS if fld in nonfinite),
-               *("system" for v in cfg.system_params.values() if not math.isfinite(v))}
-    if cfg.d < 1:
-        violations.append("[problem] d must be >= 1")
-    if cfg.r0 <= 0:
-        violations.append("[problem] r0 must be positive")
-    if cfg.m < 1:
-        violations.append("[problem] m must be >= 1")
-    if cfg.T <= 0:
-        violations.append("[problem] t must be positive")
-    if cfg.r0 > 0 and cfg.m >= 1 and cfg.T > 0 and not nonfinite & {"r0", "T"}:
-        h, t0 = cfg.h, cfg.t0
-        try:
-            grid = GridSpec(cfg.r0, cfg.T, cfg.m)
-        except ValueError:
-            grid = None
-            violations.append(
-                f"[problem] t={cfg.T!r} is not a positive multiple of h=r0/m={h!r}")
-        if t0 is not None and "t0" not in nonfinite:
-            if t0 <= 0:
-                violations.append("[problem] t0 must be positive")
-            elif grid_index(t0, h) is None:
-                violations.append(f"[problem] t0={t0!r} is not on the grid (h={h!r})")
-            elif grid is not None:
-                try:
-                    grid.deadline_index(t0)
-                except ValueError:
-                    violations.append("[problem] coupling runs need t0 <= t - r0")
-    for label, spec in (("xi", cfg.xi), ("eta", cfg.eta)):
-        if spec == "zero" or spec.startswith("file:"):
-            continue
-        if spec.startswith("const:"):
+def _config_problems(cfg: ExperimentConfig, command=None) -> List[str]:
+    """Every violation of a config parse_config has read, not just the
+    first, and, given a command, of what that command needs. A value rule
+    is the library's own check, its ValueError reported under the key's
+    section; the CLI states only that n >= 1, the verbosity levels and the
+    needs of each command."""
+    violations: List[str] = []
+
+    def check(sec, fn, *args):
+        # fn(*args), or None once its ValueError is reported; skipped on a None (unset or bad) key
+        if None not in args:
             try:
-                value = float(spec[6:])
-            except ValueError:
-                pass
-            else:
-                if not math.isfinite(value):
-                    violations.append(f"[problem] {label} must be finite")
-                continue
-        violations.append(
-            f"[problem] {label}={spec!r}: expected 'zero', 'const:<value>' or 'file:<path>'")
+                return fn(*args)
+            except ValueError as exc:
+                violations.append(f"[{sec}] {exc}")
 
-    if "system" not in unbuilt:
-        violations += _raised("system", config_coeffs if dynamics else config_constants, cfg)
-
-    if not (0.0 < cfg.theta < 2.0):
-        violations.append("[coupling] theta must lie in (0, 2)")
-    if cfg.p is not None and cfg.p <= 1.0:
-        violations.append("[coupling] p must exceed 1")
-    if cfg.s_choice is not None and cfg.s_choice <= 0.0:
-        violations.append("[coupling] s_choice must be positive")
-    if cfg.measure not in ("Q", "P"):
-        violations.append("[coupling] measure must be Q or P")
+    check("problem", _check_dim, cfg.d)
+    # r0 and m first, as the grid of one delay window, whose steps check t0 while t is wrong
+    window = check("problem", GridSpec, cfg.r0, cfg.r0, cfg.m)
+    if window:
+        grid = check("problem", GridSpec, cfg.r0, cfg.T, cfg.m)
+        check("problem", _deadline_index, cfg.t0, window.h, cfg.m, grid.n_T if grid else math.inf)
+    # the spec's own rules on one point and step: a run's segment holds (m + 1) x d values
+    for spec in dict.fromkeys((cfg.xi, cfg.eta)):
+        if not spec.startswith("file:"):
+            check("problem", config_segment, dataclasses.replace(cfg, d=1, r0=1.0, m=1), spec)
+    if None in cfg.system_params.values():
+        check("system", _catalog_row, cfg.system_name, cfg.system_params)
+    else:
+        check("system", config_constants if command in (None, "bounds") else config_coeffs, cfg)
+    check("coupling", _check_theta, cfg.theta)
+    check("coupling", _lambda_p, cfg.p)
+    # s_choice lies in the horizon where log-harnack reads it, elsewhere only above 0
+    span = (cfg.T, cfg.r0) if command == "log-harnack" else (math.inf, 0.0)
+    check("coupling", _check_s_choice, cfg.s_choice, *span)
+    check("coupling", _check_measure, cfg.measure)
     if cfg.n < 1:
         violations.append("[mc] n must be >= 1")
-    if not (0 <= cfg.seed < 2 ** 63):
-        violations.append("[mc] seed must lie in [0, 2**63)")
-    if cfg.k_tol <= 0 or cfg.k_viol < cfg.k_tol:
-        violations.append("[mc] need 0 < k_tol <= k_viol")
-    if cfg.burn_in < 0:
-        violations.append("[mc] burn_in must be nonnegative")
-    if cfg.f_name not in TEST_FUNCTIONS:
-        violations.append(f"[functions] f must be one of {TEST_FUNCTIONS}")
-    elif "functions" not in unbuilt:
-        violations += _raised("functions", test_function, cfg.f_name, cfg.cap)
+    check("mc", _check_seed, cfg.seed)
+    check("mc", _check_levels, cfg.k_tol, cfg.k_viol)
+    check("mc", _check_burn_in, cfg.burn_in)
+    # a cap already reported stands at its default, so that f is still checked
+    check("functions", test_function, cfg.f_name,
+          ExperimentConfig.cap if cfg.cap is None else cfg.cap)
     if cfg.verbosity not in (0, 1, 2):
         violations.append("[output] verbosity must be 0, 1 or 2")
+    if command in ("couple", "entropy") and cfg.t0 is None:
+        violations.append(f"{command} needs [problem] t0")
+    if command in ("log-harnack", "power-harnack", "bounds"):
+        check("problem", _check_horizon, cfg.T, cfg.r0)
+    if command == "power-harnack" and cfg.p is None:
+        violations.append("power-harnack needs [coupling] p")
+    # the threshold reads the system's constants: checked on an otherwise valid config
+    if command in ("bounds", "power-harnack") and not violations:
+        check("coupling", _check_power_exponent, cfg.p, config_constants(cfg))
+    # one path gives no standard error; only the couple dump takes n = 1
+    if command in ("entropy", "log-harnack", "power-harnack", "stationary") and cfg.n < 2:
+        violations.append(f"{command} needs [mc] n >= 2")
     return violations
-
-
-def _raised(sec, fn, *args) -> List[str]:
-    """The ValueError fn(*args) raises as a violation of [sec], if any."""
-    try:
-        fn(*args)
-    except ValueError as exc:
-        return [f"[{sec}] {exc}"]
-    return []
 
 
 def render_config(cfg: ExperimentConfig) -> str:
@@ -293,10 +262,13 @@ def config_constants(cfg: ExperimentConfig) -> AssumptionConstants:
 
 
 def config_segment(cfg: ExperimentConfig, spec: str) -> SegmentPath:
-    if spec == "zero":
-        return constant_segment(np.zeros(cfg.d), cfg.r0, cfg.m)
-    if spec.startswith("const:"):
-        return constant_segment(np.full(cfg.d, float(spec[6:])), cfg.r0, cfg.m)
+    """The initial segment a spec names: zero, const:<value> or file:<path>."""
+    if spec == "zero" or spec.startswith("const:"):
+        try:
+            x = np.full(cfg.d, 0.0 if spec == "zero" else float(spec[6:]))
+            return constant_segment(x, cfg.r0, cfg.m)
+        except ValueError as exc:
+            raise ValueError(f"segment spec {spec!r}: {exc}") from None
     if spec.startswith("file:"):
         arr = np.loadtxt(spec[5:])
         if arr.ndim == 1:
@@ -304,7 +276,7 @@ def config_segment(cfg: ExperimentConfig, spec: str) -> SegmentPath:
         if arr.shape != (cfg.m + 1, cfg.d):
             raise ValueError(f"segment file must hold {cfg.m + 1} rows x {cfg.d} cols")
         return SegmentPath(cfg.r0, arr)
-    raise ValueError(f"bad segment spec {spec!r}")
+    raise ValueError(f"segment spec {spec!r}: expected 'zero', 'const:<value>' or 'file:<path>'")
 
 
 def _problem(cfg: ExperimentConfig):
@@ -314,26 +286,9 @@ def _problem(cfg: ExperimentConfig):
 
 
 def validate_for_command(cfg: ExperimentConfig, command: str) -> None:
-    """Raise ConfigError unless cfg is valid, as parse_config checks it,
-    and complete for command."""
-    problems = _config_problems(cfg, dynamics=command != "bounds")
-    if command in ("couple", "entropy") and cfg.t0 is None:
-        problems.append(f"{command} needs [problem] t0")
-    if command in ("log-harnack", "power-harnack", "bounds") and cfg.T <= cfg.r0:
-        problems.append(
-            "the inequality only makes sense past the delay window: need t > r0")
-    if command == "power-harnack" and cfg.p is None:
-        problems.append("power-harnack needs [coupling] p")
-    # the exponent threshold reads the system's constants, so it is checked
-    # only on an otherwise valid config
-    if command in ("bounds", "power-harnack") and cfg.p is not None and not problems:
-        problems += _raised("coupling", _check_power_exponent, cfg.p, config_constants(cfg))
-    # one path gives no standard error; only the couple dump takes n = 1
-    if command in ("entropy", "log-harnack", "power-harnack", "stationary") and cfg.n < 2:
-        problems.append(f"{command} needs [mc] n >= 2")
-    if command == "log-harnack" and cfg.s_choice is not None \
-            and cfg.s_choice > GridSpec.horizon_end(cfg.T, cfg.r0):
-        problems.append("s_choice must be <= t - r0")
+    """Raise ConfigError unless cfg, as parse_config returns it with any
+    command-line overrides, is still valid and complete for command."""
+    problems = _config_problems(cfg, command=command)
     if problems:
         raise ConfigError(problems)
 

@@ -214,9 +214,8 @@ _CATALOG = {
 }
 
 
-def _build(name, params, dim):
-    """The catalog row of name built from params. Raises ValueError on the name,
-    else on the parameter names, else on the values (s0 > 0 where a row has it)."""
+def _catalog_row(name, params):
+    """The catalog row (parameter names, builder) of name, checked against params' names."""
     if name not in _CATALOG:
         raise ValueError(f"unknown system {name!r} (catalog: {', '.join(_CATALOG)})")
     want, build = _CATALOG[name]
@@ -225,6 +224,13 @@ def _build(name, params, dim):
         ("got unknown parameters", sorted(set(params) - set(want)))) if keys]
     if problems:
         raise ValueError("; ".join(problems))
+    return want, build
+
+
+def _build(name, params, dim):
+    """The catalog row of name built from params. Raises ValueError as
+    _catalog_row does, else on the values (s0 > 0 where a row has it)."""
+    want, build = _catalog_row(name, params)
     p = {k: float(params[k]) for k in want}
     if "s0" in p and p["s0"] <= 0:
         raise ValueError("s0 must be positive")

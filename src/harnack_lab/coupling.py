@@ -47,6 +47,16 @@ from .segment_paths import GridSpec, SegmentPath
 _K4_LIMIT = 1e-6
 
 
+def _check_theta(theta):
+    if not 0.0 < theta < 2.0:
+        raise ValueError("theta must lie in (0, 2)")
+
+
+def _check_measure(measure):
+    if measure not in ("Q", "P"):
+        raise ValueError("measure must be 'Q' or 'P'")
+
+
 @dataclass(frozen=True)
 class GammaSchedule:
     """Gap-forcing schedule gamma(t) on [0, t0), zero at the deadline.
@@ -62,8 +72,7 @@ class GammaSchedule:
     t0: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta < 2.0):
-            raise ValueError("theta must lie in (0, 2)")
+        _check_theta(self.theta)
         if not (np.isfinite(self.t0) and self.t0 > 0):
             raise ValueError("t0 must be positive")
         if not np.isfinite(self.k4):
@@ -268,8 +277,7 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
     snap included (integrator._run), so memory is the two rings, O(m B d),
     unless an observer keeps more.
     """
-    if measure not in ("Q", "P"):
-        raise ValueError("measure must be 'Q' or 'P'")
+    _check_measure(measure)
     n0 = grid.index_of(sched.t0, "t0")
     if n0 < 1 or n0 > grid.n_T:
         raise ValueError("t0 must lie in (0, T] on the grid")

@@ -18,7 +18,8 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ._parallel import CHUNK, map_chunks
-from .bounds import GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _check_power_exponent
+from .bounds import (GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _check_horizon,
+                     _check_power_exponent)
 from .coefficients import CoefficientSet
 from .coupling import GammaSchedule, _coupled_batch, _Integrals
 from .integrator import NoiseBlocks, NoiseStream, _simulate_batch
@@ -119,6 +120,8 @@ TEST_FUNCTIONS = ("quad_cap", "exp_cap")
 def test_function(name: str, cap: float = 100.0) -> TestFunction:
     """Catalog of test functions: "quad_cap" is 1 + min(|endpoint|^2, cap),
     "exp_cap" is exp(min(sup norm, cap)). Both bounded, both >= 1."""
+    if name not in TEST_FUNCTIONS:
+        raise ValueError(f"unknown test function {name!r}; catalog: {', '.join(TEST_FUNCTIONS)}")
     if not cap > 0:
         raise ValueError("cap must be positive")
     if name == "quad_cap":
@@ -126,14 +129,12 @@ def test_function(name: str, cap: float = 100.0) -> TestFunction:
             end_sq = (segs[:, -1, :] ** 2).sum(axis=1)
             return 1.0 + np.minimum(end_sq, cap)
         return TestFunction(name="quad_cap", fn=fn, lower=1.0, upper=1.0 + cap)
-    if name == "exp_cap":
-        if cap > MAX_EXPONENT:
-            raise ValueError("cap too large: exp would overflow")
-        def fn(segs):
-            sup = np.sqrt((segs ** 2).sum(axis=2)).max(axis=1)
-            return np.exp(np.minimum(sup, cap))
-        return TestFunction(name="exp_cap", fn=fn, lower=1.0, upper=math.exp(cap))
-    raise ValueError(f"unknown test function {name!r}; catalog: {', '.join(TEST_FUNCTIONS)}")
+    if cap > MAX_EXPONENT:
+        raise ValueError("cap too large: exp would overflow")
+    def fn(segs):
+        sup = np.sqrt((segs ** 2).sum(axis=2)).max(axis=1)
+        return np.exp(np.minimum(sup, cap))
+    return TestFunction(name="exp_cap", fn=fn, lower=1.0, upper=math.exp(cap))
 
 
 def _log_of(f: TestFunction) -> TestFunction:
@@ -499,10 +500,14 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
     return replace(est, diagnostics=dict(est.diagnostics, ess=_effective_sample_size(est)))
 
 
-def _verdict(margin_se: float, k_tol: float, k_viol: float,
-             failure_fraction: float) -> str:
+def _check_levels(k_tol: float, k_viol: float) -> None:
     if not 0 < k_tol <= k_viol < math.inf:
         raise ValueError("need finite 0 < k_tol <= k_viol")
+
+
+def _verdict(margin_se: float, k_tol: float, k_viol: float,
+             failure_fraction: float) -> str:
+    _check_levels(k_tol, k_viol)
     # NaN would pass "failure_fraction > FAILURE_TOLERANCE" below unseen
     if not 0 <= failure_fraction <= 1:
         raise ValueError("failure_fraction must lie in [0, 1]")
@@ -574,13 +579,19 @@ def _log_of_mean(raw: MCEstimate, bound: Optional[float] = None,
                       diagnostics={"raw_mean": raw.mean, **extra, **raw.diagnostics})
 
 
-def _check_harnack_inputs(claim, f_min, coeffs, xi, eta, f, grid):
-    """The input checks shared by both Harnack verdicts."""
-    if not grid.T > grid.r0:
-        raise ValueError("the inequality needs a horizon longer than the delay: T > r0")
+def _check_harnack_inputs(claim, f_min, coeffs, xi, eta, f, grid, k_tol, k_viol):
+    """The input checks shared by both Harnack verdicts, run before any path."""
+    _check_horizon(grid.T, grid.r0)
+    _check_levels(k_tol, k_viol)
     if f.lower < f_min:
         raise ValueError(f"{claim} checks need f >= {f_min:g}")
     grid.check_segments(coeffs.dim, xi, eta)
+
+
+def _check_s_choice(s_choice: float, T: float, r0: float) -> None:
+    # to the grid's tolerance, so that s_choice = T - r0 passes however T - r0 rounds
+    if not 0.0 < s_choice <= T - r0 + 1e-12 * max(T, 1.0):
+        raise ValueError("s_choice must lie in (0, T - r0]")
 
 
 def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
@@ -596,12 +607,11 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
     covariance included, follow by the delta method. s_choice pins H's
     coupling horizon instead of minimizing.
     """
-    _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, grid)
+    _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, grid, k_tol, k_viol)
 
     gaps = GapPair.from_segments(xi, eta)
     if s_choice is not None:
-        if not (0.0 < s_choice <= GridSpec.horizon_end(grid.T, grid.r0)):
-            raise ValueError("s_choice must lie in (0, T - r0]")
+        _check_s_choice(s_choice, grid.T, grid.r0)
         h_val = bound_H_T_at(coeffs.constants, gaps, grid.r0, s_choice)
         s_star = s_choice
     else:
@@ -627,7 +637,7 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
     Both sides come from the same paired paths, as in check_log_harnack.
     """
     _check_power_exponent(p, coeffs.constants)
-    _check_harnack_inputs("power-Harnack", 0.0, coeffs, xi, eta, f, grid)
+    _check_harnack_inputs("power-Harnack", 0.0, coeffs, xi, eta, f, grid, k_tol, k_viol)
 
     gaps = GapPair.from_segments(xi, eta)
     rep = bound_Phi_p(p, grid.T, coeffs.constants, gaps, grid.r0)
@@ -641,6 +651,11 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
                            rep.value, k_tol, k_viol,
                            {"p": p, "s_star": rep.s_star, "eps_star": rep.eps_star,
                             "log_scale": 1.0})
+
+
+def _check_burn_in(burn_in: float) -> None:
+    if not 0 <= burn_in < math.inf:
+        raise ValueError("burn_in must be finite and nonnegative")
 
 
 def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
@@ -662,8 +677,7 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
         raise ValueError("stationary sampling needs a delay-free system")
     if n < 2:
         raise ValueError("need n >= 2 segments")
-    if not 0 <= burn_in < math.inf:
-        raise ValueError("burn_in must be finite and nonnegative")
+    _check_burn_in(burn_in)
     n_paths = min(n, 256)
     windows = -(-n // n_paths)  # ceil
     h, m = grid.h, grid.m

@@ -41,6 +41,16 @@ from .segment_paths import GridSpec, SegmentPath
 _BLOCK = 64
 
 
+def _check_seed(seed):
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 63):
+        raise ValueError("seed must be an integer in [0, 2**63)")
+
+
+def _check_dim(dim):
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+
+
 @dataclass(frozen=True)
 class NoiseStream:
     """Reproducible Brownian increments, scaled by sqrt(h)."""
@@ -50,12 +60,10 @@ class NoiseStream:
     dim: int
 
     def __post_init__(self):
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 63):
-            raise ValueError("seed must be an integer in [0, 2**63)")
+        _check_seed(self.seed)
         if not self.h > 0:
             raise ValueError("h must be positive")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        _check_dim(self.dim)
 
     def batch(self, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
         """Increments for paths first_path..first_path+n_paths-1, time-major

@@ -100,6 +100,18 @@ def grid_index(t, h):
     return k if abs(k * h - t) <= 1e-12 * max(abs(t), 1.0) else None
 
 
+def _deadline_index(t0, h, m, n_T):
+    """Grid index n0 of a coupling deadline t0 in (0, T - r0] on a grid of step
+    h, with m steps per delay window and n_T to T (inf while T is unknown). On
+    indices, n0 + m <= n_T, a t0 equal to T - r0 passes however T - r0 rounds."""
+    n0 = grid_index(float(t0), h)
+    if n0 is None:
+        raise ValueError(f"t0={t0} does not lie on the grid (h={h})")
+    if n0 < 1 or n0 + m > n_T:
+        raise ValueError("the coupling deadline must satisfy 0 < t0 <= T - r0")
+    return n0
+
+
 class GridSpec:
     """Uniform time grid for a run: step h = r0/m, horizon T = n_T * h."""
 
@@ -132,20 +144,8 @@ class GridSpec:
         return k
 
     def deadline_index(self, t0):
-        """Grid index n0 of a coupling deadline t0 in (0, T - r0]. The upper
-        end is checked on indices, n0 + m <= n_T, so that a t0 equal to
-        T - r0 passes however T - r0 rounds."""
-        n0 = self.index_of(t0, "t0")
-        if n0 < 1 or n0 + self.m > self.n_T:
-            raise ValueError("the coupling deadline must satisfy 0 < t0 <= T - r0")
-        return n0
-
-    @staticmethod
-    def horizon_end(T, r0):
-        """Upper end of a coupling horizon s in (0, T - r0], to the grid's
-        tolerance, so that s = T - r0 passes however T - r0 rounds. A
-        static method, so that a config is checked before its grid exists."""
-        return T - r0 + 1e-12 * max(T, 1.0)
+        """Grid index n0 of a coupling deadline t0 in (0, T - r0]."""
+        return _deadline_index(t0, self.h, self.m, self.n_T)
 
     def check_segments(self, dim, *segments):
         """Raise ValueError unless the initial segments have dimension dim,

@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack_lab import (GammaSchedule, GapPair, GridSpec, MCEstimate, NoiseStream,
+                         bound_H_T, builtin_system, check_log_harnack, make_verdict,
+                         sample_stationary_segments)
+from harnack_lab import test_function as catalog_fn
+from harnack_lab.bounds import _lambda_p
 from harnack_lab.coefficients import _CATALOG
+from harnack_lab.coupling import _check_measure
 from harnack_lab.cli import (COMMANDS, ConfigError, ExperimentConfig, VERDICT_HEADER,
-                             VERSION_TAG, _KEYS, parse_config, render_config,
-                             run_command, validate_for_command)
+                             VERSION_TAG, _KEYS, _problem, config_segment, parse_config,
+                             render_config, run_command, validate_for_command)
 from oracles import keep_apart_at_t0
 
 
@@ -107,8 +115,8 @@ def test_all_violations_collected():
     joined = "\n".join(msgs)
     assert "unknown section [extra]" in joined
     assert "unknown key 'chains'" in joined
-    assert "not a positive multiple" in joined
-    assert "xi=" in joined
+    assert "is not an integer multiple" in joined
+    assert "segment spec 'wobble'" in joined
     assert "missing parameters" in joined
     assert "unknown parameters ['q']" in joined
     assert "theta" in joined
@@ -179,9 +187,9 @@ def test_violations_listed_in_order():
         "[mc] n: cannot parse 'lots'",
         "[functions] cap: cannot parse 'big'",
         "[output] verbosity: cannot parse 'loud'",
-        "[problem] xi='wobble': expected 'zero', 'const:<value>' or 'file:<path>'",
+        "[problem] segment spec 'wobble': expected 'zero', 'const:<value>' or 'file:<path>'",
         "[coupling] theta must lie in (0, 2)",
-        "[functions] f must be one of ('quad_cap', 'exp_cap')",
+        "[functions] unknown test function 'cube'; catalog: quad_cap, exp_cap",
     ]
 
 
@@ -218,6 +226,16 @@ def test_placeholders_add_no_message(values, message):
     with pytest.raises(ConfigError) as exc:
         parse_config(config_with(values))
     assert exc.value.violations == [message]
+
+
+def test_placeholder_still_checks_parameter_names():
+    # s0 stands as a placeholder, which builds no system, but the names of
+    # the section's parameters are checked all the same
+    with pytest.raises(ConfigError) as exc:
+        parse_config(config_with({("system", "s0"): "fast", ("system", "q"): "2"}))
+    assert exc.value.violations == [
+        "[system] s0: cannot parse 'fast'",
+        "[system] system 'linear_additive' got unknown parameters ['q']"]
 
 
 def test_readme_config_example_round_trips():
@@ -259,12 +277,79 @@ def test_removed_merge_tolerance_is_an_unknown_key(tmp_path, capsys):
 
 
 def test_t0_grid_checks():
-    with pytest.raises(ConfigError, match="not on the grid"):
-        parse_config("[problem]\nm = 100\nt0 = 0.505\n")
-    with pytest.raises(ConfigError, match="t0 <= t - r0"):
-        parse_config("[problem]\nm = 100\nt0 = 1.5\n")
-    with pytest.raises(ConfigError, match="t0 must be positive"):
-        parse_config("[problem]\nm = 100\nt0 = -0.5\n")
+    # off the grid, past t - r0, not positive: the deadline check's messages
+    grid = GridSpec(1.0, 2.0, 100)
+    for t0, what in ((0.505, "does not lie on the grid"), (1.5, "t0 <= T - r0"),
+                     (-0.5, "must satisfy 0 < t0")):
+        with pytest.raises(ValueError, match=what) as lib:
+            grid.deadline_index(t0)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[problem]\nm = 100\nt0 = {t0}\n")
+        assert exc.value.violations == [f"[problem] {lib.value}"]
+
+
+def test_grid_and_deadline_problems_reported_in_one_pass():
+    # t0 is checked on the steps of h while t is off them
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[problem]\nt = 2.0003\nm = 100\nt0 = 0.505\n")
+    assert exc.value.violations == [
+        "[problem] T=2.0003 is not an integer multiple of h=0.01",
+        "[problem] t0=0.505 does not lie on the grid (h=0.01)"]
+
+
+def pinned_log_harnack(s_choice):
+    coeffs, grid, xi, eta = _problem(ExperimentConfig(m=50))
+    check_log_harnack(coeffs, xi, eta, catalog_fn("quad_cap"), grid, 2, 0,
+                      s_choice=s_choice)
+
+
+OU_SYSTEM = builtin_system("ou_nodelay", {"a": 1.0, "s0": 1.0})
+ESTIMATE = MCEstimate(mean=1.0, std_error=0.1, n=100, seed=0)
+
+# each value rule the config check hands to the library: the key's section,
+# config values that break it, the command validated (None: parse_config
+# alone) and the library call that states the rule
+DELEGATED = {
+    "d": ("problem", {("problem", "d"): "0"}, None,
+          lambda: NoiseStream(seed=0, h=0.0025, dim=0)),
+    "r0": ("problem", {("problem", "r0"): "-1"}, None, lambda: GridSpec(-1.0, 2.0, 400)),
+    "m": ("problem", {("problem", "m"): "0"}, None, lambda: GridSpec(1.0, 2.0, 0)),
+    "t": ("problem", {("problem", "t"): "2.0003"}, None, lambda: GridSpec(1.0, 2.0003, 400)),
+    "xi": ("problem", {("problem", "xi"): "wobble"}, None,
+           lambda: config_segment(ExperimentConfig(), "wobble")),
+    "t-past-r0": ("problem", {("problem", "t"): "1.0"}, "bounds",
+                  lambda: bound_H_T(OU_SYSTEM.constants, GapPair(1.0, 1.0), 1.0, 1.0)),
+    "theta": ("coupling", {("coupling", "theta"): "2.5"}, None,
+              lambda: GammaSchedule(theta=2.5, k4=-2.0, t0=1.0)),
+    "p": ("coupling", {("coupling", "p"): "1.0"}, None, lambda: _lambda_p(1.0)),
+    "s_choice": ("coupling", {("coupling", "s_choice"): "-1"}, None,
+                 lambda: pinned_log_harnack(-1.0)),
+    "s_choice-past-t-r0": ("coupling", {("coupling", "s_choice"): "1.5"}, "log-harnack",
+                           lambda: pinned_log_harnack(1.5)),
+    "measure": ("coupling", {("coupling", "measure"): "R"}, None,
+                lambda: _check_measure("R")),
+    "seed": ("mc", {("mc", "seed"): "-1"}, None, lambda: NoiseStream(seed=-1, h=0.0025, dim=1)),
+    "k_tol": ("mc", {("mc", "k_tol"): "0"}, None,
+              lambda: make_verdict("c", ESTIMATE, 1.0, k_tol=0.0)),
+    "k_viol": ("mc", {("mc", "k_viol"): "2"}, None,
+               lambda: make_verdict("c", ESTIMATE, 1.0, k_viol=2.0)),
+    "burn_in": ("mc", {("mc", "burn_in"): "-1"}, None,
+                lambda: sample_stationary_segments(OU_SYSTEM, GridSpec(1.0, 2.0, 400), 2, -1.0)),
+    "f": ("functions", {("functions", "f"): "cube"}, None, lambda: catalog_fn("cube")),
+}
+
+
+@pytest.mark.parametrize("rule", DELEGATED)
+def test_config_errors_are_the_library_messages(rule):
+    # each rule is stated once, in the library: the config error is its
+    # ValueError under the key's section, word for word
+    sec, values, command, call = DELEGATED[rule]
+    with pytest.raises(ValueError) as lib:
+        call()
+    with pytest.raises(ConfigError) as exc:
+        validate_for_command(parse_config(config_with(values)), command) if command \
+            else parse_config(config_with(values))
+    assert exc.value.violations == [f"[{sec}] {lib.value}"]
 
 
 # every float a config holds: the float rows of _KEYS and the parameters of
@@ -297,7 +382,8 @@ def test_nonfinite_const_segments_are_config_errors(label, value):
     # const:nan parsed as a float and failed only when the segment was built
     with pytest.raises(ConfigError) as exc:
         parse_config(config_with({("problem", label): f"const:{value}"}))
-    assert exc.value.violations == [f"[problem] {label} must be finite"]
+    assert exc.value.violations == [
+        f"[problem] segment spec 'const:{value}': segment values must be finite"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -324,7 +410,7 @@ def test_deadline_at_t_minus_r0_is_checked_on_grid_indices():
     # 0.3 - 0.1 is 0.19999999999999998 in floats; t0 = 0.2 is t - r0 on the
     # grid (20 + 10 <= 30 steps) and 0.21 is one step past it
     assert parse_config("[problem]\nr0 = 0.1\nt = 0.3\nm = 10\nt0 = 0.2\n").t0 == 0.2
-    with pytest.raises(ConfigError, match="t0 <= t - r0"):
+    with pytest.raises(ConfigError, match="t0 <= T - r0"):
         parse_config("[problem]\nr0 = 0.1\nt = 0.3\nm = 10\nt0 = 0.21\n")
 
 
@@ -353,6 +439,19 @@ def test_help_exits_zero_and_bad_args_exit_one(capsys):
     assert run_command(["frobnicate", "--config", "x"]) == 1
     assert run_command([]) == 1
     capsys.readouterr()
+
+
+def test_module_runs_without_runpy_warning():
+    # the package does not import the CLI, so running it as a module loads
+    # harnack_lab.cli once, as __main__
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "harnack_lab.cli", "--help"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "usage: harnack-lab" in done.stdout
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -822,7 +921,7 @@ def test_seed_paths_out_overrides(tmp_path):
 
 @pytest.mark.parametrize("command", ["bounds", "audit"])
 @pytest.mark.parametrize("flag, value, message", [
-    ("--seed", "-1", "[mc] seed must lie in [0, 2**63)"),
+    ("--seed", "-1", "[mc] seed must be an integer in [0, 2**63)"),
     ("--paths", "0", "[mc] n must be >= 1"),
 ])
 def test_overrides_are_validated(tmp_path, capsys, command, flag, value, message):

@@ -747,6 +747,22 @@ def test_log_harnack_distinct_starts_holds():
     assert rep.meta["s_star"] > 0
 
 
+@pytest.mark.parametrize("check", ["log", "power"])
+def test_harnack_checks_reject_verdict_levels_before_any_path(monkeypatch, check):
+    # a verdict level is an input: it is rejected before any of the n paths runs
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(estimators, "_run_chunks", no_chunks)
+    grid, xi, eta = setup(m=20)
+    f = catalog_fn("quad_cap", 100.0)
+    with pytest.raises(ValueError, match="k_tol <= k_viol"):
+        if check == "log":
+            check_log_harnack(linear(), xi, eta, f, grid, n=1000, seed=0, k_tol=0.0)
+        else:
+            check_power_harnack(sine(), xi, eta, f, 16.0, grid, n=1000, seed=0, k_tol=0.0)
+
+
 def test_log_harnack_s_choice_is_honored():
     co = linear()
     grid, xi, eta = setup(m=100)
