@@ -16,7 +16,6 @@ from .segment_paths import (
 from .coefficients import (
     AssumptionConstants,
     CoefficientSet,
-    AuditBox,
     AuditReport,
     builtin_system,
     audit_assumptions,
@@ -57,7 +56,7 @@ from .estimators import (
 __all__ = [
     "__version__",
     "SegmentPath", "GridSpec", "constant_segment",
-    "AssumptionConstants", "CoefficientSet", "AuditBox", "AuditReport",
+    "AssumptionConstants", "CoefficientSet", "AuditReport",
     "builtin_system", "audit_assumptions",
     "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "simulate_coupled",

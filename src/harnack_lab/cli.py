@@ -28,11 +28,11 @@ from ._parallel import WorkerDied, resolve_threads
 from ._version import __version__
 from .bounds import (GapPair, _check_horizon, _check_power_exponent, _lambda_p, bound_H_T,
                      bound_Phi_p, bound_entropy_prop21, bound_entropy_with_tail)
-from .coefficients import (AssumptionConstants, AuditBox, CoefficientSet, _catalog_row,
+from .coefficients import (AssumptionConstants, CoefficientSet, _catalog_row,
                            audit_assumptions, builtin_system, system_constants)
 from .coupling import GammaSchedule, _check_measure, _check_theta, gamma, simulate_coupled
 from .estimators import (FAILURE_TOLERANCE, MCEstimate, VerdictReport, _check_burn_in,
-                         _check_levels, _check_s_choice, check_log_harnack,
+                         _check_delay_free, _check_levels, _check_s_choice, check_log_harnack,
                          check_power_harnack, estimate_entropy_Q, estimate_martingale_mean,
                          make_verdict, sample_stationary_segments, test_function)
 from .integrator import _check_dim, _check_seed, simulate_path
@@ -180,11 +180,11 @@ def _config_problems(cfg: ExperimentConfig, command=None) -> List[str]:
     violations: List[str] = []
 
     def check(sec, fn, *args):
-        # fn(*args), or None once its ValueError is reported; skipped on a None (unset or bad) key
+        # fn(*args), or None once its ValueError or OverflowError is reported; a None key skips it
         if None not in args:
             try:
                 return fn(*args)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 violations.append(f"[{sec}] {exc}")
 
     check("problem", _check_dim, cfg.d)
@@ -200,7 +200,10 @@ def _config_problems(cfg: ExperimentConfig, command=None) -> List[str]:
     if None in cfg.system_params.values():
         check("system", _catalog_row, cfg.system_name, cfg.system_params)
     else:
-        check("system", config_constants if command in (None, "bounds") else config_coeffs, cfg)
+        built = check("system", config_constants if command in (None, "bounds") else config_coeffs,
+                      cfg)
+        if command == "stationary":
+            check("system", _check_delay_free, built)
     check("coupling", _check_theta, cfg.theta)
     check("coupling", _lambda_p, cfg.p)
     # s_choice lies in the horizon where log-harnack reads it, elsewhere only above 0
@@ -361,8 +364,7 @@ def _verdicts(reports: List[VerdictReport]) -> _Result:
 
 
 def _cmd_audit(cfg: ExperimentConfig, threads) -> _Result:
-    report = audit_assumptions(config_coeffs(cfg), box=AuditBox(t_min=0.0, t_max=cfg.T),
-                               n=cfg.n, seed=cfg.seed)
+    report = audit_assumptions(config_coeffs(cfg), t_max=cfg.T, n=cfg.n, seed=cfg.seed)
     res = _Result(["condition", "empirical_max", "declared", "passed", "worst_t",
                    "worst_point", "n", "seed", "h", "version"])
     for cond, c in sorted(report.conditions.items()):

@@ -259,22 +259,6 @@ def builtin_system(name, params, dim=1):
 
 
 @dataclass(frozen=True)
-class AuditBox:
-    """Sampling region for the assumption audit."""
-    t_min: float = 0.0
-    t_max: float = 1.0
-    x_min: float = -5.0
-    x_max: float = 5.0
-    m: int = 8
-
-    def __post_init__(self):
-        if not np.isfinite([self.t_min, self.t_max, self.x_min, self.x_max]).all():
-            raise ValueError("audit box bounds must be finite")
-        if not (self.t_min <= self.t_max and self.x_min < self.x_max and self.m >= 1):
-            raise ValueError("audit box is empty or malformed")
-
-
-@dataclass(frozen=True)
 class ConditionAudit:
     condition: str
     empirical_max: float
@@ -291,8 +275,6 @@ class AuditReport:
     was found."""
 
     conditions: dict
-    n: int
-    seed: int
 
     @property
     def all_passed(self):
@@ -301,10 +283,13 @@ class AuditReport:
 
 _AUDIT_CHUNK = 4096
 _AUDIT_SLACK = 1e-6
+# the sampling box besides the times: states on _AUDIT_STATES, segments of _AUDIT_M steps
+_AUDIT_STATES = (-5.0, 5.0)
+_AUDIT_M = 8
 
 
-def audit_assumptions(coeffs, box=None, n=10000, seed=0):
-    """Empirical maxima of the four assumption ratios over random samples.
+def audit_assumptions(coeffs, t_max=1.0, n=10000, seed=0):
+    """Empirical maxima of the four assumption ratios over samples at times in [0, t_max].
 
     Passing uses an additive-relative tolerance, max <= declared +
     _AUDIT_SLACK*max(1, |declared|), which stays meaningful for negative k4.
@@ -313,7 +298,8 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0):
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    box = box or AuditBox()
+    if not 0.0 <= t_max < np.inf:
+        raise ValueError("t_max must be finite and nonnegative")
     d = coeffs.dim
     k = coeffs.constants
     maxima = {c: -np.inf for c in ("A1", "A2", "A3", "A4")}
@@ -328,11 +314,11 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0):
     while done < n:
         b = min(_AUDIT_CHUNK, n - done)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, shard], dtype=np.uint64)))
-        ts = rng.uniform(box.t_min, box.t_max, size=(b + group - 1) // group)
-        x = rng.uniform(box.x_min, box.x_max, size=(b, d))
-        y = rng.uniform(box.x_min, box.x_max, size=(b, d))
-        seg_xi = rng.uniform(box.x_min, box.x_max, size=(b, box.m + 1, d))
-        seg_eta = rng.uniform(box.x_min, box.x_max, size=(b, box.m + 1, d))
+        ts = rng.uniform(0.0, t_max, size=(b + group - 1) // group)
+        x = rng.uniform(*_AUDIT_STATES, size=(b, d))
+        y = rng.uniform(*_AUDIT_STATES, size=(b, d))
+        seg_xi = rng.uniform(*_AUDIT_STATES, size=(b, _AUDIT_M + 1, d))
+        seg_eta = rng.uniform(*_AUDIT_STATES, size=(b, _AUDIT_M + 1, d))
 
         for g, t in enumerate(ts):
             t = float(t)
@@ -403,4 +389,4 @@ def audit_assumptions(coeffs, box=None, n=10000, seed=0):
         conditions[cond] = ConditionAudit(cond, float(emp), float(dec), passed, *worst[cond])
     if singular is not None:
         conditions["A3"] = ConditionAudit("A3", np.inf, k.k3, False, *singular)
-    return AuditReport(conditions=conditions, n=n, seed=seed)
+    return AuditReport(conditions=conditions)

@@ -159,8 +159,6 @@ class CoupledTrajectory:
     phi_sq_cum: np.ndarray
     log_weight_cum: np.ndarray
     merged: bool
-    seed: int = 0
-    path_index: int = 0
 
     def __post_init__(self):
         for arr in (self.x_values, self.y_values, self.phi_sq_cum, self.log_weight_cum):
@@ -318,4 +316,4 @@ def simulate_coupled(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
         grid=grid, sched=sched, measure=measure,
         x_values=rec.full[0][:, 0, :], y_values=rec.full[1][:, 0, :],
         phi_sq_cum=phi_cum, log_weight_cum=logw_cum,
-        merged=bool(pair.merged[0]), seed=seed, path_index=path_index)
+        merged=bool(pair.merged[0]))

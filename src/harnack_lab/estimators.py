@@ -81,8 +81,6 @@ class VerdictReport:
     bound: float
     margin_se: float
     verdict: str
-    k_tol: float = 3.0
-    k_viol: float = 6.0
     meta: Dict[str, float] = field(default_factory=dict)
 
 
@@ -167,7 +165,6 @@ class StationarySample:
     endpoint_var: np.ndarray
     lag_r0_autocov: np.ndarray
     n: int
-    seed: int
     burn_in: float
 
     def __post_init__(self):
@@ -419,7 +416,7 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
                              value_of, lambda b: _Integrals(grid.m, k_upper, b))
 
 
-_INTEGRANDS = ("phi_sq", "gap_over_gamma_sq", "seg_gap_sq")
+_INTEGRANDS = ("gap_over_gamma_sq", "seg_gap_sq")
 
 
 def _checked_exp(expo: np.ndarray, a: int, prefix: str, label: str):
@@ -435,12 +432,11 @@ def _checked_exp(expo: np.ndarray, a: int, prefix: str, label: str):
 def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
                             eta: SegmentPath, sched: GammaSchedule,
                             grid: GridSpec, lam: float, n: int, seed: int,
-                            integrand: str = "phi_sq",
+                            integrand: str,
                             t_upper: Optional[float] = None,
                             threads: Optional[int] = None) -> MCEstimate:
     """Mean of exp(lam * I) under the coupled measure, where I is one of
-    three path integrals up to t_upper (default the full horizon):
-      phi_sq             int |phi|^2
+    two path integrals up to t_upper (default the full horizon):
       gap_over_gamma_sq  int |X-Y|^2 / gamma^2   (needs t_upper <= t0)
       seg_gap_sq         int of the squared running segment gap
     Chunks stop at max(t_upper, t0), the last time the estimate or the
@@ -548,8 +544,7 @@ def make_verdict(claim: str, lhs: MCEstimate, bound: float,
         margin = -abs(margin) if margin != 0.0 else 0.0
     verdict = _verdict(margin, k_tol, k_viol, failure_fraction)
     return VerdictReport(claim=claim, lhs=lhs, rhs=rhs, bound=bound,
-                         margin_se=margin, verdict=verdict, k_tol=k_tol,
-                         k_viol=k_viol, meta=dict(meta or {}))
+                         margin_se=margin, verdict=verdict, meta=dict(meta or {}))
 
 
 def _paired_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, cov: float,
@@ -565,8 +560,7 @@ def _paired_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, cov: float,
     margin = _margin(lhs.mean, rhs.mean, se)
     corr = cov / (se_l * se_r) if se_l * se_r > 0 else math.nan
     return VerdictReport(claim=claim, lhs=lhs, rhs=rhs, bound=bound, margin_se=margin,
-                         verdict=_verdict(margin, k_tol, k_viol, 0.0), k_tol=k_tol,
-                         k_viol=k_viol, meta=dict(meta, corr=corr))
+                         verdict=_verdict(margin, k_tol, k_viol, 0.0), meta=dict(meta, corr=corr))
 
 
 def _log_of_mean(raw: MCEstimate, bound: Optional[float] = None,
@@ -658,6 +652,11 @@ def _check_burn_in(burn_in: float) -> None:
         raise ValueError("burn_in must be finite and nonnegative")
 
 
+def _check_delay_free(coeffs: CoefficientSet) -> None:
+    if not coeffs.delay_free:
+        raise ValueError("stationary sampling needs a delay-free system")
+
+
 def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
                                burn_in: float = 10.0,
                                seed: int = 0) -> StationarySample:
@@ -673,8 +672,7 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
     which holds its noise block too, and the (n, d) window edges, not the
     paths.
     """
-    if not coeffs.delay_free:
-        raise ValueError("stationary sampling needs a delay-free system")
+    _check_delay_free(coeffs)
     if n < 2:
         raise ValueError("need n >= 2 segments")
     _check_burn_in(burn_in)
@@ -710,4 +708,4 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
     var = ends.var(axis=0, ddof=1)
     cov = ((starts - starts.mean(axis=0)) * (ends - mean)).sum(axis=0) / (n - 1)
     return StationarySample(endpoint_mean=mean, endpoint_var=var, lag_r0_autocov=cov,
-                            n=n, seed=seed, burn_in=n_burn * h)
+                            n=n, burn_in=n_burn * h)

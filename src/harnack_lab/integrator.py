@@ -65,28 +65,18 @@ class NoiseStream:
             raise ValueError("h must be positive")
         _check_dim(self.dim)
 
-    def batch(self, first_path: int, n_paths: int, n_steps: int) -> np.ndarray:
-        """Increments for paths first_path..first_path+n_paths-1, time-major
-        (n_steps, n_paths, dim).
-
-        One Philox per call, re-keyed to [seed, path] before each path with
-        a fresh counter and buffer, so every path is bit-identical to its
-        own Philox(key=[seed, path]) draw. The generator belongs to the
-        call, so threads may share one stream, and each forked worker
-        process holds its own copy.
-        """
-        out = np.empty((n_steps, n_paths, self.dim))
-        self._draw(out, first_path, None, None)
-        return out
-
     def _draw(self, out: np.ndarray, first_path: int, resume: Optional[list],
               keep: Optional[list]) -> None:
-        """batch(first_path, n_paths, n_steps), written into out of shape
-        (n_steps, n_paths, dim); or, from resume (one saved position per
-        path), continuing where an earlier call stopped. keep (n_paths
-        slots, resume itself allowed) receives each path's end position:
-        (first counter word, buffer position, [the four buffered words]),
-        all Python ints. The lists belong to the caller."""
+        """Increments of paths first_path..first_path+n_paths-1 into out,
+        time-major (n_steps, n_paths, dim): one Philox per call, re-keyed to
+        [seed, path] before each path with a fresh counter and buffer, so
+        every path is bit-identical to its own Philox(key=[seed, path])
+        draw; or, from resume (one saved position per path), continuing
+        where an earlier call stopped. keep (n_paths slots, resume itself
+        allowed) receives each path's end position: (first counter word,
+        buffer position, [the four buffered words]), all Python ints. The
+        generator belongs to the call, so threads may share one stream and
+        each forked worker holds its own; the lists belong to the caller."""
         if first_path < 0:
             raise ValueError("path_index must be >= 0")
         n_steps, n_paths, _ = out.shape
@@ -119,27 +109,27 @@ class NoiseStream:
 
 
 class NoiseBlocks:
-    """stream.batch(first_path, n_paths, n_steps), time-major with that
-    shape, drawn lazily: blocks(size) yields consecutive (size, n_paths,
-    dim) blocks of steps, the last one shorter, that concatenate to the
-    batch bit for bit. Each block is a fresh array, or, given out of shape
-    (size, n_paths, dim), the leading rows of out, overwritten by the next
-    block (_run passes the first ring's mirror half). Between blocks each
-    path's saved position waits in the generator's frame, never on the
-    stream."""
+    """The increments of paths first_path..first_path+n_paths-1 over
+    n_steps steps, time-major with that shape, drawn lazily: blocks(size,
+    out) yields consecutive blocks of steps, the last one shorter, that
+    concatenate to one draw of the whole shape bit for bit. Each block is
+    the leading rows of out, of shape (size, n_paths, dim), overwritten by
+    the next block (_run passes the first ring's mirror half). Between
+    blocks each path's saved position waits in the generator's frame,
+    never on the stream."""
 
     def __init__(self, stream: NoiseStream, first_path: int, n_paths: int, n_steps: int):
         self.stream, self.first_path = stream, first_path
         self.shape = (n_steps, n_paths, stream.dim)
 
-    def blocks(self, size: int, out: Optional[np.ndarray] = None):
-        n_steps, n_paths, dim = self.shape
+    def blocks(self, size: int, out: np.ndarray):
+        n_steps, n_paths, _ = self.shape
         # entries are replaced as their paths resume; the last block's end
         # positions are never read, so they are not saved
         states = [None] * n_paths
         for k0 in range(0, n_steps, size):
             n = min(size, n_steps - k0)
-            block = np.empty((n, n_paths, dim)) if out is None else out[:n]
+            block = out[:n]
             self.stream._draw(block, self.first_path, states if k0 else None,
                               states if k0 + size < n_steps else None)
             yield block
@@ -155,18 +145,12 @@ class Trajectory:
 
     grid: GridSpec
     values: np.ndarray
-    path_index: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         expect = self.grid.m + self.grid.n_T + 1
         if self.values.ndim != 2 or self.values.shape[0] != expect:
             raise ValueError(f"values must have shape ({expect}, d)")
         self.values.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
     def endpoint(self) -> np.ndarray:
         return self.values[-1]
@@ -310,5 +294,4 @@ def simulate_path(coeffs: CoefficientSet, xi: SegmentPath, grid: GridSpec,
     rec = _Recorder(grid.m + grid.n_T + 1)
     _simulate_batch(coeffs, (xi.values,), grid,
                     NoiseBlocks(stream, path_index, 1, grid.n_T), (rec,))
-    return Trajectory(grid=grid, values=rec.full[0][:, 0, :], path_index=path_index,
-                      seed=seed)
+    return Trajectory(grid=grid, values=rec.full[0][:, 0, :])

@@ -124,6 +124,8 @@ class GridSpec:
         if not (r0 > 0 and T > 0) or m < 1:
             raise ValueError("need r0 > 0, T > 0 and integer m >= 1")
         h = r0 / m
+        if not h > 0:
+            raise ValueError(f"the step h = r0/m = {r0!r}/{m} underflows to 0")
         n_T = grid_index(T, h)
         if n_T is None or n_T < 1:
             raise ValueError(f"T={T} is not an integer multiple of h={h}")

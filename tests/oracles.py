@@ -1,5 +1,6 @@
 """Scalar reference implementations that the batched package code is
-checked against: one path's noise from its own generator, one Euler
+checked against: one path's noise from its own generator, and a batch's
+stacked from them, one Euler
 step, the Girsanov integrand phi, the segment-gap integral by brute-force
 window maxima, a wrapper that turns single-point coefficient callables
 into batch callables, dense and rescaled diffusions, the assumption audit
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from harnack_lab.bounds import _lambda_p, _s_eps, _theta_set_contains, _w_eps
-from harnack_lab.coefficients import AuditReport, CoefficientSet, ConditionAudit
+from harnack_lab.coefficients import (_AUDIT_M, _AUDIT_STATES, AuditReport, CoefficientSet,
+                                      ConditionAudit)
 from harnack_lab.coupling import gamma
 from harnack_lab.estimators import MCEstimate
 from harnack_lab.integrator import NoiseStream
@@ -25,10 +27,17 @@ from harnack_lab.segment_paths import GridSpec, SegmentPath
 def increments(stream, path_index, n_steps):
     """Increments dB of one path, shape (n_steps, dim), drawn from its own
     Philox(key=[seed, path_index]) and scaled by sqrt(h): what every path of
-    NoiseStream.batch must equal."""
+    a NoiseBlocks draw must equal."""
     key = np.array([stream.seed, path_index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     return gen.standard_normal((n_steps, stream.dim)) * np.sqrt(stream.h)
+
+
+def increments_batch(stream, first_path, n_paths, n_steps):
+    """The increments of paths first_path..first_path+n_paths-1 stacked
+    time-major, shape (n_steps, n_paths, dim): the noise of one batch."""
+    return np.stack([increments(stream, first_path + j, n_steps) for j in range(n_paths)],
+                    axis=1)
 
 
 def k4_ratio_direct(k4, s):
@@ -85,7 +94,7 @@ def _op_norm(mats):
     return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
 
-def audit_dense(coeffs, box, n, seed, slack=1e-6):
+def audit_dense(coeffs, t_max, n, seed, slack=1e-6):
     """The assumption audit of a system with a diagonal sigma, on dense
     (B, d, d) matrices: sigma with the entries on its diagonal, sigma^-1
     with their reciprocals, sigma^-1 applied by einsum, operator norms by
@@ -101,11 +110,11 @@ def audit_dense(coeffs, box, n, seed, slack=1e-6):
     while done < n:
         b = min(4096, n - done)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, shard], dtype=np.uint64)))
-        ts = rng.uniform(box.t_min, box.t_max, size=(b + group - 1) // group)
-        x = rng.uniform(box.x_min, box.x_max, size=(b, d))
-        y = rng.uniform(box.x_min, box.x_max, size=(b, d))
-        seg_xi = rng.uniform(box.x_min, box.x_max, size=(b, box.m + 1, d))
-        seg_eta = rng.uniform(box.x_min, box.x_max, size=(b, box.m + 1, d))
+        ts = rng.uniform(0.0, t_max, size=(b + group - 1) // group)
+        x = rng.uniform(*_AUDIT_STATES, size=(b, d))
+        y = rng.uniform(*_AUDIT_STATES, size=(b, d))
+        seg_xi = rng.uniform(*_AUDIT_STATES, size=(b, _AUDIT_M + 1, d))
+        seg_eta = rng.uniform(*_AUDIT_STATES, size=(b, _AUDIT_M + 1, d))
         for g, t in enumerate(ts):
             t = float(t)
             sl = slice(g * group, min((g + 1) * group, b))
@@ -145,7 +154,7 @@ def audit_dense(coeffs, box, n, seed, slack=1e-6):
         else:
             passed = bool(np.isfinite(emp) and emp <= dec + slack * max(1.0, abs(dec)))
         conditions[cond] = ConditionAudit(cond, float(emp), float(dec), passed, *worst[cond])
-    return AuditReport(conditions=conditions, n=n, seed=seed)
+    return AuditReport(conditions=conditions)
 
 
 def step_euler(t, x, seg, dw, h, coeffs):
@@ -325,7 +334,8 @@ def stationary_segments_tiled(coeffs, grid, n, burn_in=10.0, seed=0):
     windows = -(-n // n_paths)
     n_burn = int(round(burn_in / grid.h))
     run_grid = GridSpec(r0=grid.r0, T=(n_burn + windows * grid.m) * grid.h, m=grid.m)
-    noise = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim).batch(0, n_paths, run_grid.n_T)
+    noise = increments_batch(NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim), 0, n_paths,
+                             run_grid.n_T)
     full = simulate_batch_full(coeffs, np.zeros((grid.m + 1, coeffs.dim)), run_grid, noise)
     segs = []
     for j in range(n_paths):

@@ -335,6 +335,12 @@ DELEGATED = {
                lambda: make_verdict("c", ESTIMATE, 1.0, k_viol=2.0)),
     "burn_in": ("mc", {("mc", "burn_in"): "-1"}, None,
                 lambda: sample_stationary_segments(OU_SYSTEM, GridSpec(1.0, 2.0, 400), 2, -1.0)),
+    "m-underflow": ("problem", {("problem", "r0"): "1e-320", ("problem", "m"): "1000000"}, None,
+                    lambda: GridSpec(1e-320, 1e-320, 1000000)),
+    "stationary-delay": ("system", {}, "stationary",
+                         lambda: sample_stationary_segments(
+                             builtin_system("linear_additive", {"a": -1.0, "c": 0.5, "s0": 1.0}),
+                             GridSpec(1.0, 2.0, 400), 2)),
     "f": ("functions", {("functions", "f"): "cube"}, None, lambda: catalog_fn("cube")),
 }
 
@@ -764,9 +770,26 @@ def test_stationary_runs_on_markov_system(tmp_path):
 
 
 def test_stationary_rejects_delay_system(tmp_path, capsys):
+    # a config error, found before anything runs, not a run-time error
     text = cfg_text(n=100, out=tmp_path / "res")
     assert launch(tmp_path, "stationary", text) == 1
-    assert "delay" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "[system] stationary sampling needs a delay-free system" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_int_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
+    # it leaked OverflowError from GridSpec: "error: ..." naming no section
+    m = "1" + "0" * 400
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[problem]\nm = {m}\n")
+    assert exc.value.violations == ["[problem] int too large to convert to float"]
+    text = cfg_text(m=m, out=tmp_path / "res")
+    assert launch(tmp_path, "bounds", text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "[problem] int too large" in err
+    assert not (tmp_path / "res").exists()
 
 
 def test_audit_passes_catalog_system(tmp_path):

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from harnack_lab.coefficients import (AssumptionConstants, AuditBox,
-                                      CoefficientSet, audit_assumptions,
-                                      builtin_system)
+from harnack_lab.coefficients import (AssumptionConstants, CoefficientSet,
+                                      audit_assumptions, builtin_system)
 from harnack_lab.coupling import simulate_coupled
 from harnack_lab.estimators import estimate_PT_f
 from harnack_lab.estimators import test_function as catalog_fn
@@ -14,7 +13,7 @@ from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simula
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
 from oracles import (audit_dense, coefficient_set_from_pointwise, dense_sigma,
-                     with_scaled_sigma)
+                     increments_batch, with_scaled_sigma)
 
 
 def test_constants_validation():
@@ -162,7 +161,7 @@ def test_audit_reads_the_dense_matrix_the_kernels_step_with():
     grid = GridSpec(1.0, 0.5, 2)  # one Euler step
     xi = np.ones((3, 2))
     stream = NoiseStream(seed=4, h=grid.h, dim=2)
-    dw = stream.batch(0, 5, 1)[0]
+    dw = increments_batch(stream, 0, 5, 1)[0]
     for scale in (1.0, 5.0):
         co = system(scale, k3 / scale)
         a3 = audit_assumptions(co, n=600, seed=1).conditions["A3"]
@@ -248,7 +247,7 @@ def test_audit_fails_a_nan_ratio():
     good = builtin_system("linear_additive", {"a": -1.0, "c": 0.0, "s0": 1.0})
     z_nan = dataclasses.replace(
         good, z_drift=lambda t, x: np.where(abs(x) > 4, np.nan, -x))
-    report = audit_assumptions(z_nan, AuditBox(t_max=2), n=20000)
+    report = audit_assumptions(z_nan, t_max=2, n=20000)
     a4 = report.conditions["A4"]
     assert math.isnan(a4.empirical_max) and not a4.passed
     assert 0.0 <= a4.worst_t <= 2.0 and len(a4.worst_point) == 1
@@ -277,18 +276,19 @@ def test_audit_deterministic():
 
 
 def test_audit_box_validation():
-    with pytest.raises(ValueError):
-        AuditBox(t_min=1.0, t_max=0.0)
-    with pytest.raises(ValueError):
-        AuditBox(x_min=2.0, x_max=2.0)
+    ou = builtin_system("ou_nodelay", {"a": 1.0, "s0": 1.0})
+    # times are sampled on [0, t_max]: a negative t_max is an empty box
+    with pytest.raises(ValueError, match="nonnegative"):
+        audit_assumptions(ou, t_max=-1.0, n=10)
     # an infinite bound failed deep inside numpy's sampler instead
-    for bound in ("t_min", "t_max", "x_min", "x_max"):
-        for bad in (math.inf, -math.inf):
-            with pytest.raises(ValueError, match="must be finite"):
-                AuditBox(**{bound: bad})
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            audit_assumptions(ou, t_max=bad, n=10)
+    # a one-point box, t = 0 only, is allowed
+    report = audit_assumptions(ou, t_max=0.0, n=10)
+    assert all(c.worst_t == 0.0 for c in report.conditions.values())
     with pytest.raises(ValueError):
-        audit_assumptions(
-            builtin_system("ou_nodelay", {"a": 1.0, "s0": 1.0}), n=0)
+        audit_assumptions(ou, n=0)
 
 
 def test_with_scaled_sigma():
@@ -313,9 +313,8 @@ def test_with_scaled_sigma():
 def test_audit_of_diagonal_matches_dense_formulas(name, params, dim):
     co = builtin_system(name, params, dim=dim)
     assert co.sigma(0.3, np.zeros((4, dim))).shape == (4, dim)
-    box = AuditBox(t_max=2.0)
-    got = audit_assumptions(co, box=box, n=5000, seed=3)
-    want = audit_dense(co, box, n=5000, seed=3)
+    got = audit_assumptions(co, t_max=2.0, n=5000, seed=3)
+    want = audit_dense(co, 2.0, n=5000, seed=3)
     assert got.conditions.keys() == want.conditions.keys()
     for cond in want.conditions:
         assert got.conditions[cond] == want.conditions[cond], cond

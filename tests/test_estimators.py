@@ -25,7 +25,7 @@ from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import NoiseStream, _Ring, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (chunk_moments_dict, keep_apart_at_t0, merged_fraction,
+from oracles import (chunk_moments_dict, increments_batch, keep_apart_at_t0, merged_fraction,
                      reduce_moments_dict, seg_gap_integral_window_max,
                      stationary_segments_tiled, with_scaled_sigma)
 
@@ -334,10 +334,10 @@ def test_exp_functional_trivial_cases():
     co = sine()
     grid, xi, eta = setup(m=40)
     z = estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=0.0,
-                                n=16, seed=0)
+                                n=16, seed=0, integrand="seg_gap_sq")
     assert z.mean == 1.0 and z.std_error == 0.0
     same = estimate_exp_functional(co, xi, xi, sched_for(co), grid, lam=2.0,
-                                   n=16, seed=0)
+                                   n=16, seed=0, integrand="seg_gap_sq")
     assert same.mean == 1.0 and same.std_error == 0.0
 
 
@@ -415,9 +415,10 @@ def test_exp_functional_gap_over_gamma_needs_pre_deadline_cap():
         estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=0.01,
                                 n=8, seed=0, integrand="gap_over_gamma_sq",
                                 t_upper=1.5)
-    with pytest.raises(ValueError):
-        estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=1.0,
-                                n=8, seed=0, integrand="bogus")
+    for bad in ("bogus", "phi_sq"):
+        with pytest.raises(ValueError, match="gap_over_gamma_sq.*seg_gap_sq"):
+            estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=1.0,
+                                    n=8, seed=0, integrand=bad)
 
 
 def test_exp_functional_gap_over_gamma_cap_on_grid_indices():
@@ -442,12 +443,13 @@ def test_exp_functional_overflow_reports_path():
     grid, xi, eta = setup(m=50)
     with pytest.raises(OverflowError, match="path"):
         estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=1000.0,
-                                n=8, seed=0)
+                                n=8, seed=0, integrand="seg_gap_sq")
 
 
 def test_nan_path_does_not_hide_exponent_overflow():
     # unit sigma and zero drift, until a state passes 1.5 and its drift turns
-    # NaN; without the NaN the same run overflows at path 8 (exponent 1000)
+    # NaN; without the NaN the same run overflows at path 8 (exponent 1000:
+    # the gap contracts as gamma does, so |X - Y| / gamma is 1 up to t0)
     co = CoefficientSet(
         dim=1, sigma=lambda t, x: np.ones(x.shape),
         z_drift=lambda t, x: np.where(x > 1.5, np.nan, 0.0),
@@ -458,7 +460,7 @@ def test_nan_path_does_not_hide_exponent_overflow():
     sched = GammaSchedule(theta=1.0, k4=0.0, t0=1.0)
     with pytest.raises(OverflowError, match="path 8, exponent 1000"):
         estimate_exp_functional(co, xi, eta, sched, grid, lam=1000.0, n=64, seed=0,
-                                t_upper=1.0, threads=1)
+                                integrand="gap_over_gamma_sq", t_upper=1.0, threads=1)
 
 
 def test_checked_exp_skips_nan_entries():
@@ -482,7 +484,7 @@ def test_exp_functional_negative_lam_rejected():
     for lam in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="lam"):
             estimate_exp_functional(co, xi, eta, sched_for(co), grid, lam=lam,
-                                    n=8, seed=0)
+                                    n=8, seed=0, integrand="seg_gap_sq")
 
 
 # -------------------------------------------------------------- martingale
@@ -546,8 +548,8 @@ def test_failures_split_unmerged_and_nonfinite(monkeypatch, contraction):
     # its noise and its zero drift, so it stays at or below Y. A pair blows
     # up exactly when Y does: when a noise sum before the last step is
     # positive
-    walk = np.cumsum(NoiseStream(seed=5, h=grid.h, dim=1).batch(0, n, grid.n_T)[:, :, 0],
-                     axis=0)
+    walk = np.cumsum(increments_batch(NoiseStream(seed=5, h=grid.h, dim=1), 0, n,
+                                      grid.n_T)[:, :, 0], axis=0)
     blown = int((walk[:-1] > 0).any(axis=0).sum())
     assert 0 < blown < n
     # a nonzero last contraction factor leaves every finite pair unmerged

@@ -9,22 +9,31 @@ from harnack_lab.coefficients import AssumptionConstants, builtin_system
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, Trajectory, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (coefficient_set_from_pointwise, increments, points, segment_at,
-                     step_euler, times, value_at, with_scaled_sigma)
+from oracles import (coefficient_set_from_pointwise, increments, increments_batch, points,
+                     segment_at, step_euler, times, value_at, with_scaled_sigma)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
     return builtin_system("linear_additive", {"a": a, "c": c, "s0": s0})
 
 
+def drawn(ns, first, n_paths, n_steps, size=None):
+    """The increments NoiseBlocks draws in blocks of size steps (default
+    one block), each copied out of the block buffer before the next."""
+    size = size or n_steps
+    out = np.empty((size, n_paths, ns.dim))
+    return np.concatenate([b.copy() for b in
+                           NoiseBlocks(ns, first, n_paths, n_steps).blocks(size, out)])
+
+
 def test_noise_stream_reproducible_and_scaled():
     ns = NoiseStream(seed=5, h=0.01, dim=2)
-    a = ns.batch(3, 1, 100)[:, 0, :]
-    b = ns.batch(3, 1, 100)[:, 0, :]
+    a = drawn(ns, 3, 1, 100)[:, 0, :]
+    b = drawn(ns, 3, 1, 100)[:, 0, :]
     np.testing.assert_array_equal(a, b)
     assert a.shape == (100, 2)
     # increments carry the sqrt(h) scale
-    raw = NoiseStream(seed=5, h=1.0, dim=2).batch(3, 1, 100)[:, 0, :]
+    raw = drawn(NoiseStream(seed=5, h=1.0, dim=2), 3, 1, 100)[:, 0, :]
     np.testing.assert_allclose(a, raw * 0.1)
 
 
@@ -49,16 +58,15 @@ def test_noise_stream_batch_matches_single(seed, first, n_paths, n_steps, dim):
     # 64-path blocks: 1, 64, 65 and 130 paths cover a partial, a full, a
     # full-plus-one and a two-full-plus-partial block layout
     ns = NoiseStream(seed=seed, h=0.04, dim=dim)
-    batch = ns.batch(first_path=first, n_paths=n_paths, n_steps=n_steps)
+    batch = drawn(ns, first, n_paths, n_steps)
     assert batch.shape == (n_steps, n_paths, dim)
-    for j in range(n_paths):
-        np.testing.assert_array_equal(batch[:, j, :], increments(ns, first + j, n_steps))
+    np.testing.assert_array_equal(batch, increments_batch(ns, first, n_paths, n_steps))
 
 
 def test_noise_stream_batch_chunk_split_invariant():
     ns = NoiseStream(seed=4, h=0.01, dim=2)
-    whole = ns.batch(0, 200, 30)
-    split = np.concatenate([ns.batch(0, 70, 30), ns.batch(70, 130, 30)], axis=1)
+    whole = drawn(ns, 0, 200, 30)
+    split = np.concatenate([drawn(ns, 0, 70, 30), drawn(ns, 70, 130, 30)], axis=1)
     np.testing.assert_array_equal(whole, split)
 
 
@@ -66,10 +74,11 @@ def test_noise_stream_batch_chunk_split_invariant():
 def test_noise_blocks_concatenate_to_batch(size):
     # 23 steps are no multiple of 7; 130 paths span three 64-path blocks
     ns = NoiseStream(seed=2 ** 63 - 1, h=0.04, dim=3)
-    blocks = list(NoiseBlocks(ns, 2 ** 40, 130, 23).blocks(size))
+    out = np.empty((size, 130, 3))
+    blocks = [b.copy() for b in NoiseBlocks(ns, 2 ** 40, 130, 23).blocks(size, out)]
     assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
     assert sum(len(b) for b in blocks) == 23
-    np.testing.assert_array_equal(np.concatenate(blocks), ns.batch(2 ** 40, 130, 23))
+    np.testing.assert_array_equal(np.concatenate(blocks), increments_batch(ns, 2 ** 40, 130, 23))
 
 
 def test_noise_stream_batch_resume_and_keep():
@@ -86,7 +95,7 @@ def test_noise_stream_batch_resume_and_keep():
     head = draw(11, keep=states)
     assert all(s is not None for s in states)
     tail = draw(9, resume=states)
-    np.testing.assert_array_equal(np.concatenate([head, tail]), ns.batch(5, 70, 20))
+    np.testing.assert_array_equal(np.concatenate([head, tail]), increments_batch(ns, 5, 70, 20))
     # a chain of four resumes, each saving into the list it resumed from; a
     # saved position is (counter word 0, buffer position, [4 buffered
     # words]), and the positions cover every buffer position 1-4, so each
@@ -99,19 +108,18 @@ def test_noise_stream_batch_resume_and_keep():
             assert len(buffered) == 4
             seen.add(pos)
     assert seen == {1, 2, 3, 4}
-    np.testing.assert_array_equal(np.concatenate(parts), ns.batch(5, 70, 32))
+    np.testing.assert_array_equal(np.concatenate(parts), increments_batch(ns, 5, 70, 32))
 
 
 def test_noise_stream_batch_shared_across_threads():
     # threads may share one frozen stream; a generator, or saved states of
     # block draws, cached on it would interleave draws between threads
     ns = NoiseStream(seed=3, h=0.01, dim=2)
-    want = [ns.batch(first, 150, 40) for first in (0, 150, 300)]
+    want = [increments_batch(ns, first, 150, 40) for first in (0, 150, 300)]
     results = [None] * 4
 
     def work(i):
-        results[i] = [ns.batch(first, 150, 40) if (i + j) % 2 else
-                      np.concatenate(list(NoiseBlocks(ns, first, 150, 40).blocks(7)))
+        results[i] = [drawn(ns, first, 150, 40, None if (i + j) % 2 else 7)
                       for j, first in enumerate((0, 150, 300))]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -137,7 +145,7 @@ def test_noise_stream_validation():
     with pytest.raises(ValueError):
         NoiseStream(seed=0, h=0.0, dim=1)
     with pytest.raises(ValueError):
-        NoiseStream(seed=0, h=0.1, dim=1).batch(-2, 3, 10)
+        drawn(NoiseStream(seed=0, h=0.1, dim=1), -2, 3, 10)
 
 
 def test_step_euler_matches_formula():
@@ -244,7 +252,6 @@ def test_trajectory_accessors():
     grid = GridSpec(1.0, 2.0, 8)
     xi = constant_segment(1.0, 1.0, 8)
     traj = simulate_path(co, xi, grid, seed=4)
-    assert traj.dim == 1
     assert points(traj).shape == (grid.n_T + 1, 1)
     np.testing.assert_array_equal(value_at(traj, 0.0), xi.endpoint())
     seg_T = segment_at(traj.values, grid, 2.0)

@@ -166,6 +166,7 @@ def test_exp_functional_overflow_reports_path_across_workers(two_cpus):
     for threads in (1, 2):
         with pytest.raises(OverflowError, match="path") as info:
             estimate_exp_functional(co, xi, eta, sched, grid, lam=1000.0,
-                                    n=CHUNK + 8, seed=0, threads=threads)
+                                    n=CHUNK + 8, seed=0, integrand="seg_gap_sq",
+                                    threads=threads)
         messages.append(str(info.value))
     assert messages[0] == messages[1]

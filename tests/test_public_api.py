@@ -10,7 +10,7 @@ import harnack_lab
 PUBLIC = [
     "__version__",
     "SegmentPath", "GridSpec", "constant_segment",
-    "AssumptionConstants", "CoefficientSet", "AuditBox", "AuditReport",
+    "AssumptionConstants", "CoefficientSet", "AuditReport",
     "builtin_system", "audit_assumptions",
     "Trajectory", "NoiseStream", "simulate_path",
     "GammaSchedule", "CoupledTrajectory", "gamma", "simulate_coupled",
@@ -31,16 +31,15 @@ SIGNATURES = {
     "constant_segment": "x r0 m",
     "AssumptionConstants": "k1 k2 k3 k4",
     "CoefficientSet": "dim sigma z_drift b_delay constants delay_free",
-    "AuditBox": "t_min t_max x_min x_max m",
-    "AuditReport": "conditions n seed",
+    "AuditReport": "conditions",
     "builtin_system": "name params dim",
-    "audit_assumptions": "coeffs box n seed",
-    "Trajectory": "grid values path_index seed",
+    "audit_assumptions": "coeffs t_max n seed",
+    "Trajectory": "grid values",
     "NoiseStream": "seed h dim",
     "simulate_path": "coeffs xi grid seed path_index",
     "GammaSchedule": "theta k4 t0",
     "CoupledTrajectory": ("grid sched measure x_values y_values phi_sq_cum "
-                          "log_weight_cum merged seed path_index"),
+                          "log_weight_cum merged"),
     "gamma": "t sched",
     "simulate_coupled": "coeffs xi eta grid t0 measure theta seed path_index",
     "GapPair": "point_gap seg_gap",
@@ -52,9 +51,9 @@ SIGNATURES = {
     "bound_Phi_p": "p T consts gaps r0",
     "bound_seg_gap_moment": "consts gaps lam s",
     "MCEstimate": "mean std_error n seed diagnostics",
-    "VerdictReport": "claim lhs rhs bound margin_se verdict k_tol k_viol meta",
+    "VerdictReport": "claim lhs rhs bound margin_se verdict meta",
     "TestFunction": "name fn lower upper",
-    "StationarySample": "endpoint_mean endpoint_var lag_r0_autocov n seed burn_in",
+    "StationarySample": "endpoint_mean endpoint_var lag_r0_autocov n burn_in",
     "test_function": "name cap",
     "estimate_PT_f": "coeffs xi f grid n seed threads",
     "estimate_entropy_Q": "coeffs xi eta sched grid n seed t_upper threads",
@@ -94,4 +93,4 @@ def test_public_parameter_count():
     # an input a caller must know about
     total = sum(len(inspect.signature(getattr(harnack_lab, name)).parameters)
                 for name in PUBLIC if callable(getattr(harnack_lab, name)))
-    assert total == 225
+    assert total == 211

@@ -122,8 +122,9 @@ def test_grid_spec_rejects_incommensurate_horizon():
     (1.0, 1e308, 400), (5e-324, 2.0, 400)])
 def test_grid_spec_rejects_nonfinite_and_overflowing_input(r0, T, m):
     # T / h of inf or nan raised OverflowError or a bare conversion error,
-    # and h = 0 a ZeroDivisionError
-    with pytest.raises(ValueError, match="need r0|multiple"):
+    # and h = 0 a ZeroDivisionError; a step that underflows to 0 is named
+    want = "the step h = r0/m = .* underflows to 0" if r0 / m == 0 else "need r0|multiple"
+    with pytest.raises(ValueError, match=want):
         GridSpec(r0, T, m)
 
 

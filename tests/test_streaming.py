@@ -23,8 +23,8 @@ from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, SegmentPath, constant_segment
-from oracles import (coupled_batch_full, dense_sigma, increments, keep_apart_at_t0,
-                     seg_gap_integral_window_max, simulate_batch_full)
+from oracles import (coupled_batch_full, dense_sigma, increments, increments_batch,
+                     keep_apart_at_t0, seg_gap_integral_window_max, simulate_batch_full)
 
 SINE = ("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1}, 1)
 LINEAR = ("linear_additive", {"a": -1.0, "c": 0.5, "s0": 0.7}, 3)
@@ -58,7 +58,7 @@ def test_uncoupled_kernel_matches_full_history(case, m):
     b = 37
     rec = _Recorder(m + grid.n_T + 1)
     (ring,) = _simulate_batch(co, (xi,), grid, NoiseBlocks(stream, 0, b, grid.n_T), (rec,))
-    want = simulate_batch_full(co, xi, grid, stream.batch(0, b, grid.n_T))
+    want = simulate_batch_full(co, xi, grid, increments_batch(stream, 0, b, grid.n_T))
     assert np.array_equal(rec.full[0], want)
     assert np.array_equal(ring.segment(m + grid.n_T), np.moveaxis(want[grid.n_T:], 0, 1))
 
@@ -74,7 +74,7 @@ def test_paired_kernel_steps_each_history_on_the_same_noise(case, m):
     rec = _Recorder(m + grid.n_T + 1)
     rings = _simulate_batch(co, (eta, xi), grid, NoiseBlocks(stream, 3, b, grid.n_T), (rec,))
     assert len(rings) == len(rec.full) == 2
-    noise = stream.batch(3, b, grid.n_T)
+    noise = increments_batch(stream, 3, b, grid.n_T)
     for hist, full in zip((eta, xi), rec.full):
         assert np.array_equal(full, simulate_batch_full(co, hist, grid, noise))
     seg = SegmentPath(1.0, xi)
@@ -104,7 +104,7 @@ def test_coupled_kernel_matches_full_history(case, measure, m, t0, k_upper):
     seg_gap = _SegGapIntegral(m, grid.h, k_upper, b)
     pair = _coupled_batch(co, xi, eta, grid, sched, NoiseBlocks(stream, 0, b, grid.n_T),
                           measure, (rec, sums, seg_gap))
-    want = coupled_batch_full(co, xi, eta, grid, sched, stream.batch(0, b, grid.n_T),
+    want = coupled_batch_full(co, xi, eta, grid, sched, increments_batch(stream, 0, b, grid.n_T),
                               measure, k_upper)
     assert want["merged"].any()
     got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
@@ -152,7 +152,7 @@ def run_coupled(co, measure, m):
     sums = _Integrals(m, grid.n_T, b)
     pair = _coupled_batch(co, xi, eta, grid, sched, NoiseBlocks(stream, 0, b, grid.n_T),
                           measure, (rec, sums))
-    want = coupled_batch_full(co, xi, eta, grid, sched, stream.batch(0, b, grid.n_T),
+    want = coupled_batch_full(co, xi, eta, grid, sched, increments_batch(stream, 0, b, grid.n_T),
                               measure, grid.n_T)
     got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
            "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
@@ -259,7 +259,7 @@ def test_in_ring_noise_over_three_blocks_matches_full_history(case, kernel):
     xi = np.linspace(1.0, -0.5, (m + 1) * d).reshape(m + 1, d)
     eta = np.zeros((m + 1, d))
     stream = NoiseStream(seed=9, h=grid.h, dim=d)
-    noise = stream.batch(0, b, grid.n_T)
+    noise = increments_batch(stream, 0, b, grid.n_T)
     blocks = NoiseBlocks(stream, 0, b, grid.n_T)
     rec = _Recorder(m + grid.n_T + 1)
     if kernel == "two-histories":
@@ -409,12 +409,12 @@ def full_horizon_estimate(co, kind, t_upper, xi, eta, sched, n=40, seed=11):
     k_upper = grid.index_of(t_upper)
     stream = NoiseStream(seed=seed, h=grid.h, dim=co.dim)
     want = coupled_batch_full(co, xi.values, eta.values, grid, sched,
-                              stream.batch(0, n, grid.n_T), "Q", k_upper)
+                              increments_batch(stream, 0, n, grid.n_T), "Q", k_upper)
     worst = None
     if kind == "entropy":
         v, top = 0.5 * want["phi_sq"], math.nan
     else:
-        integral = {"phi_sq": want["phi_sq"], "gap_over_gamma_sq": want["gap_gamma_sq"],
+        integral = {"gap_over_gamma_sq": want["gap_gamma_sq"],
                     "seg_gap_sq": seg_gap_integral_window_max(
                         want["full_x"], want["full_y"], grid.m, grid.h, k_upper)}[kind]
         expo = LAM * integral
@@ -428,7 +428,7 @@ def full_horizon_estimate(co, kind, t_upper, xi, eta, sched, n=40, seed=11):
 
 STOP_TIMES = {"h": 0.1, "t0-h": STOP_T0 - 0.1, "t0": STOP_T0, "past-t0": 2.2, "T": 3.0}
 # gap_over_gamma_sq lives on [0, t0]
-STOP_CASES = [(kind, at) for kind in ("entropy", "phi_sq", "gap_over_gamma_sq", "seg_gap_sq")
+STOP_CASES = [(kind, at) for kind in ("entropy", "gap_over_gamma_sq", "seg_gap_sq")
               for at in STOP_TIMES
               if kind != "gap_over_gamma_sq" or STOP_TIMES[at] <= STOP_T0]
 
@@ -465,10 +465,10 @@ ACCEPTANCE_RUNS = {
     "gap_over_gamma_sq-1.0": (lambda *a: estimate_exp_functional(
         *a, lam=0.01, n=2, seed=1, integrand="gap_over_gamma_sq", t_upper=1.0,
         threads=1), 400),
-    "phi_sq-1.5": (lambda *a: estimate_exp_functional(
-        *a, lam=0.01, n=2, seed=1, t_upper=1.5, threads=1), 600),
-    "phi_sq-T": (lambda *a: estimate_exp_functional(
-        *a, lam=0.01, n=2, seed=1, t_upper=2.0, threads=1), 800),
+    "seg_gap_sq-1.5": (lambda *a: estimate_exp_functional(
+        *a, lam=0.01, n=2, seed=1, integrand="seg_gap_sq", t_upper=1.5, threads=1), 600),
+    "seg_gap_sq-T": (lambda *a: estimate_exp_functional(
+        *a, lam=0.01, n=2, seed=1, integrand="seg_gap_sq", t_upper=2.0, threads=1), 800),
     "entropy-0.5": (lambda *a: estimate_entropy_Q(*a, n=2, seed=1, t_upper=0.5,
                                                   threads=1), 400),
     "entropy": (lambda *a: estimate_entropy_Q(*a, n=2, seed=1, threads=1), 800),
@@ -490,7 +490,7 @@ def test_chunk_steps_to_max_of_t_upper_and_t0(monkeypatch, name):
     assert seen == [steps]
 
 
-@pytest.mark.parametrize("kind", ["entropy", "phi_sq"])
+@pytest.mark.parametrize("kind", ["entropy", "seg_gap_sq"])
 def test_stop_before_t0_still_counts_unmerged(monkeypatch, kind):
     # t_upper = h < t0: the chunk must still run through the merge check
     keep_apart_at_t0(monkeypatch)
@@ -505,7 +505,8 @@ def test_stop_before_t0_still_counts_unmerged(monkeypatch, kind):
     if kind == "entropy":
         est = estimate_entropy_Q(co, xi, eta, sched, STOP_GRID, **kw)
     else:
-        est = estimate_exp_functional(co, xi, eta, sched, STOP_GRID, lam=LAM, **kw)
+        est = estimate_exp_functional(co, xi, eta, sched, STOP_GRID, lam=LAM, integrand=kind,
+                                      **kw)
     assert est.diagnostics["unmerged"] == 20
     assert est.diagnostics["nonfinite"] == 0
     assert est.failures == 20
@@ -522,7 +523,7 @@ def nan_after(t_bad):
         constants=AssumptionConstants(k1=1.0, k2=0.0, k3=1.0, k4=1.0))
 
 
-@pytest.mark.parametrize("kind", ["entropy", "phi_sq"])
+@pytest.mark.parametrize("kind", ["entropy", "seg_gap_sq"])
 @pytest.mark.parametrize("t_upper, t_bad, nonfinite", [
     (1.5, 1.45, 0),    # NaN from t = 1.6, past t_upper > t0
     (1.5, 1.35, 12),   # NaN from t = 1.5, the last row read
@@ -543,7 +544,8 @@ def test_nonfinite_counts_failures_up_to_the_stop(kind, t_upper, t_bad, nonfinit
         if kind == "entropy":
             est = estimate_entropy_Q(co, xi, eta, sched, grid, **kw)
         else:
-            est = estimate_exp_functional(co, xi, eta, sched, grid, lam=LAM, **kw)
+            est = estimate_exp_functional(co, xi, eta, sched, grid, lam=LAM, integrand=kind,
+                                          **kw)
     assert est.diagnostics["nonfinite"] == nonfinite
     assert est.diagnostics["unmerged"] == 0
     assert est.failures == nonfinite
