@@ -268,24 +268,33 @@ class _SegGapIntegral:
     int_0^{k_upper h} ||X_t - Y_t||_inf^2 dt, the sup over the delay window
     [t - r0, t], i.e. the m + 1 grid rows ending at t.
 
-    The window maxima come online from the van Herk / Gil-Werman scheme:
-    over blocks of w = m + 1 rows, the window starting at row k has max
-    max(suffix max of k's block from k, prefix max of the next block up to
-    k + m). When a block completes, a backward pass reads it from the ring
-    into suf, one (w, B) array of suffix maxima; a running prefix-max row
-    then adds the squared window maxima in step order, each suf entry used
-    once before the next block overwrites it. Bit-identical to rescanning
-    each window of a full history.
+    The window maxima come online from a two-level van Herk / Gil-Werman
+    scheme over blocks of K = ceil(sqrt(m + 1)) rows. The window of rows
+    s..s + m starts in block a = s // K and ends in block c = (s + m) // K;
+    its max is the max of the suffix max of block a from s, the max of the
+    full blocks a + 1..c - 1 and the prefix max of block c up to s + m.
+    When s enters a block, a backward pass reads the block's K rows from
+    the rings, which then hold rows s..s + m (K <= m + 1), into suf, a
+    (K, B) array of suffix maxima. A forward pass keeps each block's
+    running prefix max in blocks, a ring of ceil((m + 1) / K) rows whose
+    completed rows are block maxima; their max over a + 1..c - 1 is kept
+    in mid until a or c moves. The squared window maxima are added in step
+    order. Scratch: about 2 sqrt(m + 1) rows of B floats. max is exact, so
+    the result is bit-identical to rescanning each window of a full history.
     """
 
     def __init__(self, m: int, h: float, k_upper: int, b: int):
         self.m, self.h, self.k_upper = m, h, k_upper
         self.seg_gap_sq = np.zeros(b)
-        self.suf = np.empty((m + 1, b))
-        self.run = None
+        self.k = math.isqrt(m) + 1  # ceil(sqrt(m + 1))
+        self.suf = np.empty((self.k, b))
+        # blocks a + 1..c are at most this many, so none overwrites another
+        self.blocks = np.empty((-(-(m + 1) // self.k), b))
+        self.mid = np.empty(b)
+        self.span = None
 
     def __call__(self, i, pair):
-        m, w = self.m, self.m + 1
+        m, k, blocks = self.m, self.k, self.blocks
         if i >= self.k_upper + m:
             return
         rx, ry = pair.rings
@@ -296,27 +305,35 @@ class _SegGapIntegral:
             sq = np.add.reduce(diff, axis=1)
             return np.sqrt(sq, out=sq)
 
-        if i % w == m:
-            # backward over the block just completed; run is the max from
-            # the current row to the block's end
-            run = gap(i)
-            self.suf[m] = run
-            for j in range(m - 1, -1, -1):
-                np.maximum(run, gap(i - m + j), out=run)
-                self.suf[j] = run
-        # forward; run is the max from the block start to the current row
-        if i % w == 0:
-            self.run = gap(i)
+        # forward; pre is the max from the start of row i's block to row i
+        c, r = divmod(i, k)
+        pre = blocks[c % len(blocks)]
+        if r == 0:
+            pre[...] = gap(i)
         else:
-            np.maximum(self.run, gap(i), out=self.run)
-        if i >= m:
-            # window start i - m: its max, squared and scaled by h in its
-            # suffix slot, which is not read again
-            slot = self.suf[(i - m) % w]
-            win = np.maximum(slot, self.run, out=slot)
-            win *= win
-            win *= self.h
-            self.seg_gap_sq += win
+            np.maximum(pre, gap(i), out=pre)
+        if i < m:
+            return
+        a, q = divmod(i - m, k)
+        if q == 0:
+            # backward over block a, rows i - m..i - m + K - 1
+            self.suf[k - 1] = gap(i - m + k - 1)
+            for j in range(k - 2, -1, -1):
+                np.maximum(self.suf[j + 1], gap(i - m + j), out=self.suf[j])
+        # window start i - m: its max, squared and scaled by h in its
+        # suffix slot, which is not read again
+        slot = self.suf[q]
+        win = np.maximum(slot, pre, out=slot)
+        if c - a > 1:
+            if self.span != (a, c):
+                self.span = (a, c)
+                np.copyto(self.mid, blocks[(a + 1) % len(blocks)])
+                for j in range(a + 2, c):
+                    np.maximum(self.mid, blocks[j % len(blocks)], out=self.mid)
+            np.maximum(win, self.mid, out=win)
+        win *= win
+        win *= self.h
+        self.seg_gap_sq += win
 
 
 def _run_chunks(coeffs, segments, grid, n, seed, threads, width, chunk) -> List[_Chunk]:

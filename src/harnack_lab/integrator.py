@@ -49,6 +49,11 @@ def _check_seed(seed):
 def _check_dim(dim):
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    # numpy cannot index a float64 state row of more bytes than intp holds
+    top = np.iinfo(np.intp).max // 8
+    if dim > top:
+        raise ValueError(f"dim must be <= {top}, the most float64 values one state row "
+                         f"can index, got dim={dim}")
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,8 @@ ESTIMATE = MCEstimate(mean=1.0, std_error=0.1, n=100, seed=0)
 DELEGATED = {
     "d": ("problem", {("problem", "d"): "0"}, None,
           lambda: NoiseStream(seed=0, h=0.0025, dim=0)),
+    "d-past-intp": ("problem", {("problem", "d"): "100000000000000000000"}, None,
+                    lambda: NoiseStream(seed=0, h=0.0025, dim=10 ** 20)),
     "r0": ("problem", {("problem", "r0"): "-1"}, None, lambda: GridSpec(-1.0, 2.0, 400)),
     "m": ("problem", {("problem", "m"): "0"}, None, lambda: GridSpec(1.0, 2.0, 0)),
     "t": ("problem", {("problem", "t"): "2.0003"}, None, lambda: GridSpec(1.0, 2.0003, 400)),
@@ -789,6 +791,19 @@ def test_int_too_large_for_a_float_is_a_config_error(tmp_path, capsys):
     assert launch(tmp_path, "bounds", text) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "[problem] int too large" in err
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_d_past_numpy_indexing_is_a_config_error(tmp_path, capsys, command):
+    # it failed at run time, naming the segment spec: "error: segment spec
+    # 'const:1.0': Maximum allowed dimension exceeded"
+    text = cfg_text(d=10 ** 20, name="ou_nodelay", params={"a": 1.0, "s0": 1.0},
+                    out=tmp_path / "res")
+    assert launch(tmp_path, command, text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("[problem]") == 1 and "got dim=100000000000000000000" in err
     assert not (tmp_path / "res").exists()
 
 

@@ -372,25 +372,38 @@ class _Pair:
 @pytest.mark.parametrize("k_upper", range(13))
 def test_seg_gap_integral_matches_brute_force_window_max(k_upper):
     # every k_upper of a 12-step horizon, so the last window start falls on
-    # and off the block boundaries of the window length m + 1
+    # and off the block boundaries of the block length ceil(sqrt(m + 1))
     n_t, b, h = 12, 6, 0.25
     rng = np.random.default_rng(11)
+
+    def check(m, n_t, k_upper, d, bad_rows):
+        full_x = rng.normal(size=(m + n_t + 1, b, d))
+        full_y = rng.normal(size=(m + n_t + 1, b, d))
+        # non-finite gaps must propagate as the rescan propagates them
+        full_x[bad_rows[0], 0, 0] = np.nan
+        full_x[bad_rows[1], 1, d - 1] = np.inf
+        seg_gap = _SegGapIntegral(m, h, k_upper, b)
+        _Pair(full_x, full_y, m).feed(seg_gap)
+        want = seg_gap_integral_window_max(full_x, full_y, m, h, k_upper)
+        assert np.array_equal(seg_gap.seg_gap_sq, want, equal_nan=True), (m, n_t, d)
+
     for m in (1, 2, 3, 4, 7, 8):
         for d in (1, 3):
-            full_x = rng.normal(size=(m + n_t + 1, b, d))
-            full_y = rng.normal(size=(m + n_t + 1, b, d))
-            # non-finite gaps must propagate as the rescan propagates them
-            full_x[m, 0, 0] = np.nan
-            full_x[m + 1, 1, d - 1] = np.inf
-            seg_gap = _SegGapIntegral(m, h, k_upper, b)
-            _Pair(full_x, full_y, m).feed(seg_gap)
-            want = seg_gap_integral_window_max(full_x, full_y, m, h, k_upper)
-            assert np.array_equal(seg_gap.seg_gap_sq, want, equal_nan=True), (m, d)
+            check(m, n_t, k_upper, d, (m, m + 1))
+    # blocks of 4, 5, 7 and 21 rows, the last never dividing w = 401, over
+    # a horizon of three windows and more, so the max over the full blocks
+    # between a window's ends is rebuilt many times; a NaN and an inf row
+    # in the second window too
+    for m in (15, 24, 48, 400):
+        n_t = 3 * (m + 1) + 12
+        check(m, n_t, n_t - 12 + k_upper, 3, (m, m + 1))
+        check(m, n_t, n_t - 12 + k_upper, 1, (2 * m + 3, 2 * m + 5 + k_upper))
 
 
 def test_seg_gap_integral_scratch_memory():
-    # one (w, B) array of suffix maxima plus a few rows, w = m + 1; a
-    # (k_upper, B) suffix array or a gap history exceeds this
+    # (K, B) suffix maxima and about (m + 1) / K block rows, K =
+    # ceil(sqrt(m + 1)), plus a few rows of temporaries; a (m + 1, B)
+    # suffix array, a (k_upper, B) one or a gap history exceeds this
     b, m, k_upper = 1024, 100, 150
     rng = np.random.default_rng(4)
     pair = _Pair(rng.normal(size=(m + k_upper + 1, b, 1)),
@@ -401,7 +414,8 @@ def test_seg_gap_integral_scratch_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (m + 1 + 8) * b * 8
+    k = math.isqrt(m) + 1  # ceil(sqrt(m + 1))
+    assert peak <= (2 * k + 12) * b * 8
 
 
 def test_exp_functional_gap_over_gamma_needs_pre_deadline_cap():
