@@ -524,7 +524,7 @@ def _cmd_stationary(cfg: ExperimentConfig, threads) -> _Result:
         res.rows.append({"component": i, "endpoint_mean": sample.endpoint_mean[i],
                          "endpoint_var": sample.endpoint_var[i],
                          "lag_r0_autocov": sample.lag_r0_autocov[i]})
-    res.lines.append((1, f"stationary sample of {sample.n} segments: endpoint mean "
+    res.lines.append((1, f"stationary sample of {cfg.n} segments: endpoint mean "
                          f"{sample.endpoint_mean}, var {sample.endpoint_var}, "
                          f"lag-r0 autocov {sample.lag_r0_autocov}"))
     return res
@@ -574,7 +574,7 @@ def run_command(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError, FloatingPointError, OSError,
+    except (ValueError, OverflowError, FloatingPointError, MemoryError, OSError,
             WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

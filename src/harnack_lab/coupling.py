@@ -153,7 +153,6 @@ class CoupledTrajectory:
 
     grid: GridSpec
     sched: GammaSchedule
-    measure: str
     x_values: np.ndarray
     y_values: np.ndarray
     phi_sq_cum: np.ndarray
@@ -166,12 +165,13 @@ class CoupledTrajectory:
 
 
 class _Coupled:
-    """A batch of coupled pairs in flight: the X and Y rings, the running
-    log-weight logw and the merge flags, set at step n0 - 1 (t0 = n0 h).
-    After each step, phi_sq holds its |phi|^2 h and gap_gamma its
-    |X-Y|^2 / gamma^2 h (None from t0 on) for observers to add up. Each
-    state's diffusion is evaluated once per step, as a diagonal where the
-    system declares one, and serves sigma, sigma^-1 and sigma_x - sigma_y.
+    """A batch of coupled pairs in flight: the X and Y rings, the merge
+    flags, set at step n0 - 1 (t0 = n0 h), and three running integrals per
+    path, each from zero over the steps taken so far: the log-weight logw,
+    int_phi_sq, the integral of |phi|^2, and int_gap_gamma_sq, the integral
+    of |X-Y|^2 / gamma^2, which stops growing at t0. Each state's
+    diffusion is evaluated once per step, as a diagonal where the system
+    declares one, and serves sigma, sigma^-1 and sigma_x - sigma_y.
 
     A step is one unforced and one forced Euler step (module docstring).
     At step n0 - 1 a path merges when its copies are equal, and the snap
@@ -191,8 +191,8 @@ class _Coupled:
         self.sign = 1.0 if measure == "Q" else -1.0
         b = rings[0].buf.shape[1]
         self.logw, self.merged = np.zeros(b), np.zeros(b, dtype=bool)
+        self.int_phi_sq, self.int_gap_gamma_sq = np.zeros(b), np.zeros(b)
         self.one_copy = False
-        self.phi_sq = self.gap_gamma = None
 
     def step(self, k, dw):
         coeffs, h, (rx, ry) = self.coeffs, self.grid.h, self.rings
@@ -211,16 +211,16 @@ class _Coupled:
         sx, sy = (sf, su) if q else (su, sf)
         siginv_y_bdiff = sy.solve(by - bx)
         phi = siginv_y_bdiff
-        self.gap_gamma = None
         pre = k < self.n0
         if pre:
             g = float(self.gammas[k])
             e = x - y
             siginv_x_e = sx.solve(e)
             phi = phi - siginv_x_e / g
-            self.gap_gamma = (e * e).sum(axis=1) / (g * g) * h
-        self.phi_sq = (phi * phi).sum(axis=1) * h
-        self.logw += (phi * dw).sum(axis=1) + self.sign * 0.5 * self.phi_sq
+            self.int_gap_gamma_sq += (e * e).sum(axis=1) / (g * g) * h
+        phi_sq = (phi * phi).sum(axis=1) * h
+        self.int_phi_sq += phi_sq
+        self.logw += (phi * dw).sum(axis=1) + self.sign * 0.5 * phi_sq
         if self.one_copy:
             return un, un
 
@@ -244,24 +244,6 @@ class _Coupled:
         return (fn, un) if q else (un, fn)
 
 
-class _Integrals:
-    """Observer of a coupled run: per path, int |phi|^2 (phi_sq) and
-    int |X-Y|^2 / gamma^2 (gap_over_gamma_sq, which stops at t0) over the
-    first k_upper steps."""
-
-    def __init__(self, m: int, k_upper: int, b: int):
-        self.k_upper = k_upper
-        self.rows = range(m + 1, m + k_upper + 1)
-        self.phi_sq = np.zeros(b)
-        self.gap_over_gamma_sq = np.zeros(b)
-
-    def __call__(self, i, pair):
-        if i in self.rows:
-            self.phi_sq += pair.phi_sq
-            if pair.gap_gamma is not None:
-                self.gap_over_gamma_sq += pair.gap_gamma
-
-
 def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
                    eta_values: np.ndarray, grid: GridSpec, sched: GammaSchedule,
                    noise: NoiseBlocks, measure: str, observers=()) -> _Coupled:
@@ -272,8 +254,9 @@ def _coupled_batch(coeffs: CoefficientSet, xi_values: np.ndarray,
     n_T for the whole horizon. measure: "Q" (forced copy X solves the
     original equation under the simulated law) or "P" (unforced copy X
     drives, weight is a martingale). observers see every grid row, merge
-    snap included (integrator._run), so memory is the two rings, O(m B d),
-    unless an observer keeps more.
+    snap included (integrator._run); at row m + j the running integrals
+    cover the first j steps. Memory is the two rings, O(m B d), unless an
+    observer keeps more.
     """
     _check_measure(measure)
     n0 = grid.index_of(sched.t0, "t0")
@@ -307,13 +290,13 @@ def simulate_coupled(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
 
     def weights(i, pair):
         if i > m:
-            phi_cum[i - m] = phi_cum[i - m - 1] + pair.phi_sq[0]
+            phi_cum[i - m] = pair.int_phi_sq[0]
             logw_cum[i - m] = pair.logw[0]
 
     pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched, noise,
                           measure, (rec, weights))
     return CoupledTrajectory(
-        grid=grid, sched=sched, measure=measure,
+        grid=grid, sched=sched,
         x_values=rec.full[0][:, 0, :], y_values=rec.full[1][:, 0, :],
         phi_sq_cum=phi_cum, log_weight_cum=logw_cum,
         merged=bool(pair.merged[0]))

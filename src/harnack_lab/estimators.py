@@ -21,7 +21,7 @@ from ._parallel import CHUNK, map_chunks
 from .bounds import (GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _check_horizon,
                      _check_power_exponent)
 from .coefficients import CoefficientSet
-from .coupling import GammaSchedule, _coupled_batch, _Integrals
+from .coupling import GammaSchedule, _coupled_batch
 from .integrator import NoiseBlocks, NoiseStream, _simulate_batch
 from .segment_paths import GridSpec, SegmentPath
 
@@ -164,7 +164,6 @@ class StationarySample:
     endpoint_mean: np.ndarray
     endpoint_var: np.ndarray
     lag_r0_autocov: np.ndarray
-    n: int
     burn_in: float
 
     def __post_init__(self):
@@ -380,27 +379,39 @@ def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
     return _PT_f(coeffs, ((xi, f),), grid, n, seed, threads)
 
 
-def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, measure,
-                      value_of, observer=None, worst=None) -> MCEstimate:
-    """Coupled chunks reduced to one estimate. observer(B), if given, builds
-    each chunk's observer; value_of(pair, observer, first path) gives the
-    per-path values and worst case of a finished chunk; worst names it.
+def _upper_index(grid: GridSpec, t_upper: Optional[float]) -> int:
+    """The grid step of t_upper; n_T, the full horizon, when it is None."""
+    return grid.n_T if t_upper is None else grid.index_of(t_upper, "t_upper")
 
-    A chunk with an observer stops after max(observer.k_upper, n0) steps
-    (t0 = n0 h), the last row its values or the merge check read, and
-    draws only that prefix of each path's noise, bit-identical to the full
-    draw; without one the values come from the final state, and chunks run
-    to T. nonfinite counts the paths NaN or inf where the chunk stops.
+
+def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, measure,
+                      k_upper, value_of, observer=None, worst=None) -> MCEstimate:
+    """Coupled chunks reduced to one estimate of per-path values at time
+    k_upper h. At grid row m + k_upper, value_of(pair, observer, first
+    path) reads a chunk's values and worst case from the pair's running
+    integrals or from the chunk's observer, which observer(B), if given,
+    builds; worst names the worst case.
+
+    Every chunk stops after max(k_upper, n0) steps (t0 = n0 h), the last
+    row its values or the merge check read, and draws only that prefix of
+    each path's noise, bit-identical to the full draw. nonfinite counts
+    the paths NaN or inf where the chunk stops.
     """
-    n0 = grid.deadline_index(sched.t0)
+    k_stop = max(k_upper, grid.deadline_index(sched.t0))
+    upper = grid.m + k_upper
 
     def chunk(stream, a, b):
         ob = observer(b - a) if observer is not None else None
-        k_stop = grid.n_T if ob is None else max(ob.k_upper, n0)
+        read = []
+
+        def at_upper(i, pair):
+            if i == upper:
+                read.append(value_of(pair, ob, a))
+
         pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched,
                               NoiseBlocks(stream, a, b - a, k_stop), measure,
-                              () if ob is None else (ob,))
-        v, top = value_of(pair, ob, a)
+                              (at_upper,) if ob is None else (ob, at_upper))
+        v, top = read[0]
         # a path that went NaN or inf never merges; count it apart
         rx, ry = pair.rings
         last = grid.m + k_stop
@@ -424,13 +435,12 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
     paths are included and counted in diagnostics; with t_upper, chunks
     stop at max(t_upper, t0), and nonfinite counts only the paths that
     failed on that span."""
-    k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else grid.n_T
 
-    def value_of(pair, sums, a):
-        return 0.5 * sums.phi_sq, math.nan
+    def value_of(pair, ob, a):
+        return 0.5 * pair.int_phi_sq, math.nan
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "Q",
-                             value_of, lambda b: _Integrals(grid.m, k_upper, b))
+                             _upper_index(grid, t_upper), value_of)
 
 
 _INTEGRANDS = ("gap_over_gamma_sq", "seg_gap_sq")
@@ -465,24 +475,23 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
         raise ValueError("lam must be finite and nonnegative")
     if integrand not in _INTEGRANDS:
         raise ValueError(f"integrand must be one of {_INTEGRANDS}")
-    k_upper = grid.index_of(t_upper, "t_upper") if t_upper is not None else grid.n_T
+    k_upper = _upper_index(grid, t_upper)
     # on grid indices, so that a t_upper that rounds onto t0 passes
     if integrand == "gap_over_gamma_sq" and k_upper > grid.deadline_index(sched.t0):
         raise ValueError("gap_over_gamma_sq lives on [0, t0]; set t_upper <= t0")
 
+    observer = None
     if integrand == "seg_gap_sq":
         observer = lambda b: _SegGapIntegral(grid.m, grid.h, k_upper, b)
-    else:
-        observer = lambda b: _Integrals(grid.m, k_upper, b)
 
     def value_of(pair, ob, a):
-        # each observer names its integrals after the integrands
+        integral = pair.int_gap_gamma_sq if ob is None else ob.seg_gap_sq
         return _checked_exp(
-            lam * getattr(ob, integrand), a,
+            lam * integral, a,
             f"exponent overflow in exp-functional estimate: lam={lam}, ", "exponent")
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "Q",
-                             value_of, observer, "max_exponent")
+                             k_upper, value_of, observer, "max_exponent")
 
 
 def _effective_sample_size(est: MCEstimate) -> float:
@@ -509,7 +518,7 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
         return _checked_exp(pair.logw, a, "weight overflow: ", "log-weight")
 
     est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "P",
-                            value_of, worst="max_log_weight")
+                            grid.n_T, value_of, worst="max_log_weight")
     return replace(est, diagnostics=dict(est.diagnostics, ess=_effective_sample_size(est)))
 
 
@@ -725,4 +734,4 @@ def sample_stationary_segments(coeffs: CoefficientSet, grid: GridSpec, n: int,
     var = ends.var(axis=0, ddof=1)
     cov = ((starts - starts.mean(axis=0)) * (ends - mean)).sum(axis=0) / (n - 1)
     return StationarySample(endpoint_mean=mean, endpoint_var=var, lag_r0_autocov=cov,
-                            n=n, burn_in=n_burn * h)
+                            burn_in=n_burn * h)

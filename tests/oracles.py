@@ -1,13 +1,15 @@
 """Scalar reference implementations that the batched package code is
 checked against: one path's noise from its own generator, and a batch's
-stacked from them, one Euler
-step, the Girsanov integrand phi, the segment-gap integral by brute-force
-window maxima, a wrapper that turns single-point coefficient callables
-into batch callables, dense and rescaled diffusions, the assumption audit
-on dense matrices, the stepping kernels with their full path histories, the stationary sampler that tiles them, the two branches of
-K4 / (1 - e^{-K4 s}), the chunk reduction over dicts merged by key name,
-accessors of a recorded path that the package does not need, and a patch
-of the contraction factors that keeps coupled copies apart at t0."""
+stacked from them, one Euler step, the Girsanov integrand phi, the
+segment-gap integral by brute-force window maxima, a wrapper that turns
+single-point coefficient callables into batch callables, dense and
+rescaled diffusions, the assumption audit on dense matrices, the stepping
+kernels with their full path histories, an observer that copies the
+coupled kernel's running integrals at one row, the stationary sampler that
+tiles them, the two branches of K4 / (1 - e^{-K4 s}), the chunk reduction
+over dicts merged by key name, accessors of a recorded path that the
+package does not need, and a patch of the contraction factors that keeps
+coupled copies apart at t0."""
 
 import dataclasses
 import math
@@ -313,6 +315,20 @@ def coupled_batch_full(coeffs, xi_values, eta_values, grid, sched, noise,
                 full_y[m + k + 1][merged] = xn[merged]
     return {"log_weight": logw, "phi_sq": phi_sq, "gap_gamma_sq": gap_gamma_sq,
             "merged": merged, "full_x": full_x, "full_y": full_y}
+
+
+class SumsAt:
+    """Observer of a coupled run: copies of the kernel's running integrals
+    at grid row m + k_upper, over the first k_upper steps, named as in
+    coupled_batch_full: phi_sq and gap_gamma_sq."""
+
+    def __init__(self, m, k_upper):
+        self.row = m + k_upper
+
+    def __call__(self, i, pair):
+        if i == self.row:
+            self.phi_sq = pair.int_phi_sq.copy()
+            self.gap_gamma_sq = pair.int_gap_gamma_sq.copy()
 
 
 @dataclass(frozen=True)

@@ -807,6 +807,19 @@ def test_d_past_numpy_indexing_is_a_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_unallocatable_d_is_one_error_line(tmp_path, capsys, command):
+    # d = 2^50 passes the config check, but numpy refuses its 8 PiB arrays
+    # at once; the MemoryError ended in a traceback
+    text = cfg_text(d=2 ** 50, name="ou_nodelay", params={"a": 1.0, "s0": 1.0},
+                    out=tmp_path / "res")
+    assert launch(tmp_path, command, text) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Unable to allocate" in lines[0]
+    assert not (tmp_path / "res").exists()
+
+
 def test_audit_passes_catalog_system(tmp_path):
     out = tmp_path / "res"
     text = cfg_text(name="sine_multiplicative",

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from harnack_lab.coefficients import _DenseDiffusion, _DiagDiffusion, builtin_system
-from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
-                                  contraction_factors, gamma,
+from harnack_lab.coupling import (GammaSchedule, _coupled_batch, contraction_factors, gamma,
                                   inv_gamma_integral, simulate_coupled)
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (coupling_drift_phi, coupling_time, dense_sigma, keep_apart_at_t0,
-                     point_gaps, segment_at, with_scaled_sigma)
+from oracles import (SumsAt, coupling_drift_phi, coupling_time, dense_sigma,
+                     keep_apart_at_t0, point_gaps, segment_at, with_scaled_sigma)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -382,19 +381,19 @@ def kernel_outputs(co, m=20, b=37):
     out = {"sim": rec.full[0]}
     for measure in ("Q", "P"):
         rec = _Recorder(grid.m + grid.n_T + 1)
-        sums = _Integrals(grid.m, grid.n_T // 3, b)
+        sums = SumsAt(grid.m, grid.n_T // 3)
         cum = {"phi_sq_cum": np.zeros((grid.n_T + 1, b)),
                "logw_cum": np.zeros((grid.n_T + 1, b))}
 
         def running(i, pair, m=grid.m):
             if i > m:
-                cum["phi_sq_cum"][i - m] = cum["phi_sq_cum"][i - m - 1] + pair.phi_sq
+                cum["phi_sq_cum"][i - m] = pair.int_phi_sq
                 cum["logw_cum"][i - m] = pair.logw
 
         pair = _coupled_batch(co, xi, eta, grid, sched, noise, measure,
                               (rec, sums, running))
         res = {"log_weight": pair.logw, "phi_sq_upper": sums.phi_sq,
-               "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
+               "gap_gamma_sq": sums.gap_gamma_sq, "merged": pair.merged,
                "full_x": rec.full[0], "full_y": rec.full[1], **cum}
         out.update({f"{measure}.{k}": v for k, v in res.items()})
     return out

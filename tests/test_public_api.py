@@ -38,7 +38,7 @@ SIGNATURES = {
     "NoiseStream": "seed h dim",
     "simulate_path": "coeffs xi grid seed path_index",
     "GammaSchedule": "theta k4 t0",
-    "CoupledTrajectory": ("grid sched measure x_values y_values phi_sq_cum "
+    "CoupledTrajectory": ("grid sched x_values y_values phi_sq_cum "
                           "log_weight_cum merged"),
     "gamma": "t sched",
     "simulate_coupled": "coeffs xi eta grid t0 measure theta seed path_index",
@@ -53,7 +53,7 @@ SIGNATURES = {
     "MCEstimate": "mean std_error n seed diagnostics",
     "VerdictReport": "claim lhs rhs bound margin_se verdict meta",
     "TestFunction": "name fn lower upper",
-    "StationarySample": "endpoint_mean endpoint_var lag_r0_autocov n burn_in",
+    "StationarySample": "endpoint_mean endpoint_var lag_r0_autocov burn_in",
     "test_function": "name cap",
     "estimate_PT_f": "coeffs xi f grid n seed threads",
     "estimate_entropy_Q": "coeffs xi eta sched grid n seed t_upper threads",
@@ -93,4 +93,4 @@ def test_public_parameter_count():
     # an input a caller must know about
     total = sum(len(inspect.signature(getattr(harnack_lab, name)).parameters)
                 for name in PUBLIC if callable(getattr(harnack_lab, name)))
-    assert total == 211
+    assert total == 209

@@ -12,8 +12,7 @@ import pytest
 
 from harnack_lab import estimators
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
-from harnack_lab.coupling import (GammaSchedule, _coupled_batch, _Integrals,
-                                  simulate_coupled)
+from harnack_lab.coupling import GammaSchedule, _coupled_batch, simulate_coupled
 from harnack_lab.estimators import (_Chunk, _reduce,
                                     _SegGapIntegral, estimate_entropy_Q,
                                     estimate_exp_functional,
@@ -23,7 +22,7 @@ from harnack_lab.estimators import test_function as catalog_fn
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, _Recorder, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, SegmentPath, constant_segment
-from oracles import (coupled_batch_full, dense_sigma, increments, increments_batch,
+from oracles import (SumsAt, coupled_batch_full, dense_sigma, increments, increments_batch,
                      keep_apart_at_t0, seg_gap_integral_window_max, simulate_batch_full)
 
 SINE = ("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1}, 1)
@@ -100,7 +99,7 @@ def test_coupled_kernel_matches_full_history(case, measure, m, t0, k_upper):
     n0 = grid.index_of(t0)
     k_upper = {"0": 0, "1": 1, "n0": n0, "nT": grid.n_T}[k_upper]
     rec = _Recorder(m + grid.n_T + 1)
-    sums = _Integrals(m, k_upper, b)
+    sums = SumsAt(m, k_upper)
     seg_gap = _SegGapIntegral(m, grid.h, k_upper, b)
     pair = _coupled_batch(co, xi, eta, grid, sched, NoiseBlocks(stream, 0, b, grid.n_T),
                           measure, (rec, sums, seg_gap))
@@ -108,7 +107,7 @@ def test_coupled_kernel_matches_full_history(case, measure, m, t0, k_upper):
                               measure, k_upper)
     assert want["merged"].any()
     got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
-           "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
+           "gap_gamma_sq": sums.gap_gamma_sq, "merged": pair.merged,
            "full_x": rec.full[0], "full_y": rec.full[1]}
     for key in want:
         assert np.array_equal(got[key], want[key]), key
@@ -149,13 +148,13 @@ def run_coupled(co, measure, m):
     b = 37
     sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
     rec = _Recorder(m + grid.n_T + 1)
-    sums = _Integrals(m, grid.n_T, b)
+    sums = SumsAt(m, grid.n_T)
     pair = _coupled_batch(co, xi, eta, grid, sched, NoiseBlocks(stream, 0, b, grid.n_T),
                           measure, (rec, sums))
     want = coupled_batch_full(co, xi, eta, grid, sched, increments_batch(stream, 0, b, grid.n_T),
                               measure, grid.n_T)
     got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
-           "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged,
+           "gap_gamma_sq": sums.gap_gamma_sq, "merged": pair.merged,
            "full_x": rec.full[0], "full_y": rec.full[1]}
     return grid, got, want
 
@@ -237,7 +236,10 @@ def test_one_path_dumps_match_full_history(case, measure):
     assert np.array_equal(pair.x_values, want["full_x"][:, 0, :])
     assert np.array_equal(pair.y_values, want["full_y"][:, 0, :])
     assert pair.log_weight_cum[-1] == want["log_weight"][0]
-    assert pair.phi_sq_cum[-1] == want["phi_sq"][0]
+    # row k of the running |phi|^2 integral is the oracle's over k steps
+    phi_sq_cum = [coupled_batch_full(co, xi, eta, grid, sched, noise, measure,
+                                     k)["phi_sq"][0] for k in range(grid.n_T + 1)]
+    assert np.array_equal(pair.phi_sq_cum, phi_sq_cum)
     assert pair.merged == want["merged"][0]
 
 
@@ -267,11 +269,11 @@ def test_in_ring_noise_over_three_blocks_matches_full_history(case, kernel):
         want = [simulate_batch_full(co, hist, grid, noise) for hist in (eta, xi)]
     else:
         sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
-        sums = _Integrals(m, grid.n_T, b)
+        sums = SumsAt(m, grid.n_T)
         pair = _coupled_batch(co, xi, eta, grid, sched, blocks, kernel, (rec, sums))
         full = coupled_batch_full(co, xi, eta, grid, sched, noise, kernel, grid.n_T)
         got = {"log_weight": pair.logw, "phi_sq": sums.phi_sq,
-               "gap_gamma_sq": sums.gap_over_gamma_sq, "merged": pair.merged}
+               "gap_gamma_sq": sums.gap_gamma_sq, "merged": pair.merged}
         for key in got:
             assert np.array_equal(got[key], full[key]), key
         rings, want = pair.rings, [full["full_x"], full["full_y"]]
