@@ -7,7 +7,7 @@ estimators._run_chunks. Running with 1 worker or 8 therefore produces
 bit-identical numbers.
 
 With more than one worker, chunks run in processes forked from the caller,
-min(threads, chunks, CPU count) of them: the kernels' per-step numpy calls
+min(threads, chunks, usable CPUs) of them: the kernels' per-step numpy calls
 hold the interpreter lock, so threads would not overlap. Fork hands the
 chunk function to the workers without pickling it, so it may close over
 arrays, lambdas and locks; only its results travel back by pickle, which
@@ -50,6 +50,15 @@ def resolve_threads(explicit: Optional[int] = None) -> int:
     return n
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one (a cpuset may allow fewer than os.cpu_count()), else the
+    CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_chunks(fn: Callable[[int, int], object], n_total: int,
                threads: Optional[int] = None, chunk: int = CHUNK) -> list:
     """Apply fn(start, stop) to each chunk; results come back in chunk order
@@ -58,7 +67,7 @@ def map_chunks(fn: Callable[[int, int], object], n_total: int,
     if n_total < 1:
         raise ValueError("need at least one path")
     ranges = [(a, min(a + chunk, n_total)) for a in range(0, n_total, chunk)]
-    workers = min(resolve_threads(threads), len(ranges), os.cpu_count() or 1)
+    workers = min(resolve_threads(threads), len(ranges), _cpus())
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():

@@ -554,8 +554,8 @@ def run_command(argv) -> int:
     parser.add_argument("--paths", type=int, help="override [mc] n")
     parser.add_argument("--out", help="override [output] dir")
     parser.add_argument("--threads", type=int,
-                        help="worker processes, capped at the CPU count (must "
-                             "not change results); falls back to "
+                        help="worker processes, capped at the CPUs the process "
+                             "may run on (must not change results); falls back to "
                              "HARNACK_LAB_THREADS, then 1")
     try:
         args = parser.parse_args(argv)

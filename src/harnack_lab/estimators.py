@@ -337,13 +337,20 @@ class _SegGapIntegral:
 
 def _run_chunks(coeffs, segments, grid, n, seed, threads, width, chunk) -> List[_Chunk]:
     """The chunk plan of every Monte Carlo estimate: paths 0..n-1 from the
-    starting segments, in chunks of width paths (CHUNK, or CHUNK // 2 pairs
-    in the Harnack checks, which step two copies of each path in one
-    batch), the last one shorter. Path j is driven by the noise of path j
-    of the one NoiseStream of seed, wherever its chunk runs, so each chunk
-    is a pure function of its range: chunk(stream, a, b) steps paths
-    a..b-1 and returns their _Chunk. The chunks come back in chunk order,
-    whatever the worker count, and are reduced in that order."""
+    starting segments, in chunks of width paths (CHUNK, or CHUNK // 2 in
+    the Harnack checks), the last one shorter. Path j is driven by the
+    noise of path j of the one NoiseStream of seed, wherever its chunk
+    runs, so each chunk is a pure function of its range: chunk(stream, a,
+    b) steps paths a..b-1 and returns their _Chunk. The chunks come back
+    in chunk order, whatever the worker count, and are reduced in that
+    order.
+
+    A batch, the paths stepped together, steps at most CHUNK state
+    columns: CHUNK paths of one copy, or CHUNK // 2 paths of two copies
+    (the Harnack checks' xi and eta, a coupled pair's X and Y), so that
+    its rings hold at most 2(m + 1) CHUNK d floats. A chunk of pairs wider
+    than CHUNK // 2 runs as consecutive batches whose per-path values are
+    concatenated in path order."""
     if n < 2:
         raise ValueError("need n >= 2 paths")
     grid.check_segments(coeffs.dim, *segments)
@@ -355,7 +362,7 @@ def _PT_f(coeffs, starts, grid, n, seed, threads):
     """f(X^seg) at T over n paths for each start (seg, f) in starts, one
     start or two. The copies of path j from every start are driven by the
     same noise, and a chunk steps CHUNK // len(starts) paths from each
-    start, so that a batch stays CHUNK columns wide. One start gives its
+    start in one batch, the batch rule of _run_chunks. One start gives its
     estimate; two give both estimates and the covariance of their means."""
     histories = tuple(seg.values for seg, _ in starts)
     last = grid.m + grid.n_T
@@ -385,41 +392,50 @@ def _upper_index(grid: GridSpec, t_upper: Optional[float]) -> int:
 
 
 def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, measure,
-                      k_upper, value_of, observer=None, worst=None) -> MCEstimate:
+                      k_upper, value_of, observer=None, worst=None,
+                      overflow=None) -> MCEstimate:
     """Coupled chunks reduced to one estimate of per-path values at time
-    k_upper h. At grid row m + k_upper, value_of(pair, observer, first
-    path) reads a chunk's values and worst case from the pair's running
-    integrals or from the chunk's observer, which observer(B), if given,
-    builds; worst names the worst case.
+    k_upper h. Each chunk steps its pairs in batches of CHUNK // 2 (the
+    batch rule of _run_chunks). At grid row m + k_upper, value_of(pair,
+    observer) reads a batch's values from the pair's running integrals or
+    from the batch's observer, which observer(B), if given, builds. With
+    overflow, a (prefix, label) pair, the values read are exponents: the
+    chunk's values are their exp, checked over the whole chunk by
+    _checked_exp, and worst names the largest exponent.
 
-    Every chunk stops after max(k_upper, n0) steps (t0 = n0 h), the last
+    Every batch stops after max(k_upper, n0) steps (t0 = n0 h), the last
     row its values or the merge check read, and draws only that prefix of
     each path's noise, bit-identical to the full draw. nonfinite counts
-    the paths NaN or inf where the chunk stops.
+    the paths NaN or inf where the batch stops.
     """
     k_stop = max(k_upper, grid.deadline_index(sched.t0))
-    upper = grid.m + k_upper
+    upper, last = grid.m + k_upper, grid.m + k_stop
 
-    def chunk(stream, a, b):
+    def batch(stream, a, b):
         ob = observer(b - a) if observer is not None else None
         read = []
 
         def at_upper(i, pair):
             if i == upper:
-                read.append(value_of(pair, ob, a))
+                read.append(value_of(pair, ob))
 
         pair = _coupled_batch(coeffs, xi.values, eta.values, grid, sched,
                               NoiseBlocks(stream, a, b - a, k_stop), measure,
                               (at_upper,) if ob is None else (ob, at_upper))
-        v, top = read[0]
         # a path that went NaN or inf never merges; count it apart
         rx, ry = pair.rings
-        last = grid.m + k_stop
         finite = (np.isfinite(pair.logw)
                   & np.isfinite(rx.row(last)).all(axis=1)
                   & np.isfinite(ry.row(last)).all(axis=1))
-        return _Chunk.of(v, unmerged=int((finite & ~pair.merged).sum()),
-                         nonfinite=int((~finite).sum()), worst=top)
+        return read[0], int((finite & ~pair.merged).sum()), int((~finite).sum())
+
+    def chunk(stream, a, b):
+        values, unmerged, nonfinite = zip(*(batch(stream, s, min(s + CHUNK // 2, b))
+                                            for s in range(a, b, CHUNK // 2)))
+        v, top = np.concatenate(values), math.nan
+        if overflow is not None:
+            v, top = _checked_exp(v, a, *overflow)
+        return _Chunk.of(v, unmerged=sum(unmerged), nonfinite=sum(nonfinite), worst=top)
 
     return _reduce(_run_chunks(coeffs, (xi, eta), grid, n, seed, threads, CHUNK, chunk),
                    seed, worst)
@@ -436,8 +452,8 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
     stop at max(t_upper, t0), and nonfinite counts only the paths that
     failed on that span."""
 
-    def value_of(pair, ob, a):
-        return 0.5 * pair.int_phi_sq, math.nan
+    def value_of(pair, ob):
+        return 0.5 * pair.int_phi_sq
 
     return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "Q",
                              _upper_index(grid, t_upper), value_of)
@@ -484,14 +500,13 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
     if integrand == "seg_gap_sq":
         observer = lambda b: _SegGapIntegral(grid.m, grid.h, k_upper, b)
 
-    def value_of(pair, ob, a):
-        integral = pair.int_gap_gamma_sq if ob is None else ob.seg_gap_sq
-        return _checked_exp(
-            lam * integral, a,
-            f"exponent overflow in exp-functional estimate: lam={lam}, ", "exponent")
+    def value_of(pair, ob):
+        return lam * (pair.int_gap_gamma_sq if ob is None else ob.seg_gap_sq)
 
-    return _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "Q",
-                             k_upper, value_of, observer, "max_exponent")
+    return _coupled_estimate(
+        coeffs, xi, eta, sched, grid, n, seed, threads, "Q", k_upper, value_of, observer,
+        "max_exponent",
+        (f"exponent overflow in exp-functional estimate: lam={lam}, ", "exponent"))
 
 
 def _effective_sample_size(est: MCEstimate) -> float:
@@ -514,11 +529,9 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
     below n, the weights are heavy-tailed and mean and SE are unreliable.
     """
 
-    def value_of(pair, ob, a):
-        return _checked_exp(pair.logw, a, "weight overflow: ", "log-weight")
-
     est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "P",
-                            grid.n_T, value_of, worst="max_log_weight")
+                            grid.n_T, lambda pair, ob: pair.logw.copy(),
+                            worst="max_log_weight", overflow=("weight overflow: ", "log-weight"))
     return replace(est, diagnostics=dict(est.diagnostics, ess=_effective_sample_size(est)))
 
 

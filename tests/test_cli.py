@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harnack_lab import _parallel
 from harnack_lab import (GammaSchedule, GapPair, GridSpec, MCEstimate, NoiseStream,
                          bound_H_T, builtin_system, check_log_harnack, make_verdict,
                          sample_stationary_segments)
@@ -1022,9 +1023,7 @@ def test_reruns_are_byte_identical_across_threads(tmp_path, monkeypatch):
     # couple under P, 2 * 8192 + 77 paths: two full chunks and a short one,
     # run in the calling process or forked to min(8, 3, CPUs) = 2 workers
     # (in the calling process both times where the platform has no fork)
-    from harnack_lab import _parallel
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
     real, forks = _parallel._map_forked, []
 
     def map_forked(fn, ranges, workers, context):
@@ -1052,7 +1051,7 @@ def test_paired_checks_are_byte_identical_across_workers(tmp_path, monkeypatch,
                                                          command, kw):
     # 2 * 4096 + 77 pairs: two full pair chunks and a short one, forked to
     # two workers or run in the calling process
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
     csvs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -1073,7 +1072,7 @@ def test_dead_worker_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
             raise AssertionError("chunk ran in the calling process")
         os._exit(1)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
     monkeypatch.setattr(est_mod, "_coupled_batch", die)
     rc = launch(tmp_path, "entropy", cfg_text(n=9000, m=4, t0=1.0, out=tmp_path / "o"),
                 "--threads", "2")

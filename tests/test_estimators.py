@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -7,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harnack_lab import estimators
+from harnack_lab import _parallel, estimators
 from harnack_lab.bounds import GapPair, bound_entropy_with_tail, bound_seg_gap_moment
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
-from harnack_lab.coupling import GammaSchedule
+from harnack_lab.coupling import GammaSchedule, _coupled_batch
 from harnack_lab.estimators import (MCEstimate, _checked_exp, _Chunk,
                                     _effective_sample_size, _log_of, _power_of,
                                     _reduce, _reduce_paired, _SegGapIntegral,
@@ -23,7 +22,7 @@ from harnack_lab.estimators import (MCEstimate, _checked_exp, _Chunk,
                                     sample_stationary_segments)
 from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
-from harnack_lab.integrator import NoiseStream, _Ring, simulate_path
+from harnack_lab.integrator import NoiseBlocks, NoiseStream, _Ring, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
 from oracles import (chunk_moments_dict, increments_batch, keep_apart_at_t0, merged_fraction,
                      reduce_moments_dict, seg_gap_integral_window_max,
@@ -196,6 +195,61 @@ def test_entry_points_share_one_chunk_plan(entry, monkeypatch):
     # repr, so that NaN diagnostics compare equal
     assert repr(run(co, xi, eta, grid, n)) == repr(plain)
     assert calls == [(n, width)]
+
+
+SPLIT_RUNS = {
+    # name: (measure, estimate, the chunk's values and worst case from its
+    # pair and segment-gap observer, the name of the worst case)
+    "estimate_entropy_Q": ("Q", lambda co, xi, eta, grid, n: estimate_entropy_Q(
+        co, xi, eta, sched_for(co), grid, n, seed=3),
+        lambda pair, ob: (0.5 * pair.int_phi_sq, math.nan), None),
+    "estimate_martingale_mean": ("P", lambda co, xi, eta, grid, n: estimate_martingale_mean(
+        co, xi, eta, sched_for(co), grid, n, seed=3),
+        lambda pair, ob: (np.exp(pair.logw), float(pair.logw.max())), "max_log_weight"),
+    "seg_gap_sq": ("Q", lambda co, xi, eta, grid, n: estimate_exp_functional(
+        co, xi, eta, sched_for(co), grid, 0.1, n, seed=3, integrand="seg_gap_sq"),
+        lambda pair, ob: (np.exp(0.1 * ob.seg_gap_sq), float((0.1 * ob.seg_gap_sq).max())),
+        "max_exponent"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SPLIT_RUNS))
+def test_batch_split_changes_no_bit(entry, monkeypatch):
+    # n = CHUNK + 100: the first chunk runs as two batches of CHUNK // 2
+    # pairs, the second as one of 100. The oracle steps each chunk as one
+    # batch of its full width and reduces the chunks' values
+    measure, run, values_of, worst = SPLIT_RUNS[entry]
+    co = sine()
+    grid, xi, eta = setup(m=5)
+    n, last = CHUNK + 100, grid.m + grid.n_T
+    stream = NoiseStream(seed=3, h=grid.h, dim=co.dim)
+    parts = []
+    for a in range(0, n, CHUNK):
+        b = min(a + CHUNK, n)
+        ob = _SegGapIntegral(grid.m, grid.h, grid.n_T, b - a)
+        pair = _coupled_batch(co, xi.values, eta.values, grid, sched_for(co),
+                              NoiseBlocks(stream, a, b - a, grid.n_T), measure, (ob,))
+        rx, ry = pair.rings
+        finite = (np.isfinite(pair.logw) & np.isfinite(rx.row(last)).all(axis=1)
+                  & np.isfinite(ry.row(last)).all(axis=1))
+        v, top = values_of(pair, ob)
+        parts.append(_Chunk.of(v, unmerged=int((finite & ~pair.merged).sum()),
+                               nonfinite=int((~finite).sum()), worst=top))
+    want = _reduce(parts, 3, worst)
+    if measure == "P":
+        want = MCEstimate(want.mean, want.std_error, want.n, want.seed,
+                          dict(want.diagnostics, ess=_effective_sample_size(want)))
+
+    real, widths = estimators._coupled_batch, []
+
+    def spy(coeffs, xi_values, eta_values, grid, sched, noise, *rest):
+        widths.append(noise.shape[1])
+        return real(coeffs, xi_values, eta_values, grid, sched, noise, *rest)
+
+    monkeypatch.setattr(estimators, "_coupled_batch", spy)
+    # repr, so that NaN diagnostics compare equal
+    assert repr(run(co, xi, eta, grid, n)) == repr(want)
+    assert widths == [CHUNK // 2, CHUNK // 2, 100]
 
 
 # -------------------------------------------------------------- reduction
@@ -553,7 +607,7 @@ def blow_up_system():
 
 @pytest.mark.parametrize("contraction", ["exact", "apart"])
 def test_failures_split_unmerged_and_nonfinite(monkeypatch, contraction):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
     co = blow_up_system()
     grid = GridSpec(1.0, 2.0, 4)
     below, zero = constant_segment(-1.0, 1.0, 4), constant_segment(0.0, 1.0, 4)

@@ -13,8 +13,9 @@ import pytest
 from harnack_lab import _parallel
 from harnack_lab._parallel import CHUNK, WorkerDied, map_chunks
 from harnack_lab.coefficients import builtin_system
-from harnack_lab.coupling import GammaSchedule
-from harnack_lab.estimators import estimate_exp_functional
+from harnack_lab.coupling import GammaSchedule, _coupled_batch
+from harnack_lab.estimators import MAX_EXPONENT, _SegGapIntegral, estimate_exp_functional
+from harnack_lab.integrator import NoiseBlocks, NoiseStream
 from harnack_lab.segment_paths import GridSpec, constant_segment
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -24,7 +25,7 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 @pytest.fixture
 def two_cpus(monkeypatch):
     # two workers at most, whatever the machine has
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
 
 
 class StubPool:
@@ -79,15 +80,32 @@ def test_forked_chunks_match_in_process(two_cpus):
     (2, 1, 40, None),     # one CPU: no pool
     (4, 64, 10, None),    # one chunk: no pool
     (1, 64, 40, None),
-    (8, 2, 40, 2),        # capped at the CPU count
+    (8, 2, 40, 2),        # capped at the usable CPUs
     (2, 64, 40, 2),
     (8, 64, 30, 3),       # capped at the chunk count
 ])
 def test_worker_count_is_capped(monkeypatch, stub_pool, threads, cpus, n_total, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
     out = map_chunks(lambda a, b: (a, b), n_total, threads=threads, chunk=10)
     assert out == [(a, min(a + 10, n_total)) for a in range(0, n_total, 10)]
     assert stub_pool == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("allowed,workers", [({3}, None), ({0, 5}, 2), (set(range(6)), 4)])
+def test_worker_count_follows_the_affinity_set(monkeypatch, stub_pool, allowed, workers):
+    # a cpuset of fewer CPUs than the machine has caps the workers, however
+    # many CPUs os.cpu_count() reports
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed, raising=False)
+    assert map_chunks(lambda a, b: b - a, 40, threads=8, chunk=10) == [10] * 4
+    assert stub_pool == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("count,cpus", [(3, 3), (None, 1)])
+def test_cpus_without_affinity_is_the_cpu_count(monkeypatch, count, cpus):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert _parallel._cpus() == cpus
 
 
 def test_without_fork_chunks_run_in_process(monkeypatch, stub_pool, two_cpus):
@@ -170,3 +188,30 @@ def test_exp_functional_overflow_reports_path_across_workers(two_cpus):
                                     threads=threads)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@needs_fork
+def test_overflow_names_the_chunks_worst_path_in_its_second_batch(two_cpus):
+    # a chunk steps its pairs in two batches of CHUNK // 2; every path of
+    # the first chunk overflows, and its largest exponent lies in the second
+    # batch, which the message must name, as one full-width batch gives it
+    co = builtin_system("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1})
+    grid = GridSpec(1.0, 2.0, 50)
+    xi = constant_segment(1.0, 1.0, 50)
+    eta = constant_segment(0.0, 1.0, 50)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+    lam, seed = 1000.0, 1
+    ob = _SegGapIntegral(grid.m, grid.h, grid.n_T, CHUNK)
+    _coupled_batch(co, xi.values, eta.values, grid, sched,
+                   NoiseBlocks(NoiseStream(seed=seed, h=grid.h, dim=1), 0, CHUNK, grid.n_T),
+                   "Q", (ob,))
+    expo = lam * ob.seg_gap_sq
+    worst = int(np.argmax(expo))
+    assert worst >= CHUNK // 2 and expo[:CHUNK // 2].max() > MAX_EXPONENT
+    want = (f"exponent overflow in exp-functional estimate: lam={lam}, "
+            f"path {worst}, exponent {expo[worst]:.4g}")
+    for threads in (1, 2):
+        with pytest.raises(OverflowError) as info:
+            estimate_exp_functional(co, xi, eta, sched, grid, lam=lam, n=CHUNK + 8,
+                                    seed=seed, integrand="seg_gap_sq", threads=threads)
+        assert str(info.value) == want

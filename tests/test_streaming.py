@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from harnack_lab import estimators
+from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule, _coupled_batch, simulate_coupled
 from harnack_lab.estimators import (_Chunk, _reduce,
@@ -349,6 +350,24 @@ def test_chunk_holds_its_rings_and_a_small_allowance_per_path(name):
     run()
     rings = 2 * 2 * (m + 1) * b * 8
     assert _peak(run) <= rings + 1024 * b
+
+
+def test_coupled_chunk_holds_two_half_width_rings():
+    # one coupled chunk of CHUNK pairs at m = 200, T = 2 r0. Its batches of
+    # CHUNK // 2 pairs run one after the other, so it holds two mirrored
+    # rings of 2(m + 1) CHUNK // 2 floats (26.3 MB) and the 1 KB per path
+    # of the test above. A chunk stepped as one batch of CHUNK pairs holds
+    # rings twice as large (52.7 MB) and fails this
+    co = builtin_system(*LINEAR[:2])
+    m = 200
+    grid = GridSpec(1.0, 2.0, m)
+    xi, eta = constant_segment(1.0, 1.0, m), constant_segment(0.0, 1.0, m)
+    sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
+    run = lambda n: estimate_entropy_Q(co, xi, eta, sched, grid, n=n, seed=1, threads=1)
+    # the first call imports lazily
+    run(2)
+    rings = 2 * 2 * (m + 1) * (CHUNK // 2) * 8
+    assert _peak(lambda: run(CHUNK)) <= rings + 1024 * CHUNK
 
 
 @pytest.mark.parametrize("name", list(ESTIMATES))
