@@ -2,16 +2,17 @@
 
 map_chunks applies a chunk function to fixed path ranges and returns the
 results in chunk order, whatever the worker count; the chunk plan itself
-(widths, seeding, reduction order) is stated once, in
-estimators._run_chunks. Running with 1 worker or 8 therefore produces
-bit-identical numbers.
+(widths, seeding, reduction) is stated once, in estimators._run_chunks: a
+chunk is one batch of at most CHUNK state columns, and estimates are
+reduced from the per-path values of all chunks, joined in path order.
+Running with 1 worker or 8 therefore produces bit-identical numbers.
 
 With more than one worker, chunks run in processes forked from the caller,
 min(threads, chunks, usable CPUs) of them: the kernels' per-step numpy calls
 hold the interpreter lock, so threads would not overlap. Fork hands the
 chunk function to the workers without pickling it, so it may close over
-arrays, lambdas and locks; only its results travel back by pickle, which
-returns Python ints and floats bit for bit. With one worker, or on a
+arrays, lambdas and locks; only its results, per-path numpy arrays,
+travel back by pickle, which returns them bit for bit. With one worker, or on a
 platform without fork, the chunks run in the calling process.
 """
 
@@ -21,8 +22,6 @@ import os
 from typing import Callable, Optional
 
 CHUNK = 8192
-
-ENV_THREADS = "HARNACK_LAB_THREADS"
 
 # the chunk function of the map a worker process serves; _install sets it
 # in each worker as the pool forks it, the calling process never does
@@ -34,17 +33,8 @@ class WorkerDied(RuntimeError):
 
 
 def resolve_threads(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else HARNACK_LAB_THREADS, else 1."""
-    if explicit is not None:
-        n = int(explicit)
-    else:
-        raw = os.environ.get(ENV_THREADS, "").strip()
-        if not raw:
-            return 1
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_THREADS} must be an integer, got {raw!r}")
+    """Worker count: the explicit argument, else 1."""
+    n = 1 if explicit is None else int(explicit)
     if n < 1:
         raise ValueError("thread count must be >= 1")
     return n

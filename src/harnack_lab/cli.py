@@ -555,8 +555,7 @@ def run_command(argv) -> int:
     parser.add_argument("--out", help="override [output] dir")
     parser.add_argument("--threads", type=int,
                         help="worker processes, capped at the CPUs the process "
-                             "may run on (must not change results); falls back to "
-                             "HARNACK_LAB_THREADS, then 1")
+                             "may run on (must not change results); default 1")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

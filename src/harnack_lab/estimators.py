@@ -1,11 +1,12 @@
 """Monte Carlo estimators and inequality verdicts.
 
-Estimates are reduced from fixed chunks of paths, in the plan _run_chunks
-states, so a given (seed, n, grid) always produces the same bits whatever
-the worker count. Inequality checks are one-sided statistical tests: a
-claim "holds" when the estimated margin is not significantly negative, and
-is only called "violated" at a stronger significance (6 standard errors by
-default) to keep discretization bias from raising false alarms.
+Paths run in the chunks of the plan _run_chunks states, and every estimate
+is reduced from the joined per-path values, so a given (seed, n, grid)
+always produces the same bits whatever the chunk width or worker count.
+Inequality checks are one-sided statistical tests: a claim "holds" when
+the estimated margin is not significantly negative, and is only called
+"violated" at a stronger significance (6 standard errors by default) to
+keep discretization bias from raising false alarms.
 """
 
 from __future__ import annotations
@@ -38,17 +39,17 @@ TIE_ULPS = 8
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Sample mean with its standard error and run provenance.
+    """Sample mean with its standard error and run provenance, reduced
+    from the per-path values of all n paths.
 
-    diagnostics, each merged across chunks as follows: min and max, the
-    range of the values (nan if any is NaN); for coupled estimates the
-    failed paths, summed: unmerged (copies unequal at t0, which only a path
-    that went NaN or inf by t0 produces, counted here when it is finite
-    where the chunk stops) and nonfinite (NaN or inf state or weight
-    there); max_exponent (exp functional) or
+    diagnostics: min and max, the range of the values (nan if any is NaN);
+    for coupled estimates the failed paths: unmerged (copies unequal at t0,
+    which only a path that went NaN or inf by t0 produces, counted here
+    when it is finite where its chunk stops) and nonfinite (NaN or inf
+    state or weight there); max_exponent (exp functional) or
     max_log_weight (weight mean), the largest non-NaN one (nan if none);
-    failures, unmerged + nonfinite. raw_mean, bound and ess are set on the
-    merged estimate. No diagnostic depends on the chunk split.
+    failures, unmerged + nonfinite; raw_mean, bound and ess where set. No
+    diagnostic depends on the chunk split.
     """
 
     mean: float
@@ -172,94 +173,37 @@ class StationarySample:
         self.lag_r0_autocov.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """One chunk's count, sum, squared deviations from its mean (m2),
-    range and shifted sum, the sum of (v - min); a coupled chunk adds its
-    failed paths and its worst case, a paired chunk the moments of its
-    second value y on the same paths and the co-moment cxy, the sum of
-    (x - mean x)(y - mean y)."""
-
-    n: int
-    sum: float
-    m2: float
-    min: float
-    max: float
-    shifted_sum: float
-    unmerged: Optional[int] = None
-    nonfinite: Optional[int] = None
-    worst: float = math.nan
-    y: Optional["_Chunk"] = None
-    cxy: float = math.nan
-
-    @classmethod
-    def of(cls, v: np.ndarray, **coupled) -> "_Chunk":
-        total = float(v.sum())
-        dev = v - total / v.size
-        low = float(v.min())
-        return cls(v.size, total, float((dev * dev).sum()), low, float(v.max()),
-                   float((v - low).sum()), **coupled)
-
-    @classmethod
-    def paired(cls, x: np.ndarray, y: np.ndarray) -> "_Chunk":
-        cx, cy = cls.of(x), cls.of(y)
-        cxy = float(((x - cx.sum / x.size) * (y - cy.sum / y.size)).sum())
-        return replace(cx, y=cy, cxy=cxy)
+def _fsum(x: np.ndarray) -> float:
+    """The correctly rounded sum of x. Where math.fsum refuses, on finite
+    partial sums that overflow or on inf + -inf, numpy's sum: inf or nan."""
+    try:
+        return math.fsum(x)
+    except (OverflowError, ValueError):
+        return float(np.sum(x))
 
 
-def _fold(parts) -> float:
-    """The co-moment of all the chunks from their (x, y, c) triples, x and
-    y the chunks of the two values on the same paths, c their sum of
-    (x - mean x)(y - mean y), merged in chunk order as
-    C = C_a + C_b + dx dy n_a n_b / n, dx and dy the differences of the two
-    parts' means (Chan, Golub & LeVeque; Pebay, SAND2008-6212). It never
-    takes the cancelling difference sum(x y) - n mean_x mean_y. With x = y
-    it merges M2, the squared deviations.
-
-    The means are taken relative to the first chunk's minimum, each from
-    its chunk's minimum and shifted sum: values that share a large offset
-    would leave their rounding, first order, in dx and dy."""
-    count, mean_x, mean_y, c = 0, 0.0, 0.0, 0.0
-    base_x, base_y = parts[0][0].min, parts[0][1].min
-    for x, y, c_part in parts:
-        n = x.n
-        dx = (x.min - base_x) + x.shifted_sum / n - mean_x
-        dy = (y.min - base_y) + y.shifted_sum / n - mean_y
-        n_ab = count + n
-        mean_x += dx * n / n_ab
-        mean_y += dy * n / n_ab
-        c += c_part + dx * dy * count * n / n_ab
-        count = n_ab
-    return c
-
-
-def _reduce(parts: List[_Chunk], seed: int, worst: Optional[str] = None) -> MCEstimate:
-    """One estimate from the chunks, in chunk order; worst names the
-    diagnostic of the chunks' worst case, if the estimate reports one."""
-    count = sum(p.n for p in parts)
-    m2 = _fold([(p, p, p.m2) for p in parts])
-    var = m2 / (count - 1) if count > 1 else 0.0
-    # the range of all the values, NaN if any is NaN, as np.min and np.max
-    diag = {"min": float(np.min([p.min for p in parts])),
-            "max": float(np.max([p.max for p in parts]))}
-    if parts[0].unmerged is not None:
-        diag["unmerged"] = sum(p.unmerged for p in parts)
-        diag["nonfinite"] = sum(p.nonfinite for p in parts)
-    if worst is not None:
-        # skipping NaN, as _checked_exp does within a chunk
-        diag[worst] = float(np.fmax.reduce([p.worst for p in parts]))
+def _reduce(v: np.ndarray, seed: int, diag: Optional[dict] = None) -> MCEstimate:
+    """One estimate from the per-path values v, in path order: the mean
+    fsum(v) / n and the two-pass variance fsum((v - mean)^2) / (n - 1).
+    Its diagnostics are the range of v (nan if any value is NaN, as np.min
+    and np.max), then diag, then failures, diag's unmerged + nonfinite."""
+    n = v.size
+    mean = _fsum(v) / n
+    dev = v - mean
+    var = _fsum(dev * dev) / (n - 1)
+    diag = {"min": float(np.min(v)), "max": float(np.max(v)), **(diag or {})}
     diag["failures"] = diag.get("unmerged", 0) + diag.get("nonfinite", 0)
-    return MCEstimate(mean=math.fsum([p.sum for p in parts]) / count,
-                      std_error=math.sqrt(var / count), n=count, seed=seed, diagnostics=diag)
+    return MCEstimate(mean=mean, std_error=math.sqrt(var / n), n=n, seed=seed,
+                      diagnostics=diag)
 
 
-def _reduce_paired(parts: List[_Chunk], seed: int):
-    """The estimates of x and y from paired chunks, and the covariance of
-    their means, C / (n (n - 1)) with C the merged co-moment."""
-    x = _reduce(parts, seed)
-    y = _reduce([p.y for p in parts], seed)
-    c = _fold([(p, p.y, p.cxy) for p in parts])
-    return x, y, c / (x.n * (x.n - 1))
+def _reduce_paired(x: np.ndarray, y: np.ndarray, seed: int):
+    """The estimates of the per-path values x and y of the same paths, and
+    the covariance of their means, the two-pass
+    fsum((x - mean x)(y - mean y)) / (n (n - 1))."""
+    ex, ey = _reduce(x, seed), _reduce(y, seed)
+    n = x.size
+    return ex, ey, _fsum((x - ex.mean) * (y - ey.mean)) / (n * (n - 1))
 
 
 class _SegGapIntegral:
@@ -335,48 +279,41 @@ class _SegGapIntegral:
         self.seg_gap_sq += win
 
 
-def _run_chunks(coeffs, segments, grid, n, seed, threads, width, chunk) -> List[_Chunk]:
+def _run_chunks(coeffs, segments, grid, n, seed, threads, chunk) -> List[np.ndarray]:
     """The chunk plan of every Monte Carlo estimate: paths 0..n-1 from the
-    starting segments, in chunks of width paths (CHUNK, or CHUNK // 2 in
-    the Harnack checks), the last one shorter. Path j is driven by the
-    noise of path j of the one NoiseStream of seed, wherever its chunk
-    runs, so each chunk is a pure function of its range: chunk(stream, a,
-    b) steps paths a..b-1 and returns their _Chunk. The chunks come back
-    in chunk order, whatever the worker count, and are reduced in that
-    order.
-
-    A batch, the paths stepped together, steps at most CHUNK state
-    columns: CHUNK paths of one copy, or CHUNK // 2 paths of two copies
-    (the Harnack checks' xi and eta, a coupled pair's X and Y), so that
-    its rings hold at most 2(m + 1) CHUNK d floats. A chunk of pairs wider
-    than CHUNK // 2 runs as consecutive batches whose per-path values are
-    concatenated in path order."""
+    starting segments, in chunks of CHUNK // len(segments) paths, the last
+    one shorter. A chunk is one batch, the paths stepped together, one copy
+    per segment, so it steps at most CHUNK state columns and its rings hold
+    at most 2(m + 1) CHUNK d floats. Path j is driven by the noise of path
+    j of the one NoiseStream of seed, wherever its chunk runs, so each
+    chunk is a pure function of its range: chunk(stream, a, b) steps paths
+    a..b-1 and returns a tuple of per-path arrays. Those are joined in path
+    order, whatever the worker count, and every estimate is reduced from
+    the joined values, so no chunk width or worker count changes its bits."""
     if n < 2:
         raise ValueError("need n >= 2 paths")
     grid.check_segments(coeffs.dim, *segments)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
-    return map_chunks(lambda a, b: chunk(stream, a, b), n, threads, width)
+    parts = map_chunks(lambda a, b: chunk(stream, a, b), n, threads,
+                       CHUNK // len(segments))
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _PT_f(coeffs, starts, grid, n, seed, threads):
     """f(X^seg) at T over n paths for each start (seg, f) in starts, one
     start or two. The copies of path j from every start are driven by the
-    same noise, and a chunk steps CHUNK // len(starts) paths from each
-    start in one batch, the batch rule of _run_chunks. One start gives its
-    estimate; two give both estimates and the covariance of their means."""
+    same noise and stepped in one batch. One start gives its estimate; two
+    give both estimates and the covariance of their means."""
     histories = tuple(seg.values for seg, _ in starts)
     last = grid.m + grid.n_T
-    one = len(starts) == 1
 
     def chunk(stream, a, b):
         noise = NoiseBlocks(stream, a, b - a, grid.n_T)
         rings = _simulate_batch(coeffs, histories, grid, noise)
-        values = [f(ring.segment(last)) for (_, f), ring in zip(starts, rings)]
-        return _Chunk.of(*values) if one else _Chunk.paired(*values)
+        return [f(ring.segment(last)) for (_, f), ring in zip(starts, rings)]
 
-    parts = _run_chunks(coeffs, [seg for seg, _ in starts], grid, n, seed, threads,
-                        CHUNK // len(starts), chunk)
-    return _reduce(parts, seed) if one else _reduce_paired(parts, seed)
+    values = _run_chunks(coeffs, [seg for seg, _ in starts], grid, n, seed, threads, chunk)
+    return _reduce(*values, seed) if len(starts) == 1 else _reduce_paired(*values, seed)
 
 
 def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
@@ -392,26 +329,24 @@ def _upper_index(grid: GridSpec, t_upper: Optional[float]) -> int:
 
 
 def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, measure,
-                      k_upper, value_of, observer=None, worst=None,
-                      overflow=None) -> MCEstimate:
-    """Coupled chunks reduced to one estimate of per-path values at time
-    k_upper h. Each chunk steps its pairs in batches of CHUNK // 2 (the
-    batch rule of _run_chunks). At grid row m + k_upper, value_of(pair,
-    observer) reads a batch's values from the pair's running integrals or
-    from the batch's observer, which observer(B), if given, builds. With
-    overflow, a (prefix, label) pair, the values read are exponents: the
-    chunk's values are their exp, checked over the whole chunk by
-    _checked_exp, and worst names the largest exponent.
+                      k_upper, value_of, observer=None, overflow=None) -> MCEstimate:
+    """One estimate of per-path values at time k_upper h from coupled
+    chunks, each one batch of pairs. At grid row m + k_upper, value_of(pair,
+    observer) reads a chunk's values from the pair's running integrals or
+    from the chunk's observer, which observer(B), if given, builds. With
+    overflow, a (diagnostic, prefix, label) triple, the values read are
+    exponents: _checked_exp checks them over all n paths, the estimate is
+    of their exp, and the diagnostic names the largest exponent.
 
-    Every batch stops after max(k_upper, n0) steps (t0 = n0 h), the last
+    Every chunk stops after max(k_upper, n0) steps (t0 = n0 h), the last
     row its values or the merge check read, and draws only that prefix of
     each path's noise, bit-identical to the full draw. nonfinite counts
-    the paths NaN or inf where the batch stops.
+    the paths NaN or inf where the chunk stops.
     """
     k_stop = max(k_upper, grid.deadline_index(sched.t0))
     upper, last = grid.m + k_upper, grid.m + k_stop
 
-    def batch(stream, a, b):
+    def chunk(stream, a, b):
         ob = observer(b - a) if observer is not None else None
         read = []
 
@@ -427,18 +362,14 @@ def _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, measure,
         finite = (np.isfinite(pair.logw)
                   & np.isfinite(rx.row(last)).all(axis=1)
                   & np.isfinite(ry.row(last)).all(axis=1))
-        return read[0], int((finite & ~pair.merged).sum()), int((~finite).sum())
+        return read[0], finite & ~pair.merged, ~finite
 
-    def chunk(stream, a, b):
-        values, unmerged, nonfinite = zip(*(batch(stream, s, min(s + CHUNK // 2, b))
-                                            for s in range(a, b, CHUNK // 2)))
-        v, top = np.concatenate(values), math.nan
-        if overflow is not None:
-            v, top = _checked_exp(v, a, *overflow)
-        return _Chunk.of(v, unmerged=sum(unmerged), nonfinite=sum(nonfinite), worst=top)
-
-    return _reduce(_run_chunks(coeffs, (xi, eta), grid, n, seed, threads, CHUNK, chunk),
-                   seed, worst)
+    v, unmerged, nonfinite = _run_chunks(coeffs, (xi, eta), grid, n, seed, threads, chunk)
+    diag = {"unmerged": int(unmerged.sum()), "nonfinite": int(nonfinite.sum())}
+    if overflow is not None:
+        name, prefix, label = overflow
+        v, diag[name] = _checked_exp(v, prefix, label)
+    return _reduce(v, seed, diag)
 
 
 def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
@@ -462,13 +393,13 @@ def estimate_entropy_Q(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath
 _INTEGRANDS = ("gap_over_gamma_sq", "seg_gap_sq")
 
 
-def _checked_exp(expo: np.ndarray, a: int, prefix: str, label: str):
-    """exp(expo) of a chunk whose first path is a, and its largest non-NaN
-    exponent (nan if all are NaN), which must not exceed MAX_EXPONENT (+inf
+def _checked_exp(expo: np.ndarray, prefix: str, label: str):
+    """exp(expo), the exponents of paths 0..n-1, and their largest non-NaN
+    one (nan if all are NaN), which must not exceed MAX_EXPONENT (+inf
     does): a NaN path cannot hide an overflow."""
     worst = int(np.argmax(np.where(np.isnan(expo), -np.inf, expo)))
     if expo[worst] > MAX_EXPONENT:
-        raise OverflowError(f"{prefix}path {a + worst}, {label} {expo[worst]:.4g}")
+        raise OverflowError(f"{prefix}path {worst}, {label} {expo[worst]:.4g}")
     return np.exp(expo), float(expo[worst])
 
 
@@ -485,7 +416,7 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
     Chunks stop at max(t_upper, t0), the last time the estimate or the
     merge check reads, so diagnostics["nonfinite"] counts only the paths
     that failed on that span. Raises on exponent overflow, reporting lam
-    and the offending path.
+    and the path with the largest exponent.
     """
     if not 0 <= lam < math.inf:
         raise ValueError("lam must be finite and nonnegative")
@@ -505,8 +436,8 @@ def estimate_exp_functional(coeffs: CoefficientSet, xi: SegmentPath,
 
     return _coupled_estimate(
         coeffs, xi, eta, sched, grid, n, seed, threads, "Q", k_upper, value_of, observer,
-        "max_exponent",
-        (f"exponent overflow in exp-functional estimate: lam={lam}, ", "exponent"))
+        ("max_exponent", f"exponent overflow in exp-functional estimate: lam={lam}, ",
+         "exponent"))
 
 
 def _effective_sample_size(est: MCEstimate) -> float:
@@ -531,7 +462,7 @@ def estimate_martingale_mean(coeffs: CoefficientSet, xi: SegmentPath,
 
     est = _coupled_estimate(coeffs, xi, eta, sched, grid, n, seed, threads, "P",
                             grid.n_T, lambda pair, ob: pair.logw.copy(),
-                            worst="max_log_weight", overflow=("weight overflow: ", "log-weight"))
+                            overflow=("max_log_weight", "weight overflow: ", "log-weight"))
     return replace(est, diagnostics=dict(est.diagnostics, ess=_effective_sample_size(est)))
 
 

@@ -21,7 +21,6 @@ from harnack_lab.bounds import _lambda_p, _s_eps, _theta_set_contains, _w_eps
 from harnack_lab.coefficients import (_AUDIT_M, _AUDIT_STATES, AuditReport, CoefficientSet,
                                       ConditionAudit)
 from harnack_lab.coupling import gamma
-from harnack_lab.estimators import MCEstimate
 from harnack_lab.integrator import NoiseStream
 from harnack_lab.segment_paths import GridSpec, SegmentPath
 
@@ -431,44 +430,6 @@ def shift_append(history, new_point):
 def to_rows(seg):
     """(time offset, coordinates) rows of a segment."""
     return [(float(t), *map(float, v)) for t, v in zip(np.linspace(-seg.r0, 0.0, seg.m + 1), seg.values)]
-
-
-def chunk_moments_dict(v):
-    """Count, sum, sum of squared deviations from the chunk mean (M2),
-    range and sum of (v - min) of one chunk's values, as a dict."""
-    total = float(v.sum())
-    dev = v - total / v.size
-    return {"n": v.size, "sum": total, "m2": float((dev * dev).sum()),
-            "min": float(v.min()), "max": float(v.max()),
-            "shifted_sum": float((v - v.min()).sum())}
-
-
-def reduce_moments_dict(parts, n, seed):
-    """Chunk dicts merged by key name: the moment keys by Chan, Golub &
-    LeVeque in chunk order, unmerged and nonfinite summed, any other key
-    max'ed with Python's max (which keeps a leading NaN and skips a later
-    one). The reference the typed reduction must match bit for bit in mean
-    and standard error."""
-    count, run_mean, m2 = 0, 0.0, 0.0
-    for p in parts:
-        # the mean relative to the first chunk's minimum
-        delta = (p["min"] - parts[0]["min"]) + p["shifted_sum"] / p["n"] - run_mean
-        n_ab = count + p["n"]
-        run_mean += delta * p["n"] / n_ab
-        m2 += p["m2"] + delta * delta * count * p["n"] / n_ab
-        count = n_ab
-    mean = math.fsum([p["sum"] for p in parts]) / n
-    var = m2 / (n - 1) if n > 1 else 0.0
-    diag = {"min": min(p["min"] for p in parts), "max": max(p["max"] for p in parts)}
-    failure_keys = ("unmerged", "nonfinite")
-    for key in parts[0]:
-        if key in failure_keys:
-            diag[key] = sum(p[key] for p in parts)
-        elif key not in ("n", "sum", "m2", "min", "max", "shifted_sum"):
-            diag[key] = max(p[key] for p in parts)
-    diag["failures"] = sum(diag.get(key, 0) for key in failure_keys)
-    return MCEstimate(mean=float(mean), std_error=math.sqrt(var / n), n=n,
-                      seed=seed, diagnostics=diag)
 
 
 def merged_fraction(est):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from harnack_lab import _parallel, estimators
 from harnack_lab.bounds import GapPair, bound_entropy_with_tail, bound_seg_gap_moment
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
-from harnack_lab.coupling import GammaSchedule, _coupled_batch
-from harnack_lab.estimators import (MCEstimate, _checked_exp, _Chunk,
+from harnack_lab.coupling import GammaSchedule
+from harnack_lab.estimators import (MCEstimate, _checked_exp,
                                     _effective_sample_size, _log_of, _power_of,
                                     _reduce, _reduce_paired, _SegGapIntegral,
                                     check_log_harnack,
@@ -22,11 +23,10 @@ from harnack_lab.estimators import (MCEstimate, _checked_exp, _Chunk,
                                     sample_stationary_segments)
 from harnack_lab.estimators import TestFunction as ObsFn
 from harnack_lab.estimators import test_function as catalog_fn
-from harnack_lab.integrator import NoiseBlocks, NoiseStream, _Ring, simulate_path
+from harnack_lab.integrator import NoiseStream, _Ring, simulate_path
 from harnack_lab.segment_paths import GridSpec, constant_segment
-from oracles import (chunk_moments_dict, increments_batch, keep_apart_at_t0, merged_fraction,
-                     reduce_moments_dict, seg_gap_integral_window_max,
-                     stationary_segments_tiled, with_scaled_sigma)
+from oracles import (increments_batch, keep_apart_at_t0, merged_fraction,
+                     seg_gap_integral_window_max, stationary_segments_tiled, with_scaled_sigma)
 
 
 def linear(a=-1.0, c=0.5, s0=1.0):
@@ -150,15 +150,15 @@ def test_pt_f_se_unchanged_by_a_large_shift_of_f(shift, seed):
 QUAD = catalog_fn("quad_cap", 100.0)
 
 # every chunked entry point, called as (coeffs, xi, eta, grid, n), with the
-# chunk width of its plan
+# chunk width of its plan: CHUNK state columns, one copy per start
 ENTRY_POINTS = {
     "estimate_PT_f": (CHUNK, lambda co, xi, eta, grid, n: estimate_PT_f(
         co, xi, QUAD, grid, n, seed=3)),
-    "estimate_entropy_Q": (CHUNK, lambda co, xi, eta, grid, n: estimate_entropy_Q(
+    "estimate_entropy_Q": (CHUNK // 2, lambda co, xi, eta, grid, n: estimate_entropy_Q(
         co, xi, eta, sched_for(co), grid, n, seed=3)),
-    "estimate_exp_functional": (CHUNK, lambda co, xi, eta, grid, n: estimate_exp_functional(
+    "estimate_exp_functional": (CHUNK // 2, lambda co, xi, eta, grid, n: estimate_exp_functional(
         co, xi, eta, sched_for(co), grid, 0.1, n, seed=3, integrand="seg_gap_sq")),
-    "estimate_martingale_mean": (CHUNK, lambda co, xi, eta, grid, n: estimate_martingale_mean(
+    "estimate_martingale_mean": (CHUNK // 2, lambda co, xi, eta, grid, n: estimate_martingale_mean(
         co, xi, eta, sched_for(co), grid, n, seed=3)),
     "check_log_harnack": (CHUNK // 2, lambda co, xi, eta, grid, n: check_log_harnack(
         co, xi, eta, QUAD, grid, n, seed=3)),
@@ -182,7 +182,7 @@ def test_entry_points_share_one_chunk_plan(entry, monkeypatch):
         run(co, constant_segment(1.0, 1.0, 19), constant_segment(0.0, 1.0, 19),
             setup(m=20)[0], 4)
 
-    # n spans two chunks of the Harnack checks' pairs
+    # n spans two chunks of pairs
     n = CHUNK // 2 + 100
     plain = run(co, xi, eta, grid, n)
     real, calls = estimators.map_chunks, []
@@ -197,148 +197,100 @@ def test_entry_points_share_one_chunk_plan(entry, monkeypatch):
     assert calls == [(n, width)]
 
 
-SPLIT_RUNS = {
-    # name: (measure, estimate, the chunk's values and worst case from its
-    # pair and segment-gap observer, the name of the worst case)
-    "estimate_entropy_Q": ("Q", lambda co, xi, eta, grid, n: estimate_entropy_Q(
-        co, xi, eta, sched_for(co), grid, n, seed=3),
-        lambda pair, ob: (0.5 * pair.int_phi_sq, math.nan), None),
-    "estimate_martingale_mean": ("P", lambda co, xi, eta, grid, n: estimate_martingale_mean(
-        co, xi, eta, sched_for(co), grid, n, seed=3),
-        lambda pair, ob: (np.exp(pair.logw), float(pair.logw.max())), "max_log_weight"),
-    "seg_gap_sq": ("Q", lambda co, xi, eta, grid, n: estimate_exp_functional(
-        co, xi, eta, sched_for(co), grid, 0.1, n, seed=3, integrand="seg_gap_sq"),
-        lambda pair, ob: (np.exp(0.1 * ob.seg_gap_sq), float((0.1 * ob.seg_gap_sq).max())),
-        "max_exponent"),
-}
-
-
-@pytest.mark.parametrize("entry", sorted(SPLIT_RUNS))
-def test_batch_split_changes_no_bit(entry, monkeypatch):
-    # n = CHUNK + 100: the first chunk runs as two batches of CHUNK // 2
-    # pairs, the second as one of 100. The oracle steps each chunk as one
-    # batch of its full width and reduces the chunks' values
-    measure, run, values_of, worst = SPLIT_RUNS[entry]
-    co = sine()
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_estimates_do_not_depend_on_the_chunk_plan(entry, monkeypatch):
+    # every estimate is reduced from its per-path values, so neither the
+    # chunk width nor the worker count reaches a bit of it: at CHUNK = 64,
+    # n = 300 runs as 10 chunks of pairs, at 256 as 3, at 8192 as one
+    _, run = ENTRY_POINTS[entry]
+    co = linear()
     grid, xi, eta = setup(m=5)
-    n, last = CHUNK + 100, grid.m + grid.n_T
-    stream = NoiseStream(seed=3, h=grid.h, dim=co.dim)
-    parts = []
-    for a in range(0, n, CHUNK):
-        b = min(a + CHUNK, n)
-        ob = _SegGapIntegral(grid.m, grid.h, grid.n_T, b - a)
-        pair = _coupled_batch(co, xi.values, eta.values, grid, sched_for(co),
-                              NoiseBlocks(stream, a, b - a, grid.n_T), measure, (ob,))
-        rx, ry = pair.rings
-        finite = (np.isfinite(pair.logw) & np.isfinite(rx.row(last)).all(axis=1)
-                  & np.isfinite(ry.row(last)).all(axis=1))
-        v, top = values_of(pair, ob)
-        parts.append(_Chunk.of(v, unmerged=int((finite & ~pair.merged).sum()),
-                               nonfinite=int((~finite).sum()), worst=top))
-    want = _reduce(parts, 3, worst)
-    if measure == "P":
-        want = MCEstimate(want.mean, want.std_error, want.n, want.seed,
-                          dict(want.diagnostics, ess=_effective_sample_size(want)))
-
-    real, widths = estimators._coupled_batch, []
-
-    def spy(coeffs, xi_values, eta_values, grid, sched, noise, *rest):
-        widths.append(noise.shape[1])
-        return real(coeffs, xi_values, eta_values, grid, sched, noise, *rest)
-
-    monkeypatch.setattr(estimators, "_coupled_batch", spy)
-    # repr, so that NaN diagnostics compare equal
-    assert repr(run(co, xi, eta, grid, n)) == repr(want)
-    assert widths == [CHUNK // 2, CHUNK // 2, 100]
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    real, seen = estimators.map_chunks, set()
+    for chunk in (CHUNK, 256, 64):
+        monkeypatch.setattr(estimators, "CHUNK", chunk)
+        for threads in (1, 2):
+            monkeypatch.setattr(estimators, "map_chunks", lambda fn, n, _, width, k=threads:
+                                real(fn, n, k, width))
+            # repr, so that NaN diagnostics compare equal
+            seen.add(repr(run(co, xi, eta, grid, 300)))
+    assert len(seen) == 1
 
 
 # -------------------------------------------------------------- reduction
 
-def split_at(v, cuts):
-    return [v[a:b] for a, b in zip((0, *cuts), (*cuts, v.size))]
+def exact_moments(v):
+    """The mean and the sum of squared deviations of v in exact rationals."""
+    exact = [Fraction(float(x)) for x in v]
+    mean = sum(exact) / len(exact)
+    return mean, sum((x - mean) ** 2 for x in exact)
 
 
 @st.composite
-def split_values(draw):
+def path_values(draw):
     n = draw(st.integers(2, 40))
     v = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n)))
-    # cuts at neighbouring indices leave size-1 chunks
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
-    return v + draw(st.sampled_from([0.0, 1e8])), cuts
+    return v + draw(st.sampled_from([0.0, 1e8]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(split=split_values(), coupled=st.booleans())
-@example(split=(np.array([1.0, 2.0]), [1]), coupled=False)
-@example(split=(np.array([1e8, 1e8 + 1.0, 1e8 + 3.0]), [1, 2]), coupled=True)
-def test_reduce_matches_dict_oracle(split, coupled):
-    # mean and SE bit for bit, and on NaN-free values every diagnostic, in
-    # the same order, as the chunk dicts merged by key name
-    v, cuts = split
-    parts, dicts = [], []
-    for k, c in enumerate(split_at(v, cuts)):
-        if coupled:
-            fails, top = dict(unmerged=k % 3, nonfinite=k % 2), float(c[0])
-            parts.append(_Chunk.of(c, **fails, worst=top))
-            dicts.append({**chunk_moments_dict(c), **fails, "max_exponent": top})
-        else:
-            parts.append(_Chunk.of(c))
-            dicts.append(chunk_moments_dict(c))
-    est = _reduce(parts, 7, "max_exponent" if coupled else None)
-    ref = reduce_moments_dict(dicts, v.size, 7)
-    assert (est.mean, est.std_error, est.n, est.seed) == (ref.mean, ref.std_error, v.size, 7)
-    assert list(est.diagnostics.items()) == list(ref.diagnostics.items())
+@given(v=path_values())
+@example(v=np.array([1.0, 2.0]))
+# values that share a large offset: a one-pass sum(v^2) - n mean^2 would
+# lose every digit of the variance
+@example(v=np.array([1e8, 1e8 + 1.0, 1e8 + 3.0]))
+@example(v=1e8 + np.array([0.0, 0.0, 1.0]))
+def test_reduce_is_the_two_pass_estimate(v):
+    # the mean to the rounding of the fsum and the division, and M2 to a
+    # few rounding errors of itself plus the n delta^2 that a mean off by
+    # delta adds
+    est = _reduce(v, 7)
+    n, ulp = v.size, float(np.spacing(np.abs(v).max()))
+    mean, m2 = exact_moments(v)
+    assert (est.n, est.seed) == (n, 7)
+    assert abs(Fraction(est.mean) - mean) <= 2 * ulp
+    got = Fraction(est.std_error) ** 2 * n * (n - 1)
+    assert abs(got - m2) <= 8e-16 * m2 + 5 * n * Fraction(ulp) ** 2
+    assert est.diagnostics == {"min": v.min(), "max": v.max(), "failures": 0}
 
 
 @pytest.mark.parametrize("lead", [1.0, math.nan], ids=["finite-first", "nan-first"])
-def test_reduce_diagnostics_do_not_depend_on_the_split(lead):
-    # the range propagates NaN, as np.min and np.max over all values do; the
-    # worst case skips it, as _checked_exp does within a chunk. Splits that
-    # put a NaN-free chunk first, or an all-NaN one, are the ones at risk
+def test_reduce_range_propagates_nan_and_the_worst_case_skips_it(lead):
+    # the range is NaN if any value is, as np.min and np.max; the worst case
+    # skips NaN, also on a NaN first path
     nan = math.nan
-    expo = np.array([lead, nan, 5.0, 2.0, nan, 3.0])
-
-    def merged(cuts):
-        parts = []
-        for c in split_at(expo, cuts):
-            values, top = _checked_exp(c, 0, "", "exponent")
-            parts.append(_Chunk.of(values, unmerged=0,
-                                   nonfinite=int(np.isnan(values).sum()), worst=top))
-        return repr(_reduce(parts, 0, "max_exponent").diagnostics)
-
-    whole = merged([])
+    values, top = _checked_exp(np.array([lead, nan, 5.0, 2.0, nan, 3.0]), "", "exponent")
     blown = 2 + math.isnan(lead)
-    assert whole == repr({"min": nan, "max": nan, "unmerged": 0, "nonfinite": blown,
-                          "max_exponent": 5.0, "failures": blown})
-    for k in range(1 << (expo.size - 1)):
-        cuts = [i for i in range(1, expo.size) if k >> (i - 1) & 1]
-        assert merged(cuts) == whole, cuts
+    est = _reduce(values, 0, {"unmerged": 0, "nonfinite": blown, "max_exponent": top})
+    assert repr(est.diagnostics) == repr({"min": nan, "max": nan, "unmerged": 0,
+                                          "nonfinite": blown, "max_exponent": 5.0,
+                                          "failures": blown})
+
+
+def test_reduce_sums_that_fsum_refuses_read_inf_or_nan():
+    # squares whose finite sum overflows, and products of both signs that
+    # overflow: the SE reads inf and the covariance nan, as numpy's sum gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _reduce(np.array([1.2e154, -1.2e154]), 0).std_error == math.inf
+        _, _, cov = _reduce_paired(np.array([1e200, -1e200, 0.0]),
+                                   np.array([1e200, 1e200, -2e200]), 0)
+    assert math.isnan(cov)
 
 
 @settings(max_examples=300, deadline=None)
-@given(split=split_values(), slope=st.floats(-3.0, 3.0))
-# chunk means near 1e8 left their rounding in the cross term
-@example(split=(1e8 + np.array([0.0, 0.0, 1.0]), [1]), slope=1.0)
-def test_paired_reduce_merges_the_co_moment(split, slope):
-    # the co-moment merged over any split agrees with the two-pass one over
-    # all values; with y = x it is the M2 that _reduce merges
-    x, cuts = split
+@given(x=path_values(), slope=st.floats(-3.0, 3.0))
+@example(x=1e8 + np.array([0.0, 0.0, 1.0]), slope=1.0)
+def test_paired_reduce_matches_the_two_pass_covariance(x, slope):
+    # each side is its own estimate, and the covariance of the means agrees
+    # with the two-pass one; with y = x it is the squared SE
     y = slope * x + np.cos(x)
-    parts = [_Chunk.paired(a, b) for a, b in zip(split_at(x, cuts), split_at(y, cuts))]
-    ex, ey, cov = _reduce_paired(parts, 3)
-    assert ex == _reduce([_Chunk.of(a) for a in split_at(x, cuts)], 3)
-    assert ey == _reduce([_Chunk.of(b) for b in split_at(y, cuts)], 3)
+    ex, ey, cov = _reduce_paired(x, y, 3)
+    assert (ex, ey) == (_reduce(x, 3), _reduce(y, 3))
     n = x.size
     ref = ((x - x.mean()) * (y - y.mean())).sum() / (n * (n - 1))
     assert abs(cov - ref) <= 1e-9 * ex.std_error * ey.std_error + 1e-12
-    same = [_Chunk.paired(a, a) for a in split_at(x, cuts)]
-    ex, _, var = _reduce_paired(same, 3)
+    ex, _, var = _reduce_paired(x, x, 3)
     assert var == pytest.approx(ex.std_error ** 2, rel=1e-12, abs=1e-300)
-
-
-def test_chunk_rejects_an_unknown_field():
-    with pytest.raises(TypeError):
-        _Chunk.of(np.ones(3), unmergd=1)
 
 
 # -------------------------------------------------------------- entropy
@@ -533,15 +485,15 @@ def test_nan_path_does_not_hide_exponent_overflow():
 
 def test_checked_exp_skips_nan_entries():
     nan, inf = math.nan, math.inf
-    values, top = _checked_exp(np.array([nan, 3.0, nan, 5.0]), 10, "", "exponent")
+    values, top = _checked_exp(np.array([nan, 3.0, nan, 5.0]), "", "exponent")
     assert top == 5.0
     assert np.isnan(values[0]) and values[3] == math.exp(5.0)
-    with pytest.raises(OverflowError, match="path 12, exponent 800"):
-        _checked_exp(np.array([1.0, nan, 800.0]), 10, "", "exponent")
-    with pytest.raises(OverflowError, match="weight overflow: path 11, log-weight inf"):
-        _checked_exp(np.array([nan, inf]), 10, "weight overflow: ", "log-weight")
-    # a chunk with nothing but NaN keeps the diagnostic nan
-    values, top = _checked_exp(np.full(3, nan), 0, "", "exponent")
+    with pytest.raises(OverflowError, match="path 2, exponent 800"):
+        _checked_exp(np.array([1.0, nan, 800.0]), "", "exponent")
+    with pytest.raises(OverflowError, match="weight overflow: path 1, log-weight inf"):
+        _checked_exp(np.array([nan, inf]), "weight overflow: ", "log-weight")
+    # nothing but NaN keeps the diagnostic nan
+    values, top = _checked_exp(np.full(3, nan), "", "exponent")
     assert math.isnan(top) and np.isnan(values).all()
 
 
@@ -586,11 +538,11 @@ def test_weight_mean_ess_dominant_weight():
     n = 1000
     w = np.ones(n)
     w[17] = 1e8
-    est = _reduce([_Chunk.of(w[:600]), _Chunk.of(w[600:])], 0)
+    est = _reduce(w, 0)
     want = w.sum() ** 2 / (w * w).sum()
     assert _effective_sample_size(est) == pytest.approx(want, rel=1e-9)
     assert 1.0 < _effective_sample_size(est) < 1.001
-    flat = _reduce([_Chunk.of(np.full(n, 0.3))], 0)
+    flat = _reduce(np.full(n, 0.3), 0)
     assert _effective_sample_size(flat) == pytest.approx(n, rel=1e-12)
 
 
@@ -644,18 +596,6 @@ def test_weight_mean_deterministic_across_threads():
                                  seed=3, threads=8)
     assert a.mean == b.mean
     assert a.std_error == b.std_error
-
-
-def test_thread_env_fallback(monkeypatch):
-    co = linear()
-    grid, xi, eta = setup(m=40)
-    base = estimate_entropy_Q(co, xi, eta, sched_for(co), grid, n=9000, seed=4)
-    monkeypatch.setenv("HARNACK_LAB_THREADS", "4")
-    env4 = estimate_entropy_Q(co, xi, eta, sched_for(co), grid, n=9000, seed=4)
-    assert base.mean == env4.mean
-    monkeypatch.setenv("HARNACK_LAB_THREADS", "zero point five")
-    with pytest.raises(ValueError):
-        estimate_entropy_Q(co, xi, eta, sched_for(co), grid, n=9000, seed=4)
 
 
 # -------------------------------------------------------------- verdicts

@@ -191,27 +191,28 @@ def test_exp_functional_overflow_reports_path_across_workers(two_cpus):
 
 
 @needs_fork
-def test_overflow_names_the_chunks_worst_path_in_its_second_batch(two_cpus):
-    # a chunk steps its pairs in two batches of CHUNK // 2; every path of
-    # the first chunk overflows, and its largest exponent lies in the second
-    # batch, which the message must name, as one full-width batch gives it
+def test_overflow_names_the_runs_worst_path(two_cpus):
+    # the exponents of all n paths are checked at once, so the message names
+    # the largest over the run, whatever the chunking. n spans three chunks
+    # of CHUNK pairs; every path overflows, and the largest exponent lies
+    # past the first CHUNK paths, so a check chunk by chunk names another
     co = builtin_system("sine_multiplicative", {"a": -1.0, "c": 0.2, "s0": 0.1})
     grid = GridSpec(1.0, 2.0, 50)
     xi = constant_segment(1.0, 1.0, 50)
     eta = constant_segment(0.0, 1.0, 50)
     sched = GammaSchedule(theta=1.0, k4=co.constants.k4, t0=1.0)
-    lam, seed = 1000.0, 1
-    ob = _SegGapIntegral(grid.m, grid.h, grid.n_T, CHUNK)
+    lam, seed, n = 1000.0, 2, 2 * CHUNK + 8
+    ob = _SegGapIntegral(grid.m, grid.h, grid.n_T, n)
     _coupled_batch(co, xi.values, eta.values, grid, sched,
-                   NoiseBlocks(NoiseStream(seed=seed, h=grid.h, dim=1), 0, CHUNK, grid.n_T),
+                   NoiseBlocks(NoiseStream(seed=seed, h=grid.h, dim=1), 0, n, grid.n_T),
                    "Q", (ob,))
     expo = lam * ob.seg_gap_sq
-    worst = int(np.argmax(expo))
-    assert worst >= CHUNK // 2 and expo[:CHUNK // 2].max() > MAX_EXPONENT
+    worst = int(np.argmax(np.where(np.isnan(expo), -np.inf, expo)))
+    assert worst >= CHUNK and expo[:CHUNK].max() > MAX_EXPONENT
     want = (f"exponent overflow in exp-functional estimate: lam={lam}, "
             f"path {worst}, exponent {expo[worst]:.4g}")
     for threads in (1, 2):
         with pytest.raises(OverflowError) as info:
-            estimate_exp_functional(co, xi, eta, sched, grid, lam=lam, n=CHUNK + 8,
+            estimate_exp_functional(co, xi, eta, sched, grid, lam=lam, n=n,
                                     seed=seed, integrand="seg_gap_sq", threads=threads)
         assert str(info.value) == want

@@ -4,7 +4,6 @@ sampler, against the sample size, and the early stop of coupled chunks
 whose estimate reads only up to t_upper."""
 
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -14,8 +13,7 @@ from harnack_lab import estimators
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule, _coupled_batch, simulate_coupled
-from harnack_lab.estimators import (_Chunk, _reduce,
-                                    _SegGapIntegral, estimate_entropy_Q,
+from harnack_lab.estimators import (_reduce, _SegGapIntegral, estimate_entropy_Q,
                                     estimate_exp_functional,
                                     estimate_martingale_mean, estimate_PT_f,
                                     sample_stationary_segments)
@@ -353,11 +351,11 @@ def test_chunk_holds_its_rings_and_a_small_allowance_per_path(name):
 
 
 def test_coupled_chunk_holds_two_half_width_rings():
-    # one coupled chunk of CHUNK pairs at m = 200, T = 2 r0. Its batches of
+    # CHUNK coupled pairs at m = 200, T = 2 r0, one worker. Its chunks of
     # CHUNK // 2 pairs run one after the other, so it holds two mirrored
     # rings of 2(m + 1) CHUNK // 2 floats (26.3 MB) and the 1 KB per path
-    # of the test above. A chunk stepped as one batch of CHUNK pairs holds
-    # rings twice as large (52.7 MB) and fails this
+    # of the test above. One batch of CHUNK pairs holds rings twice as
+    # large (52.7 MB) and fails this
     co = builtin_system(*LINEAR[:2])
     m = 200
     grid = GridSpec(1.0, 2.0, m)
@@ -431,20 +429,19 @@ def full_horizon_estimate(co, kind, t_upper, xi, eta, sched, n=40, seed=11):
     stream = NoiseStream(seed=seed, h=grid.h, dim=co.dim)
     want = coupled_batch_full(co, xi.values, eta.values, grid, sched,
                               increments_batch(stream, 0, n, grid.n_T), "Q", k_upper)
-    worst = None
+    finite = (np.isfinite(want["log_weight"]) & np.isfinite(want["full_x"][-1]).all(axis=1)
+              & np.isfinite(want["full_y"][-1]).all(axis=1))
+    diag = {"unmerged": int((finite & ~want["merged"]).sum()),
+            "nonfinite": int((~finite).sum())}
     if kind == "entropy":
-        v, top = 0.5 * want["phi_sq"], math.nan
+        v = 0.5 * want["phi_sq"]
     else:
         integral = {"gap_over_gamma_sq": want["gap_gamma_sq"],
                     "seg_gap_sq": seg_gap_integral_window_max(
                         want["full_x"], want["full_y"], grid.m, grid.h, k_upper)}[kind]
         expo = LAM * integral
-        v, top, worst = np.exp(expo), float(expo.max()), "max_exponent"
-    finite = (np.isfinite(want["log_weight"]) & np.isfinite(want["full_x"][-1]).all(axis=1)
-              & np.isfinite(want["full_y"][-1]).all(axis=1))
-    out = _Chunk.of(v, unmerged=int((finite & ~want["merged"]).sum()),
-                    nonfinite=int((~finite).sum()), worst=top)
-    return _reduce([out], seed, worst)
+        v, diag["max_exponent"] = np.exp(expo), float(expo.max())
+    return _reduce(v, seed, diag)
 
 
 STOP_TIMES = {"h": 0.1, "t0-h": STOP_T0 - 0.1, "t0": STOP_T0, "past-t0": 2.2, "T": 3.0}
