@@ -34,14 +34,15 @@ from .coupling import GammaSchedule, _check_measure, _check_theta, gamma, simula
 from .estimators import (FAILURE_TOLERANCE, MCEstimate, VerdictReport, _check_burn_in,
                          _check_delay_free, _check_levels, _check_s_choice, check_log_harnack,
                          check_power_harnack, estimate_entropy_Q, estimate_martingale_mean,
-                         make_verdict, sample_stationary_segments, test_function)
+                         _power_of, make_verdict, sample_stationary_segments,
+                         test_function)
 from .integrator import _check_dim, _check_seed, simulate_path
 from .segment_paths import GridSpec, SegmentPath, _deadline_index, constant_segment
 
 VERSION_TAG = f"harnack-lab-v{__version__}"
 
 VERDICT_HEADER = ["claim", "lhs", "lhs_se", "rhs", "rhs_se", "bound",
-                  "margin_se", "verdict", "n", "seed", "h", "failures",
+                  "margin_se", "verdict", "n", "seed", "h", "failures", "n_used",
                   "version"]
 
 
@@ -216,8 +217,10 @@ def _config_problems(cfg: ExperimentConfig, command=None) -> List[str]:
     check("mc", _check_levels, cfg.k_tol, cfg.k_viol)
     check("mc", _check_burn_in, cfg.burn_in)
     # a cap already reported stands at its default, so that f is still checked
-    check("functions", test_function, cfg.f_name,
-          ExperimentConfig.cap if cfg.cap is None else cfg.cap)
+    f = check("functions", test_function, cfg.f_name,
+              ExperimentConfig.cap if cfg.cap is None else cfg.cap)
+    if command == "power-harnack":
+        check("functions", _power_of, f, cfg.p)
     if cfg.verbosity not in (0, 1, 2):
         violations.append("[output] verbosity must be 0, 1 or 2")
     if command in ("couple", "entropy") and cfg.t0 is None:
@@ -353,7 +356,7 @@ def _verdicts(reports: List[VerdictReport]) -> _Result:
     for r in reports:
         res.rows.append({"claim": r.claim, "lhs": r.lhs.mean, "lhs_se": r.lhs.std_error,
                          "rhs": r.rhs.mean, "rhs_se": r.rhs.std_error, "bound": r.bound,
-                         "margin_se": r.margin_se, "verdict": r.verdict,
+                         "margin_se": r.margin_se, "verdict": r.verdict, "n_used": r.lhs.n,
                          "failures": r.lhs.failures + r.rhs.failures})
         res.lines.append((1, f"{r.claim}: lhs={r.lhs.mean:.6g} (se {r.lhs.std_error:.2g})  "
                              f"rhs={r.rhs.mean:.6g} (se {r.rhs.std_error:.2g})  "
@@ -445,7 +448,7 @@ def _cmd_couple(cfg: ExperimentConfig, threads) -> _Result:
     res = _verdicts(reports)
     if cfg.measure == "Q":
         res.rows.append({"claim": "entropy_half_phi_sq", "lhs": est.mean,
-                         "lhs_se": est.std_error, "verdict": "info",
+                         "lhs_se": est.std_error, "verdict": "info", "n_used": est.n,
                          "failures": est.failures})
         res.lines.insert(0, (1, f"half mean int |phi|^2 = {est.mean:.6g} "
                                 f"(se {est.std_error:.2g})"))

@@ -3,6 +3,8 @@
 Paths run in the chunks of the plan _run_chunks states, and every estimate
 is reduced from the joined per-path values, so a given (seed, n, grid)
 always produces the same bits whatever the chunk width or worker count.
+The Harnack checks read their paths at looks and may stop before n once
+their verdict is decided (check_log_harnack states the rule).
 Inequality checks are one-sided statistical tests: a claim "holds" when
 the estimated margin is not significantly negative, and is only called
 "violated" at a stronger significance (6 standard errors by default) to
@@ -13,12 +15,13 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ._parallel import CHUNK, map_chunks
+from ._parallel import CHUNK, chunk_stream, map_chunks
 from .bounds import (GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _check_horizon,
                      _check_power_exponent)
 from .coefficients import CoefficientSet
@@ -35,6 +38,9 @@ FAILURE_TOLERANCE = 1e-3
 # magnitude tie at margin 0 whatever their SEs, so that rounding (a zero-SE
 # estimate one ulp above its bound) cannot flip a verdict
 TIE_ULPS = 8
+
+# paths between two looks of a sequential Harnack check
+LOOK = 4096
 
 
 @dataclass(frozen=True)
@@ -279,7 +285,8 @@ class _SegGapIntegral:
         self.seg_gap_sq += win
 
 
-def _run_chunks(coeffs, segments, grid, n, seed, threads, chunk) -> List[np.ndarray]:
+def _run_chunks(coeffs, segments, grid, n, seed, threads, chunk,
+                stop=None) -> List[np.ndarray]:
     """The chunk plan of every Monte Carlo estimate: paths 0..n-1 from the
     starting segments, in chunks of CHUNK // len(segments) paths, the last
     one shorter. A chunk is one batch, the paths stepped together, one copy
@@ -289,21 +296,52 @@ def _run_chunks(coeffs, segments, grid, n, seed, threads, chunk) -> List[np.ndar
     chunk is a pure function of its range: chunk(stream, a, b) steps paths
     a..b-1 and returns a tuple of per-path arrays. Those are joined in path
     order, whatever the worker count, and every estimate is reduced from
-    the joined values, so no chunk width or worker count changes its bits."""
+    the joined values, so no chunk width or worker count changes its bits.
+
+    With stop, the run is sequential: its looks fall after the first LOOK,
+    2 LOOK, ... paths short of n, whatever the chunk width, and at each
+    look stop(prefix) is given the joined values of the paths before it.
+    The chunks are read as a stream in chunk order, and the first look at
+    which stop returns true closes it and returns that prefix: in-process
+    no later chunk runs, and with workers only the chunks already started
+    finish, unread. Past the last look, or without stop, the values of all
+    n paths are returned. stop reads nothing but the prefix, whose values
+    no chunk width or worker count changes, so neither changes where the
+    run stops."""
     if n < 2:
         raise ValueError("need n >= 2 paths")
     grid.check_segments(coeffs.dim, *segments)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
-    parts = map_chunks(lambda a, b: chunk(stream, a, b), n, threads,
-                       CHUNK // len(segments))
-    return [np.concatenate(column) for column in zip(*parts)]
+    run = lambda a, b: chunk(stream, a, b)
+    width = CHUNK // len(segments)
+    looks = iter(range(LOOK, n, LOOK) if stop is not None else ())
+    look = next(looks, None)
+    if look is None:
+        parts = map_chunks(run, n, threads, width)
+        return [np.concatenate(column) for column in zip(*parts)]
+    # each chunk's values are copied into place as they arrive, so a look's
+    # prefix is a view and no chunk is kept
+    columns, read = None, 0
+    with closing(chunk_stream(run, n, threads, width)) as results:
+        for part in results:
+            if columns is None:
+                columns = [np.empty(n, v.dtype) for v in part]
+            for column, v in zip(columns, part):
+                column[read:read + v.size] = v
+            read += part[0].size
+            while look is not None and look <= read:
+                prefix = [column[:look] for column in columns]
+                if stop(prefix):
+                    return prefix
+                look = next(looks, None)
+    return columns
 
 
-def _PT_f(coeffs, starts, grid, n, seed, threads):
-    """f(X^seg) at T over n paths for each start (seg, f) in starts, one
+def _PT_f(coeffs, starts, grid, n, seed, threads, stop=None) -> List[np.ndarray]:
+    """f(X^seg) at T, per path, for each start (seg, f) in starts, one
     start or two. The copies of path j from every start are driven by the
-    same noise and stepped in one batch. One start gives its estimate; two
-    give both estimates and the covariance of their means."""
+    same noise and stepped in one batch. With stop, the run is sequential
+    (_run_chunks), and the values are those of the paths it read."""
     histories = tuple(seg.values for seg, _ in starts)
     last = grid.m + grid.n_T
 
@@ -312,15 +350,14 @@ def _PT_f(coeffs, starts, grid, n, seed, threads):
         rings = _simulate_batch(coeffs, histories, grid, noise)
         return [f(ring.segment(last)) for (_, f), ring in zip(starts, rings)]
 
-    values = _run_chunks(coeffs, [seg for seg, _ in starts], grid, n, seed, threads, chunk)
-    return _reduce(*values, seed) if len(starts) == 1 else _reduce_paired(*values, seed)
+    return _run_chunks(coeffs, [seg for seg, _ in starts], grid, n, seed, threads, chunk, stop)
 
 
 def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
                   grid: GridSpec, n: int, seed: int,
                   threads: Optional[int] = None) -> MCEstimate:
     """Mean of f over the terminal segments of n independent paths from xi."""
-    return _PT_f(coeffs, ((xi, f),), grid, n, seed, threads)
+    return _reduce(*_PT_f(coeffs, ((xi, f),), grid, n, seed, threads), seed)
 
 
 def _upper_index(grid: GridSpec, t_upper: Optional[float]) -> int:
@@ -558,6 +595,37 @@ def _check_s_choice(s_choice: float, T: float, r0: float) -> None:
         raise ValueError("s_choice must lie in (0, T - r0]")
 
 
+def _top_share(v: np.ndarray) -> float:
+    """max v / sum v of nonnegative values: the share of their sum that the
+    largest carries, 0 when all are 0."""
+    total = float(v.sum())
+    return float(v.max()) / total if total > 0 else 0.0
+
+
+def _sequential_verdict(coeffs, starts, grid, n, seed, threads, k_viol, verdict_of,
+                        meta) -> VerdictReport:
+    """verdict_of(x, y, meta), the paired verdict on the per-path values x
+    and y of the two starts, read at looks and stopped early by the rule
+    check_log_harnack states. meta gains the look read (stop_look) of the
+    looks ceil(n / LOOK) and the veto of the last early look a side vetoed.
+    A vetoed look cannot stop, so its verdict is not reduced."""
+    looks = -(-n // LOOK)
+    meta = dict(meta)
+
+    def decided(values):
+        used = values[0].size
+        for (_, f), v in zip(starts, values):
+            share = _top_share(v)
+            if share * math.sqrt(used) > 1.0:
+                meta["veto"] = (f"look {used // LOOK}: one path carries {share:.3g} of "
+                                f"the {f.name} sum, above 1/sqrt({used})")
+                return False
+        return abs(verdict_of(*values, meta).margin_se) >= k_viol * math.sqrt(n / used)
+
+    values = _PT_f(coeffs, starts, grid, n, seed, threads, decided)
+    return verdict_of(*values, dict(meta, stop_look=-(-values[0].size // LOOK), looks=looks))
+
+
 def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
                       f: TestFunction, grid: GridSpec, n: int, seed: int,
                       s_choice: Optional[float] = None,
@@ -565,11 +633,30 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
                       threads: Optional[int] = None) -> VerdictReport:
     """One-sided test of  E log f(X^eta) <= log E f(X^xi) + H  at the grid's
     horizon, with the closed-form additive constant H. Both expectations
-    come from the same n paths, each started once from eta and once from xi
+    come from the same paths, each started once from eta and once from xi
     on common noise (the coupling of the paper's proof, which shares the
     Brownian motion); the log on the right and the margin's SE, paired
     covariance included, follow by the delta method. s_choice pins H's
     coupling horizon instead of minimizing.
+
+    n is a cap. The verdict is read at K = ceil(n / LOOK) looks, after the
+    first LOOK k paths for k < K and at n, and the run stops at the first
+    early look whose margin z_k, in SEs of that prefix, reaches the
+    O'Brien-Fleming-type boundary |z_k| >= k_viol sqrt(n / n_k): holds
+    above it, violated below minus it. That is the boundary of Lan and
+    DeMets' (1983) spending function alpha(t) = 2 - 2 Phi(k_viol / sqrt(t))
+    at information time t = n_k / n: under a margin of mean 0, sqrt(n_k) z_k is
+    a Brownian path in n_k, and by the reflection principle looks at any
+    times cross k_viol sqrt(n / n_k) with probability at most alpha(t) of
+    the last. So the early looks add at most 2 Phi(-k_viol) (2e-9 at
+    k_viol = 6) to the chance of an early "violated" on a true claim, or
+    of an early "holds" on a false one. At look K the fixed-n rule applies
+    unchanged. The boundary's Gaussian z needs a finite variance, whose
+    samples keep max v = o(sqrt(n_k)) times their mean: so no early look
+    stops while either side's largest value carries more than 1/sqrt(n_k)
+    of that side's sum, Chatterjee and Diaconis' (2018) diagnostic
+    max v / sum v of a sum carried by a few paths. The stop reads only the
+    prefix, so every worker count and chunk width gives the same bits.
     """
     _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, grid, k_tol, k_viol)
 
@@ -582,13 +669,18 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
         rep = bound_H_T(coeffs.constants, gaps, grid.T, grid.r0)
         h_val, s_star = rep.value, rep.s_star
 
-    lhs, raw, cov = _PT_f(coeffs, ((eta, _log_of(f)), (xi, f)), grid, n, seed, threads)
-    rhs = _log_of_mean(raw, h_val)
-    # by the delta method, Cov(mean log f(eta), log mean f(xi)) is
-    # Cov(means) / mean f(xi)
-    return _paired_verdict("log_harnack", lhs, rhs, cov / raw.mean, h_val, k_tol, k_viol,
-                           {"s_star": s_star, "point_gap": gaps.point_gap,
-                            "seg_gap": gaps.seg_gap})
+    def verdict_of(x, y, meta):
+        lhs, raw, cov = _reduce_paired(x, y, seed)
+        rhs = _log_of_mean(raw, h_val)
+        # by the delta method, Cov(mean log f(eta), log mean f(xi)) is
+        # Cov(means) / mean f(xi)
+        return _paired_verdict("log_harnack", lhs, rhs, cov / raw.mean, h_val, k_tol,
+                               k_viol, meta)
+
+    return _sequential_verdict(coeffs, ((eta, _log_of(f)), (xi, f)), grid, n, seed, threads,
+                               k_viol, verdict_of, {"s_star": s_star,
+                                                    "point_gap": gaps.point_gap,
+                                                    "seg_gap": gaps.seg_gap})
 
 
 def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
@@ -597,8 +689,10 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
                         k_tol: float = 3.0, k_viol: float = 6.0,
                         threads: Optional[int] = None) -> VerdictReport:
     """One-sided test of  E f(X^eta) <= (E f^p(X^xi))^{1/p} exp(Phi_p) at the
-    grid's horizon, in log space because Phi_p is large on realistic constants.
-    Both sides come from the same paired paths, as in check_log_harnack.
+    grid's horizon, in log space because Phi_p is large on realistic
+    constants. Both sides come from the same paired paths, read at looks
+    and stopped early by the boundary and the veto of check_log_harnack;
+    n is a cap.
     """
     _check_power_exponent(p, coeffs.constants)
     _check_harnack_inputs("power-Harnack", 0.0, coeffs, xi, eta, f, grid, k_tol, k_viol)
@@ -606,15 +700,19 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
     gaps = GapPair.from_segments(xi, eta)
     rep = bound_Phi_p(p, grid.T, coeffs.constants, gaps, grid.r0)
 
-    raw_l, raw_r, cov = _PT_f(coeffs, ((eta, f), (xi, _power_of(f, p))), grid, n, seed,
-                              threads)
-    # compare log E f(eta) against (1/p) log E f^p(xi) + Phi_p; by the delta
-    # method their covariance is Cov(means) / (p mean f(eta) mean f^p(xi))
-    lhs, rhs = _log_of_mean(raw_l), _log_of_mean(raw_r, rep.value, p)
-    return _paired_verdict("power_harnack", lhs, rhs, cov / (p * raw_l.mean * raw_r.mean),
-                           rep.value, k_tol, k_viol,
-                           {"p": p, "s_star": rep.s_star, "eps_star": rep.eps_star,
-                            "log_scale": 1.0})
+    def verdict_of(x, y, meta):
+        raw_l, raw_r, cov = _reduce_paired(x, y, seed)
+        # compare log E f(eta) against (1/p) log E f^p(xi) + Phi_p; by the delta
+        # method their covariance is Cov(means) / (p mean f(eta) mean f^p(xi))
+        lhs, rhs = _log_of_mean(raw_l), _log_of_mean(raw_r, rep.value, p)
+        return _paired_verdict("power_harnack", lhs, rhs,
+                               cov / (p * raw_l.mean * raw_r.mean), rep.value, k_tol, k_viol,
+                               meta)
+
+    return _sequential_verdict(coeffs, ((eta, f), (xi, _power_of(f, p))), grid, n, seed,
+                               threads, k_viol, verdict_of,
+                               {"p": p, "s_star": rep.s_star, "eps_star": rep.eps_star,
+                                "log_scale": 1.0})
 
 
 def _check_burn_in(burn_in: float) -> None:

@@ -534,8 +534,12 @@ PSEUDO = "[system] the 'constants' pseudo-system carries no dynamics"
     ("entropy", CONSTANTS, PSEUDO),
     ("log-harnack", {"f": "exp_cap", "cap": 800.0},
      "[functions] cap too large: exp would overflow"),
+    # exp(50)^16 = e^800 leaves the float range, though the cap alone is valid
+    ("power-harnack", {**SINE, "p": 16.0, "f": "exp_cap", "cap": 50.0},
+     "[functions] f^p overflows for exp_cap with p=16; lower the cap"),
 ], ids=["linear-s0", "sine-s0", "ou-s0", "sine-d2", "k3-zero", "k1-negative",
-        "constants-simulate", "constants-audit", "constants-entropy", "exp-cap-800"])
+        "constants-simulate", "constants-audit", "constants-entropy", "exp-cap-800",
+        "exp-cap-50-p-16"])
 def test_catalog_rules_are_config_errors(tmp_path, capsys, command, kw, message):
     # the catalog's value rules and the test function's cap rule are
     # checked with the config, before anything runs
@@ -735,13 +739,16 @@ def test_power_harnack_below_threshold_exits_1(tmp_path, capsys):
 
 
 def test_power_harnack_overflowing_f_p_exits_1(tmp_path, capsys):
-    # exp_cap at cap 100 raised to p = 16 leaves the float range
+    # exp_cap at cap 100 raised to p = 16 leaves the float range: a config
+    # error, reported before anything runs
     text = cfg_text(name="sine_multiplicative",
                     params={"a": -1.0, "c": 0.2, "s0": 0.1},
                     p=16.0, n=100, f="exp_cap", cap=100.0, out=tmp_path / "res")
     assert launch(tmp_path, "power-harnack", text) == 1
     err = capsys.readouterr().err
-    assert err == "error: f^p overflows for exp_cap with p=16; lower the cap\n"
+    assert err == ("config error: invalid config:\n"
+                   "  [functions] f^p overflows for exp_cap with p=16; lower the cap\n")
+    assert not (tmp_path / "res").exists()
 
 
 def test_bounds_below_power_threshold_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +14,9 @@ from harnack_lab.bounds import GapPair, bound_entropy_with_tail, bound_seg_gap_m
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule
-from harnack_lab.estimators import (MCEstimate, _checked_exp,
-                                    _effective_sample_size, _log_of, _power_of,
+from harnack_lab.estimators import (LOOK, MCEstimate, _checked_exp,
+                                    _effective_sample_size, _log_of, _log_of_mean,
+                                    _paired_verdict, _power_of, _PT_f,
                                     _reduce, _reduce_paired, _SegGapIntegral,
                                     check_log_harnack,
                                     check_power_harnack, estimate_PT_f,
@@ -182,16 +185,16 @@ def test_entry_points_share_one_chunk_plan(entry, monkeypatch):
         run(co, constant_segment(1.0, 1.0, 19), constant_segment(0.0, 1.0, 19),
             setup(m=20)[0], 4)
 
-    # n spans two chunks of pairs
+    # n spans two chunks of pairs; a Harnack check reads them as a stream
     n = CHUNK // 2 + 100
     plain = run(co, xi, eta, grid, n)
-    real, calls = estimators.map_chunks, []
+    calls = []
+    for name in ("map_chunks", "chunk_stream"):
+        def recorder(fn, n_total, threads=None, chunk=CHUNK, real=getattr(estimators, name)):
+            calls.append((n_total, chunk))
+            return real(fn, n_total, threads, chunk)
 
-    def recorder(fn, n_total, threads=None, chunk=CHUNK):
-        calls.append((n_total, chunk))
-        return real(fn, n_total, threads, chunk)
-
-    monkeypatch.setattr(estimators, "map_chunks", recorder)
+        monkeypatch.setattr(estimators, name, recorder)
     # repr, so that NaN diagnostics compare equal
     assert repr(run(co, xi, eta, grid, n)) == repr(plain)
     assert calls == [(n, width)]
@@ -771,6 +774,69 @@ def test_harnack_checks_reject_verdict_levels_before_any_path(monkeypatch, check
             check_log_harnack(linear(), xi, eta, f, grid, n=1000, seed=0, k_tol=0.0)
         else:
             check_power_harnack(sine(), xi, eta, f, 16.0, grid, n=1000, seed=0, k_tol=0.0)
+
+
+# the seeds of the three early-stop tests below were fixed before their first run
+
+def test_log_harnack_stops_at_the_first_look_with_the_fixed_n_verdict():
+    # the benchmark's log-Harnack claim on a coarser grid, capped at three looks
+    co = linear()
+    grid, xi, eta = setup(m=50)
+    f = catalog_fn("quad_cap", 100.0)
+    n, seed = 3 * LOOK, 11
+    rep = check_log_harnack(co, xi, eta, f, grid, n=n, seed=seed)
+    assert rep.lhs.n == rep.rhs.n == LOOK
+    assert (rep.meta["stop_look"], rep.meta["looks"]) == (1, 3)
+    assert "veto" not in rep.meta
+
+    def verdict(x, y):
+        lhs, raw, cov = _reduce_paired(x, y, seed)
+        return _paired_verdict("log_harnack", lhs, _log_of_mean(raw, rep.bound),
+                               cov / raw.mean, rep.bound, 3.0, 6.0, {})
+
+    x, y = _PT_f(co, ((eta, _log_of(f)), (xi, f)), grid, n, seed, None)
+    full = verdict(x, y)
+    assert full.lhs.n == n
+    assert rep.verdict == full.verdict == "holds"
+    head = verdict(x[:LOOK], y[:LOOK])
+    assert (rep.lhs, rep.rhs, rep.margin_se) == (head.lhs, head.rhs, head.margin_se)
+    # the boundary at look 1 of 3 is 6 sqrt(3) SEs
+    assert rep.margin_se >= 6.0 * math.sqrt(3.0)
+
+
+def test_vetoed_power_harnack_equals_the_fixed_n_run(monkeypatch):
+    # the f^16 side on sine is carried by a few paths: every look that
+    # crosses the boundary is vetoed, and the run reads all n paths
+    co = sine()
+    grid, xi, eta = setup(m=50)
+    f = catalog_fn("quad_cap", 100.0)
+    n, seed = 2 * LOOK + 100, 5
+    rep = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
+    assert rep.lhs.n == n
+    assert (rep.meta["stop_look"], rep.meta["looks"]) == (3, 3)
+    assert re.fullmatch(r"look 2: one path carries \S+ of the quad_cap\^16 sum, "
+                        r"above 1/sqrt\(8192\)", rep.meta["veto"])
+    monkeypatch.setattr(estimators, "LOOK", n)
+    fixed = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
+    assert fixed.meta["looks"] == 1
+    assert repr(replace(rep, meta={})) == repr(replace(fixed, meta={}))
+
+
+def test_stopped_check_is_the_same_at_any_worker_count_and_chunk_width(monkeypatch):
+    # 1000 state columns make chunks of 500 pairs, so look 1 falls inside one
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    co = linear()
+    grid, xi, eta = setup(m=50)
+    f = catalog_fn("quad_cap", 100.0)
+    seen = set()
+    for chunk in (CHUNK, 1000):
+        monkeypatch.setattr(estimators, "CHUNK", chunk)
+        for threads in (1, 2):
+            rep = check_log_harnack(co, xi, eta, f, grid, n=3 * LOOK, seed=11,
+                                    threads=threads)
+            assert rep.meta["stop_look"] == 1
+            seen.add(repr(rep))
+    assert len(seen) == 1
 
 
 def test_log_harnack_s_choice_is_honored():

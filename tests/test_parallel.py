@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from harnack_lab import _parallel
-from harnack_lab._parallel import CHUNK, WorkerDied, map_chunks
+from harnack_lab._parallel import CHUNK, WorkerDied, chunk_stream, map_chunks
 from harnack_lab.coefficients import builtin_system
 from harnack_lab.coupling import GammaSchedule, _coupled_batch
 from harnack_lab.estimators import MAX_EXPONENT, _SegGapIntegral, estimate_exp_functional
@@ -171,6 +171,68 @@ def test_dead_worker_raises_worker_died(two_cpus):
 
     with pytest.raises(WorkerDied, match="worker process died"):
         map_chunks(fn, 20, threads=2, chunk=10)
+
+
+@needs_fork
+def test_closing_the_stream_leaves_no_worker(two_cpus, tmp_path):
+    def fn(a, b):
+        (tmp_path / str(a)).touch()
+        time.sleep(0.05)
+        return a
+
+    stream = chunk_stream(fn, 200, threads=2, chunk=10)
+    assert next(stream) == 0
+    stream.close()
+    assert multiprocessing.active_children() == []
+    # only the wave being read started: chunk 0 and the one beside it
+    assert {p.name for p in tmp_path.iterdir()} <= {"0", "10"}
+
+
+def test_closed_stream_runs_no_further_chunk_in_process():
+    ran = []
+
+    def fn(a, b):
+        ran.append(a)
+        return a
+
+    stream = chunk_stream(fn, 40, threads=1, chunk=10)
+    assert ran == []
+    assert next(stream) == 0
+    stream.close()
+    assert list(stream) == []
+    assert ran == [0]
+
+
+@needs_fork
+def test_stream_raises_the_first_exception_in_chunk_order(two_cpus):
+    # every chunk past the first fails, and fails before the first returns
+    def fn(a, b):
+        k = a // 10
+        if k == 0:
+            time.sleep(0.3)
+            return k
+        raise ValueError(f"chunk {k}")
+
+    stream = chunk_stream(fn, 40, threads=2, chunk=10)
+    assert next(stream) == 0
+    with pytest.raises(ValueError) as info:
+        next(stream)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "chunk 1"
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_stream_keeps_the_worker_died_message(two_cpus):
+    def fn(a, b):
+        os._exit(1)
+
+    with pytest.raises(WorkerDied) as info:
+        list(chunk_stream(fn, 20, threads=2, chunk=10))
+    assert str(info.value) == (
+        "a worker process died before returning its chunk (killed, for example "
+        "when memory ran out); fewer workers need less memory")
+    assert isinstance(info.value.__cause__, cf_process.BrokenProcessPool)
 
 
 @needs_fork
