@@ -645,18 +645,19 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
     O'Brien-Fleming-type boundary |z_k| >= k_viol sqrt(n / n_k): holds
     above it, violated below minus it. That is the boundary of Lan and
     DeMets' (1983) spending function alpha(t) = 2 - 2 Phi(k_viol / sqrt(t))
-    at information time t = n_k / n: under a margin of mean 0, sqrt(n_k) z_k is
-    a Brownian path in n_k, and by the reflection principle looks at any
-    times cross k_viol sqrt(n / n_k) with probability at most alpha(t) of
-    the last. So the early looks add at most 2 Phi(-k_viol) (2e-9 at
+    at information time t = n_k / n. Under a margin of mean 0, sqrt(n_k) z_k
+    is a Brownian path in n_k, so by the reflection principle it crosses
+    the boundary at some look up to time t with probability at most
+    alpha(t). The early looks therefore add at most 2 Phi(-k_viol) (2e-9 at
     k_viol = 6) to the chance of an early "violated" on a true claim, or
     of an early "holds" on a false one. At look K the fixed-n rule applies
-    unchanged. The boundary's Gaussian z needs a finite variance, whose
-    samples keep max v = o(sqrt(n_k)) times their mean: so no early look
-    stops while either side's largest value carries more than 1/sqrt(n_k)
-    of that side's sum, Chatterjee and Diaconis' (2018) diagnostic
-    max v / sum v of a sum carried by a few paths. The stop reads only the
-    prefix, so every worker count and chunk width gives the same bits.
+    unchanged. The boundary's Gaussian z needs a finite variance, and a
+    finite-variance sample of n_k values has max v / sum v = o(1/sqrt(n_k)):
+    so no early look stops while either side's largest value carries more
+    than 1/sqrt(n_k) of that side's sum (Chatterjee and Diaconis' (2018)
+    diagnostic max v / sum v of a sum carried by a few paths). The stop
+    reads only the prefix, so every worker count and chunk width gives the
+    same bits.
     """
     _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, grid, k_tol, k_viol)
 
