@@ -2,11 +2,11 @@
 
 chunk_stream applies a chunk function to fixed path ranges and yields the
 results in chunk order, whatever the worker count, and map_chunks is the
-list of them; the chunk plan itself (widths, seeding, reduction) is stated
-once, in estimators._run_chunks: a chunk is one batch of at most CHUNK
-state columns, and estimates are reduced from the per-path values of the
-chunks read, joined in path order. Running with 1 worker or 8 therefore
-produces bit-identical numbers.
+list of them, or of those up to a stop; the chunk plan itself (widths,
+seeding, reduction) is stated once, in estimators._run_chunks: a chunk is
+one batch of at most CHUNK state columns, and estimates are reduced from
+the per-path values of the chunks read, joined in path order. Running
+with 1 worker or 8 therefore produces bit-identical numbers.
 
 With more than one worker, chunks run in processes forked from the caller,
 min(threads, chunks, usable CPUs) of them: the kernels' per-step numpy calls
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import closing
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
@@ -72,9 +73,18 @@ def chunk_stream(fn: Callable[[int, int], object], n_total: int,
 
 
 def map_chunks(fn: Callable[[int, int], object], n_total: int,
-               threads: Optional[int] = None, chunk: int = CHUNK) -> list:
-    """The results of every chunk of chunk_stream, in chunk order."""
-    return list(chunk_stream(fn, n_total, threads, chunk))
+               threads: Optional[int] = None, chunk: int = CHUNK,
+               until: Optional[Callable[[list], bool]] = None) -> list:
+    """The results of chunk_stream, in chunk order: all of them, or with
+    until, those up to the first at which until(results read) is true,
+    where the stream is closed."""
+    results = []
+    with closing(chunk_stream(fn, n_total, threads, chunk)) as stream:
+        for result in stream:
+            results.append(result)
+            if until is not None and until(results):
+                break
+    return results
 
 
 def _install(fn: Callable[[int, int], object]) -> None:

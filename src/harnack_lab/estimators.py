@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ._parallel import CHUNK, chunk_stream, map_chunks
+from ._parallel import CHUNK, map_chunks
 from .bounds import (GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _check_horizon,
                      _check_power_exponent)
 from .coefficients import CoefficientSet
@@ -39,7 +38,8 @@ FAILURE_TOLERANCE = 1e-3
 # estimate one ulp above its bound) cannot flip a verdict
 TIE_ULPS = 8
 
-# paths between two looks of a sequential Harnack check
+# paths read at the first look of a sequential Harnack check; each later
+# early look reads twice as many
 LOOK = 4096
 
 
@@ -192,15 +192,22 @@ def _reduce(v: np.ndarray, seed: int, diag: Optional[dict] = None) -> MCEstimate
     """One estimate from the per-path values v, in path order: the mean
     fsum(v) / n and the two-pass variance fsum((v - mean)^2) / (n - 1).
     Its diagnostics are the range of v (nan if any value is NaN, as np.min
-    and np.max), then diag, then failures, diag's unmerged + nonfinite."""
+    and np.max), then diag, then failures, diag's unmerged + nonfinite.
+    Deviations all below 2^-256 in magnitude, whose squares would
+    underflow, are squared scaled by a power of two, which is exact, and
+    the SE is scaled back; no other value changes a bit."""
     n = v.size
     mean = _fsum(v) / n
     dev = v - mean
+    top = math.frexp(float(np.max(np.abs(dev))))[1]
+    scale = -top if top <= -256 else 0
+    if scale:
+        dev = np.ldexp(dev, scale)
     var = _fsum(dev * dev) / (n - 1)
     diag = {"min": float(np.min(v)), "max": float(np.max(v)), **(diag or {})}
     diag["failures"] = diag.get("unmerged", 0) + diag.get("nonfinite", 0)
-    return MCEstimate(mean=mean, std_error=math.sqrt(var / n), n=n, seed=seed,
-                      diagnostics=diag)
+    return MCEstimate(mean=mean, std_error=math.ldexp(math.sqrt(var / n), -scale), n=n,
+                      seed=seed, diagnostics=diag)
 
 
 def _reduce_paired(x: np.ndarray, y: np.ndarray, seed: int):
@@ -285,6 +292,16 @@ class _SegGapIntegral:
         self.seg_gap_sq += win
 
 
+def _looks(n: int) -> List[int]:
+    """The path counts at which a sequential run of n paths looks: LOOK,
+    2 LOOK, 4 LOOK, ... short of n, then n. Spaced geometrically, the
+    prefixes reduced at the early looks sum to less than n paths."""
+    looks = []
+    while LOOK << len(looks) < n:
+        looks.append(LOOK << len(looks))
+    return looks + [n]
+
+
 def _run_chunks(coeffs, segments, grid, n, seed, threads, chunk,
                 stop=None) -> List[np.ndarray]:
     """The chunk plan of every Monte Carlo estimate: paths 0..n-1 from the
@@ -298,43 +315,36 @@ def _run_chunks(coeffs, segments, grid, n, seed, threads, chunk,
     order, whatever the worker count, and every estimate is reduced from
     the joined values, so no chunk width or worker count changes its bits.
 
-    With stop, the run is sequential: its looks fall after the first LOOK,
-    2 LOOK, ... paths short of n, whatever the chunk width, and at each
-    look stop(prefix) is given the joined values of the paths before it.
-    The chunks are read as a stream in chunk order, and the first look at
-    which stop returns true closes it and returns that prefix: in-process
-    no later chunk runs, and with workers only the chunks already started
-    finish, unread. Past the last look, or without stop, the values of all
-    n paths are returned. stop reads nothing but the prefix, whose values
-    no chunk width or worker count changes, so neither changes where the
-    run stops."""
+    With stop, the run is sequential: its looks fall after the first
+    _looks(n) paths short of n, whatever the chunk width, and at each look
+    stop(prefix) is given the joined values of the paths before it. The
+    chunks are read in chunk order, and the first look at which stop
+    returns true closes the stream and returns that prefix: in-process no
+    later chunk runs, and with workers only the chunks already started
+    finish, unread. Past the last early look, or without stop, the values
+    of all n paths are returned. stop reads nothing but the prefix, whose
+    values no chunk width or worker count changes, so neither changes
+    where the run stops."""
     if n < 2:
         raise ValueError("need n >= 2 paths")
     grid.check_segments(coeffs.dim, *segments)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
     run = lambda a, b: chunk(stream, a, b)
-    width = CHUNK // len(segments)
-    looks = iter(range(LOOK, n, LOOK) if stop is not None else ())
-    look = next(looks, None)
-    if look is None:
-        parts = map_chunks(run, n, threads, width)
-        return [np.concatenate(column) for column in zip(*parts)]
-    # each chunk's values are copied into place as they arrive, so a look's
-    # prefix is a view and no chunk is kept
-    columns, read = None, 0
-    with closing(chunk_stream(run, n, threads, width)) as results:
-        for part in results:
-            if columns is None:
-                columns = [np.empty(n, v.dtype) for v in part]
-            for column, v in zip(columns, part):
-                column[read:read + v.size] = v
-            read += part[0].size
-            while look is not None and look <= read:
-                prefix = [column[:look] for column in columns]
-                if stop(prefix):
-                    return prefix
-                look = next(looks, None)
-    return columns
+    looks = iter(_looks(n)[:-1] if stop is not None else ())
+    look, used = next(looks, None), n
+
+    def decided(parts) -> bool:
+        nonlocal look, used
+        read = sum(part[0].size for part in parts)
+        while look is not None and look <= read:
+            if stop([np.concatenate(column)[:look] for column in zip(*parts)]):
+                used = look
+                return True
+            look = next(looks, None)
+        return False
+
+    parts = map_chunks(run, n, threads, CHUNK // len(segments), until=decided)
+    return [np.concatenate(column)[:used] for column in zip(*parts)]
 
 
 def _PT_f(coeffs, starts, grid, n, seed, threads, stop=None) -> List[np.ndarray]:
@@ -607,9 +617,9 @@ def _sequential_verdict(coeffs, starts, grid, n, seed, threads, k_viol, verdict_
     """verdict_of(x, y, meta), the paired verdict on the per-path values x
     and y of the two starts, read at looks and stopped early by the rule
     check_log_harnack states. meta gains the look read (stop_look) of the
-    looks ceil(n / LOOK) and the veto of the last early look a side vetoed.
-    A vetoed look cannot stop, so its verdict is not reduced."""
-    looks = -(-n // LOOK)
+    len(_looks(n)) looks and the veto of the last early look a side
+    vetoed. A vetoed look cannot stop, so its verdict is not reduced."""
+    looks = _looks(n)
     meta = dict(meta)
 
     def decided(values):
@@ -617,13 +627,14 @@ def _sequential_verdict(coeffs, starts, grid, n, seed, threads, k_viol, verdict_
         for (_, f), v in zip(starts, values):
             share = _top_share(v)
             if share * math.sqrt(used) > 1.0:
-                meta["veto"] = (f"look {used // LOOK}: one path carries {share:.3g} of "
-                                f"the {f.name} sum, above 1/sqrt({used})")
+                meta["veto"] = (f"look {looks.index(used) + 1}: one path carries "
+                                f"{share:.3g} of the {f.name} sum, above 1/sqrt({used})")
                 return False
         return abs(verdict_of(*values, meta).margin_se) >= k_viol * math.sqrt(n / used)
 
     values = _PT_f(coeffs, starts, grid, n, seed, threads, decided)
-    return verdict_of(*values, dict(meta, stop_look=-(-values[0].size // LOOK), looks=looks))
+    return verdict_of(*values, dict(meta, stop_look=looks.index(values[0].size) + 1,
+                                    looks=len(looks)))
 
 
 def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
@@ -639,25 +650,25 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
     covariance included, follow by the delta method. s_choice pins H's
     coupling horizon instead of minimizing.
 
-    n is a cap. The verdict is read at K = ceil(n / LOOK) looks, after the
-    first LOOK k paths for k < K and at n, and the run stops at the first
-    early look whose margin z_k, in SEs of that prefix, reaches the
-    O'Brien-Fleming-type boundary |z_k| >= k_viol sqrt(n / n_k): holds
-    above it, violated below minus it. That is the boundary of Lan and
-    DeMets' (1983) spending function alpha(t) = 2 - 2 Phi(k_viol / sqrt(t))
-    at information time t = n_k / n. Under a margin of mean 0, sqrt(n_k) z_k
-    is a Brownian path in n_k, so by the reflection principle it crosses
-    the boundary at some look up to time t with probability at most
-    alpha(t). The early looks therefore add at most 2 Phi(-k_viol) (2e-9 at
-    k_viol = 6) to the chance of an early "violated" on a true claim, or
-    of an early "holds" on a false one. At look K the fixed-n rule applies
-    unchanged. The boundary's Gaussian z needs a finite variance, and a
-    finite-variance sample of n_k values has max v / sum v = o(1/sqrt(n_k)):
-    so no early look stops while either side's largest value carries more
-    than 1/sqrt(n_k) of that side's sum (Chatterjee and Diaconis' (2018)
-    diagnostic max v / sum v of a sum carried by a few paths). The stop
-    reads only the prefix, so every worker count and chunk width gives the
-    same bits.
+    n is a cap. The verdict is read at the K looks of _looks(n), after the
+    first n_k = LOOK 2^(k-1) paths for k < K and at n_K = n, and the run
+    stops at the first early look whose margin z_k, in SEs of that prefix,
+    reaches the O'Brien-Fleming-type boundary |z_k| >= k_viol sqrt(n / n_k):
+    holds above it, violated below minus it. That is the boundary of Lan
+    and DeMets' (1983) spending function alpha(t) = 2 - 2 Phi(k_viol /
+    sqrt(t)) at information time t = n_k / n. Under a margin of mean 0,
+    sqrt(n_k) z_k is a Brownian path in n_k, so by the reflection principle
+    it crosses the boundary at some look up to time t with probability at
+    most alpha(t), however the looks are spaced. The early looks therefore
+    add at most 2 Phi(-k_viol) (2e-9 at k_viol = 6) to the chance of an
+    early "violated" on a true claim, or of an early "holds" on a false
+    one. At look K the fixed-n rule applies unchanged. The boundary's
+    Gaussian z needs a finite variance, and a finite-variance sample of
+    n_k values has max v / sum v = o(1/sqrt(n_k)): so no early look stops
+    while either side's largest value carries more than 1/sqrt(n_k) of
+    that side's sum (Chatterjee and Diaconis' (2018) diagnostic max v /
+    sum v of a sum carried by a few paths). The stop reads only the
+    prefix, so every worker count and chunk width gives the same bits.
     """
     _check_harnack_inputs("log-Harnack", 1.0, coeffs, xi, eta, f, grid, k_tol, k_viol)
 

@@ -15,7 +15,7 @@ from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule
 from harnack_lab.estimators import (LOOK, MCEstimate, _checked_exp,
-                                    _effective_sample_size, _log_of, _log_of_mean,
+                                    _effective_sample_size, _log_of, _log_of_mean, _looks,
                                     _paired_verdict, _power_of, _PT_f,
                                     _reduce, _reduce_paired, _SegGapIntegral,
                                     check_log_harnack,
@@ -185,16 +185,16 @@ def test_entry_points_share_one_chunk_plan(entry, monkeypatch):
         run(co, constant_segment(1.0, 1.0, 19), constant_segment(0.0, 1.0, 19),
             setup(m=20)[0], 4)
 
-    # n spans two chunks of pairs; a Harnack check reads them as a stream
+    # n spans two chunks of pairs
     n = CHUNK // 2 + 100
     plain = run(co, xi, eta, grid, n)
-    calls = []
-    for name in ("map_chunks", "chunk_stream"):
-        def recorder(fn, n_total, threads=None, chunk=CHUNK, real=getattr(estimators, name)):
-            calls.append((n_total, chunk))
-            return real(fn, n_total, threads, chunk)
+    real, calls = estimators.map_chunks, []
 
-        monkeypatch.setattr(estimators, name, recorder)
+    def recorder(fn, n_total, threads=None, chunk=CHUNK, until=None):
+        calls.append((n_total, chunk))
+        return real(fn, n_total, threads, chunk, until)
+
+    monkeypatch.setattr(estimators, "map_chunks", recorder)
     # repr, so that NaN diagnostics compare equal
     assert repr(run(co, xi, eta, grid, n)) == repr(plain)
     assert calls == [(n, width)]
@@ -213,8 +213,9 @@ def test_estimates_do_not_depend_on_the_chunk_plan(entry, monkeypatch):
     for chunk in (CHUNK, 256, 64):
         monkeypatch.setattr(estimators, "CHUNK", chunk)
         for threads in (1, 2):
-            monkeypatch.setattr(estimators, "map_chunks", lambda fn, n, _, width, k=threads:
-                                real(fn, n, k, width))
+            monkeypatch.setattr(estimators, "map_chunks",
+                                lambda fn, n, _, width, until, k=threads:
+                                real(fn, n, k, width, until))
             # repr, so that NaN diagnostics compare equal
             seen.add(repr(run(co, xi, eta, grid, 300)))
     assert len(seen) == 1
@@ -243,6 +244,9 @@ def path_values(draw):
 # lose every digit of the variance
 @example(v=np.array([1e8, 1e8 + 1.0, 1e8 + 3.0]))
 @example(v=1e8 + np.array([0.0, 0.0, 1.0]))
+# deviations whose squares underflow, and a mean that rounds to a value
+@example(v=np.array([0.0, 6.16087302e-216]))
+@example(v=np.array([0.0, 5e-324]))
 def test_reduce_is_the_two_pass_estimate(v):
     # the mean to the rounding of the fsum and the division, and M2 to a
     # few rounding errors of itself plus the n delta^2 that a mean off by
@@ -253,7 +257,8 @@ def test_reduce_is_the_two_pass_estimate(v):
     assert (est.n, est.seed) == (n, 7)
     assert abs(Fraction(est.mean) - mean) <= 2 * ulp
     got = Fraction(est.std_error) ** 2 * n * (n - 1)
-    assert abs(got - m2) <= 8e-16 * m2 + 5 * n * Fraction(ulp) ** 2
+    # the bound in exact rationals: as a float it would underflow to 0
+    assert abs(got - m2) <= Fraction(8e-16) * m2 + 5 * n * Fraction(ulp) ** 2
     assert est.diagnostics == {"min": v.min(), "max": v.max(), "failures": 0}
 
 
@@ -774,6 +779,15 @@ def test_harnack_checks_reject_verdict_levels_before_any_path(monkeypatch, check
             check_log_harnack(linear(), xi, eta, f, grid, n=1000, seed=0, k_tol=0.0)
         else:
             check_power_harnack(sine(), xi, eta, f, 16.0, grid, n=1000, seed=0, k_tol=0.0)
+
+
+def test_looks_double_from_LOOK_up_to_n():
+    # the prefixes reduced at the early looks sum to less than n paths
+    assert _looks(100) == [100]
+    assert _looks(LOOK) == [LOOK]
+    assert _looks(3 * LOOK) == [LOOK, 2 * LOOK, 3 * LOOK]
+    assert _looks(8 * LOOK) == [LOOK, 2 * LOOK, 4 * LOOK, 8 * LOOK]
+    assert _looks(10 ** 6) == [LOOK << k for k in range(8)] + [10 ** 6]
 
 
 # the seeds of the three early-stop tests below were fixed before their first run

@@ -203,6 +203,30 @@ def test_closed_stream_runs_no_further_chunk_in_process():
     assert ran == [0]
 
 
+def test_map_chunks_stops_where_until_says_in_process():
+    ran = []
+
+    def fn(a, b):
+        ran.append(a)
+        return a
+
+    assert map_chunks(fn, 40, 1, 10, until=lambda results: results[-1] == 10) == [0, 10]
+    assert ran == [0, 10]
+
+
+@needs_fork
+def test_map_chunks_stopped_by_until_leaves_no_worker(two_cpus):
+    seen = []
+
+    def until(results):
+        seen.append(list(results))
+        return len(results) == 2
+
+    assert map_chunks(lambda a, b: a, 200, 2, 10, until=until) == [0, 10]
+    assert seen == [[0], [0, 10]]
+    assert multiprocessing.active_children() == []
+
+
 @needs_fork
 def test_stream_raises_the_first_exception_in_chunk_order(two_cpus):
     # every chunk past the first fails, and fails before the first returns
