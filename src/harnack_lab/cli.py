@@ -350,17 +350,19 @@ def _emit(cfg: ExperimentConfig, command: str, res: _Result) -> int:
 
 
 def _verdicts(reports: List[VerdictReport]) -> _Result:
-    """One verdict-schema row and one printed line per report, plus its
-    meta at verbosity 2."""
+    """One verdict-schema row and one printed line per report, which names
+    the form of the right side where the check chose one (rhs_form), plus
+    its meta at verbosity 2."""
     res = _Result(VERDICT_HEADER, verdicts=[r.verdict for r in reports])
     for r in reports:
         res.rows.append({"claim": r.claim, "lhs": r.lhs.mean, "lhs_se": r.lhs.std_error,
                          "rhs": r.rhs.mean, "rhs_se": r.rhs.std_error, "bound": r.bound,
                          "margin_se": r.margin_se, "verdict": r.verdict, "n_used": r.lhs.n,
                          "failures": r.lhs.failures + r.rhs.failures})
+        form = f"  rhs_form={r.meta['rhs_form']}" if "rhs_form" in r.meta else ""
         res.lines.append((1, f"{r.claim}: lhs={r.lhs.mean:.6g} (se {r.lhs.std_error:.2g})  "
                              f"rhs={r.rhs.mean:.6g} (se {r.rhs.std_error:.2g})  "
-                             f"margin={r.margin_se:.3g} se  verdict={r.verdict}"))
+                             f"margin={r.margin_se:.3g} se  verdict={r.verdict}{form}"))
         if r.meta:
             res.lines.append((2, f"  meta: {r.meta}"))
     return res

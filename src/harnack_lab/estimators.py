@@ -583,10 +583,14 @@ def _paired_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, cov: float,
 def _log_of_mean(raw: MCEstimate, bound: Optional[float] = None,
                  p: float = 1.0) -> MCEstimate:
     """(1/p) log raw.mean, plus bound if given, with its SE by the delta
-    method; diagnostics keep raw_mean and the bound."""
+    method; diagnostics keep raw_mean and the bound. A mean of 0, of
+    values >= 0, has log -inf and no delta-method SE (nan)."""
     extra = {} if bound is None else {"bound": bound}
-    return MCEstimate(mean=math.log(raw.mean) / p + (bound or 0.0),
-                      std_error=raw.std_error / (p * raw.mean), n=raw.n, seed=raw.seed,
+    if raw.mean > 0:
+        mean, se = math.log(raw.mean) / p + (bound or 0.0), raw.std_error / (p * raw.mean)
+    else:
+        mean, se = -math.inf, math.nan
+    return MCEstimate(mean=mean, std_error=se, n=raw.n, seed=raw.seed,
                       diagnostics={"raw_mean": raw.mean, **extra, **raw.diagnostics})
 
 
@@ -612,29 +616,61 @@ def _top_share(v: np.ndarray) -> float:
     return float(v.max()) / total if total > 0 else 0.0
 
 
-def _sequential_verdict(coeffs, starts, grid, n, seed, threads, k_viol, verdict_of,
+def _sequential_verdict(coeffs, starts, grid, n, seed, threads, k_viol, routes,
                         meta) -> VerdictReport:
-    """verdict_of(x, y, meta), the paired verdict on the per-path values x
-    and y of the two starts, read at looks and stopped early by the rule
-    check_log_harnack states. meta gains the look read (stop_look) of the
-    len(_looks(n)) looks and the veto of the last early look a side
-    vetoed. A vetoed look cannot stop, so its verdict is not reduced."""
+    """The paired verdict on the per-path values x and y of the two starts,
+    read at looks and stopped early by the rule check_log_harnack states.
+
+    Each look is read by routes, in order. A route is (sides, verdict_of):
+    sides(x, y) gives the two sides' per-path values, each named for the
+    veto, and verdict_of(l, r) the paired verdict on those values. Every
+    route but the last is a certificate, which can only say "holds": it
+    settles an early look where its margin clears the upper boundary and
+    the last look where its verdict holds, and otherwise leaves the look to
+    the next route. A route that a side vetoes settles no look, and its
+    verdict is not reduced. The report's meta gains the look read
+    (stop_look) of the len(_looks(n)) looks and the veto of the last early
+    look a side vetoed."""
     looks = _looks(n)
     meta = dict(meta)
 
-    def decided(values):
-        used = values[0].size
-        for (_, f), v in zip(starts, values):
+    def vetoed(named, used) -> bool:
+        for name, v in named:
             share = _top_share(v)
             if share * math.sqrt(used) > 1.0:
                 meta["veto"] = (f"look {looks.index(used) + 1}: one path carries "
-                                f"{share:.3g} of the {f.name} sum, above 1/sqrt({used})")
-                return False
-        return abs(verdict_of(*values, meta).margin_se) >= k_viol * math.sqrt(n / used)
+                                f"{share:.3g} of the {name} sum, above 1/sqrt({used})")
+                return True
+        return False
+
+    def settle(x, y) -> Optional[VerdictReport]:
+        used = x.size
+        boundary = k_viol * math.sqrt(n / used)
+        for k, (sides, verdict_of) in enumerate(routes, 1):
+            certify = k < len(routes)
+            named = sides(x, y)
+            if used < n and vetoed(named, used):
+                continue
+            rep = verdict_of(*(v for _, v in named))
+            if used == n:
+                if rep.verdict == "holds" or not certify:
+                    return rep
+            elif rep.margin_se >= boundary or (rep.margin_se <= -boundary and not certify):
+                return rep
+        return None
+
+    report = None
+
+    def decided(values) -> bool:
+        nonlocal report
+        report = settle(*values)
+        return report is not None
 
     values = _PT_f(coeffs, starts, grid, n, seed, threads, decided)
-    return verdict_of(*values, dict(meta, stop_look=looks.index(values[0].size) + 1,
-                                    looks=len(looks)))
+    if report is None:  # no early look settled, so the run read all n paths
+        report = settle(*values)
+    return replace(report, meta={**meta, "stop_look": looks.index(values[0].size) + 1,
+                                 "looks": len(looks), **report.meta})
 
 
 def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
@@ -681,18 +717,19 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
         rep = bound_H_T(coeffs.constants, gaps, grid.T, grid.r0)
         h_val, s_star = rep.value, rep.s_star
 
-    def verdict_of(x, y, meta):
+    def verdict_of(x, y):
         lhs, raw, cov = _reduce_paired(x, y, seed)
         rhs = _log_of_mean(raw, h_val)
         # by the delta method, Cov(mean log f(eta), log mean f(xi)) is
         # Cov(means) / mean f(xi)
         return _paired_verdict("log_harnack", lhs, rhs, cov / raw.mean, h_val, k_tol,
-                               k_viol, meta)
+                               k_viol, {})
 
-    return _sequential_verdict(coeffs, ((eta, _log_of(f)), (xi, f)), grid, n, seed, threads,
-                               k_viol, verdict_of, {"s_star": s_star,
-                                                    "point_gap": gaps.point_gap,
-                                                    "seg_gap": gaps.seg_gap})
+    log_f = _log_of(f)
+    return _sequential_verdict(coeffs, ((eta, log_f), (xi, f)), grid, n, seed, threads, k_viol,
+                               [(lambda x, y: ((log_f.name, x), (f.name, y)), verdict_of)],
+                               {"s_star": s_star, "point_gap": gaps.point_gap,
+                                "seg_gap": gaps.seg_gap})
 
 
 def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
@@ -702,29 +739,54 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
                         threads: Optional[int] = None) -> VerdictReport:
     """One-sided test of  E f(X^eta) <= (E f^p(X^xi))^{1/p} exp(Phi_p) at the
     grid's horizon, in log space because Phi_p is large on realistic
-    constants. Both sides come from the same paired paths, read at looks
-    and stopped early by the boundary and the veto of check_log_harnack;
-    n is a cap.
+    constants. Both sides come from the same paired paths, f(X^eta) and
+    f(X^xi) per path, read at looks and stopped early by the boundary and
+    the veto of check_log_harnack; n is a cap.
+
+    Each look first tries the Jensen certificate: (1/p) log E f^p >= log E f,
+    so log E f(X^xi) + Phi_p is a lower bound on the right side, and its
+    estimate is as light-tailed as f itself, where f^p can be carried by a
+    few paths. It can only say "holds" (check_log_harnack's boundary at an
+    early look, the fixed-n rule at the last), so each of the two routes
+    adds at most 2 Phi(-k_viol) to the chance of a wrong early call. Where
+    it does not hold, the f^p side, y ** p of the f(X^xi) values y, decides
+    the look as check_log_harnack's rule does. meta["rhs_form"] names the
+    route of the report, "jensen" or "f^p"; a certified report's rhs is the
+    lower bound. A left side whose values are all 0 holds against any
+    right side (log 0 = -inf); a right side whose values are all 0 under a
+    positive left one is inconclusive, since it has no log to compare, and
+    meta["zero_side"] says so.
     """
     _check_power_exponent(p, coeffs.constants)
     _check_harnack_inputs("power-Harnack", 0.0, coeffs, xi, eta, f, grid, k_tol, k_viol)
 
     gaps = GapPair.from_segments(xi, eta)
-    rep = bound_Phi_p(p, grid.T, coeffs.constants, gaps, grid.r0)
+    phi = bound_Phi_p(p, grid.T, coeffs.constants, gaps, grid.r0)
+    f_p = _power_of(f, p)  # rejects an f^p that overflows before any path runs
 
-    def verdict_of(x, y, meta):
+    def verdict_of(x, y, q, form, name):
         raw_l, raw_r, cov = _reduce_paired(x, y, seed)
-        # compare log E f(eta) against (1/p) log E f^p(xi) + Phi_p; by the delta
-        # method their covariance is Cov(means) / (p mean f(eta) mean f^p(xi))
-        lhs, rhs = _log_of_mean(raw_l), _log_of_mean(raw_r, rep.value, p)
-        return _paired_verdict("power_harnack", lhs, rhs,
-                               cov / (p * raw_l.mean * raw_r.mean), rep.value, k_tol, k_viol,
-                               meta)
+        # compare log E f(eta) against (1/q) log E y(xi) + Phi_p, y = f^q; by the
+        # delta method their covariance is Cov(means) / (q mean f(eta) mean y(xi))
+        lhs, rhs = _log_of_mean(raw_l), _log_of_mean(raw_r, phi.value, q)
+        meta = {"rhs_form": form}
+        if raw_l.mean > 0 < raw_r.mean:
+            return _paired_verdict("power_harnack", lhs, rhs,
+                                   cov / (q * raw_l.mean * raw_r.mean), phi.value, k_tol,
+                                   k_viol, meta)
+        margin = math.inf if raw_l.mean == 0 else math.nan
+        if raw_l.mean > 0:
+            meta["zero_side"] = f"every {name} value from xi is 0, so its log has no estimate"
+        return VerdictReport(claim="power_harnack", lhs=lhs, rhs=rhs, bound=phi.value,
+                             margin_se=margin, verdict=_verdict(margin, k_tol, k_viol, 0.0),
+                             meta=dict(meta, corr=math.nan))
 
-    return _sequential_verdict(coeffs, ((eta, f), (xi, _power_of(f, p))), grid, n, seed,
-                               threads, k_viol, verdict_of,
-                               {"p": p, "s_star": rep.s_star, "eps_star": rep.eps_star,
-                                "log_scale": 1.0})
+    routes = [(lambda x, y: ((f.name, x), (f.name, y)),
+               lambda x, y: verdict_of(x, y, 1.0, "jensen", f.name)),
+              (lambda x, y: ((f.name, x), (f_p.name, y ** p)),
+               lambda x, y: verdict_of(x, y, p, "f^p", f_p.name))]
+    return _sequential_verdict(coeffs, ((eta, f), (xi, f)), grid, n, seed, threads, k_viol,
+                               routes, {"p": p, "s_star": phi.s_star, "eps_star": phi.eps_star})
 
 
 def _check_burn_in(burn_in: float) -> None:

@@ -715,15 +715,18 @@ def test_log_harnack_s_choice_at_t_minus_r0(tmp_path, capsys):
     assert err.startswith("config error:") and "s_choice" in err
 
 
-def test_power_harnack_holds(tmp_path):
+def test_power_harnack_holds(tmp_path, capsys):
     out = tmp_path / "res"
     text = cfg_text(name="sine_multiplicative",
                     params={"a": -1.0, "c": 0.2, "s0": 0.1},
-                    p=16.0, n=800, out=out)
+                    p=16.0, n=800, out=out, verbosity=1)
     assert launch(tmp_path, "power-harnack", text) == 0
     _, rows = read_csv(out / "power_harnack.csv")
     assert rows[0][0] == "power_harnack"
     assert rows[0][7] == "holds"
+    # the report line names the right side's form: here the Jensen bound
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith("power_harnack: ") and line.endswith("verdict=holds  rhs_form=jensen")
 
 
 def test_power_harnack_below_threshold_exits_1(tmp_path, capsys):

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harnack_lab import _parallel, estimators
-from harnack_lab.bounds import GapPair, bound_entropy_with_tail, bound_seg_gap_moment
+from harnack_lab.bounds import (BoundReport, GapPair, bound_entropy_with_tail,
+                                bound_seg_gap_moment)
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule
@@ -723,7 +724,9 @@ def test_harnack_sides_take_path_j_of_the_seed(claim):
         f_xi, f_eta = f, _log_of(f)
     else:
         rep = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
-        f_xi, f_eta = _power_of(f, 16.0), f
+        # certified: the right side is the Jensen bound, the mean of f(xi)
+        assert rep.meta["rhs_form"] == "jensen"
+        f_xi, f_eta = f, f
     assert rep.rhs.diagnostics["raw_mean"] == f_xi(ends).sum() / n
     eta_side = estimate_PT_f(co, eta, f_eta, grid, n, seed)
     assert rep.lhs.diagnostics.get("raw_mean", rep.lhs.mean) == eta_side.mean
@@ -790,7 +793,7 @@ def test_looks_double_from_LOOK_up_to_n():
     assert _looks(10 ** 6) == [LOOK << k for k in range(8)] + [10 ** 6]
 
 
-# the seeds of the three early-stop tests below were fixed before their first run
+# the seeds of the four early-stop tests below were fixed before their first run
 
 def test_log_harnack_stops_at_the_first_look_with_the_fixed_n_verdict():
     # the benchmark's log-Harnack claim on a coarser grid, capped at three looks
@@ -818,39 +821,83 @@ def test_log_harnack_stops_at_the_first_look_with_the_fixed_n_verdict():
     assert rep.margin_se >= 6.0 * math.sqrt(3.0)
 
 
-def test_vetoed_power_harnack_equals_the_fixed_n_run(monkeypatch):
-    # the f^16 side on sine is carried by a few paths: every look that
-    # crosses the boundary is vetoed, and the run reads all n paths
+def test_power_harnack_certificate_stops_at_the_first_look_with_the_fixed_n_verdict(
+        monkeypatch):
+    # the benchmark's power-Harnack claim on a coarser grid, capped at three
+    # looks: log E f(xi) + Phi_p clears the left side by far, and f has light
+    # tails, so the certificate stops the run at look 1
+    co = sine()
+    grid, xi, eta = setup(m=50)
+    f = catalog_fn("quad_cap", 100.0)
+    n, seed = 3 * LOOK, 11
+    rep = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
+    assert rep.lhs.n == rep.rhs.n == LOOK
+    assert (rep.meta["stop_look"], rep.meta["looks"], rep.meta["rhs_form"]) == (1, 3, "jensen")
+    assert "veto" not in rep.meta
+    x, y = _PT_f(co, ((eta, f), (xi, f)), grid, LOOK, seed, None)
+    raw_l, raw_r, cov = _reduce_paired(x, y, seed)
+    head = _paired_verdict("power_harnack", _log_of_mean(raw_l),
+                           _log_of_mean(raw_r, rep.bound), cov / (raw_l.mean * raw_r.mean),
+                           rep.bound, 3.0, 6.0, {})
+    assert (rep.lhs, rep.rhs, rep.margin_se) == (head.lhs, head.rhs, head.margin_se)
+    # the boundary at look 1 of 3 is 6 sqrt(3) SEs
+    assert rep.margin_se >= 6.0 * math.sqrt(3.0)
+    monkeypatch.setattr(estimators, "LOOK", n)
+    fixed = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
+    assert (fixed.lhs.n, fixed.meta["looks"]) == (n, 1)
+    assert rep.verdict == fixed.verdict == "holds"
+
+
+def test_uncertified_power_harnack_is_the_f_p_verdict_of_the_fixed_n_run(monkeypatch):
+    # with Phi_p set to -1 the Jensen bound log E f(xi) + Phi_p falls below
+    # the left side, so the certificate never holds and the f^16 side decides.
+    # On sine that side is carried by a few paths: every look that crosses
+    # the boundary is vetoed, and the run reads all n paths
+    real = estimators.bound_Phi_p
+    monkeypatch.setattr(estimators, "bound_Phi_p",
+                        lambda *args: replace(real(*args), value=-1.0))
     co = sine()
     grid, xi, eta = setup(m=50)
     f = catalog_fn("quad_cap", 100.0)
     n, seed = 2 * LOOK + 100, 5
     rep = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
     assert rep.lhs.n == n
-    assert (rep.meta["stop_look"], rep.meta["looks"]) == (3, 3)
+    assert (rep.meta["stop_look"], rep.meta["looks"], rep.meta["rhs_form"]) == (3, 3, "f^p")
     assert re.fullmatch(r"look 2: one path carries \S+ of the quad_cap\^16 sum, "
                         r"above 1/sqrt\(8192\)", rep.meta["veto"])
+    # the verdict of f^16 taken per path in the chunks, the chunk output
+    # before the certificate
+    x, y = _PT_f(co, ((eta, f), (xi, _power_of(f, 16.0))), grid, n, seed, None)
+    raw_l, raw_r, cov = _reduce_paired(x, y, seed)
+    want = _paired_verdict("power_harnack", _log_of_mean(raw_l),
+                           _log_of_mean(raw_r, -1.0, 16.0),
+                           cov / (16.0 * raw_l.mean * raw_r.mean), -1.0, 3.0, 6.0, {})
+    assert repr((rep.lhs, rep.rhs, rep.margin_se, rep.verdict)) == repr(
+        (want.lhs, want.rhs, want.margin_se, want.verdict))
     monkeypatch.setattr(estimators, "LOOK", n)
     fixed = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
-    assert fixed.meta["looks"] == 1
+    assert (fixed.meta["looks"], fixed.meta["rhs_form"]) == (1, "f^p")
     assert repr(replace(rep, meta={})) == repr(replace(fixed, meta={}))
 
 
 def test_stopped_check_is_the_same_at_any_worker_count_and_chunk_width(monkeypatch):
     # 1000 state columns make chunks of 500 pairs, so look 1 falls inside one
     monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
-    co = linear()
     grid, xi, eta = setup(m=50)
     f = catalog_fn("quad_cap", 100.0)
-    seen = set()
-    for chunk in (CHUNK, 1000):
-        monkeypatch.setattr(estimators, "CHUNK", chunk)
-        for threads in (1, 2):
-            rep = check_log_harnack(co, xi, eta, f, grid, n=3 * LOOK, seed=11,
-                                    threads=threads)
-            assert rep.meta["stop_look"] == 1
-            seen.add(repr(rep))
-    assert len(seen) == 1
+    checks = {"log": lambda threads: check_log_harnack(
+                  linear(), xi, eta, f, grid, n=3 * LOOK, seed=11, threads=threads),
+              "power": lambda threads: check_power_harnack(
+                  sine(), xi, eta, f, 16.0, grid, n=3 * LOOK, seed=11, threads=threads)}
+    for run in checks.values():
+        seen = set()
+        for chunk in (CHUNK, 1000):
+            monkeypatch.setattr(estimators, "CHUNK", chunk)
+            for threads in (1, 2):
+                rep = run(threads)
+                assert rep.meta["stop_look"] == 1
+                seen.add(repr(rep))
+        assert len(seen) == 1
 
 
 def test_log_harnack_s_choice_is_honored():
@@ -906,6 +953,79 @@ def test_power_harnack_trivial_f():
     rep = check_power_harnack(co, xi, eta, ONE, 16.0, grid, n=64, seed=0)
     assert rep.verdict == "holds"
     assert rep.margin_se == math.inf
+
+
+# a step of x_T past 0.5, which paths from 0 on sine do not reach by T
+ABOVE_HALF = ObsFn(name="above_half", fn=lambda segs: (segs[:, -1, 0] > 0.5) * 1.0,
+                   lower=0.0, upper=1.0)
+ZERO = ObsFn(name="zero", fn=lambda segs: np.zeros(segs.shape[0]), lower=0.0, upper=0.0)
+
+
+@pytest.mark.parametrize("f", [ZERO, ABOVE_HALF], ids=["zero", "above_half"])
+def test_power_harnack_all_zero_left_side_holds(f):
+    # log 0 = -inf lies below any right side; the means of 0 have no log to
+    # take by the delta method, and once raised a bare math domain error
+    co = sine()
+    grid, xi, eta = setup(m=20)
+    rep = check_power_harnack(co, xi, eta, f, 16.0, grid, n=64, seed=0)
+    assert (rep.lhs.diagnostics["raw_mean"], rep.lhs.mean) == (0.0, -math.inf)
+    assert (rep.verdict, rep.margin_se, rep.meta["rhs_form"]) == ("holds", math.inf, "jensen")
+
+
+def test_power_harnack_all_zero_right_side_is_inconclusive():
+    # from xi = 0 no path reaches 0.5, from eta = 5 most do: the right side
+    # is log 0 under a positive left side, which no SE can weigh
+    co = sine()
+    grid = GridSpec(1.0, 2.0, 20)
+    xi, eta = constant_segment(0.0, 1.0, 20), constant_segment(5.0, 1.0, 20)
+    rep = check_power_harnack(co, xi, eta, ABOVE_HALF, 16.0, grid, n=64, seed=0)
+    assert rep.lhs.diagnostics["raw_mean"] > 0
+    assert (rep.rhs.diagnostics["raw_mean"], rep.rhs.mean) == (0.0, -math.inf)
+    assert rep.verdict == "inconclusive" and math.isnan(rep.margin_se)
+    assert rep.meta["rhs_form"] == "f^p"
+    assert rep.meta["zero_side"] == ("every above_half^16 value from xi is 0, "
+                                     "so its log has no estimate")
+
+
+@st.composite
+def nonnegative_values(draw):
+    n = draw(st.integers(2, 40))
+    # 0 or within [1e-3, 1e3], so that v^p neither underflows nor overflows at p <= 40
+    v = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=n, max_size=n))
+    return np.array(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=nonnegative_values(), lead=nonnegative_values(),
+       p=st.floats(1.0, 40.0, exclude_min=True), phi=st.floats(-10.0, 100.0))
+@example(v=np.full(5, 3.0), lead=np.full(5, 3.0), p=16.0, phi=0.0)  # Jensen's equality case
+@example(v=np.array([0.0, 2.0]), lead=np.zeros(2), p=1.0 + 2 ** -40, phi=65.0)
+def test_jensen_certificate_never_exceeds_the_f_p_estimate(v, lead, p, phi):
+    # the power-mean inequality on the sample: log mean v <= (1/p) log mean v^p.
+    # Each side is the log of a mean good to a few roundings (fsum, the
+    # division, ** within an ulp per value), so to a few eps absolute in the
+    # log, plus the rounding of the log and of adding phi: 8 eps of their
+    # magnitudes bounds all of it
+    if not v.any():
+        v[-1] = 1.0
+    jensen = _log_of_mean(_reduce(v, 0), phi).mean
+    power = _log_of_mean(_reduce(v ** p, 0), phi, p).mean
+    eps = np.finfo(float).eps
+    assert jensen <= power + 8 * eps * (1.0 + abs(jensen) + abs(power))
+
+    # a certified report holds, whatever the two sides read
+    n = min(v.size, lead.size)
+    grid, xi, eta = setup(m=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_check_power_exponent", lambda p, consts: None)
+        mp.setattr(estimators, "bound_Phi_p",
+                   lambda *args: BoundReport(value=phi, s_star=0.5, eps_star=0.5))
+        mp.setattr(estimators, "_PT_f", lambda *args: [lead[:n], v[:n]])
+        rep = check_power_harnack(sine(), xi, eta, catalog_fn("quad_cap", 100.0), p, grid,
+                                  n=n, seed=0)
+    assert rep.meta["rhs_form"] in ("jensen", "f^p")
+    if rep.meta["rhs_form"] == "jensen":
+        assert rep.verdict == "holds"
 
 
 def test_power_harnack_threshold_enforced():
