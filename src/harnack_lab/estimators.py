@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ._parallel import CHUNK, map_chunks
+from ._parallel import CHUNK, map_chunks, workers
 from .bounds import (GapPair, bound_H_T, bound_H_T_at, bound_Phi_p, _check_horizon,
                      _check_power_exponent)
 from .coefficients import CoefficientSet
@@ -305,46 +305,41 @@ def _looks(n: int) -> List[int]:
 def _run_chunks(coeffs, segments, grid, n, seed, threads, chunk,
                 stop=None) -> List[np.ndarray]:
     """The chunk plan of every Monte Carlo estimate: paths 0..n-1 from the
-    starting segments, in chunks of CHUNK // len(segments) paths, the last
-    one shorter. A chunk is one batch, the paths stepped together, one copy
-    per segment, so it steps at most CHUNK state columns and its rings hold
-    at most 2(m + 1) CHUNK d floats. Path j is driven by the noise of path
-    j of the one NoiseStream of seed, wherever its chunk runs, so each
-    chunk is a pure function of its range: chunk(stream, a, b) steps paths
-    a..b-1 and returns a tuple of per-path arrays. Those are joined in path
-    order, whatever the worker count, and every estimate is reduced from
-    the joined values, so no chunk width or worker count changes its bits.
+    starting segments, in waves of chunks. A chunk is one batch, the paths
+    stepped together, one copy per segment, so it steps at most CHUNK
+    state columns and its rings hold at most 2(m + 1) CHUNK d floats. Path
+    j is driven by the noise of path j of the one NoiseStream of seed,
+    wherever its chunk runs, so each chunk is a pure function of its
+    range: chunk(stream, a, b) steps paths a..b-1 and returns a tuple of
+    per-path arrays. Those are joined in path order, whatever the worker
+    count, and every estimate is reduced from the joined values, so no
+    chunk width or worker count changes its bits.
 
-    With stop, the run is sequential: its looks fall after the first
-    _looks(n) paths short of n, whatever the chunk width, and at each look
-    stop(prefix) is given the joined values of the paths before it. The
-    chunks are read in chunk order, and the first look at which stop
-    returns true closes the stream and returns that prefix: in-process no
-    later chunk runs, and with workers only the chunks already started
-    finish, unread. Past the last early look, or without stop, the values
-    of all n paths are returned. stop reads nothing but the prefix, whose
-    values no chunk width or worker count changes, so neither changes
-    where the run stops."""
+    Without stop, the run is one wave, paths 0..n-1. With stop, it is
+    sequential: wave k holds the paths between looks k - 1 and k of
+    _looks(n), and after each wave short of n, stop(prefix) is given the
+    joined values of the paths read. The first look at which stop returns
+    true returns that prefix, and no chunk past it has started
+    (_parallel.map_chunks); past the last early look, the values of all n
+    paths are returned. Each wave is cut into chunks of
+    min(CHUNK // len(segments), ceil(wave / workers)) paths, the last one
+    shorter, so that a look's paths are split across the workers. stop
+    reads nothing but the prefix, whose values no chunk width or worker
+    count changes, so neither changes where the run stops."""
     if n < 2:
         raise ValueError("need n >= 2 paths")
     grid.check_segments(coeffs.dim, *segments)
     stream = NoiseStream(seed=seed, h=grid.h, dim=coeffs.dim)
     run = lambda a, b: chunk(stream, a, b)
-    looks = iter(_looks(n)[:-1] if stop is not None else ())
-    look, used = next(looks, None), n
-
-    def decided(parts) -> bool:
-        nonlocal look, used
-        read = sum(part[0].size for part in parts)
-        while look is not None and look <= read:
-            if stop([np.concatenate(column)[:look] for column in zip(*parts)]):
-                used = look
-                return True
-            look = next(looks, None)
-        return False
-
-    parts = map_chunks(run, n, threads, CHUNK // len(segments), until=decided)
-    return [np.concatenate(column)[:used] for column in zip(*parts)]
+    k = workers(threads)
+    looks = [0] + (_looks(n) if stop is not None else [n])
+    waves = []
+    for a, b in zip(looks, looks[1:]):
+        width = min(CHUNK // len(segments), -(-(b - a) // k))
+        waves.append([(x, min(x + width, b)) for x in range(a, b, width)])
+    joined = lambda parts: [np.concatenate(column) for column in zip(*parts)]
+    until = None if stop is None else (lambda parts: stop(joined(parts)))
+    return joined(map_chunks(run, waves, threads, until=until))
 
 
 def _PT_f(coeffs, starts, grid, n, seed, threads, stop=None) -> List[np.ndarray]:

@@ -1027,17 +1027,18 @@ def test_one_path_is_a_config_error_for_estimates(tmp_path, capsys, command, kw)
 
 
 def test_reruns_are_byte_identical_across_threads(tmp_path, monkeypatch):
-    # couple under P, 2 * 8192 + 77 paths: two full chunks and a short one,
-    # run in the calling process or forked to min(8, 3, CPUs) = 2 workers
-    # (in the calling process both times where the platform has no fork)
+    # couple under P, 2 * 8192 + 77 pairs: four full chunks of 4096 pairs
+    # and a short one, run in the calling process or forked to one pool of
+    # min(8, CPUs) = 2 workers (in the calling process both times where the
+    # platform has no fork)
     monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
-    real, forks = _parallel._map_forked, []
+    real, forks = _parallel._fork_pool, []
 
-    def map_forked(fn, ranges, workers, context):
+    def fork_pool(fn, workers):
         forks.append(workers)
-        return real(fn, ranges, workers, context)
+        return real(fn, workers)
 
-    monkeypatch.setattr(_parallel, "_map_forked", map_forked)
+    monkeypatch.setattr(_parallel, "_fork_pool", fork_pool)
     csvs = []
     for threads in ("1", "8"):
         out = tmp_path / threads

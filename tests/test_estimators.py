@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import re
 import tracemalloc
 from dataclasses import replace
@@ -186,14 +187,15 @@ def test_entry_points_share_one_chunk_plan(entry, monkeypatch):
         run(co, constant_segment(1.0, 1.0, 19), constant_segment(0.0, 1.0, 19),
             setup(m=20)[0], 4)
 
-    # n spans two chunks of pairs
-    n = CHUNK // 2 + 100
+    # n spans two chunks of paths, three of pairs
+    n = CHUNK + 100
     plain = run(co, xi, eta, grid, n)
     real, calls = estimators.map_chunks, []
 
-    def recorder(fn, n_total, threads=None, chunk=CHUNK, until=None):
-        calls.append((n_total, chunk))
-        return real(fn, n_total, threads, chunk, until)
+    def recorder(fn, waves, threads=None, until=None):
+        # the paths the plan covers and its widest chunk
+        calls.append((waves[-1][-1][1], max(b - a for wave in waves for a, b in wave)))
+        return real(fn, waves, threads, until)
 
     monkeypatch.setattr(estimators, "map_chunks", recorder)
     # repr, so that NaN diagnostics compare equal
@@ -215,8 +217,8 @@ def test_estimates_do_not_depend_on_the_chunk_plan(entry, monkeypatch):
         monkeypatch.setattr(estimators, "CHUNK", chunk)
         for threads in (1, 2):
             monkeypatch.setattr(estimators, "map_chunks",
-                                lambda fn, n, _, width, until, k=threads:
-                                real(fn, n, k, width, until))
+                                lambda fn, waves, _, until, k=threads:
+                                real(fn, waves, k, until))
             # repr, so that NaN diagnostics compare equal
             seen.add(repr(run(co, xi, eta, grid, 300)))
     assert len(seen) == 1
@@ -881,7 +883,7 @@ def test_uncertified_power_harnack_is_the_f_p_verdict_of_the_fixed_n_run(monkeyp
 
 
 def test_stopped_check_is_the_same_at_any_worker_count_and_chunk_width(monkeypatch):
-    # 1000 state columns make chunks of 500 pairs, so look 1 falls inside one
+    # 1000 state columns make chunks of 500 pairs, so look 1 ends in a short one
     monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
     grid, xi, eta = setup(m=50)
     f = catalog_fn("quad_cap", 100.0)
@@ -898,6 +900,32 @@ def test_stopped_check_is_the_same_at_any_worker_count_and_chunk_width(monkeypat
                 assert rep.meta["stop_look"] == 1
                 seen.add(repr(rep))
         assert len(seen) == 1
+
+
+def test_stopped_check_splits_look_1_across_two_workers(monkeypatch):
+    # look 1's pairs run as one chunk per worker, and no chunk past it runs
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    grid, xi, eta = setup(m=50)
+    f = catalog_fn("quad_cap", 100.0)
+    real_map, real_fork, read, forks = estimators.map_chunks, _parallel._fork_pool, [], []
+
+    def map_chunks(fn, waves, threads=None, until=None):
+        parts = real_map(fn, waves, threads, until)
+        read.append([part[0].size for part in parts])
+        return parts
+
+    def fork_pool(fn, workers):
+        forks.append(workers)
+        return real_fork(fn, workers)
+
+    monkeypatch.setattr(estimators, "map_chunks", map_chunks)
+    monkeypatch.setattr(_parallel, "_fork_pool", fork_pool)
+    one, two = (check_log_harnack(linear(), xi, eta, f, grid, n=3 * LOOK, seed=11,
+                                  threads=threads) for threads in (1, 2))
+    assert one.meta["stop_look"] == 1
+    assert read == [[LOOK], [LOOK // 2, LOOK // 2]]
+    assert forks == ([2] if "fork" in multiprocessing.get_all_start_methods() else [])
+    assert repr(two) == repr(one)
 
 
 def test_log_harnack_s_choice_is_honored():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from harnack_lab import _parallel
-from harnack_lab._parallel import CHUNK, WorkerDied, chunk_stream, map_chunks
+from harnack_lab._parallel import CHUNK, WorkerDied, map_chunks
 from harnack_lab.coefficients import builtin_system
 from harnack_lab.coupling import GammaSchedule, _coupled_batch
 from harnack_lab.estimators import MAX_EXPONENT, _SegGapIntegral, estimate_exp_functional
@@ -28,16 +28,28 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
 
 
+def wave(a, b, width):
+    """The chunks of paths a..b-1, width paths each, the last one shorter."""
+    return [(x, min(x + width, b)) for x in range(a, b, width)]
+
+
+def one_wave(n_total, width):
+    return [wave(0, n_total, width)]
+
+
 class StubPool:
-    """Records how it was built and runs every chunk in the calling process."""
+    """Records how it was built and what it was handed, in order, into log,
+    and runs every chunk in the calling process."""
 
     built = []
+    log = []
 
     def __init__(self, max_workers, mp_context, initializer, initargs):
         StubPool.built.append(max_workers)
         initializer(*initargs)
 
     def submit(self, fn, *args):
+        StubPool.log.append(args)
         fut = Future()
         fut.set_result(fn(*args))
         return fut
@@ -48,7 +60,7 @@ class StubPool:
 
 @pytest.fixture
 def stub_pool(monkeypatch):
-    StubPool.built = []
+    StubPool.built, StubPool.log = [], []
     monkeypatch.setattr(cf_process, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(_parallel, "_worker_fn", None)
     return StubPool.built
@@ -68,8 +80,8 @@ def test_forked_chunks_match_in_process(two_cpus):
             return {"range": (a, b), "sum": float(table[a:b].sum()) + scale(a),
                     "pid": os.getpid()}
 
-    one = map_chunks(fn, 35, threads=1, chunk=10)
-    two = map_chunks(fn, 35, threads=2, chunk=10)
+    one = map_chunks(fn, one_wave(35, 10), threads=1)
+    two = map_chunks(fn, one_wave(35, 10), threads=2)
     assert [r["range"] for r in two] == [(0, 10), (10, 20), (20, 30), (30, 35)]
     assert [r["sum"] for r in two] == [r["sum"] for r in one]
     assert all(r["pid"] == parent for r in one)
@@ -86,7 +98,7 @@ def test_forked_chunks_match_in_process(two_cpus):
 ])
 def test_worker_count_is_capped(monkeypatch, stub_pool, threads, cpus, n_total, workers):
     monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
-    out = map_chunks(lambda a, b: (a, b), n_total, threads=threads, chunk=10)
+    out = map_chunks(lambda a, b: (a, b), one_wave(n_total, 10), threads=threads)
     assert out == [(a, min(a + 10, n_total)) for a in range(0, n_total, 10)]
     assert stub_pool == ([] if workers is None else [workers])
 
@@ -97,7 +109,7 @@ def test_worker_count_follows_the_affinity_set(monkeypatch, stub_pool, allowed, 
     # many CPUs os.cpu_count() reports
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed, raising=False)
-    assert map_chunks(lambda a, b: b - a, 40, threads=8, chunk=10) == [10] * 4
+    assert map_chunks(lambda a, b: b - a, one_wave(40, 10), threads=8) == [10] * 4
     assert stub_pool == ([] if workers is None else [workers])
 
 
@@ -110,7 +122,7 @@ def test_cpus_without_affinity_is_the_cpu_count(monkeypatch, count, cpus):
 
 def test_without_fork_chunks_run_in_process(monkeypatch, stub_pool, two_cpus):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert map_chunks(lambda a, b: b - a, 25, threads=2, chunk=10) == [10, 10, 5]
+    assert map_chunks(lambda a, b: b - a, one_wave(25, 10), threads=2) == [10, 10, 5]
     assert stub_pool == []
 
 
@@ -118,7 +130,8 @@ def test_one_worker_imports_no_process_machinery():
     code = (
         "import sys\n"
         "from harnack_lab._parallel import map_chunks\n"
-        "assert map_chunks(lambda a, b: b - a, 30, threads=1, chunk=10) == [10] * 3\n"
+        "assert map_chunks(lambda a, b: b - a, [[(0, 10), (10, 20)], [(20, 30)]],\n"
+        "                  threads=1) == [10] * 3\n"
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
         " if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -140,7 +153,7 @@ def test_first_exception_in_chunk_order(two_cpus, fail, first):
         return k
 
     with pytest.raises(ValueError) as info:
-        map_chunks(fn, 40, threads=2, chunk=10)
+        map_chunks(fn, one_wave(40, 10), threads=2)
     assert type(info.value) is ValueError
     assert str(info.value) == f"chunk {first}"
 
@@ -155,7 +168,7 @@ def test_failed_map_cancels_pending_chunks(two_cpus, tmp_path):
         return a
 
     with pytest.raises(ValueError, match="chunk 0"):
-        map_chunks(fn, 200, threads=2, chunk=10)
+        map_chunks(fn, one_wave(200, 10), threads=2)
     # only the chunks already handed to a worker ran, not all 20
     assert len(list(tmp_path.iterdir())) <= 8
 
@@ -170,37 +183,58 @@ def test_dead_worker_raises_worker_died(two_cpus):
         os._exit(1)
 
     with pytest.raises(WorkerDied, match="worker process died"):
-        map_chunks(fn, 20, threads=2, chunk=10)
+        map_chunks(fn, one_wave(20, 10), threads=2)
+
+
+# three waves of two chunks each: (0, 10), (10, 20) | (20, 30), (30, 40) | ...
+THREE_WAVES = [wave(0, 20, 10), wave(20, 40, 10), wave(40, 60, 10)]
+
+
+def test_no_chunk_of_a_wave_is_handed_out_before_until_reads_the_last(stub_pool, two_cpus):
+    def until(results):
+        stop = len(results) == 4
+        StubPool.log.append(("until", len(results), stop))
+        return stop
+
+    assert map_chunks(lambda a, b: a, THREE_WAVES, threads=2, until=until) == [0, 10, 20, 30]
+    assert StubPool.log == [(0, 10), (10, 20), ("until", 2, False),
+                            (20, 30), (30, 40), ("until", 4, True)]
+    assert stub_pool == [2]
+
+
+def test_no_pool_while_every_wave_read_has_one_chunk(stub_pool, two_cpus):
+    waves = [[(0, 10)], [(10, 20)], wave(20, 40, 10)]
+    assert map_chunks(lambda a, b: a, waves, threads=2,
+                      until=lambda results: len(results) == 2) == [0, 10]
+    assert stub_pool == []
+    # the pool is forked at the first wave of two chunks, with its two workers
+    assert map_chunks(lambda a, b: a, waves, threads=2) == [0, 10, 20, 30]
+    assert stub_pool == [2]
+    assert StubPool.log == [(20, 30), (30, 40)]
 
 
 @needs_fork
-def test_closing_the_stream_leaves_no_worker(two_cpus, tmp_path):
+def test_map_stopped_after_a_wave_leaves_no_worker(two_cpus, tmp_path):
     def fn(a, b):
         (tmp_path / str(a)).touch()
         time.sleep(0.05)
         return a
 
-    stream = chunk_stream(fn, 200, threads=2, chunk=10)
-    assert next(stream) == 0
-    stream.close()
+    assert map_chunks(fn, THREE_WAVES, threads=2, until=lambda results: True) == [0, 10]
     assert multiprocessing.active_children() == []
-    # only the wave being read started: chunk 0 and the one beside it
-    assert {p.name for p in tmp_path.iterdir()} <= {"0", "10"}
+    # only wave 1 started: chunk 0 and the one beside it
+    assert {p.name for p in tmp_path.iterdir()} == {"0", "10"}
 
 
-def test_closed_stream_runs_no_further_chunk_in_process():
+def test_stopped_map_runs_no_later_wave_in_process():
     ran = []
 
     def fn(a, b):
         ran.append(a)
         return a
 
-    stream = chunk_stream(fn, 40, threads=1, chunk=10)
-    assert ran == []
-    assert next(stream) == 0
-    stream.close()
-    assert list(stream) == []
-    assert ran == [0]
+    assert map_chunks(fn, THREE_WAVES, threads=1, until=lambda results: True) == [0, 10]
+    assert ran == [0, 10]
 
 
 def test_map_chunks_stops_where_until_says_in_process():
@@ -210,7 +244,8 @@ def test_map_chunks_stops_where_until_says_in_process():
         ran.append(a)
         return a
 
-    assert map_chunks(fn, 40, 1, 10, until=lambda results: results[-1] == 10) == [0, 10]
+    waves = [[(a, a + 10)] for a in range(0, 40, 10)]
+    assert map_chunks(fn, waves, 1, until=lambda results: results[-1] == 10) == [0, 10]
     assert ran == [0, 10]
 
 
@@ -220,15 +255,15 @@ def test_map_chunks_stopped_by_until_leaves_no_worker(two_cpus):
 
     def until(results):
         seen.append(list(results))
-        return len(results) == 2
+        return len(results) == 4
 
-    assert map_chunks(lambda a, b: a, 200, 2, 10, until=until) == [0, 10]
-    assert seen == [[0], [0, 10]]
+    assert map_chunks(lambda a, b: a, THREE_WAVES, 2, until=until) == [0, 10, 20, 30]
+    assert seen == [[0, 10], [0, 10, 20, 30]]
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
-def test_stream_raises_the_first_exception_in_chunk_order(two_cpus):
+def test_failed_map_raises_the_first_exception_in_chunk_order_and_leaves_no_worker(two_cpus):
     # every chunk past the first fails, and fails before the first returns
     def fn(a, b):
         k = a // 10
@@ -237,22 +272,20 @@ def test_stream_raises_the_first_exception_in_chunk_order(two_cpus):
             return k
         raise ValueError(f"chunk {k}")
 
-    stream = chunk_stream(fn, 40, threads=2, chunk=10)
-    assert next(stream) == 0
     with pytest.raises(ValueError) as info:
-        next(stream)
+        map_chunks(fn, THREE_WAVES, threads=2)
     assert type(info.value) is ValueError
     assert str(info.value) == "chunk 1"
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
-def test_stream_keeps_the_worker_died_message(two_cpus):
+def test_map_keeps_the_worker_died_message(two_cpus):
     def fn(a, b):
         os._exit(1)
 
     with pytest.raises(WorkerDied) as info:
-        list(chunk_stream(fn, 20, threads=2, chunk=10))
+        map_chunks(fn, one_wave(20, 10), threads=2)
     assert str(info.value) == (
         "a worker process died before returning its chunk (killed, for example "
         "when memory ran out); fewer workers need less memory")
