@@ -69,7 +69,6 @@ class BoundReport:
     eps_star: Optional[float] = None
     terms: Dict[str, float] = field(default_factory=dict)
     at_boundary: bool = False
-    meta: Dict[str, float] = field(default_factory=dict)
 
 
 def _require_finite_positive(**values: float) -> None:
@@ -189,7 +188,7 @@ def bound_H_T(consts: AssumptionConstants, gaps: GapPair, T: float,
     return BoundReport(
         value=value, s_star=s_star,
         terms={"gap_term": gap_t, "segment_term": seg_t},
-        at_boundary=edge, meta={"s_grid_size": S_GRID, "s_max": T - r0})
+        at_boundary=edge)
 
 
 def bound_entropy_prop21(consts: AssumptionConstants, theta: float, t: float,
@@ -362,9 +361,7 @@ def bound_Phi_p(p: float, T: float, consts: AssumptionConstants, gaps: GapPair,
         value=v, s_star=s_b, eps_star=eps_b,
         terms={"eps_term": pref * t_eps, "quadratic_term": pref * t_quad,
                "gap_term": pref * t_gap, "segment_term": pref * t_seg},
-        at_boundary=eps_edge,
-        meta={"eps_grid": EPS_GRID, "s_grid": S_GRID, "lambda_p": lam,
-              "w_eps": w_b, "prefactor": pref})
+        at_boundary=eps_edge)
 
 
 def bound_seg_gap_moment(consts: AssumptionConstants, gaps: GapPair,

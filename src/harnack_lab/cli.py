@@ -32,9 +32,9 @@ from .coefficients import (AssumptionConstants, CoefficientSet, _catalog_row,
                            audit_assumptions, builtin_system, system_constants)
 from .coupling import GammaSchedule, _check_measure, _check_theta, gamma, simulate_coupled
 from .estimators import (FAILURE_TOLERANCE, MCEstimate, VerdictReport, _check_burn_in,
-                         _check_delay_free, _check_levels, _check_s_choice, check_log_harnack,
-                         check_power_harnack, estimate_entropy_Q, estimate_martingale_mean,
-                         _power_of, make_verdict, sample_stationary_segments,
+                         _check_delay_free, _check_levels, _check_power_cap, _check_s_choice,
+                         check_log_harnack, check_power_harnack, estimate_entropy_Q,
+                         estimate_martingale_mean, make_verdict, sample_stationary_segments,
                          test_function)
 from .integrator import _check_dim, _check_seed, simulate_path
 from .segment_paths import GridSpec, SegmentPath, _deadline_index, constant_segment
@@ -220,7 +220,7 @@ def _config_problems(cfg: ExperimentConfig, command=None) -> List[str]:
     f = check("functions", test_function, cfg.f_name,
               ExperimentConfig.cap if cfg.cap is None else cfg.cap)
     if command == "power-harnack":
-        check("functions", _power_of, f, cfg.p)
+        check("functions", _check_power_cap, f, cfg.p)
     if cfg.verbosity not in (0, 1, 2):
         violations.append("[output] verbosity must be 0, 1 or 2")
     if command in ("couple", "entropy") and cfg.t0 is None:

@@ -54,7 +54,7 @@ class MCEstimate:
     when it is finite where its chunk stops) and nonfinite (NaN or inf
     state or weight there); max_exponent (exp functional) or
     max_log_weight (weight mean), the largest non-NaN one (nan if none);
-    failures, unmerged + nonfinite; raw_mean, bound and ess where set. No
+    failures, unmerged + nonfinite; raw_mean and ess where set. No
     diagnostic depends on the chunk split.
     """
 
@@ -129,6 +129,8 @@ def test_function(name: str, cap: float = 100.0) -> TestFunction:
         raise ValueError(f"unknown test function {name!r}; catalog: {', '.join(TEST_FUNCTIONS)}")
     if not cap > 0:
         raise ValueError("cap must be positive")
+    if cap == math.inf:  # the Harnack checks need f bounded
+        raise ValueError("cap must be finite")
     if name == "quad_cap":
         def fn(segs):
             end_sq = (segs[:, -1, :] ** 2).sum(axis=1)
@@ -142,24 +144,14 @@ def test_function(name: str, cap: float = 100.0) -> TestFunction:
     return TestFunction(name="exp_cap", fn=fn, lower=1.0, upper=math.exp(cap))
 
 
-def _log_of(f: TestFunction) -> TestFunction:
-    if f.lower < 1.0:
-        raise ValueError("log form needs f >= 1")
-    return TestFunction(name=f"log({f.name})",
-                        fn=lambda segs: np.log(f(segs)),
-                        lower=math.log(f.lower), upper=math.log(f.upper))
-
-
-def _power_of(f: TestFunction, p: float) -> TestFunction:
+def _check_power_cap(f: TestFunction, p: float) -> None:
+    """Reject an f^p whose declared upper end overflows, before any path runs."""
     try:
         up = f.upper ** p
     except OverflowError:  # a Python float raises where numpy gives inf
         up = math.inf
     if not math.isfinite(up):
         raise ValueError(f"f^p overflows for {f.name} with p={p:g}; lower the cap")
-    return TestFunction(name=f"{f.name}^{p:g}",
-                        fn=lambda segs: f(segs) ** p,
-                        lower=f.lower ** p, upper=up)
 
 
 @dataclass(frozen=True)
@@ -342,27 +334,27 @@ def _run_chunks(coeffs, segments, grid, n, seed, threads, chunk,
     return joined(map_chunks(run, waves, threads, until=until))
 
 
-def _PT_f(coeffs, starts, grid, n, seed, threads, stop=None) -> List[np.ndarray]:
-    """f(X^seg) at T, per path, for each start (seg, f) in starts, one
-    start or two. The copies of path j from every start are driven by the
-    same noise and stepped in one batch. With stop, the run is sequential
-    (_run_chunks), and the values are those of the paths it read."""
-    histories = tuple(seg.values for seg, _ in starts)
+def _PT_f(coeffs, segments, f, grid, n, seed, threads, stop=None) -> List[np.ndarray]:
+    """f(X^seg) at T, per path, from each starting segment, one or two. The
+    copies of path j from every start are driven by the same noise and
+    stepped in one batch. With stop, the run is sequential (_run_chunks),
+    and the values are those of the paths it read."""
+    histories = tuple(seg.values for seg in segments)
     last = grid.m + grid.n_T
 
     def chunk(stream, a, b):
         noise = NoiseBlocks(stream, a, b - a, grid.n_T)
         rings = _simulate_batch(coeffs, histories, grid, noise)
-        return [f(ring.segment(last)) for (_, f), ring in zip(starts, rings)]
+        return [f(ring.segment(last)) for ring in rings]
 
-    return _run_chunks(coeffs, [seg for seg, _ in starts], grid, n, seed, threads, chunk, stop)
+    return _run_chunks(coeffs, segments, grid, n, seed, threads, chunk, stop)
 
 
 def estimate_PT_f(coeffs: CoefficientSet, xi: SegmentPath, f: TestFunction,
                   grid: GridSpec, n: int, seed: int,
                   threads: Optional[int] = None) -> MCEstimate:
     """Mean of f over the terminal segments of n independent paths from xi."""
-    return _reduce(*_PT_f(coeffs, ((xi, f),), grid, n, seed, threads), seed)
+    return _reduce(*_PT_f(coeffs, (xi,), f, grid, n, seed, threads), seed)
 
 
 def _upper_index(grid: GridSpec, t_upper: Optional[float]) -> int:
@@ -578,15 +570,14 @@ def _paired_verdict(claim: str, lhs: MCEstimate, rhs: MCEstimate, cov: float,
 def _log_of_mean(raw: MCEstimate, bound: Optional[float] = None,
                  p: float = 1.0) -> MCEstimate:
     """(1/p) log raw.mean, plus bound if given, with its SE by the delta
-    method; diagnostics keep raw_mean and the bound. A mean of 0, of
-    values >= 0, has log -inf and no delta-method SE (nan)."""
-    extra = {} if bound is None else {"bound": bound}
+    method; diagnostics keep raw_mean. A mean of 0, of values >= 0, has
+    log -inf and no delta-method SE (nan)."""
     if raw.mean > 0:
         mean, se = math.log(raw.mean) / p + (bound or 0.0), raw.std_error / (p * raw.mean)
     else:
         mean, se = -math.inf, math.nan
     return MCEstimate(mean=mean, std_error=se, n=raw.n, seed=raw.seed,
-                      diagnostics={"raw_mean": raw.mean, **extra, **raw.diagnostics})
+                      diagnostics={"raw_mean": raw.mean, **raw.diagnostics})
 
 
 def _check_harnack_inputs(claim, f_min, coeffs, xi, eta, f, grid, k_tol, k_viol):
@@ -611,10 +602,11 @@ def _top_share(v: np.ndarray) -> float:
     return float(v.max()) / total if total > 0 else 0.0
 
 
-def _sequential_verdict(coeffs, starts, grid, n, seed, threads, k_viol, routes,
+def _sequential_verdict(coeffs, eta, xi, f, grid, n, seed, threads, k_viol, routes,
                         meta) -> VerdictReport:
-    """The paired verdict on the per-path values x and y of the two starts,
-    read at looks and stopped early by the rule check_log_harnack states.
+    """The paired verdict on the per-path values x = f(X^eta) and
+    y = f(X^xi) of the same paths, read at looks and stopped early by the
+    rule check_log_harnack states.
 
     Each look is read by routes, in order. A route is (sides, verdict_of):
     sides(x, y) gives the two sides' per-path values, each named for the
@@ -654,16 +646,10 @@ def _sequential_verdict(coeffs, starts, grid, n, seed, threads, k_viol, routes,
                 return rep
         return None
 
-    report = None
-
-    def decided(values) -> bool:
-        nonlocal report
-        report = settle(*values)
-        return report is not None
-
-    values = _PT_f(coeffs, starts, grid, n, seed, threads, decided)
-    if report is None:  # no early look settled, so the run read all n paths
-        report = settle(*values)
+    # the stopped look, or the last, is settled again on the values returned
+    values = _PT_f(coeffs, (eta, xi), f, grid, n, seed, threads,
+                   lambda v: settle(*v) is not None)
+    report = settle(*values)
     return replace(report, meta={**meta, "stop_look": looks.index(values[0].size) + 1,
                                  "looks": len(looks), **report.meta})
 
@@ -720,9 +706,9 @@ def check_log_harnack(coeffs: CoefficientSet, xi: SegmentPath, eta: SegmentPath,
         return _paired_verdict("log_harnack", lhs, rhs, cov / raw.mean, h_val, k_tol,
                                k_viol, {})
 
-    log_f = _log_of(f)
-    return _sequential_verdict(coeffs, ((eta, log_f), (xi, f)), grid, n, seed, threads, k_viol,
-                               [(lambda x, y: ((log_f.name, x), (f.name, y)), verdict_of)],
+    return _sequential_verdict(coeffs, eta, xi, f, grid, n, seed, threads, k_viol,
+                               [(lambda x, y: ((f"log({f.name})", np.log(x)), (f.name, y)),
+                                 verdict_of)],
                                {"s_star": s_star, "point_gap": gaps.point_gap,
                                 "seg_gap": gaps.seg_gap})
 
@@ -757,7 +743,8 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
 
     gaps = GapPair.from_segments(xi, eta)
     phi = bound_Phi_p(p, grid.T, coeffs.constants, gaps, grid.r0)
-    f_p = _power_of(f, p)  # rejects an f^p that overflows before any path runs
+    _check_power_cap(f, p)
+    f_p = f"{f.name}^{p:g}"
 
     def verdict_of(x, y, q, form, name):
         raw_l, raw_r, cov = _reduce_paired(x, y, seed)
@@ -778,9 +765,9 @@ def check_power_harnack(coeffs: CoefficientSet, xi: SegmentPath,
 
     routes = [(lambda x, y: ((f.name, x), (f.name, y)),
                lambda x, y: verdict_of(x, y, 1.0, "jensen", f.name)),
-              (lambda x, y: ((f.name, x), (f_p.name, y ** p)),
-               lambda x, y: verdict_of(x, y, p, "f^p", f_p.name))]
-    return _sequential_verdict(coeffs, ((eta, f), (xi, f)), grid, n, seed, threads, k_viol,
+              (lambda x, y: ((f.name, x), (f_p, y ** p)),
+               lambda x, y: verdict_of(x, y, p, "f^p", f_p))]
+    return _sequential_verdict(coeffs, eta, xi, f, grid, n, seed, threads, k_viol,
                                routes, {"p": p, "s_star": phi.s_star, "eps_star": phi.eps_star})
 
 

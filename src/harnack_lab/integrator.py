@@ -82,9 +82,11 @@ class NoiseStream:
         buffer position, [the four buffered words]), all Python ints. The
         generator belongs to the call, so threads may share one stream and
         each forked worker holds its own; the lists belong to the caller."""
+        n_steps, n_paths, _ = out.shape
         if first_path < 0:
             raise ValueError("path_index must be >= 0")
-        n_steps, n_paths, _ = out.shape
+        if first_path + n_paths > 2 ** 64:  # the Philox key word is a uint64
+            raise ValueError("path_index must be < 2**64")
         bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
         gen = np.random.Generator(bitgen)
         fresh = bitgen.state

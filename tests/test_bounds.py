@@ -162,14 +162,23 @@ def test_h_t_monotone_in_gaps(pg1, pg2, extra1, extra2):
     assert big >= small - 1e-10 * max(1.0, abs(small))
 
 
+def grid_sizes(monkeypatch):
+    """The sizes of the s grids the bounds build from now on, in call order."""
+    sizes, real = [], bounds._log_grid
+    monkeypatch.setattr(bounds, "_log_grid",
+                        lambda upper, size: sizes.append(size) or real(upper, size))
+    return sizes
+
+
 def test_h_t_grid_doubling_stable(monkeypatch):
+    sizes = grid_sizes(monkeypatch)
     for k in (K_LINEAR, K_SINE):
         monkeypatch.setattr(bounds, "S_GRID", 200)
         a = bound_H_T(k, UNIT_GAPS, 2.0, 1.0).value
         monkeypatch.setattr(bounds, "S_GRID", 400)
-        rep = bound_H_T(k, UNIT_GAPS, 2.0, 1.0)
-        assert rep.meta["s_grid_size"] == 400
-        b = rep.value
+        sizes.clear()
+        b = bound_H_T(k, UNIT_GAPS, 2.0, 1.0).value
+        assert sizes == [400]
         assert abs(a - b) <= 1e-4 * abs(b)
 
 
@@ -286,7 +295,9 @@ def test_harnack_parameters_build():
 
 
 def test_phi_p_reference_run(monkeypatch):
+    sizes = grid_sizes(monkeypatch)
     rep = bound_Phi_p(9.0, 2.0, K_W, UNIT_GAPS, 1.0)
+    s_grids = len(sizes)
     assert rep.value > 0
     assert rep.eps_star is not None
     assert 0 < rep.s_star <= 1.0
@@ -294,8 +305,11 @@ def test_phi_p_reference_run(monkeypatch):
     # independent 10x denser grid agrees
     monkeypatch.setattr(bounds, "EPS_GRID", 2000)
     monkeypatch.setattr(bounds, "S_GRID", 2000)
+    sizes.clear()
     dense = bound_Phi_p(9.0, 2.0, K_W, UNIT_GAPS, 1.0)
-    assert (dense.meta["eps_grid"], dense.meta["s_grid"]) == (2000, 2000)
+    # every s grid is the patched size, one per eps tried, and the denser
+    # eps grid tries more eps
+    assert set(sizes) == {2000} and len(sizes) > s_grids
     assert rep.value == pytest.approx(dense.value, rel=1e-3)
 
 

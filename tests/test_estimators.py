@@ -16,9 +16,9 @@ from harnack_lab.bounds import (BoundReport, GapPair, bound_entropy_with_tail,
 from harnack_lab._parallel import CHUNK
 from harnack_lab.coefficients import AssumptionConstants, CoefficientSet, builtin_system
 from harnack_lab.coupling import GammaSchedule
-from harnack_lab.estimators import (LOOK, MCEstimate, _checked_exp,
-                                    _effective_sample_size, _log_of, _log_of_mean, _looks,
-                                    _paired_verdict, _power_of, _PT_f,
+from harnack_lab.estimators import (LOOK, MCEstimate, _check_power_cap, _checked_exp,
+                                    _effective_sample_size, _log_of_mean, _looks,
+                                    _paired_verdict, _PT_f,
                                     _reduce, _reduce_paired, _SegGapIntegral,
                                     check_log_harnack,
                                     check_power_harnack, estimate_PT_f,
@@ -53,6 +53,12 @@ def sched_for(co, t0=1.0, theta=1.0):
     return GammaSchedule(theta=theta, k4=co.constants.k4, t0=t0)
 
 
+def log_of(f):
+    """log f as a test function of its own, taken in each chunk."""
+    return ObsFn(name=f"log({f.name})", fn=lambda segs: np.log(f(segs)),
+                 lower=math.log(f.lower), upper=math.log(f.upper))
+
+
 ONE = ObsFn(name="one", fn=lambda segs: np.ones(segs.shape[0]),
                    lower=1.0, upper=1.0)
 
@@ -78,6 +84,9 @@ def test_function_catalog_exp_cap():
         catalog_fn("exp_cap", 1e4)
     with pytest.raises(ValueError):
         catalog_fn("quad_cap", 0.0)
+    # an unbounded f would reach the Harnack checks, which need f bounded
+    with pytest.raises(ValueError, match="cap must be finite"):
+        catalog_fn("quad_cap", math.inf)
     with pytest.raises(ValueError):
         catalog_fn("mystery")
 
@@ -707,7 +716,7 @@ def test_log_harnack_jensen_control():
     assert rep.margin_se > 0
     assert rep.meta["corr"] > 0
     # n fits in one chunk of either width, so the sums are the same sums
-    assert rep.lhs.mean == estimate_PT_f(co, xi, _log_of(f), grid, 4000, 2).mean
+    assert rep.lhs.mean == estimate_PT_f(co, xi, log_of(f), grid, 4000, 2).mean
     assert rep.rhs.diagnostics["raw_mean"] == estimate_PT_f(co, xi, f, grid, 4000, 2).mean
 
 
@@ -723,7 +732,7 @@ def test_harnack_sides_take_path_j_of_the_seed(claim):
                      for j in range(n)])
     if claim == "log":
         rep = check_log_harnack(co, xi, eta, f, grid, n=n, seed=seed)
-        f_xi, f_eta = f, _log_of(f)
+        f_xi, f_eta = f, log_of(f)
     else:
         rep = check_power_harnack(co, xi, eta, f, 16.0, grid, n=n, seed=seed)
         # certified: the right side is the Jensen bound, the mean of f(xi)
@@ -813,7 +822,8 @@ def test_log_harnack_stops_at_the_first_look_with_the_fixed_n_verdict():
         return _paired_verdict("log_harnack", lhs, _log_of_mean(raw, rep.bound),
                                cov / raw.mean, rep.bound, 3.0, 6.0, {})
 
-    x, y = _PT_f(co, ((eta, _log_of(f)), (xi, f)), grid, n, seed, None)
+    x, y = _PT_f(co, (eta, xi), f, grid, n, seed, None)
+    x = np.log(x)
     full = verdict(x, y)
     assert full.lhs.n == n
     assert rep.verdict == full.verdict == "holds"
@@ -836,7 +846,7 @@ def test_power_harnack_certificate_stops_at_the_first_look_with_the_fixed_n_verd
     assert rep.lhs.n == rep.rhs.n == LOOK
     assert (rep.meta["stop_look"], rep.meta["looks"], rep.meta["rhs_form"]) == (1, 3, "jensen")
     assert "veto" not in rep.meta
-    x, y = _PT_f(co, ((eta, f), (xi, f)), grid, LOOK, seed, None)
+    x, y = _PT_f(co, (eta, xi), f, grid, LOOK, seed, None)
     raw_l, raw_r, cov = _reduce_paired(x, y, seed)
     head = _paired_verdict("power_harnack", _log_of_mean(raw_l),
                            _log_of_mean(raw_r, rep.bound), cov / (raw_l.mean * raw_r.mean),
@@ -867,10 +877,9 @@ def test_uncertified_power_harnack_is_the_f_p_verdict_of_the_fixed_n_run(monkeyp
     assert (rep.meta["stop_look"], rep.meta["looks"], rep.meta["rhs_form"]) == (3, 3, "f^p")
     assert re.fullmatch(r"look 2: one path carries \S+ of the quad_cap\^16 sum, "
                         r"above 1/sqrt\(8192\)", rep.meta["veto"])
-    # the verdict of f^16 taken per path in the chunks, the chunk output
-    # before the certificate
-    x, y = _PT_f(co, ((eta, f), (xi, _power_of(f, 16.0))), grid, n, seed, None)
-    raw_l, raw_r, cov = _reduce_paired(x, y, seed)
+    # the verdict of f^16 taken per path
+    x, y = _PT_f(co, (eta, xi), f, grid, n, seed, None)
+    raw_l, raw_r, cov = _reduce_paired(x, y ** 16.0, seed)
     want = _paired_verdict("power_harnack", _log_of_mean(raw_l),
                            _log_of_mean(raw_r, -1.0, 16.0),
                            cov / (16.0 * raw_l.mean * raw_r.mean), -1.0, 3.0, 6.0, {})
@@ -1069,13 +1078,15 @@ def test_power_of_overflow_names_the_cap():
     # must end in the message that names the cap
     f = catalog_fn("exp_cap", 100.0)
     with pytest.raises(ValueError, match="f\\^p overflows for exp_cap with p=16; lower the cap"):
-        _power_of(f, 16.0)
+        _check_power_cap(f, 16.0)
     co = sine()
     grid, xi, eta = setup(m=50)
     with pytest.raises(ValueError, match="lower the cap"):
         check_power_harnack(co, xi, eta, f, 16.0, grid, n=16, seed=0)
-    # a finite power keeps the plain ** result
-    assert _power_of(catalog_fn("exp_cap", 10.0), 16.0).upper == math.exp(10.0) ** 16.0
+    # e^(16 cap) overflows from cap 44.37 on
+    _check_power_cap(catalog_fn("exp_cap", 44.0), 16.0)
+    with pytest.raises(ValueError, match="lower the cap"):
+        _check_power_cap(catalog_fn("exp_cap", 45.0), 16.0)
 
 
 # -------------------------------------------------------------- stationary

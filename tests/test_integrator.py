@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from harnack_lab.coefficients import AssumptionConstants, builtin_system
+from harnack_lab.coupling import simulate_coupled
 from harnack_lab.integrator import (NoiseBlocks, NoiseStream, Trajectory, _simulate_batch,
                                     simulate_path)
 from harnack_lab.segment_paths import GridSpec, constant_segment
@@ -53,7 +54,8 @@ def test_noise_stream_paths_differ():
     (9, 5, 130, 20, 3),
     (9, 5, 130, 1, 3),
     (2 ** 63 - 1, 2 ** 40, 130, 5, 2),
-], ids=["n4-d3", "n1", "n64", "n65", "n130-d3", "n130-d3-one-step", "max-seed"])
+    (3, 2 ** 64 - 1, 1, 20, 2),
+], ids=["n4-d3", "n1", "n64", "n65", "n130-d3", "n130-d3-one-step", "max-seed", "max-path"])
 def test_noise_stream_batch_matches_single(seed, first, n_paths, n_steps, dim):
     # 64-path blocks: 1, 64, 65 and 130 paths cover a partial, a full, a
     # full-plus-one and a two-full-plus-partial block layout
@@ -146,6 +148,15 @@ def test_noise_stream_validation():
         NoiseStream(seed=0, h=0.0, dim=1)
     with pytest.raises(ValueError):
         drawn(NoiseStream(seed=0, h=0.1, dim=1), -2, 3, 10)
+    # the path is the second uint64 word of the Philox key
+    with pytest.raises(ValueError, match="path_index"):
+        drawn(NoiseStream(seed=0, h=0.1, dim=1), 2 ** 64 - 1, 2, 10)
+    co, grid = linear(), GridSpec(1.0, 2.0, 10)
+    xi, eta = constant_segment(1.0, 1.0, 10), constant_segment(0.5, 1.0, 10)
+    with pytest.raises(ValueError, match="path_index"):
+        simulate_path(co, xi, grid, seed=0, path_index=2 ** 64)
+    with pytest.raises(ValueError, match="path_index"):
+        simulate_coupled(co, xi, eta, grid, 1.0, "Q", seed=0, path_index=2 ** 64)
 
 
 def test_step_euler_matches_formula():

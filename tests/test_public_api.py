@@ -43,7 +43,7 @@ SIGNATURES = {
     "gamma": "t sched",
     "simulate_coupled": "coeffs xi eta grid t0 measure theta seed path_index",
     "GapPair": "point_gap seg_gap",
-    "BoundReport": "value s_star eps_star terms at_boundary meta",
+    "BoundReport": "value s_star eps_star terms at_boundary",
     "bound_H_T": "consts gaps T r0",
     "bound_H_T_at": "consts gaps r0 s",
     "bound_entropy_prop21": "consts theta t gaps t0",
@@ -93,4 +93,4 @@ def test_public_parameter_count():
     # an input a caller must know about
     total = sum(len(inspect.signature(getattr(harnack_lab, name)).parameters)
                 for name in PUBLIC if callable(getattr(harnack_lab, name)))
-    assert total == 209
+    assert total == 208
